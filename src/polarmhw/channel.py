@@ -120,6 +120,19 @@ def fer_estimate(spec, ebn0_db: float, source: str = "EXACT", a_dm: int | None =
 # ---- Monte-Carlo simulation ----
 
 
+def _encode_rows(u):
+    """Polar transform of every row of a (frames, N) 0/1 array, by a reshape
+    butterfly: one XOR over all frames per stage."""
+    c = u.copy()
+    frames, N = c.shape
+    half = 1
+    while half < N:
+        pairs = c.reshape(frames, N // (2 * half), 2, half)
+        pairs[:, :, 0, :] ^= pairs[:, :, 1, :]
+        half *= 2
+    return c
+
+
 def _chunk_errors(spec, sigma, L, seed, chunk, frames, random_messages):
     """Frame errors in one chunk, from its own counter-based stream."""
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk]))
@@ -128,13 +141,7 @@ def _chunk_errors(spec, sigma, L, seed, chunk, frames, random_messages):
     if random_messages:
         u = np.zeros((frames, N), dtype=np.uint8)
         u[:, info_cols] = rng.integers(0, 2, size=(frames, spec.K), dtype=np.uint8)
-        c = u.copy()
-        half = 1
-        while half < N:
-            for start in range(N):
-                if start & half == 0:
-                    c[:, start] ^= c[:, start + half]
-            half *= 2
+        c = _encode_rows(u)
     else:
         u = np.zeros((frames, N), dtype=np.uint8)
         c = u

@@ -14,6 +14,17 @@ Two engines share the same semantics:
   whenever lanes are kept sorted.  Exact float ties are a measure-zero event
   under AWGN, so the two engines agree on channel inputs.
 
+  Path state is copied lazily (Tal & Vardy, "List decoding of polar codes").
+  Each stage buffer is read through a (B, L) lane -> row map; a prune only
+  composes the maps with the surviving lanes' parents, O(B*L*n) work
+  instead of O(B*L*N).  A parent stage's rows are gathered through its map
+  only when a child stage is recomputed from it, and a freshly written stage
+  gets the identity map.  The channel LLRs are one (B, N) row per decode,
+  shared by all lanes, as is every stage computed from them alone.
+  Decisions are not copied either: each information bit stores the kept
+  candidate of every lane (its bit and parent lane), and the best lane's
+  decisions are traced back once at the end.
+
 The path metric follows the exact form: each decision made against the sign
 of a nonzero decoding LLR adds |LLR| and joins the reverse decision set; a
 decision at an exactly zero LLR costs nothing and joins nothing.
@@ -60,9 +71,9 @@ class SearchDiagnostics:
 
 class _TreeState:
     """Stage buffers for one path: current LLR node per stage, pending left
-    partial sums.  Cloned wholesale on path splits; all that matters is
-    matching the naive full-copy decoder, and at search sizes the naive
-    copy is the simplest thing that is obviously right."""
+    partial sums.  Cloned wholesale on path splits of this scalar engine: at
+    search sizes the naive copy is the simplest thing that is obviously
+    right."""
 
     __slots__ = ("n", "alpha", "beta_left")
 
@@ -220,42 +231,63 @@ def constrained_scl(input_llrs, spec, L: int, forced_prefix, with_diagnostics=Fa
 def scl_decode_batch(llr_matrix, spec, L: int):
     """Best-path decisions for a batch of REAL-mode decodes.
 
-    llr_matrix: float array (B, N).  Returns a uint8 array (B, N) holding the
-    lowest-metric path of each decode.
+    llr_matrix: finite float array (B, N).  Returns a uint8 array (B, N)
+    holding the lowest-metric path of each decode.
     """
     if L < 1:
         raise ValueError(f"list size L={L} must be >= 1")
     llr_matrix = np.asarray(llr_matrix, dtype=np.float64)
+    if llr_matrix.ndim != 2:
+        raise ValueError(f"expected a (B, N) LLR matrix, got shape {llr_matrix.shape}")
     B, N = llr_matrix.shape
     n = N.bit_length() - 1
     if N != spec.N:
         raise ValueError(f"LLR row length {N} does not match N={spec.N}")
+    if not np.isfinite(llr_matrix).all():
+        raise ValueError("LLR matrix holds NaN or infinite entries")
     info = np.zeros(N, dtype=bool)
     info[[a - 1 for a in spec.A]] = True
 
-    alpha = [np.zeros((B, L, 1 << s)) for s in range(n + 1)]
-    alpha[n][:] = llr_matrix[:, None, :]
-    beta_left = [np.zeros((B, L, 1 << s), dtype=np.uint8) for s in range(n)]
-    decisions = np.zeros((B, L, N), dtype=np.uint8)
+    # alpha[s] / beta_left[s] rows are read through amap[s] / bmap[s]: lane
+    # j of decode b lives in row map[b * L + j] of the buffer viewed as
+    # (B * L, width); None is the identity.  A buffer of shape (B, 1, width)
+    # is shared by every lane and ignores its map: alpha[n] holds the
+    # channel LLRs, and stages computed from it alone stay shared.
+    alpha = [None] * n + [llr_matrix[:, None, :]]
+    amap = [None] * (n + 1)
+    beta_left = [None] * n
+    bmap = [None] * n
     pm = np.full((B, L), np.inf)
     pm[:, 0] = 0.0
+    row0 = np.arange(0, B * L, L)[:, None]
+    # per information bit, the kept candidate of each lane: bit = c >= L,
+    # parent lane = c % L
+    kept = np.zeros((len(spec.A), B, L), dtype=np.min_scalar_type(2 * L - 1))
+    k = 0
+
+    def rows(buf, rowmap):
+        if rowmap is None or buf.shape[1] == 1:
+            return buf
+        return buf.reshape(B * L, -1).take(rowmap, axis=0).reshape(buf.shape)
 
     for phi in range(N):
         if phi == 0:
             s = n
         else:
             s = (phi & -phi).bit_length() - 1
-            parent = alpha[s + 1]
+            parent = rows(alpha[s + 1], amap[s + 1])
             half = 1 << s
             a, b = parent[..., :half], parent[..., half:]
-            alpha[s][:] = np.where(beta_left[s] == 1, b - a, b + a)
+            alpha[s] = np.where(rows(beta_left[s], bmap[s]) == 1, b - a, b + a)
+            amap[s] = None
         while s > 0:
             parent = alpha[s]
             half = 1 << (s - 1)
             a, b = parent[..., :half], parent[..., half:]
-            alpha[s - 1][:] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+            alpha[s - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+            amap[s - 1] = None
             s -= 1
-        leaf = alpha[0][..., 0]  # (B, L)
+        leaf = alpha[0][..., 0]  # (B, L), or (B, 1) while still shared
 
         if not info[phi]:
             pm = pm + np.maximum(-leaf, 0.0)
@@ -263,32 +295,37 @@ def scl_decode_batch(llr_matrix, spec, L: int):
         else:
             cand = np.concatenate([pm + np.maximum(-leaf, 0.0), pm + np.maximum(leaf, 0.0)], axis=1)
             order = np.argsort(cand, axis=1, kind="stable")[:, :L]
-            src = order % L
+            src = (order % L + row0).ravel()
             bit = (order >= L).astype(np.uint8)
             pm = np.take_along_axis(cand, order, axis=1)
-            src3 = src[:, :, None]
-            # gather only live stage buffers: alpha[s] still feeds a pending g
-            # iff the path at stage s is in its left half, beta_left[t] is
-            # awaiting its right sibling iff bit t of phi is set
-            for t in range(1, n + 1):
+            kept[k] = order
+            k += 1
+            # only stages still to be read need their maps moved: alpha[t]
+            # feeds a pending g iff the path is in the left half at stage t,
+            # beta_left[t] awaits its right sibling iff bit t of phi is set
+            for t in range(1, n):
                 if (phi >> (t - 1)) & 1 == 0:
-                    alpha[t] = np.take_along_axis(alpha[t], src3, axis=1)
+                    amap[t] = src if amap[t] is None else amap[t][src]
             for t in range(n):
                 if (phi >> t) & 1:
-                    beta_left[t] = np.take_along_axis(beta_left[t], src3, axis=1)
-            decisions = np.take_along_axis(decisions, src3, axis=1)
+                    bmap[t] = src if bmap[t] is None else bmap[t][src]
 
-        decisions[:, :, phi] = bit
         cur = bit[:, :, None]
         node = phi
         s = 0
         while node & 1:
-            left = beta_left[s]
-            cur = np.concatenate([left ^ cur, cur], axis=2)
+            cur = np.concatenate([rows(beta_left[s], bmap[s]) ^ cur, cur], axis=2)
             node >>= 1
             s += 1
         if s < n:
-            beta_left[s][:] = cur
+            beta_left[s] = cur
+            bmap[s] = None
 
-    best = np.argmin(pm, axis=1)
-    return decisions[np.arange(B), best, :]
+    out = np.zeros((B, N), dtype=np.uint8)
+    frame = np.arange(B)
+    lane = np.argmin(pm, axis=1)
+    for k, phi in reversed(list(enumerate(np.flatnonzero(info)))):
+        c = kept[k, frame, lane]
+        out[:, phi] = c >= L
+        lane = c % L
+    return out

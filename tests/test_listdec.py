@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import brute_force_minimum_weight, first_one, random_specs
 
 from polarmhw.bitops import encode, generator_row_weight, min_distance
-from polarmhw.construction import CodeSpec
+from polarmhw.construction import CodeSpec, construct_pw, design_sigma
 from polarmhw.listdec import constrained_scl, scl_decode, scl_decode_batch
 from polarmhw.sctree import sc_decode, sc_replay, sc_retrace
 
@@ -235,3 +236,63 @@ def test_batch_decoder_validates_arguments():
         scl_decode_batch(np.zeros((3, 4)), SPEC8, L=2)
     with pytest.raises(ValueError):
         scl_decode_batch(np.zeros((3, 8)), SPEC8, L=0)
+
+
+def test_batch_decoder_rejects_a_nan_row():
+    llrs = np.ones((3, 8))
+    llrs[1] = np.nan
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        scl_decode_batch(llrs, SPEC8, L=2)
+
+
+def test_batch_decoder_rejects_infinite_llrs():
+    llrs = np.ones((3, 8))
+    llrs[0, 2] = np.inf
+    llrs[2, 5] = -np.inf
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        scl_decode_batch(llrs, SPEC8, L=2)
+
+
+def test_batch_decoder_rejects_a_one_dimensional_input():
+    with pytest.raises(ValueError, match=r"\(B, N\)"):
+        scl_decode_batch(np.ones(8), SPEC8, L=2)
+
+
+# ---- golden decisions of the batched engine ----
+#
+# Digests of the decision arrays the batched engine returned when they were
+# recorded.  Any rewrite of the engine must reproduce them byte for byte,
+# including the ties of the integer corpus and lanes that keep an infinite
+# metric because L exceeds 2^K.
+
+GOLDEN_AWGN = {
+    2.0: "7aec3f1fb55fcfa0228de0a06327e8d81ad7e4ed5d0bbc517158367909eba0a4",
+    3.0: "c35020473aed1b4642cd726cad727b63fff2824ad68cedd7ffb73c7cbd890479",
+}
+GOLDEN_TIES = "e10d10e77275cddb75aa3fa6c3fe39a5398a4bfd709cf11c7c3f9240224d441d"
+
+
+@pytest.mark.parametrize("ebn0_db", sorted(GOLDEN_AWGN))
+def test_batch_decoder_golden_awgn_decisions(ebn0_db):
+    spec = construct_pw(512, 256)
+    sigma = design_sigma(ebn0_db, spec.K / spec.N)
+    rng = np.random.default_rng(20191218)
+    y = 1.0 + sigma * rng.normal(size=(64, spec.N))
+    out = scl_decode_batch(2.0 * y / (sigma * sigma), spec, L=8)
+    assert out.dtype == np.uint8 and out.shape == (64, 512)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_AWGN[ebn0_db]
+
+
+def test_batch_decoder_golden_tie_decisions():
+    rng = np.random.default_rng(1912)
+    digest = hashlib.sha256()
+    for N in (8, 16, 32, 64):
+        for L in (1, 2, 4, 8):
+            for K in (1, 2, int(rng.integers(3, N + 1))):
+                A = rng.choice(np.arange(1, N + 1), size=K, replace=False)
+                spec = CodeSpec(N, tuple(int(a) for a in A))
+                llrs = rng.integers(-2, 4, size=(16, N)).astype(np.float64)
+                out = scl_decode_batch(llrs, spec, L=L)
+                assert out.dtype == np.uint8 and out.shape == (16, N)
+                digest.update(out.tobytes())
+    assert digest.hexdigest() == GOLDEN_TIES
