@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "binary_expansion",
     "positions_of",
@@ -28,6 +30,7 @@ __all__ = [
     "generator_row_weight",
     "row_prefix",
     "encode",
+    "encode_rows",
     "min_distance",
 ]
 
@@ -117,7 +120,7 @@ def row_prefix(i: int, lam: int, N: int) -> list[int]:
 
 
 def encode(u, N: int | None = None) -> list[int]:
-    """Polar transform c = u G_N over GF(2), computed by the butterfly.
+    """Polar transform c = u G_N over GF(2) of one 0/1 vector (see encode_rows).
 
     The transform is an involution: encode(encode(u)) == u.
     """
@@ -129,12 +132,20 @@ def encode(u, N: int | None = None) -> list[int]:
     _check_length(N)
     if any(b not in (0, 1) for b in c):
         raise ValueError("u must be a 0/1 vector")
+    return encode_rows(np.array([c], dtype=np.uint8))[0].tolist()
+
+
+def encode_rows(u):
+    """Polar transform of every row of a (rows, N) 0/1 integer array, by a
+    reshape butterfly: one XOR over all rows per stage.  Returns a new array
+    of the same shape and dtype."""
+    c = np.array(u, copy=True)
+    rows, N = c.shape
     half = 1
     while half < N:
-        for a in range(N):
-            if a & half == 0:
-                c[a] ^= c[a + half]
-        half <<= 1
+        pairs = c.reshape(rows, N // (2 * half), 2, half)
+        pairs[:, :, 0, :] ^= pairs[:, :, 1, :]
+        half *= 2
     return c
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polarmhw.bitops import min_distance
+from polarmhw.bitops import encode_rows, min_distance
 from polarmhw.bound import bound_count
 from polarmhw.construction import design_sigma
 from polarmhw.listdec import scl_decode_batch
@@ -120,19 +120,6 @@ def fer_estimate(spec, ebn0_db: float, source: str = "EXACT", a_dm: int | None =
 # ---- Monte-Carlo simulation ----
 
 
-def _encode_rows(u):
-    """Polar transform of every row of a (frames, N) 0/1 array, by a reshape
-    butterfly: one XOR over all frames per stage."""
-    c = u.copy()
-    frames, N = c.shape
-    half = 1
-    while half < N:
-        pairs = c.reshape(frames, N // (2 * half), 2, half)
-        pairs[:, :, 0, :] ^= pairs[:, :, 1, :]
-        half *= 2
-    return c
-
-
 def _chunk_errors(spec, sigma, L, seed, chunk, frames, random_messages):
     """Frame errors in one chunk, from its own counter-based stream."""
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk]))
@@ -141,7 +128,7 @@ def _chunk_errors(spec, sigma, L, seed, chunk, frames, random_messages):
     if random_messages:
         u = np.zeros((frames, N), dtype=np.uint8)
         u[:, info_cols] = rng.integers(0, 2, size=(frames, spec.K), dtype=np.uint8)
-        c = _encode_rows(u)
+        c = encode_rows(u)
     else:
         u = np.zeros((frames, N), dtype=np.uint8)
         c = u

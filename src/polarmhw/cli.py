@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .bitops import encode, generator_row, positions_of
+from .bitops import encode_rows, generator_row, positions_of
 from .bound import (
     bound_count,
     decompose,
@@ -38,12 +38,12 @@ from .mhw import (
     EXHAUSTIVE_CAP,
     EnumFormatError,
     ExhaustiveCapError,
+    _zero_split_walk,
     enumerate_subset_scl,
     enumerate_zero_split,
     exhaustive_mhw,
     scl_global_search,
     write_enumeration,
-    zero_split_subset,
 )
 from .sctree import sc_decode, sc_replay, sc_retrace
 
@@ -331,11 +331,16 @@ def cmd_enumerate(args, argv) -> int:
 # ---- verify ----
 
 
-def _weight_filtered_leaves(spec, i: int, d_m: int, cap: int):
-    """Sampled minimum-weight members of one trigger plus their full count."""
-    leaves, _, _ = zero_split_subset(spec, i)
-    kept = [u for u in leaves if sum(encode(list(u))) == d_m]
-    return kept[:cap], len(kept)
+def _weight_filtered_leaves(spec, triggers, d_m: int, cap: int):
+    """Sampled minimum-weight members of each trigger plus their full counts,
+    from one walk over all the triggers."""
+    decisions, owner, _, _ = _zero_split_walk(spec, triggers)
+    hit = encode_rows(decisions).sum(axis=1) == d_m
+    members, full_counts = {}, {}
+    for k, i in enumerate(triggers):
+        kept = sorted(map(tuple, decisions[hit & (owner == k)].tolist()))
+        members[i], full_counts[i] = kept[:cap], len(kept)
+    return members, full_counts
 
 
 def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
@@ -347,10 +352,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     d_m = report.d_m
     triggers = list(report.a_m)[:max_triggers]
     ones = [1] * N
-    members = {}
-    full_counts = {}
-    for i in triggers:
-        members[i], full_counts[i] = _weight_filtered_leaves(spec, i, d_m, max_members)
+    members, full_counts = _weight_filtered_leaves(spec, triggers, d_m, max_members)
     n_members = sum(len(v) for v in members.values())
     scope = f"{len(triggers)} triggers, {n_members} members"
 

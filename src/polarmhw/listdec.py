@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from polarmhw.bitops import encode
-from polarmhw.sctree import beta_combine, f_combine, g_combine
+from polarmhw.sctree import _check_llrs, beta_combine, f_combine, g_combine
 
 __all__ = [
     "DecodePath",
@@ -159,8 +159,7 @@ def scl_decode(input_llrs, spec, L: int, forced_prefix=(), with_diagnostics=Fals
     if L < 1:
         raise ValueError(f"list size L={L} must be >= 1")
     N, n = spec.N, spec.N.bit_length() - 1
-    if len(input_llrs) != N:
-        raise ValueError(f"expected {N} input LLRs, got {len(input_llrs)}")
+    _check_llrs(input_llrs, N)
     prefix = [int(b) for b in forced_prefix]
     if len(prefix) > N:
         raise ValueError(f"forced prefix longer than N={N}")

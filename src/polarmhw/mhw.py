@@ -5,9 +5,10 @@
   information position j after i, a constrained list search pinned to the
   prefix 1-at-i, 1-at-j recovers the subset U(i, j); list sizes shrink
   geometrically along j.
-* enumerate_zero_split: a depth-first walk per row i that follows hard
-  decisions, forks at exactly-zero information LLRs, and abandons a branch
-  when a frozen position sees a negative LLR.  No metrics, no sorting.
+* enumerate_zero_split: one lockstep numpy walk over all rows i at once
+  that follows hard decisions, forks at exactly-zero information LLRs, and
+  abandons a branch when a frozen position sees a negative LLR; one batched
+  polar transform then keeps the leaves of weight d_m.  No metrics.
 * scl_global_search: one wide unconstrained list search on the all-ones
   input; the minimum-weight survivors are the answer when the list is wider
   than the counting bound.
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polarmhw.bitops import encode, generator_row, min_distance
+from polarmhw.bitops import encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count, zero_capacity_set
 from polarmhw.construction import CodeSpec
-from polarmhw.listdec import _TreeState, constrained_scl, scl_decode
+from polarmhw.listdec import constrained_scl, scl_decode
 from polarmhw.sctree import sc_retrace
 
 __all__ = [
@@ -74,6 +75,27 @@ class MhwResult:
 
 def _sorted_vectors(vectors):
     return tuple(sorted(tuple(v) for v in vectors))
+
+
+def _sorted_packed(packed, N):
+    """Sorted tuples of the length-N 0/1 rows packed by np.packbits; a
+    repeated row breaks the partition law of the walk and aborts loudly."""
+    # packbits puts column 0 in the top bit, so the packed bytes compare in
+    # the same order as the rows
+    order = np.argsort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), kind="stable")
+    packed = packed[order]
+    if (packed[1:] == packed[:-1]).all(axis=1).any():
+        raise RuntimeError("a vector was enumerated twice")
+    return tuple(tuple(np.unpackbits(row, count=N).tolist()) for row in packed)
+
+
+def _min_weight(vectors, d_m):
+    """The vectors whose codeword has weight d_m, by one batched transform."""
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    weights = encode_rows(np.array(vectors, dtype=np.uint8)).sum(axis=1)
+    return [u for u, w in zip(vectors, weights.tolist()) if w == d_m]
 
 
 def _merge_subsets(per_trigger):
@@ -138,10 +160,6 @@ def _single_one(i, N):
     return tuple(u)
 
 
-def _codeword_weight(u):
-    return sum(encode(list(u)))
-
-
 def _search_pair(spec, i, j, L, d_m, trigger_pm):
     """One constrained search: returns (vectors, note).  A discarded
     candidate that still carried the bare trigger metric may have been on a
@@ -151,12 +169,12 @@ def _search_pair(spec, i, j, L, d_m, trigger_pm):
     prefix[i - 1] = 1
     prefix[j - 1] = 1
     paths, diag = constrained_scl([1] * spec.N, spec, L, prefix, with_diagnostics=True)
-    found = {p.decisions for p in paths if _codeword_weight(p.decisions) == d_m}
+    found = set(_min_weight((p.decisions for p in paths), d_m))
     note = None
     if diag.min_discarded_pm is not None and diag.min_discarded_pm <= trigger_pm:
         overlap = len(zero_capacity_set(i, spec.N) & set(spec.A))
         wide = constrained_scl([1] * spec.N, spec, 1 << overlap, prefix)
-        refound = {p.decisions for p in wide if _codeword_weight(p.decisions) == d_m}
+        refound = set(_min_weight((p.decisions for p in wide), d_m))
         if refound != found:
             note = (
                 f"list size {L} for trigger {i}, split {j} lost "
@@ -217,64 +235,113 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
 # ---- zero-split walker ----
 
 
-def zero_split_subset(spec, i: int):
-    """Depth-first enumeration of U(i) by following hard decisions.
+def _zero_split_walk(spec, triggers):
+    """Walk the SC tree of the all-ones input from every trigger at once.
 
-    Returns (leaves, branch_positions, kills): surviving decision vectors,
-    the positions where an exactly zero information LLR forked the walk,
-    and how many branches died at a negative frozen LLR.
+    One integer-valued copy of the SC stage LLRs per live branch, all
+    branches advancing in lockstep over the leaves.  Until a trigger i, the
+    all-zero path (owner -1) serves every trigger still to come; at i it
+    forks off a row with bit 1 owned by i.  Past its trigger a row forks at an
+    information bit whose LLR is exactly 0 (the copy takes bit 1) and dies at
+    a frozen bit whose LLR is negative; elsewhere it follows the hard
+    decision.  The all-zero path is dropped after the last trigger.
+
+    Returns (decisions, owner, branch_positions, kills): a (rows, N) uint8
+    decision matrix of the surviving branches, the index into `triggers` of
+    each row, and per trigger the set of fork positions and the number of
+    killed branches.
     """
     N = spec.N
     n = N.bit_length() - 1
-    leaves = []
-    branch_positions = set()
-    kills = 0
-    stack = [(_TreeState([1] * N, n), [], 1)]
-    while stack:
-        tree, decisions, pos = stack.pop()
-        alive = True
-        while pos <= N:
-            llr = tree.leaf_llr(pos - 1)
-            if pos < i:
-                bit = 0
-            elif pos == i:
-                bit = 1
-            elif not spec.is_info(pos):
-                if llr < 0:
-                    alive = False
-                    break
-                bit = 0
-            elif llr == 0:
-                branch_positions.add(pos)
-                twin = tree.clone()
-                twin.commit(pos - 1, 1)
-                stack.append((twin, decisions + [1], pos + 1))
-                bit = 0
-            else:
-                bit = 0 if llr > 0 else 1
-            tree.commit(pos - 1, bit)
-            decisions.append(bit)
-            pos += 1
-        if alive:
-            leaves.append(tuple(decisions))
+    branch_positions = [set() for _ in triggers]
+    kills = [0] * len(triggers)
+    if not triggers:
+        return np.zeros((0, N), dtype=np.uint8), np.zeros(0, dtype=np.intp), branch_positions, kills
+    info = np.zeros(N, dtype=bool)
+    info[[a - 1 for a in spec.A]] = True
+    starts = {i - 1: k for k, i in enumerate(triggers)}
+    last = max(starts)
+
+    # LLR magnitudes at stage t are at most 2**(n - t) <= N, so the smallest
+    # signed type that holds -2N is exact.  A buffer with one row holds the
+    # same values for every row (the channel input always; other stages while
+    # only one row exists) and is broadcast, never gathered.  The partial sums
+    # a g update needs are re-encoded from the decisions of its left sibling.
+    alpha = [None] * n + [np.ones((1, N), dtype=np.min_scalar_type(-2 * N))]
+    decisions = np.zeros((1, N), dtype=np.uint8)
+    owner = np.array([-1], dtype=np.intp)
+
+    for phi in range(N):
+        if phi == 0:
+            s = n
         else:
-            kills += 1
-    return sorted(leaves), branch_positions, kills
+            s = (phi & -phi).bit_length() - 1
+            half = 1 << s
+            a, b = alpha[s + 1][:, :half], alpha[s + 1][:, half:]
+            alpha[s] = np.where(encode_rows(decisions[:, phi - half : phi]) == 1, b - a, b + a)
+        while s > 0:
+            half = 1 << (s - 1)
+            a, b = alpha[s][:, :half], alpha[s][:, half:]
+            alpha[s - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+            s -= 1
+        leaf = alpha[0][:, 0]  # one per row, or a single shared value
+        walking = owner >= 0
+        # the hard decision; at a frozen bit a 1 marks exactly the dead rows
+        bit = (walking & (leaf < 0)).astype(np.uint8)
+        alive = np.ones(len(owner), dtype=bool)
+        fork = np.zeros(0, dtype=np.intp)
+        if info[phi]:
+            fork = np.flatnonzero(walking & (leaf == 0))
+            for k in set(owner[fork].tolist()):
+                branch_positions[k].add(phi + 1)
+        else:
+            alive = bit == 0
+            for k in owner[~alive].tolist():
+                kills[k] += 1
+        if phi == last:
+            alive &= walking
+        # rows after this leaf: the live rows, the bit-1 copies of the forked
+        # rows, then the bit-1 copy of the all-zero path for a trigger here
+        start = [np.flatnonzero(~walking)] if phi in starts else []
+        if len(fork) or start or not alive.all():
+            live = np.flatnonzero(alive)
+            rows = np.concatenate([live, fork] + start)
+            owner = owner[rows]
+            if start:
+                owner[-1] = starts[phi]
+            bit = np.concatenate([bit[live], np.ones(len(rows) - len(live), dtype=np.uint8)])
+            decisions = decisions[rows]
+            # only stages still to be read move: alpha[t] feeds a pending g
+            # iff bit t - 1 of phi is 0
+            for t in range(1, n):
+                if (phi >> (t - 1)) & 1 == 0 and len(alpha[t]) > 1:
+                    alpha[t] = alpha[t][rows]
+            if not len(owner):
+                break
+        decisions[:, phi] = bit
+    return decisions, owner, branch_positions, kills
+
+
+def zero_split_subset(spec, i: int):
+    """Enumeration of U(i) by following hard decisions from trigger i.
+
+    Returns (leaves, branch_positions, kills): surviving decision vectors,
+    sorted, the positions where an exactly zero information LLR forked the
+    walk, and how many branches died at a negative frozen LLR.
+    """
+    decisions, _, branch_positions, kills = _zero_split_walk(spec, (i,))
+    return sorted(map(tuple, decisions.tolist())), branch_positions[0], kills[0]
 
 
 def enumerate_zero_split(spec, threads: int = 1) -> MhwResult:
+    """All minimum-weight vectors by one lockstep walk over every trigger and
+    one batched weight filter.  `threads` is accepted for the common
+    enumerator interface; the result never depended on it."""
     d_m, a_m = min_distance(spec)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(lambda i: zero_split_subset(spec, i), a_m))
-    else:
-        outs = [zero_split_subset(spec, i) for i in a_m]
-    per_trigger = []
-    for i, (leaves, _, _) in zip(a_m, outs):
-        kept = [u for u in leaves if _codeword_weight(u) == d_m]
-        per_trigger.append((i, kept))
-    vectors = _merge_subsets(per_trigger)
-    return MhwResult(d_m, len(vectors), vectors, "ZERO_SPLIT", 0)
+    decisions, _, _, _ = _zero_split_walk(spec, a_m)
+    kept = np.packbits(decisions[encode_rows(decisions).sum(axis=1) == d_m], axis=1)
+    del decisions
+    return MhwResult(d_m, len(kept), _sorted_packed(kept, spec.N), "ZERO_SPLIT", 0)
 
 
 # ---- global list search ----
@@ -290,17 +357,17 @@ def scl_global_search(spec, L: int) -> MhwResult:
             f"plus one ({needed})"
         )
     survivors = scl_decode([1] * spec.N, spec, L)
-    vectors = {
-        p.decisions
-        for p in survivors
-        if any(p.decisions) and _codeword_weight(p.decisions) == d_m
-    }
+    # d_m >= 1, so the all-zero path never passes the weight filter
+    vectors = set(_min_weight((p.decisions for p in survivors), d_m))
     return MhwResult(d_m, len(vectors), _sorted_vectors(vectors), "SCL_GLOBAL", L, warning)
 
 
 # ---- enumeration files ----
 
 _ENUM_MAGIC = "polarmhw-enum 1"
+# Vectors encoded per batch by write_enumeration: its arrays stay within
+# 2 * _WRITE_ROWS * N bytes however many vectors the file holds.
+_WRITE_ROWS = 128
 
 
 def _pack_bits(bits):
@@ -333,9 +400,19 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     ]
     if result.warning:
         lines.append(f"# warning: {result.warning}")
-    for u in sorted(result.vectors):
-        msg = _pack_bits(u[a - 1] for a in A)
-        lines.append(f"msg={msg:x} u={_pack_bits(u):x} w={_codeword_weight(u)}")
+    info_cols = [a - 1 for a in A]
+    vectors = sorted(result.vectors)
+    for start in range(0, len(vectors), _WRITE_ROWS):
+        chunk = b"".join(map(bytes, vectors[start : start + _WRITE_ROWS]))
+        u = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, spec.N)
+        weights = encode_rows(u).sum(axis=1).tolist()
+        msgs = np.packbits(u[:, info_cols], axis=1, bitorder="little")
+        words = np.packbits(u, axis=1, bitorder="little")
+        for msg, word, w in zip(msgs, words, weights):
+            lines.append(
+                f"msg={int.from_bytes(msg.tobytes(), 'little'):x} "
+                f"u={int.from_bytes(word.tobytes(), 'little'):x} w={w}"
+            )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

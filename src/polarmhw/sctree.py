@@ -19,6 +19,7 @@ so the root is (n, 1) and leaf p is (0, p).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from polarmhw.bitops import encode, positions_of
@@ -96,10 +97,21 @@ class ScOutcome:
 # ---- engine ----
 
 
-def _run(input_llrs, spec, decide, record_nodes):
-    N = spec.N
+def _check_llrs(input_llrs, N):
+    """Reject a wrong length and NaN or infinite entries, once per decode.
+
+    Python ints are exact and always finite, and math.isfinite would raise
+    OverflowError on one past the float range, so they are not checked.
+    """
     if len(input_llrs) != N:
         raise ValueError(f"expected {N} input LLRs, got {len(input_llrs)}")
+    if not all(isinstance(x, int) or math.isfinite(x) for x in input_llrs):
+        raise ValueError("input LLRs hold NaN or infinite entries")
+
+
+def _run(input_llrs, spec, decide, record_nodes):
+    N = spec.N
+    _check_llrs(input_llrs, N)
     llrs = [None] * N
     decisions = [None] * N
     node_llrs = {} if record_nodes else None

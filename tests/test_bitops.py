@@ -7,6 +7,7 @@ from polarmhw.bitops import (
     binary_expansion,
     digit_one_indices,
     encode,
+    encode_rows,
     generator_row,
     generator_row_weight,
     min_distance,
@@ -183,6 +184,19 @@ def test_encode_linearity():
         v = [rng.randint(0, 1) for _ in range(N)]
         both = [a ^ b for a, b in zip(u, v)]
         assert encode(both) == [a ^ b for a, b in zip(encode(u), encode(v))]
+
+
+def test_encode_rows_matches_matrix_product_and_involutes():
+    rng = np.random.default_rng(15)
+    for N in (2, 4, 8, 64, 256):
+        G = kron_matrix(N).astype(np.int64)
+        u = rng.integers(0, 2, size=(40, N), dtype=np.uint8)
+        c = encode_rows(u)
+        assert c.dtype == np.uint8 and c.shape == u.shape
+        assert np.array_equal(c, (u.astype(np.int64) @ G) % 2)
+        assert np.array_equal(encode_rows(c), u)
+    empty = encode_rows(np.zeros((0, 16), dtype=np.uint8))
+    assert empty.shape == (0, 16)
 
 
 def test_encode_errors():

@@ -6,11 +6,9 @@ from scipy.integrate import quad
 
 from conftest import random_specs
 
-from polarmhw.bitops import encode
 from polarmhw.channel import (
     ChannelConfig,
     FerEstimate,
-    _encode_rows,
     fer_estimate,
     q_function,
     simulate_fer,
@@ -176,17 +174,6 @@ def test_all_zero_and_random_message_runs_agree_statistically():
     se = math.sqrt(p * (1 - p) * (1 / zero.trials + 1 / rand.trials))
     z = (zero.fer - rand.fer) / se
     assert abs(z) < 3.5
-
-
-def test_random_message_encoder_matches_scalar_encode():
-    rng = np.random.default_rng(15)
-    for N in (2, 4, 8, 64, 256):
-        u = rng.integers(0, 2, size=(40, N), dtype=np.uint8)
-        c = _encode_rows(u)
-        assert c.dtype == np.uint8 and c.shape == u.shape
-        for row_u, row_c in zip(u, c):
-            assert row_c.tolist() == encode(row_u.tolist())
-        assert np.array_equal(_encode_rows(c), u)
 
 
 # ---- CSV interface ----

@@ -197,6 +197,19 @@ def test_list_size_and_input_length_are_validated():
         scl_decode([1] * 4, SPEC8, L=2)
 
 
+def test_scalar_decoder_rejects_non_finite_llrs():
+    for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
+        llrs = [1.0] * 8
+        llrs[5] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            scl_decode(llrs, SPEC8, L=2)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        constrained_scl([float("nan")] * 8, SPEC8, L=2, forced_prefix=[0, 0, 0, 1])
+    # Python ints are exact and never checked: a value past the float range
+    # still decodes
+    assert scl_decode([10**400] * 8, SPEC8, L=2)[0].decisions == (0,) * 8
+
+
 # ---- batched float engine agrees with the scalar engine ----
 
 

@@ -1,9 +1,12 @@
+import hashlib
 import random
+import sys
 
 import pytest
 
 from conftest import brute_force_minimum_weight, first_one, group_by_trigger, random_specs
 
+from polarmhw import bitops
 from polarmhw.bitops import encode, generator_row_weight, min_distance
 from polarmhw.bound import bound_count, per_subset_bound, zero_capacity_set
 from polarmhw.construction import CodeSpec, construct_ga, construct_pw
@@ -275,3 +278,144 @@ def test_enumeration_file_rejects_corruption(tmp_path):
     bad.write_text("\n".join(swapped) + "\n")
     with pytest.raises(EnumFormatError):
         read_enumeration(bad)
+
+
+def test_enumeration_path_makes_no_per_vector_encode_calls(monkeypatch, tmp_path):
+    # every module-level name bound to bitops.encode, in any polarmhw module
+    # (mhw.encode included where it exists), counts its calls
+    calls = []
+    original = bitops.encode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name == "polarmhw" or name.startswith("polarmhw."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+                    patched.append(f"{name}.{attr}")
+    assert "polarmhw.bitops.encode" in patched
+    spec = construct_pw(256, 136)
+    result = enumerate_zero_split(spec)
+    write_enumeration(tmp_path / "pw.txt", spec, result)
+    assert result.count > 0
+    assert len(calls) == 0
+
+
+# ---- golden walk and file corpus ----
+#
+# Digests recorded with the depth-first walk that preceded the lockstep one;
+# any change to the leaves, fork positions or kill counts of any trigger, or
+# to a single byte of an enumeration file, shows up here.
+
+
+def perturbed_pw1024(seed):
+    """PW(1024, 192) with 8 information rows swapped for frozen rows of weight
+    >= d_m, keeping d_m; such sets are not closed under the partial order, so
+    their walks kill branches."""
+    base = construct_pw(1024, 192)
+    d_m = min_distance(base)[0]
+    rng = random.Random(seed)
+    info = sorted(base.A)
+    frozen = [
+        p for p in range(1, 1025) if not base.is_info(p) and 1 << (p - 1).bit_count() >= d_m
+    ]
+    while True:
+        keep = set(info) - set(rng.sample(info, 8))
+        spec = CodeSpec(1024, tuple(sorted(keep | set(rng.sample(frozen, 8)))))
+        if min_distance(spec)[0] == d_m:
+            return spec
+
+
+def random_walk_corpus():
+    rng = random.Random(20261018)
+    specs = []
+    for _ in range(100):
+        N = rng.choice((8, 16, 32, 64))
+        specs.append(CodeSpec(N, tuple(rng.sample(range(1, N + 1), rng.randint(1, N)))))
+    return specs
+
+
+def corpus_spec(label):
+    kind, *args = label.split("-")
+    if kind == "pw":
+        return construct_pw(int(args[0]), int(args[1]))
+    if kind == "ga":
+        return construct_ga(int(args[0]), int(args[1]), 2.0)
+    return perturbed_pw1024(int(args[0]))
+
+
+def walk_digest(specs):
+    """sha256 over every trigger's (sorted leaves, sorted forks, kills)."""
+    h = hashlib.sha256()
+    for spec in specs:
+        for i in min_distance(spec)[1]:
+            leaves, branches, kills = zero_split_subset(spec, i)
+            h.update(f"{spec.N};{spec.A};{i};{sorted(branches)};{kills};".encode())
+            for u in leaves:
+                h.update(bytes(u))
+    return h.hexdigest()[:16]
+
+
+# GA codes (2 dB design) that coincide with the PW code of the same size
+# are left out.
+GOLDEN_WALKS = {
+    "pw-8-2": "b5903a436826b956",
+    "pw-8-4": "32a79b6d2ee0621a",
+    "pw-8-6": "1882483898471d6f",
+    "pw-16-4": "cffcceb19f8c976e",
+    "pw-16-8": "d95f340d12138f19",
+    "pw-16-12": "1940c12ff9d39289",
+    "pw-32-8": "7fd864398eddb859",
+    "pw-32-16": "535eac3cd7a3a132",
+    "pw-32-24": "ccdeb16246b55026",
+    "pw-64-16": "cf535b646cad90c8",
+    "pw-64-32": "f2b6b878feb23c58",
+    "pw-64-48": "fbdcc3789dd65929",
+    "pw-128-32": "1c771fabc07fa1ac",
+    "pw-128-64": "e6945f1b1d75749c",
+    "pw-128-96": "b14357baa78f4691",
+    "pw-256-64": "19ebc5a856aa26d9",
+    "pw-256-128": "e0c1174062754aea",
+    "pw-256-192": "72ea238c1ca3fd24",
+    "ga-64-16": "dff4b183ca93c33e",
+    "ga-128-32": "0a24897e972267aa",
+    "ga-128-64": "05c809da2bfd2cc5",
+    "ga-256-64": "7f00de8c35567d7c",
+    "ga-256-128": "285d1b9b93258744",
+    "ga-256-192": "6fea4b63f97fe4b6",
+    "perturbed-2": "974cf8a7dab66db4",
+    "perturbed-4": "2c83dfdd7bedb13b",
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_WALKS))
+def test_zero_split_walk_golden_corpus(label):
+    assert walk_digest([corpus_spec(label)]) == GOLDEN_WALKS[label]
+
+
+def test_zero_split_walk_golden_random_sets():
+    assert walk_digest(random_walk_corpus()) == "244c11017e688b00"
+
+
+GOLDEN_FILES = {
+    "pw-8-4": "335d40d68fe5f9eb",
+    "pw-64-32": "b29b6e99e4f1f8f6",
+    "ga-128-64": "8994f973235d9236",
+    "perturbed-2": "04d697a7543246fd",
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_FILES))
+def test_enumeration_file_golden_bytes(label, tmp_path):
+    spec = corpus_spec(label)
+    result = enumerate_zero_split(spec)
+    path = tmp_path / f"{label}.txt"
+    write_enumeration(path, spec, result, header_lines=(f"golden {label}",))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == GOLDEN_FILES[label]
+    spec_back, result_back = read_enumeration(path)
+    assert spec_back.A == spec.A
+    assert result_back == result

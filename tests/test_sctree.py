@@ -132,6 +132,28 @@ def test_replay_validates_decisions():
         sc_replay([1] * 8, SPEC8, [0, 0, 0, 1])
 
 
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+def test_sc_decode_rejects_non_finite_llrs():
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sc_decode([1.0] * 7 + [bad], SPEC8)
+    assert sc_decode([10**400] * 8, SPEC8).decisions == (0,) * 8
+
+
+def test_sc_retrace_rejects_non_finite_llrs():
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sc_retrace([bad] + [1.0] * 7, SPEC8, {4})
+
+
+def test_sc_replay_rejects_non_finite_llrs():
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sc_replay([1.0] * 3 + [bad] + [1.0] * 4, SPEC8, [0] * 8)
+
+
 def test_replay_reports_derived_reverse_decisions():
     out = sc_replay([1] * 8, SPEC8, [0, 0, 0, 1, 0, 1, 0, 0])
     assert out.rds == (4,)
