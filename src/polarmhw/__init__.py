@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from polarmhw.bitops import (
     binary_expansion,
-    digit_one_indices,
     encode,
     generator_row,
     generator_row_weight,
@@ -25,7 +24,6 @@ from polarmhw.bound import (
     zero_capacity_set,
 )
 from polarmhw.channel import (
-    ChannelConfig,
     FerEstimate,
     FerPoint,
     fer_estimate,

@@ -17,15 +17,12 @@ counting path stays cheap even for N in the 2**16 range.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = [
     "binary_expansion",
     "positions_of",
     "zero_digit_prefix_sum",
-    "digit_one_indices",
     "generator_row",
     "generator_row_weight",
     "row_prefix",
@@ -66,14 +63,6 @@ def zero_digit_prefix_sum(i: int, n: int, x: int) -> int:
     if not 1 <= x <= len(zeros):
         raise ValueError(f"x={x} out of range; i-1={i - 1} has {len(zeros)} zero digits")
     return sum(1 << (p - 1) for p in zeros[:x])
-
-
-def digit_one_indices(n: int, j: int) -> tuple[int, ...]:
-    """All i in [0, 2**n - 1] whose j-th binary digit (LSB-first) is 1."""
-    if not 1 <= j <= n:
-        raise ValueError(f"digit index j={j} out of range [1, {n}]")
-    bit = 1 << (j - 1)
-    return tuple(i for i in range(1 << n) if i & bit)
 
 
 # ---- generator rows and encoding ----
@@ -152,13 +141,6 @@ def encode_rows(u):
 # ---- minimum distance ----
 
 
-@lru_cache(maxsize=None)
-def _min_distance_cached(N: int, A: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    best = min((a - 1).bit_count() for a in A)
-    rows = tuple(a for a in A if (a - 1).bit_count() == best)
-    return 1 << best, rows
-
-
 def min_distance(spec) -> tuple[int, tuple[int, ...]]:
     """Minimum distance d_m of the code and the rows of A attaining it.
 
@@ -176,4 +158,5 @@ def min_distance(spec) -> tuple[int, tuple[int, ...]]:
     _check_length(spec.N)
     if A[0] < 1 or A[-1] > spec.N:
         raise ValueError(f"information set not within [1, {spec.N}]")
-    return _min_distance_cached(spec.N, A)
+    best = min((a - 1).bit_count() for a in A)
+    return 1 << best, tuple(a for a in A if (a - 1).bit_count() == best)

@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from polarmhw.bitops import (
+    _check_length,
     binary_expansion,
     encode,
     min_distance,
@@ -123,9 +124,7 @@ def zero_capacity_set(i: int, N: int) -> frozenset[int]:
     Within each part, these sit at the offsets where the length-2**lam
     prefix of generator row i is 1.
     """
-    n = N.bit_length() - 1
-    if N < 2 or (1 << n) != N:
-        raise ValueError(f"code length N={N} is not a power of two >= 2")
+    n = _check_length(N)
     if not 1 <= i <= N:
         raise ValueError(f"index i={i} out of range [1, {N}]")
     out = []
@@ -137,15 +136,6 @@ def zero_capacity_set(i: int, N: int) -> frozenset[int]:
 
 
 # ---- fast membership counting ----
-
-
-def _info_mask_of(spec) -> np.ndarray:
-    """Per-spec cached boolean info mask, built here for bare duck specs."""
-    mask = getattr(spec, "info_mask", None)
-    if mask is None:
-        mask = np.zeros(spec.N, dtype=bool)
-        mask[[a - 1 for a in spec.A]] = True
-    return mask
 
 
 @lru_cache(maxsize=4096)
@@ -195,7 +185,7 @@ def bound_count(spec, materialize_sets: bool | None = None) -> BoundReport:
     n = N.bit_length() - 1
     if materialize_sets is None:
         materialize_sets = N <= _MATERIALIZE_LIMIT
-    info_mask = _info_mask_of(spec)
+    info_mask = spec.info_mask
     triggers = []
     total = 0
     for i in a_m:
@@ -212,7 +202,7 @@ def per_subset_bound(i: int, spec) -> int:
     if i not in a_m:
         raise ValueError(f"position {i} is not a minimum-weight information row")
     n = spec.N.bit_length() - 1
-    overlap, _ = _overlap(i, n, _info_mask_of(spec), False)
+    overlap, _ = _overlap(i, n, spec.info_mask, False)
     return 1 << overlap
 
 

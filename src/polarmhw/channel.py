@@ -30,7 +30,6 @@ from polarmhw.listdec import scl_decode_batch
 from polarmhw.mhw import enumerate_zero_split
 
 __all__ = [
-    "ChannelConfig",
     "FerPoint",
     "FerEstimate",
     "q_function",
@@ -45,21 +44,6 @@ __all__ = [
 
 _Z95 = 1.959963984540054
 _CHUNK_FRAMES = 1024
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    ebn0_db: float
-    rate: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError(f"rate {self.rate} out of (0, 1]")
-
-    @property
-    def sigma(self) -> float:
-        return design_sigma(self.ebn0_db, self.rate)
 
 
 @dataclass(frozen=True)

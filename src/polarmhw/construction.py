@@ -33,6 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
+from polarmhw.bitops import _check_length
+
 __all__ = [
     "CodeSpec",
     "ReliabilityOrder",
@@ -63,9 +65,7 @@ class CodeSpec:
     construction: str = "EXPLICIT"
 
     def __post_init__(self):
-        n = self.N.bit_length() - 1
-        if self.N < 2 or (1 << n) != self.N:
-            raise ValueError(f"code length N={self.N} is not a power of two >= 2")
+        _check_length(self.N)
         A = tuple(sorted(self.A))
         if not A:
             raise ValueError("information set is empty")
@@ -134,9 +134,7 @@ def _rank(scores: np.ndarray) -> tuple[int, ...]:
 
 
 def polarization_weight_order(N: int) -> ReliabilityOrder:
-    n = N.bit_length() - 1
-    if N < 2 or (1 << n) != N:
-        raise ValueError(f"code length N={N} is not a power of two >= 2")
+    n = _check_length(N)
     idx = np.arange(N, dtype=np.int64)
     scores = np.zeros(N)
     for j in range(n):
@@ -190,9 +188,7 @@ def _check_combine(m: np.ndarray) -> np.ndarray:
 
 
 def gaussian_approx_order(N: int, sigma: float) -> ReliabilityOrder:
-    n = N.bit_length() - 1
-    if N < 2 or (1 << n) != N:
-        raise ValueError(f"code length N={N} is not a power of two >= 2")
+    n = _check_length(N)
     if not sigma > 0:
         raise ValueError(f"noise std sigma={sigma} must be positive")
     # Shared-prefix recursion: one array per stage instead of one walk per

@@ -1,18 +1,20 @@
 """Successive-cancellation list decoding with path metrics and reverse sets.
 
-Two engines share the same semantics:
+Two engines share the same path metric:
 
-* A scalar engine (`scl_decode`, `constrained_scl`) over Python numbers.  In
-  EXACT integer mode it powers the noiseless codeword searches, where large
-  groups of paths tie at the same integer path metric and the tie-break must
-  be total: candidates are ranked by (pm, decision prefix), lexicographically
-  smallest prefix first.  Results are therefore bit-for-bit reproducible.
+* A scalar engine (`scl_decode`, `constrained_scl`) over Python numbers, one
+  sctree tree state per path, cloned on splits.  In EXACT integer mode it
+  powers the noiseless codeword searches, where large groups of paths tie at
+  the same integer path metric and the tie-break must be total: candidates
+  are ranked by (pm, decision prefix), lexicographically smallest prefix
+  first.  Results are therefore bit-for-bit reproducible.
 * A batched numpy engine (`scl_decode_batch`) over float64 LLR matrices, used
   by the AWGN frame-error simulation.  It keeps B independent decodes times L
-  lanes in flight; pruning uses a stable argsort over the (lane, bit)
-  candidate order, which realizes the same tie-break as the scalar engine
-  whenever lanes are kept sorted.  Exact float ties are a measure-zero event
-  under AWGN, so the two engines agree on channel inputs.
+  lanes in flight; pruning uses a stable argsort over the candidates [bit 0
+  of every lane, bit 1 of every lane], so tied candidates rank by (bit,
+  lane), not by decision prefix.  The engines agree on channel floats, where
+  an exact tie is a measure-zero event, but on exact ties (integer LLRs, say)
+  they may keep different survivors.
 
   Path state is copied lazily (Tal & Vardy, "List decoding of polar codes").
   Each stage buffer is read through a (B, L) lane -> row map; a prune only
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from polarmhw.bitops import encode
-from polarmhw.sctree import _check_llrs, beta_combine, f_combine, g_combine
+from polarmhw.sctree import _check_llrs, _penalty, _TreeState
 
 __all__ = [
     "DecodePath",
@@ -66,58 +68,7 @@ class SearchDiagnostics:
     min_discarded_pm: object = None
 
 
-# ---- per-path tree state ----
-
-
-class _TreeState:
-    """Stage buffers for one path: current LLR node per stage, pending left
-    partial sums.  Cloned wholesale on path splits of this scalar engine: at
-    search sizes the naive copy is the simplest thing that is obviously
-    right."""
-
-    __slots__ = ("n", "alpha", "beta_left")
-
-    def __init__(self, input_llrs, n):
-        self.n = n
-        self.alpha = [None] * (n + 1)
-        self.alpha[n] = list(input_llrs)
-        self.beta_left = [None] * n
-
-    def clone(self):
-        twin = object.__new__(_TreeState)
-        twin.n = self.n
-        twin.alpha = [None if a is None else list(a) for a in self.alpha]
-        twin.beta_left = [None if b is None else list(b) for b in self.beta_left]
-        return twin
-
-    def leaf_llr(self, phi):
-        if phi == 0:
-            s = self.n
-        else:
-            s = (phi & -phi).bit_length() - 1
-            parent = self.alpha[s + 1]
-            half = 1 << s
-            left_beta = self.beta_left[s]
-            self.alpha[s] = [
-                g_combine(parent[k], parent[k + half], left_beta[k]) for k in range(half)
-            ]
-        while s > 0:
-            parent = self.alpha[s]
-            half = 1 << (s - 1)
-            self.alpha[s - 1] = [f_combine(parent[k], parent[k + half]) for k in range(half)]
-            s -= 1
-        return self.alpha[0][0]
-
-    def commit(self, phi, bit):
-        cur = [bit]
-        s = 0
-        node = phi
-        while node & 1:
-            cur = beta_combine(self.beta_left[s], cur)
-            node >>= 1
-            s += 1
-        if s < self.n:
-            self.beta_left[s] = cur
+# ---- per-path state ----
 
 
 class _Path:
@@ -128,14 +79,6 @@ class _Path:
         self.decisions = decisions
         self.pm = pm
         self.rds = rds
-
-
-def _penalty(llr, bit):
-    """Metric increment for deciding `bit` at LLR `llr`: |llr| on a sign
-    contradiction, zero otherwise (an exactly zero LLR never penalizes)."""
-    if (llr > 0 and bit == 1) or (llr < 0 and bit == 0):
-        return abs(llr)
-    return 0
 
 
 def _apply(path, pos, llr, bit):

@@ -370,17 +370,6 @@ _ENUM_MAGIC = "polarmhw-enum 1"
 _WRITE_ROWS = 128
 
 
-def _pack_bits(bits):
-    value = 0
-    for k, b in enumerate(bits):
-        value |= int(b) << k
-    return value
-
-
-def _unpack_bits(value, length):
-    return tuple((value >> k) & 1 for k in range(length))
-
-
 def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     """Stable text dump: header fields then one lexicographically sorted
     record per vector (message bits in A order and the full u, hex-packed).
@@ -459,13 +448,20 @@ def read_enumeration(path):
     if count != len(records):
         raise EnumFormatError(f"{path}: header count {count} != {len(records)} records")
     spec = CodeSpec(N, A)
-    vectors = []
-    for msg, packed, _ in records:
-        u = _unpack_bits(packed, N)
-        if _pack_bits(u[a - 1] for a in sorted(A)) != msg:
-            raise EnumFormatError(f"{path}: message/u mismatch for u={packed:x}")
-        if any(u[p] for p in range(N) if (p + 1) not in spec.A):
-            raise EnumFormatError(f"{path}: nonzero frozen position in u={packed:x}")
-        vectors.append(u)
+    # u=, hex-packed with position 1 in the lowest bit; bits past N are ignored
+    width = -(-N // 8)
+    mask = (1 << N) - 1
+    packed = b"".join((p & mask).to_bytes(width, "little") for _, p, _ in records)
+    u = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
+    u = np.unpackbits(u, axis=1, count=N, bitorder="little")
+    msgs = np.packbits(u[:, spec.info_mask], axis=1, bitorder="little")
+    for (msg, word, _), want in zip(records, msgs):
+        if int.from_bytes(want.tobytes(), "little") != msg:
+            raise EnumFormatError(f"{path}: message/u mismatch for u={word:x}")
+    frozen = u[:, ~spec.info_mask].any(axis=1)
+    if frozen.any():
+        word = records[int(np.argmax(frozen))][1]
+        raise EnumFormatError(f"{path}: nonzero frozen position in u={word:x}")
+    vectors = u.tolist()
     result = MhwResult(d_m, count, _sorted_vectors(vectors), fields["method"], max_list)
     return spec, result

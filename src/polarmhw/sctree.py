@@ -11,16 +11,19 @@ The decoder works in two scalar modes, selected by the input LLR types:
   equality scan) but carries no meaning there: a zero LLR under AWGN is a
   measure-zero event and nothing downstream reads it.
 
-The engine records the decoding LLR of every leaf and, on request, the LLR
-and partial-sum vectors of every internal node, keyed by (stage, node index):
-stage lambda means node size 2**lambda, node index is 1-based left to right,
-so the root is (n, 1) and leaf p is (0, p).
+One tree state (per-stage LLR buffers and pending left partial sums) runs
+the schedule leaf by leaf; SC decoding, retrace and replay differ only in the
+decision they commit at each leaf, and the scalar list decoder in listdec
+keeps one such state per path.  The engine records the decoding LLR of every
+leaf and, on request, the LLR and partial-sum vectors of every node, keyed
+by (stage, node index): stage lambda means node size 2**lambda, node index
+is 1-based left to right, so the root is (n, 1) and leaf p is (0, p).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from polarmhw.bitops import encode, positions_of
 
@@ -109,68 +112,114 @@ def _check_llrs(input_llrs, N):
         raise ValueError("input LLRs hold NaN or infinite entries")
 
 
-def _run(input_llrs, spec, decide, record_nodes):
+class _TreeState:
+    """Stage buffers of one SC path: alpha[s] is the LLR node of stage s on
+    the current root-to-leaf path, beta_left[s] the partial sums of a left
+    sibling waiting for its right half.  Leaf phi (0-based) recomputes only
+    the stages below the lowest set bit of phi.
+
+    With record_nodes, every LLR vector is captured where it is written and
+    every partial-sum vector where it is completed, keyed by (stage, node),
+    in the order a recursive walk of the tree visits them.  The list decoder
+    clones a state on every path split; a clone captures nothing.
+    """
+
+    __slots__ = ("n", "alpha", "beta_left", "node_llrs", "node_betas")
+
+    def __init__(self, input_llrs, n, record_nodes=False):
+        self.n = n
+        self.alpha = [None] * (n + 1)
+        self.alpha[n] = list(input_llrs)
+        self.beta_left = [None] * n
+        self.node_llrs = {(n, 1): tuple(self.alpha[n])} if record_nodes else None
+        self.node_betas = {} if record_nodes else None
+
+    def clone(self):
+        twin = object.__new__(_TreeState)
+        twin.n = self.n
+        twin.alpha = [None if a is None else list(a) for a in self.alpha]
+        twin.beta_left = [None if b is None else list(b) for b in self.beta_left]
+        twin.node_llrs = twin.node_betas = None
+        return twin
+
+    def leaf_llr(self, phi):
+        alpha, record = self.alpha, self.node_llrs
+        if phi == 0:
+            s = self.n
+        else:
+            s = (phi & -phi).bit_length() - 1
+            parent = alpha[s + 1]
+            half = 1 << s
+            left_beta = self.beta_left[s]
+            alpha[s] = [g_combine(parent[k], parent[k + half], left_beta[k]) for k in range(half)]
+            if record is not None:
+                record[(s, (phi >> s) + 1)] = tuple(alpha[s])
+        while s > 0:
+            parent = alpha[s]
+            half = 1 << (s - 1)
+            s -= 1
+            alpha[s] = [f_combine(parent[k], parent[k + half]) for k in range(half)]
+            if record is not None:
+                record[(s, (phi >> s) + 1)] = tuple(alpha[s])
+        return alpha[0][0]
+
+    def commit(self, phi, bit):
+        record = self.node_betas
+        if record is not None:
+            record[(0, phi + 1)] = (bit,)
+        cur = [bit]
+        s = 0
+        node = phi
+        while node & 1:
+            cur = beta_combine(self.beta_left[s], cur)
+            node >>= 1
+            s += 1
+            if record is not None:
+                record[(s, node + 1)] = tuple(cur)
+        if s < self.n:
+            self.beta_left[s] = cur
+
+
+def _penalty(llr, bit):
+    """Metric increment for deciding `bit` at LLR `llr`: |llr| on a sign
+    contradiction, zero otherwise (an exactly zero LLR never penalizes)."""
+    if (llr > 0 and bit == 1) or (llr < 0 and bit == 0):
+        return abs(llr)
+    return 0
+
+
+def _sc(input_llrs, spec, decide, record_nodes):
+    """One SC pass in which decide(position, llr) picks every bit.  The path
+    metric and reverse-decision set follow _penalty, as in the list decoder."""
     N = spec.N
     _check_llrs(input_llrs, N)
-    llrs = [None] * N
-    decisions = [None] * N
-    node_llrs = {} if record_nodes else None
-    node_betas = {} if record_nodes else None
-
-    def walk(alpha, offset):
-        size = len(alpha)
-        if record_nodes:
-            node_llrs[(size.bit_length() - 1, offset // size + 1)] = tuple(alpha)
-        if size == 1:
-            llr = alpha[0]
-            llrs[offset] = llr
-            bit = decide(offset + 1, llr)
-            decisions[offset] = bit
-            if record_nodes:
-                node_betas[(0, offset + 1)] = (bit,)
-            return [bit]
-        half = size // 2
-        left_beta = walk([f_combine(alpha[k], alpha[k + half]) for k in range(half)], offset)
-        right_alpha = [g_combine(alpha[k], alpha[k + half], left_beta[k]) for k in range(half)]
-        right_beta = walk(right_alpha, offset + half)
-        beta = beta_combine(left_beta, right_beta)
-        if record_nodes:
-            node_betas[(size.bit_length() - 1, offset // size + 1)] = tuple(beta)
-        return beta
-
-    walk(list(input_llrs), 0)
-    return decisions, llrs, node_llrs, node_betas
-
-
-def _derived_rds(decisions, llrs):
-    """Positions whose decision contradicts a nonzero decoding LLR."""
-    out = []
-    for pos, (bit, llr) in enumerate(zip(decisions, llrs), start=1):
-        if (llr > 0 and bit == 1) or (llr < 0 and bit == 0):
-            out.append(pos)
-    return tuple(out)
-
-
-def _finish(decisions, llrs, node_llrs, node_betas, pm, rds):
+    tree = _TreeState(input_llrs, N.bit_length() - 1, record_nodes)
+    decisions, llrs, rds = [], [], []
+    pm = 0
+    for phi in range(N):
+        llr = tree.leaf_llr(phi)
+        bit = decide(phi + 1, llr)
+        pen = _penalty(llr, bit)
+        if pen:
+            pm = pm + pen
+            rds.append(phi + 1)
+        tree.commit(phi, bit)
+        decisions.append(bit)
+        llrs.append(llr)
     return ScOutcome(
         decisions=tuple(decisions),
         llrs=tuple(llrs),
         pm=pm,
-        rds=rds,
+        rds=tuple(rds),
         zero_positions=positions_of(0, llrs),
-        node_llrs=node_llrs,
-        node_betas=node_betas,
+        node_llrs=tree.node_llrs,
+        node_betas=tree.node_betas,
     )
 
 
 def sc_decode(input_llrs, spec, record_nodes: bool = False) -> ScOutcome:
     """Plain SC: follow hard decisions everywhere."""
-    decisions, llrs, nl, nb = _run(
-        input_llrs, spec, lambda pos, llr: hard_decision(llr, pos, spec), record_nodes
-    )
-    rds = _derived_rds(decisions, llrs)
-    pm = sum(abs(llrs[p - 1]) for p in rds)
-    return _finish(decisions, llrs, nl, nb, pm, rds)
+    return _sc(input_llrs, spec, lambda pos, llr: hard_decision(llr, pos, spec), record_nodes)
 
 
 def sc_retrace(input_llrs, spec, rds, record_nodes: bool = False) -> ScOutcome:
@@ -189,9 +238,9 @@ def sc_retrace(input_llrs, spec, rds, record_nodes: bool = False) -> ScOutcome:
             bit = 1 - bit
         return bit
 
-    decisions, llrs, nl, nb = _run(input_llrs, spec, decide, record_nodes)
-    pm = sum(abs(llrs[p - 1]) for p in rds)
-    return _finish(decisions, llrs, nl, nb, pm, tuple(sorted(rds)))
+    out = _sc(input_llrs, spec, decide, record_nodes)
+    pm = sum(abs(out.llrs[p - 1]) for p in rds)
+    return replace(out, pm=pm, rds=tuple(sorted(rds)))
 
 
 def sc_replay(input_llrs, spec, decisions, record_nodes: bool = False) -> ScOutcome:
@@ -208,7 +257,4 @@ def sc_replay(input_llrs, spec, decisions, record_nodes: bool = False) -> ScOutc
             raise ValueError("decisions must be a 0/1 vector")
         if bit and not spec.is_info(pos):
             raise ValueError(f"decision 1 at frozen position {pos}")
-    got, llrs, nl, nb = _run(input_llrs, spec, lambda pos, llr: forced[pos - 1], record_nodes)
-    rds = _derived_rds(got, llrs)
-    pm = sum(abs(llrs[p - 1]) for p in rds)
-    return _finish(got, llrs, nl, nb, pm, rds)
+    return _sc(input_llrs, spec, lambda pos, llr: forced[pos - 1], record_nodes)

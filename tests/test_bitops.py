@@ -5,7 +5,6 @@ import pytest
 
 from polarmhw.bitops import (
     binary_expansion,
-    digit_one_indices,
     encode,
     encode_rows,
     generator_row,
@@ -95,22 +94,6 @@ def test_zero_digit_prefix_sum_errors():
         zero_digit_prefix_sum(8, 3, 1)  # i = 2^n excluded
     with pytest.raises(ValueError):
         zero_digit_prefix_sum(7, 3, 2)  # only one zero digit available
-
-
-def test_digit_one_indices_examples():
-    assert digit_one_indices(3, 3) == (4, 5, 6, 7)
-    assert digit_one_indices(2, 1) == (1, 3)
-    assert digit_one_indices(1, 1) == (1,)
-    with pytest.raises(ValueError):
-        digit_one_indices(3, 4)
-
-
-def test_digit_one_indices_cardinality():
-    for n in range(1, 8):
-        for j in range(1, n + 1):
-            got = digit_one_indices(n, j)
-            assert len(got) == 1 << (n - 1)
-            assert all((i >> (j - 1)) & 1 for i in got)
 
 
 def test_generator_row_examples():

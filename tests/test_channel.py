@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from conftest import random_specs
 
 from polarmhw.channel import (
-    ChannelConfig,
     FerEstimate,
     fer_estimate,
     q_function,
@@ -100,14 +99,6 @@ def test_fer_estimate_accepts_explicit_count():
     assert est.a_dm == 99
     with pytest.raises(ValueError):
         fer_estimate(SPEC8, 0.0, "GUESS")
-
-
-def test_channel_config_sigma():
-    cfg = ChannelConfig(0.0, 0.5)
-    assert cfg.sigma == pytest.approx(1.0, rel=1e-12)
-    assert ChannelConfig(3.0, 0.5).sigma < 1.0
-    with pytest.raises(ValueError):
-        ChannelConfig(0.0, 0.0)
 
 
 # ---- simulation ----

@@ -279,6 +279,13 @@ def test_enumeration_file_rejects_corruption(tmp_path):
     with pytest.raises(EnumFormatError):
         read_enumeration(bad)
 
+    msg, u, w = good[8].split()
+    frozen = list(good)
+    frozen[8] = f"{msg} u={int(u[2:], 16) | 1:x} {w}"  # position 1 is frozen
+    bad.write_text("\n".join(frozen) + "\n")
+    with pytest.raises(EnumFormatError, match="nonzero frozen position"):
+        read_enumeration(bad)
+
 
 def test_enumeration_path_makes_no_per_vector_encode_calls(monkeypatch, tmp_path):
     # every module-level name bound to bitops.encode, in any polarmhw module

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -187,3 +188,44 @@ def test_positive_llrs_before_first_reverse_decision():
                 first = vec[0]
                 assert first > 0
                 assert all(v == first for v in vec)
+
+
+# ---- golden outcomes of the scalar engine ----
+#
+# One digest over the repr of every sc_decode / sc_retrace / sc_replay
+# outcome on a seeded corpus, recorded when the corpus was added.  repr pins
+# int-versus-float types of LLRs and metrics and the insertion order of the
+# node dicts, so any rewrite of the engine must reproduce all of them.
+
+GOLDEN_SC = "1f93b470f86dbbdd2eeb5e4aec51b87f632115a1e573a76199f4b18a7490aca2"
+
+
+def golden_sc_corpus():
+    rng = random.Random(2019)
+    draws = {
+        "int": lambda: rng.randint(-4, 6),
+        "dyadic": lambda: rng.randint(-12, 20) / 4,
+        "gauss": lambda: rng.gauss(0.5, 2.0),
+    }
+    for N in (2, 4, 8, 16, 32, 64):
+        for kind, draw in draws.items():
+            for _ in range(8):
+                A = rng.sample(range(1, N + 1), rng.randint(1, N))
+                spec = CodeSpec(N, tuple(A))
+                llrs = [draw() for _ in range(N)]
+                rds = rng.sample(range(1, N + 1), rng.randint(0, min(N, 4)))
+                u = [rng.randint(0, 1) if spec.is_info(p) else 0 for p in range(1, N + 1)]
+                yield spec, llrs, rds, u
+
+
+def test_scalar_engine_golden_corpus():
+    digest = hashlib.sha256()
+    for spec, llrs, rds, u in golden_sc_corpus():
+        for record in (False, True):
+            for out in (
+                sc_decode(llrs, spec, record_nodes=record),
+                sc_retrace(llrs, spec, rds, record_nodes=record),
+                sc_replay(llrs, spec, u, record_nodes=record),
+            ):
+                digest.update(repr(out).encode())
+    assert digest.hexdigest() == GOLDEN_SC
