@@ -67,6 +67,7 @@ from polarmhw.mhw import (
     search_subset,
     write_enumeration,
     zero_split_subset,
+    zero_split_triggers,
 )
 from polarmhw.sctree import (
     ScOutcome,

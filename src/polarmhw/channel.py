@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,28 +160,18 @@ def simulate_fer(
 
     errors = 0
     frames = 0
-    stopped = False
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, len(sizes), threads):
-                wave = range(start, min(start + threads, len(sizes)))
-                for chunk, n_err in zip(wave, pool.map(run, wave)):
-                    errors += n_err
-                    frames += sizes[chunk]
-                    if error_limit is not None and errors >= error_limit:
-                        stopped = frames < trials
-                        break
-                if stopped:
-                    break
-    else:
-        for chunk in range(len(sizes)):
-            errors += run(chunk)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        # waves of `threads` chunks, each submitted only once the cumulative
+        # counts of the waves before it are below the limit
+        waves = (range(s, min(s + threads, len(sizes))) for s in range(0, len(sizes), threads))
+        counts = (c for wave in waves for c in zip(wave, (pool.map if pool else map)(run, wave)))
+        for chunk, n_err in counts:
+            errors += n_err
             frames += sizes[chunk]
             if error_limit is not None and errors >= error_limit:
-                stopped = frames < trials
                 break
     lo, hi = wilson_interval(errors, frames)
-    return FerPoint(ebn0_db, frames, errors, errors / frames, lo, hi, stopped)
+    return FerPoint(ebn0_db, frames, errors, errors / frames, lo, hi, frames < trials)
 
 
 def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,

@@ -16,8 +16,10 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .bitops import encode_rows, generator_row, positions_of
+from .bitops import generator_row, positions_of
 from .bound import (
     bound_count,
     decompose,
@@ -28,7 +30,6 @@ from .bound import (
 from .channel import render_fer_csv, sweep_fer
 from .construction import (
     CodeSpec,
-    SpecFormatError,
     construct_ga,
     construct_pw,
     load_spec,
@@ -36,14 +37,13 @@ from .construction import (
 )
 from .mhw import (
     EXHAUSTIVE_CAP,
-    EnumFormatError,
     ExhaustiveCapError,
-    _zero_split_walk,
     enumerate_subset_scl,
     enumerate_zero_split,
     exhaustive_mhw,
     scl_global_search,
     write_enumeration,
+    zero_split_triggers,
 )
 from .sctree import sc_decode, sc_replay, sc_retrace
 
@@ -173,16 +173,8 @@ def _resolve_spec(args):
         ]
         if extras:
             raise UsageError(f"--spec conflicts with {', '.join(extras)}")
-        try:
-            return load_spec(args.spec)
-        except OSError as exc:
-            raise UsageError(str(exc)) from exc
-    try:
-        return _build_spec(args.N, args.K, args.A, args.construction, args.design_ebn0)
-    except UsageError:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        return load_spec(args.spec)
+    return _build_spec(args.N, args.K, args.A, args.construction, args.design_ebn0)
 
 
 # ---- CSV readers (round-trip interface for bound/sweep outputs) ----
@@ -297,7 +289,8 @@ def cmd_enumerate(args, argv) -> int:
         results.append(scl_global_search(spec, max(args.list_size or 0, needed)))
         base = results[0]
         agree = all(
-            r.d_m == base.d_m and r.vectors == base.vectors for r in results[1:]
+            r.d_m == base.d_m and np.array_equal(r.vectors, base.vectors)
+            for r in results[1:]
         )
         if not agree:
             for r in results:
@@ -331,15 +324,15 @@ def cmd_enumerate(args, argv) -> int:
 # ---- verify ----
 
 
-def _weight_filtered_leaves(spec, triggers, d_m: int, cap: int):
-    """Sampled minimum-weight members of each trigger plus their full counts,
-    from one walk over all the triggers."""
-    decisions, owner, _, _ = _zero_split_walk(spec, triggers)
-    hit = encode_rows(decisions).sum(axis=1) == d_m
+def _weight_filtered_leaves(spec, triggers, cap: int):
+    """Sampled minimum-weight members of each trigger, in sorted order, plus
+    their full counts, from one walk over all the triggers."""
+    rows = zero_split_triggers(spec, triggers).vectors
+    first = rows.argmax(axis=1) + 1  # a member belongs to the trigger at its first one
     members, full_counts = {}, {}
-    for k, i in enumerate(triggers):
-        kept = sorted(map(tuple, decisions[hit & (owner == k)].tolist()))
-        members[i], full_counts[i] = kept[:cap], len(kept)
+    for i in triggers:
+        kept = rows[first == i]
+        members[i], full_counts[i] = kept[:cap].tolist(), len(kept)
     return members, full_counts
 
 
@@ -352,7 +345,10 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     d_m = report.d_m
     triggers = list(report.a_m)[:max_triggers]
     ones = [1] * N
-    members, full_counts = _weight_filtered_leaves(spec, triggers, d_m, max_members)
+    members, full_counts = _weight_filtered_leaves(spec, triggers, max_members)
+    # one replay of every sampled member, read by the zero-location and
+    # equal-pm checks
+    replays = {i: [sc_replay(ones, spec, u) for u in members[i]] for i in triggers}
     n_members = sum(len(v) for v in members.values())
     scope = f"{len(triggers)} triggers, {n_members} members"
 
@@ -401,10 +397,8 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
             pool = [p for p in range(1, N + 1) if p not in set(predicted)]
             predicted = sorted(predicted[:-1] + pool[:1])
         want = tuple(predicted)
-        for u in members[i]:
-            rep = sc_replay(ones, spec, list(u))
-            if rep.zero_positions != want:
-                ok = False
+        if any(rep.zero_positions != want for rep in replays[i]):
+            ok = False
     detail = scope + (" [negative control]" if negative_control else "")
     checks.append(("zero-location-replay", "PASS" if ok else "FAIL", detail))
 
@@ -445,9 +439,8 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     ok = True
     for i in triggers:
         want = retraced[i].pm
-        for u in members[i]:
-            if sc_replay(ones, spec, list(u)).pm != want:
-                ok = False
+        if any(rep.pm != want for rep in replays[i]):
+            ok = False
     checks.append(("equal-pm-within-subset", "PASS" if ok else "FAIL", scope))
 
     # Subtree root LLRs along a member replay match the closed form.
@@ -456,10 +449,10 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     for i in triggers[:2]:
         parts = decompose(i, n).parts
         for u in members[i][:4]:
-            rep = sc_replay(ones, spec, list(u), record_nodes=True)
+            rep = sc_replay(ones, spec, u, record_nodes=True)
             probed += 1
             for p in parts:
-                want = subtree_input_llr(i, p.k, list(u), n)
+                want = subtree_input_llr(i, p.k, u, n)
                 if list(rep.node_llrs[(p.lam, p.node)]) != want:
                     ok = False
     checks.append(("subtree-root-llr", "PASS" if ok else "FAIL", f"{probed} replays"))
@@ -770,13 +763,11 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         return args.func(args, argv)
-    except ExhaustiveCapError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+    except (ExhaustiveCapError, MemoryError) as exc:
+        print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_REFUSED
-    except (SpecFormatError, EnumFormatError, UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # SpecFormatError, EnumFormatError and UsageError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,7 +18,9 @@ All four agree on every tested code; the test suite enforces that.
 
 from __future__ import annotations
 
+import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,7 @@ __all__ = [
     "search_subset",
     "enumerate_subset_scl",
     "zero_split_subset",
+    "zero_split_triggers",
     "enumerate_zero_split",
     "scl_global_search",
     "write_enumeration",
@@ -57,11 +60,18 @@ class EnumFormatError(ValueError):
     """Malformed enumeration file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MhwResult:
+    """A set of minimum-weight information vectors.
+
+    vectors is a read-only C-contiguous (count, N) uint8 array of distinct
+    0/1 rows in lexicographic order; the constructor sorts the rows it is
+    given and rejects a repeated one.  Equality compares every field and the
+    array contents.
+    """
+
     d_m: int
-    count: int
-    vectors: tuple[tuple[int, ...], ...]
+    vectors: np.ndarray
     method: str
     max_list_used: int
     warning: str | None = None
@@ -69,47 +79,45 @@ class MhwResult:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.count != len(self.vectors):
-            raise ValueError("count does not match the number of vectors")
+        object.__setattr__(self, "vectors", _sorted_rows(self.vectors))
+
+    @property
+    def count(self) -> int:
+        return len(self.vectors)
+
+    def __eq__(self, other):
+        if not isinstance(other, MhwResult):
+            return NotImplemented
+        same = [(r.d_m, r.method, r.max_list_used, r.warning) for r in (self, other)]
+        return same[0] == same[1] and np.array_equal(self.vectors, other.vectors)
 
 
-def _sorted_vectors(vectors):
-    return tuple(sorted(tuple(v) for v in vectors))
-
-
-def _sorted_packed(packed, N):
-    """Sorted tuples of the length-N 0/1 rows packed by np.packbits; a
-    repeated row breaks the partition law of the walk and aborts loudly."""
+def _sorted_rows(rows):
+    """The rows of a (count, N) 0/1 array as a sorted read-only uint8 copy;
+    a repeated row breaks the partition law of every enumerator and aborts."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    if rows.ndim != 2 or (rows.size and rows.max() > 1):
+        raise ValueError("vectors must be a (count, N) array of 0/1 rows")
     # packbits puts column 0 in the top bit, so the packed bytes compare in
     # the same order as the rows
+    packed = np.packbits(rows, axis=1)
     order = np.argsort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), kind="stable")
     packed = packed[order]
     if (packed[1:] == packed[:-1]).all(axis=1).any():
-        raise RuntimeError("a vector was enumerated twice")
-    return tuple(tuple(np.unpackbits(row, count=N).tolist()) for row in packed)
+        raise ValueError("a vector is listed twice")
+    rows = rows[order]
+    rows.flags.writeable = False
+    return rows
 
 
-def _min_weight(vectors, d_m):
-    """The vectors whose codeword has weight d_m, by one batched transform."""
-    vectors = list(vectors)
-    if not vectors:
-        return []
-    weights = encode_rows(np.array(vectors, dtype=np.uint8)).sum(axis=1)
-    return [u for u, w in zip(vectors, weights.tolist()) if w == d_m]
+def _min_weight(rows, d_m):
+    """The rows of a (count, N) 0/1 array whose codeword has weight d_m."""
+    return rows[encode_rows(rows).sum(axis=1) == d_m]
 
 
-def _merge_subsets(per_trigger):
-    """Union of per-trigger vector lists; duplicates across triggers break
-    the partition law and abort loudly."""
-    seen = {}
-    for i, vectors in per_trigger:
-        for u in vectors:
-            if u in seen:
-                raise RuntimeError(
-                    f"vector enumerated under both triggers {seen[u]} and {i}: {list(u)}"
-                )
-            seen[u] = i
-    return _sorted_vectors(seen)
+def _path_rows(paths, N):
+    """The decisions of list-decoder paths as a (paths, N) uint8 array."""
+    return np.array([p.decisions for p in paths], dtype=np.uint8).reshape(-1, N)
 
 
 # ---- exhaustive oracle ----
@@ -138,26 +146,14 @@ def exhaustive_mhw(spec, cap: int = EXHAUSTIVE_CAP) -> MhwResult:
         table = np.vstack([table, table ^ rows[k]])
     weights = np.bitwise_count(table).sum(axis=1)
     d_m = int(weights[1:].min())
-    hits = np.nonzero(weights == d_m)[0]
-    A = sorted(spec.A)
-    vectors = []
-    for m in hits:
-        m = int(m)
-        u = [0] * N
-        for k in range(K):
-            if (m >> k) & 1:
-                u[A[k] - 1] = 1
-        vectors.append(tuple(u))
-    return MhwResult(d_m, len(vectors), _sorted_vectors(vectors), "EXHAUSTIVE", 0)
+    # message m puts bit k of m at information position A[k]
+    hits = np.flatnonzero(weights == d_m)
+    vectors = np.zeros((len(hits), N), dtype=np.uint8)
+    vectors[:, np.array(sorted(spec.A)) - 1] = (hits[:, None] >> np.arange(K)) & 1
+    return MhwResult(d_m, vectors, "EXHAUSTIVE", 0)
 
 
 # ---- constrained list searches ----
-
-
-def _single_one(i, N):
-    u = [0] * N
-    u[i - 1] = 1
-    return tuple(u)
 
 
 def _search_pair(spec, i, j, L, d_m, trigger_pm):
@@ -169,23 +165,25 @@ def _search_pair(spec, i, j, L, d_m, trigger_pm):
     prefix[i - 1] = 1
     prefix[j - 1] = 1
     paths, diag = constrained_scl([1] * spec.N, spec, L, prefix, with_diagnostics=True)
-    found = set(_min_weight((p.decisions for p in paths), d_m))
+    found = _min_weight(_path_rows(paths, spec.N), d_m)
     note = None
     if diag.min_discarded_pm is not None and diag.min_discarded_pm <= trigger_pm:
         overlap = len(zero_capacity_set(i, spec.N) & set(spec.A))
         wide = constrained_scl([1] * spec.N, spec, 1 << overlap, prefix)
-        refound = set(_min_weight((p.decisions for p in wide), d_m))
-        if refound != found:
+        refound = _min_weight(_path_rows(wide, spec.N), d_m)
+        old, new = set(map(bytes, found)), set(map(bytes, refound))
+        if new != old:
             note = (
                 f"list size {L} for trigger {i}, split {j} lost "
-                f"{len(refound - found)} vectors; recovered at width {1 << overlap}"
+                f"{len(new - old)} vectors; recovered at width {1 << overlap}"
             )
             found = refound
-    return sorted(found), note
+    return found, note
 
 
 def search_subset(spec, i: int, j: int, L: int):
-    """All minimum-weight vectors whose first two ones sit at i and j."""
+    """All minimum-weight vectors whose first two ones sit at i and j, as a
+    sorted read-only uint8 array."""
     d_m, a_m = min_distance(spec)
     if i not in a_m:
         raise ValueError(f"position {i} is not a minimum-weight information row")
@@ -195,16 +193,17 @@ def search_subset(spec, i: int, j: int, L: int):
         )
     trigger_pm = sc_retrace([1] * spec.N, spec, {i}).pm
     vectors, _ = _search_pair(spec, i, j, L, d_m, trigger_pm)
-    return vectors
+    return _sorted_rows(vectors)
 
 
 def _subset_scl_trigger(spec, i, d_m):
     """U(i): the bare row message plus every constrained-search subset,
     with the shrinking list schedule 2**(overlap - cnt)."""
-    vectors = [_single_one(i, spec.N)]
+    single = np.eye(1, spec.N, i - 1, dtype=np.uint8)
+    vectors = [single]
     splits = sorted(zero_capacity_set(i, spec.N) & set(spec.A))
     if not splits:
-        return vectors, 0, None
+        return single, 0, None
     trigger_pm = sc_retrace([1] * spec.N, spec, {i}).pm
     max_list = 0
     notes = []
@@ -212,24 +211,23 @@ def _subset_scl_trigger(spec, i, d_m):
         L = 1 << (len(splits) - cnt)
         max_list = max(max_list, L)
         found, note = _search_pair(spec, i, j, L, d_m, trigger_pm)
-        vectors.extend(found)
+        vectors.append(found)
         if note:
             notes.append(note)
-    return vectors, max_list, "; ".join(notes) if notes else None
+    return np.concatenate(vectors), max_list, "; ".join(notes) if notes else None
 
 
 def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
+    """Every minimum-weight vector, trigger by trigger; a vector found under
+    two triggers breaks the partition law and aborts."""
     d_m, a_m = min_distance(spec)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(lambda i: _subset_scl_trigger(spec, i, d_m), a_m))
-    else:
-        outs = [_subset_scl_trigger(spec, i, d_m) for i in a_m]
-    vectors = _merge_subsets(zip(a_m, (o[0] for o in outs)))
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        outs = list((pool.map if pool else map)(lambda i: _subset_scl_trigger(spec, i, d_m), a_m))
+    vectors = np.concatenate([o[0] for o in outs])
     max_list = max((o[1] for o in outs), default=0)
     notes = [o[2] for o in outs if o[2]]
     warning = "; ".join(notes) if notes else None
-    return MhwResult(d_m, len(vectors), vectors, "SUBSET_SCL", max_list, warning)
+    return MhwResult(d_m, vectors, "SUBSET_SCL", max_list, warning)
 
 
 # ---- zero-split walker ----
@@ -325,23 +323,29 @@ def _zero_split_walk(spec, triggers):
 def zero_split_subset(spec, i: int):
     """Enumeration of U(i) by following hard decisions from trigger i.
 
-    Returns (leaves, branch_positions, kills): surviving decision vectors,
-    sorted, the positions where an exactly zero information LLR forked the
-    walk, and how many branches died at a negative frozen LLR.
+    Returns (leaves, branch_positions, kills): the surviving decision
+    vectors as a sorted read-only uint8 array, the positions where an exactly
+    zero information LLR forked the walk, and how many branches died at a
+    negative frozen LLR.
     """
     decisions, _, branch_positions, kills = _zero_split_walk(spec, (i,))
-    return sorted(map(tuple, decisions.tolist())), branch_positions[0], kills[0]
+    return _sorted_rows(decisions), branch_positions[0], kills[0]
+
+
+def zero_split_triggers(spec, triggers) -> MhwResult:
+    """The minimum-weight vectors whose first one sits at one of `triggers`
+    (minimum-weight rows of spec), by one lockstep walk over those triggers
+    and one batched weight filter of its leaves."""
+    d_m, _ = min_distance(spec)
+    # the walk's decision matrix is freed before the kept rows are sorted
+    return MhwResult(d_m, _min_weight(_zero_split_walk(spec, triggers)[0], d_m), "ZERO_SPLIT", 0)
 
 
 def enumerate_zero_split(spec, threads: int = 1) -> MhwResult:
-    """All minimum-weight vectors by one lockstep walk over every trigger and
-    one batched weight filter.  `threads` is accepted for the common
-    enumerator interface; the result never depended on it."""
-    d_m, a_m = min_distance(spec)
-    decisions, _, _, _ = _zero_split_walk(spec, a_m)
-    kept = np.packbits(decisions[encode_rows(decisions).sum(axis=1) == d_m], axis=1)
-    del decisions
-    return MhwResult(d_m, len(kept), _sorted_packed(kept, spec.N), "ZERO_SPLIT", 0)
+    """All minimum-weight vectors: zero_split_triggers over every trigger.
+    `threads` is accepted for the common enumerator interface; the result
+    never depended on it."""
+    return zero_split_triggers(spec, min_distance(spec)[1])
 
 
 # ---- global list search ----
@@ -358,13 +362,14 @@ def scl_global_search(spec, L: int) -> MhwResult:
         )
     survivors = scl_decode([1] * spec.N, spec, L)
     # d_m >= 1, so the all-zero path never passes the weight filter
-    vectors = set(_min_weight((p.decisions for p in survivors), d_m))
-    return MhwResult(d_m, len(vectors), _sorted_vectors(vectors), "SCL_GLOBAL", L, warning)
+    vectors = _min_weight(_path_rows(survivors, spec.N), d_m)
+    return MhwResult(d_m, vectors, "SCL_GLOBAL", L, warning)
 
 
 # ---- enumeration files ----
 
 _ENUM_MAGIC = "polarmhw-enum 1"
+_RECORD = re.compile("msg=([0-9a-f]+) u=([0-9a-f]+) w=([0-9]+)")
 # Vectors encoded per batch by write_enumeration: its arrays stay within
 # 2 * _WRITE_ROWS * N bytes however many vectors the file holds.
 _WRITE_ROWS = 128
@@ -390,10 +395,8 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     if result.warning:
         lines.append(f"# warning: {result.warning}")
     info_cols = [a - 1 for a in A]
-    vectors = sorted(result.vectors)
-    for start in range(0, len(vectors), _WRITE_ROWS):
-        chunk = b"".join(map(bytes, vectors[start : start + _WRITE_ROWS]))
-        u = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, spec.N)
+    for start in range(0, result.count, _WRITE_ROWS):
+        u = result.vectors[start : start + _WRITE_ROWS]
         weights = encode_rows(u).sum(axis=1).tolist()
         msgs = np.packbits(u[:, info_cols], axis=1, bitorder="little")
         words = np.packbits(u, axis=1, bitorder="little")
@@ -407,7 +410,10 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
 
 
 def read_enumeration(path):
-    """Parse an enumeration file back into (CodeSpec, MhwResult)."""
+    """Parse an enumeration file back into (CodeSpec, MhwResult).
+
+    Every record must be well formed, set no bit past N or at a frozen
+    position, agree with its message and its weight, and appear once."""
     with open(path, encoding="utf-8") as fh:
         raw = [line.rstrip("\n") for line in fh]
     if not raw or raw[0] != _ENUM_MAGIC:
@@ -418,12 +424,10 @@ def read_enumeration(path):
         if not line or line.startswith("#"):
             continue
         if line.startswith("msg="):
-            parts = line.split()
-            if len(parts) != 3 or not parts[1].startswith("u=") or not parts[2].startswith("w="):
+            match = _RECORD.fullmatch(line)
+            if not match:
                 raise EnumFormatError(f"{path}:{lineno}: bad record {line!r}")
-            records.append(
-                (int(parts[0][4:], 16), int(parts[1][2:], 16), int(parts[2][2:]))
-            )
+            records.append((int(match[1], 16), int(match[2], 16), int(match[3])))
             continue
         key, sep, value = line.partition("=")
         if not sep:
@@ -448,10 +452,12 @@ def read_enumeration(path):
     if count != len(records):
         raise EnumFormatError(f"{path}: header count {count} != {len(records)} records")
     spec = CodeSpec(N, A)
-    # u=, hex-packed with position 1 in the lowest bit; bits past N are ignored
+    # u=, hex-packed with position 1 in the lowest bit
+    for _, word, _ in records:
+        if word >> N:
+            raise EnumFormatError(f"{path}: u={word:x} sets a bit past N={N}")
     width = -(-N // 8)
-    mask = (1 << N) - 1
-    packed = b"".join((p & mask).to_bytes(width, "little") for _, p, _ in records)
+    packed = b"".join(word.to_bytes(width, "little") for _, word, _ in records)
     u = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
     u = np.unpackbits(u, axis=1, count=N, bitorder="little")
     msgs = np.packbits(u[:, spec.info_mask], axis=1, bitorder="little")
@@ -462,6 +468,11 @@ def read_enumeration(path):
     if frozen.any():
         word = records[int(np.argmax(frozen))][1]
         raise EnumFormatError(f"{path}: nonzero frozen position in u={word:x}")
-    vectors = u.tolist()
-    result = MhwResult(d_m, count, _sorted_vectors(vectors), fields["method"], max_list)
+    for (_, word, w), weight in zip(records, encode_rows(u).sum(axis=1).tolist()):
+        if w != weight:
+            raise EnumFormatError(f"{path}: w={w} but u={word:x} has weight {weight}")
+    try:
+        result = MhwResult(d_m, u, fields["method"], max_list)
+    except ValueError as exc:
+        raise EnumFormatError(f"{path}: {exc}") from exc
     return spec, result

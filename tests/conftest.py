@@ -53,9 +53,15 @@ def brute_force_minimum_weight(spec):
     return best, set(vectors)
 
 
+def vector_set(vectors):
+    """The rows of a vector array (or any iterable of 0/1 vectors) as a set
+    of int tuples."""
+    return {tuple(int(b) for b in u) for u in vectors}
+
+
 def group_by_trigger(vectors):
     groups = {}
-    for u in vectors:
+    for u in vector_set(vectors):
         groups.setdefault(first_one(u), set()).add(u)
     return groups
 

@@ -7,6 +7,7 @@ lines stream; they bypass capture either way).
 import math
 import time
 
+import numpy as np
 import pytest
 
 from conftest import first_one, group_by_trigger, random_specs
@@ -71,8 +72,8 @@ def test_small_code_counts_and_list_cap(capsys):
         and brute.count == 14
         and report8.total == 14
         and tuple(t.term for t in report8.triggers) == (8, 4, 2)
-        and subset.vectors == brute.vectors
-        and zsplit.vectors == brute.vectors
+        and np.array_equal(subset.vectors, brute.vectors)
+        and np.array_equal(zsplit.vectors, brute.vectors)
         and subset.max_list_used == 4
         and 4 == 1 << (report8.triggers[0].overlap - 1)
         and elapsed < 1.0
@@ -219,7 +220,7 @@ def test_reduced_list_cap_never_prunes(capsys, pw_corpus):
         )
         if subset.max_list_used > cap:
             failures += 1
-        if subset.vectors != res.vectors or subset.warning is not None:
+        if not np.array_equal(subset.vectors, res.vectors) or subset.warning is not None:
             failures += 1
         for t in rep.triggers:
             if t.overlap < 1:

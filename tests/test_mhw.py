@@ -2,9 +2,16 @@ import hashlib
 import random
 import sys
 
+import numpy as np
 import pytest
 
-from conftest import brute_force_minimum_weight, first_one, group_by_trigger, random_specs
+from conftest import (
+    brute_force_minimum_weight,
+    first_one,
+    group_by_trigger,
+    random_specs,
+    vector_set,
+)
 
 from polarmhw import bitops
 from polarmhw.bitops import encode, generator_row_weight, min_distance
@@ -13,6 +20,7 @@ from polarmhw.construction import CodeSpec, construct_ga, construct_pw
 from polarmhw.mhw import (
     EnumFormatError,
     ExhaustiveCapError,
+    MhwResult,
     enumerate_subset_scl,
     enumerate_zero_split,
     exhaustive_mhw,
@@ -42,7 +50,7 @@ def test_exhaustive_examples():
 
     single = exhaustive_mhw(CodeSpec(4, (4,)))
     assert (single.d_m, single.count) == (4, 1)
-    assert single.vectors == ((0, 0, 0, 1),)
+    assert single.vectors.tolist() == [[0, 0, 0, 1]]
 
     full = exhaustive_mhw(CodeSpec(4, (1, 2, 3, 4)))
     assert (full.d_m, full.count) == (1, 4)
@@ -53,7 +61,7 @@ def test_exhaustive_matches_scalar_reference():
         d_ref, vec_ref = brute_force_minimum_weight(spec)
         out = exhaustive_mhw(spec)
         assert out.d_m == d_ref == min_distance(spec)[0]
-        assert set(out.vectors) == vec_ref
+        assert vector_set(out.vectors) == vec_ref
 
 
 def test_exhaustive_cap_refuses_large_codes():
@@ -70,10 +78,10 @@ def test_search_subset_examples():
     four = search_subset(SPEC8, 4, 6, L=4)
     assert len(four) == 4
     expected = {u for u in brute_force_minimum_weight(SPEC8)[1] if u[3] and u[5]}
-    assert set(four) == expected
+    assert vector_set(four) == expected
 
     one = search_subset(SPEC8, 4, 8, L=1)
-    assert one == [(0, 0, 0, 1, 0, 0, 0, 1)]
+    assert one.tolist() == [[0, 0, 0, 1, 0, 0, 0, 1]]
     assert weight(one[0]) == 4
 
     assert len(search_subset(SPEC8, 7, 8, L=1)) == 1
@@ -94,19 +102,19 @@ def test_subset_scl_enumeration_length_eight():
     assert out.method == "SUBSET_SCL"
     assert out.max_list_used == 4
     assert out.warning is None
-    assert set(out.vectors) == brute_force_minimum_weight(SPEC8)[1]
+    assert vector_set(out.vectors) == brute_force_minimum_weight(SPEC8)[1]
 
 
 def test_subset_scl_trivial_single_bit():
     out = enumerate_subset_scl(CodeSpec(4, (4,)))
     assert (out.count, out.max_list_used) == (1, 0)
-    assert out.vectors == ((0, 0, 0, 1),)
+    assert out.vectors.tolist() == [[0, 0, 0, 1]]
 
 
 def test_subset_scl_matches_oracle_on_random_sets():
     for spec in random_specs(20, (8, 16, 32), seed=32, max_K=8):
         out = enumerate_subset_scl(spec)
-        assert set(out.vectors) == brute_force_minimum_weight(spec)[1]
+        assert vector_set(out.vectors) == brute_force_minimum_weight(spec)[1]
         assert out.warning is None
 
 
@@ -130,7 +138,7 @@ def test_zero_split_enumeration_matches_oracle():
     assert (out.d_m, out.count) == (4, 14)
     for spec in random_specs(20, (8, 16, 32), seed=33, max_K=8):
         got = enumerate_zero_split(spec)
-        assert set(got.vectors) == brute_force_minimum_weight(spec)[1]
+        assert vector_set(got.vectors) == brute_force_minimum_weight(spec)[1]
 
 
 def test_zero_split_leaves_always_reach_minimum_weight():
@@ -175,7 +183,7 @@ def test_global_search_examples():
 
     tiny = scl_global_search(CodeSpec(8, (8,)), L=2)
     assert tiny.count == 1
-    assert tiny.vectors == ((0, 0, 0, 0, 0, 0, 0, 1),)
+    assert tiny.vectors.tolist() == [[0, 0, 0, 0, 0, 0, 0, 1]]
 
 
 # ---- cross-method agreement and structural laws ----
@@ -194,9 +202,9 @@ def test_four_methods_agree():
         wide = scl_global_search(spec, L=bound_count(spec).total + 1)
         subset = enumerate_subset_scl(spec)
         split = enumerate_zero_split(spec)
-        assert set(subset.vectors) == set(oracle.vectors)
-        assert set(split.vectors) == set(oracle.vectors)
-        assert set(wide.vectors) == set(oracle.vectors)
+        assert vector_set(subset.vectors) == vector_set(oracle.vectors)
+        assert vector_set(split.vectors) == vector_set(oracle.vectors)
+        assert vector_set(wide.vectors) == vector_set(oracle.vectors)
         assert wide.warning is None
 
 
@@ -204,7 +212,7 @@ def test_enumerated_vectors_partition_by_trigger_and_split():
     for spec in random_specs(15, (8, 16, 32), seed=37, max_K=8):
         out = enumerate_zero_split(spec)
         info = set(spec.A)
-        groups = group_by_trigger(set(out.vectors))
+        groups = group_by_trigger(out.vectors)
         d_m, a_m = min_distance(spec)
         assert set(groups) <= set(a_m)
         for i, members in groups.items():
@@ -234,6 +242,23 @@ def test_thread_count_does_not_change_results():
     c = enumerate_zero_split(spec, threads=1)
     d = enumerate_zero_split(spec, threads=4)
     assert c == d
+
+
+def test_result_vectors_are_a_sorted_read_only_array():
+    rows = [[0, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
+    result = MhwResult(2, rows, "EXHAUSTIVE", 0)
+    assert result.vectors.dtype == np.uint8 and result.vectors.flags.c_contiguous
+    assert result.vectors.tolist() == sorted(rows)
+    assert result.count == 3
+    with pytest.raises(ValueError):
+        result.vectors[0, 0] = 1
+    assert result == MhwResult(2, rows[::-1], "EXHAUSTIVE", 0)
+    assert result != MhwResult(2, rows[:2], "EXHAUSTIVE", 0)
+    assert result != MhwResult(2, rows, "ZERO_SPLIT", 0)
+    with pytest.raises(ValueError, match="listed twice"):
+        MhwResult(2, rows + rows[:1], "EXHAUSTIVE", 0)
+    with pytest.raises(ValueError):
+        MhwResult(2, [[0, 2, 0, 1]], "EXHAUSTIVE", 0)
 
 
 # ---- enumeration files ----
@@ -284,6 +309,25 @@ def test_enumeration_file_rejects_corruption(tmp_path):
     frozen[8] = f"{msg} u={int(u[2:], 16) | 1:x} {w}"  # position 1 is frozen
     bad.write_text("\n".join(frozen) + "\n")
     with pytest.raises(EnumFormatError, match="nonzero frozen position"):
+        read_enumeration(bad)
+
+    corrupt = [
+        f"{msg} {u} w=99",  # weight of the encoded u is 4
+        f"{msg} u={int(u[2:], 16) | 1 << 8:x} {w}",  # position 9 of N = 8
+        f"msg=zz {u} {w}",
+        f"{msg} u=zz {w}",
+        f"{msg} {u} w=4x",
+    ]
+    for record in corrupt:
+        edited = list(good)
+        edited[8] = record
+        bad.write_text("\n".join(edited) + "\n")
+        with pytest.raises(EnumFormatError):
+            read_enumeration(bad)
+
+    repeated = [line.replace("count=14", "count=15") for line in good] + [good[8]]
+    bad.write_text("\n".join(repeated) + "\n")
+    with pytest.raises(EnumFormatError):
         read_enumeration(bad)
 
 
