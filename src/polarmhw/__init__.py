@@ -50,7 +50,6 @@ from polarmhw.construction import (
 from polarmhw.listdec import (
     DecodePath,
     SearchDiagnostics,
-    constrained_scl,
     scl_decode,
     scl_decode_batch,
 )

@@ -1,31 +1,30 @@
 """Successive-cancellation list decoding with path metrics and reverse sets.
 
-Two engines share the same path metric:
+One lockstep numpy engine decodes B LLR vectors at once, each with a list
+of up to L paths (lanes); the lane axis grows to min(L, 2 * live) at each
+information bit, so no lane is dead.  Path state is copied lazily (Tal &
+Vardy, "List decoding of polar codes"): each stage buffer is read through a
+lane -> row map that a prune composes with the kept lanes' parents, and a
+parent stage's rows are gathered only when a child stage is recomputed.
+Each information bit stores every lane's parent lane and bit; decisions,
+and the positions where a path was charged, are traced back at the end.
 
-* A scalar engine (`scl_decode`, `constrained_scl`) over Python numbers, one
-  sctree tree state per path, cloned on splits.  In EXACT integer mode it
-  powers the noiseless codeword searches, where large groups of paths tie at
-  the same integer path metric and the tie-break must be total: candidates
-  are ranked by (pm, decision prefix), lexicographically smallest prefix
-  first.  Results are therefore bit-for-bit reproducible.
-* A batched numpy engine (`scl_decode_batch`) over float64 LLR matrices, used
-  by the AWGN frame-error simulation.  It keeps B independent decodes times L
-  lanes in flight; pruning uses a stable argsort over the candidates [bit 0
-  of every lane, bit 1 of every lane], so tied candidates rank by (bit,
-  lane), not by decision prefix.  The engines agree on channel floats, where
-  an exact tie is a measure-zero event, but on exact ties (integer LLRs, say)
-  they may keep different survivors.
+Two tie orders share one stable argsort of the candidate metrics.
+scl_decode_batch (the AWGN simulation) lays the candidates out as [bit 0 of
+every lane, bit 1 of every lane], so ties rank by (bit, lane).  scl_decode
+(the noiseless searches, where many paths tie) keeps the lanes in decision
+prefix order and lays the candidates out as [lane 0 bit 0, lane 0 bit 1,
+lane 1 bit 0, ...], so ties rank by prefix, smallest first; the sorted kept
+indices are the new lanes, again in prefix order.  On exact ties (integer
+LLRs, say) the orders may keep different survivors.
 
-  Path state is copied lazily (Tal & Vardy, "List decoding of polar codes").
-  Each stage buffer is read through a (B, L) lane -> row map; a prune only
-  composes the maps with the surviving lanes' parents, O(B*L*n) work
-  instead of O(B*L*N).  A parent stage's rows are gathered through its map
-  only when a child stage is recomputed from it, and a freshly written stage
-  gets the identity map.  The channel LLRs are one (B, N) row per decode,
-  shared by all lanes, as is every stage computed from them alone.
-  Decisions are not copied either: each information bit stores the kept
-  candidate of every lane (its bit and parent lane), and the best lane's
-  decisions are traced back once at the end.
+scl_decode computes in the type of its input: Python floats in float64;
+Python ints in the smallest integer type holding 2 * max|LLR| * N, with
+int64 path metrics, while max|LLR| * N**2 fits in int64; anything else
+(mixed ints and floats, larger ints) in object arrays of Python numbers.
+Each step is the scalar arithmetic of sctree, so pm and rds equal an SC
+replay's, and pm is the Python number that arithmetic gives: int 0 for a
+path never charged.
 
 The path metric follows the exact form: each decision made against the sign
 of a nonzero decoding LLR adds |LLR| and joins the reverse decision set; a
@@ -38,16 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polarmhw.bitops import encode
-from polarmhw.sctree import _check_llrs, _penalty, _TreeState
+from polarmhw.sctree import _check_llrs
 
-__all__ = [
-    "DecodePath",
-    "SearchDiagnostics",
-    "scl_decode",
-    "constrained_scl",
-    "scl_decode_batch",
-]
+__all__ = ["DecodePath", "SearchDiagnostics", "scl_decode", "scl_decode_batch"]
 
 
 @dataclass(frozen=True)
@@ -55,9 +47,6 @@ class DecodePath:
     decisions: tuple[int, ...]
     pm: object
     rds: tuple[int, ...]
-
-    def codeword(self) -> list[int]:
-        return encode(list(self.decisions))
 
 
 @dataclass(frozen=True)
@@ -68,149 +57,47 @@ class SearchDiagnostics:
     min_discarded_pm: object = None
 
 
-# ---- per-path state ----
+def _engine(llrs, spec, L, prefix_order, prefix=(), rds=False):
+    """List-decode the rows of a (B, N) LLR array, the first len(prefix)
+    decisions pinned to prefix.
 
-
-class _Path:
-    __slots__ = ("tree", "decisions", "pm", "rds")
-
-    def __init__(self, tree, decisions, pm, rds):
-        self.tree = tree
-        self.decisions = decisions
-        self.pm = pm
-        self.rds = rds
-
-
-def _apply(path, pos, llr, bit):
-    pen = _penalty(llr, bit)
-    if pen:
-        path.pm = path.pm + pen
-        path.rds.append(pos)
-    path.decisions.append(bit)
-    path.tree.commit(pos - 1, bit)
-
-
-# ---- scalar list decode ----
-
-
-def scl_decode(input_llrs, spec, L: int, forced_prefix=(), with_diagnostics=False):
-    """Ranked list of at most L paths, ascending (pm, decisions).
-
-    forced_prefix pins the first decisions (it must put 0 on every frozen
-    position it covers); splitting starts after it.
+    Returns (pm, trace, discarded, low): the (B, width) final path metrics;
+    trace(lanes), the (B, m, N) decisions of the (B, m) lanes picked and,
+    with rds, their charge flags (else None); how many candidates each
+    decode discarded; the (B,) metric of the cheapest one, or None.
     """
     if L < 1:
         raise ValueError(f"list size L={L} must be >= 1")
-    N, n = spec.N, spec.N.bit_length() - 1
-    _check_llrs(input_llrs, N)
-    prefix = [int(b) for b in forced_prefix]
-    if len(prefix) > N:
-        raise ValueError(f"forced prefix longer than N={N}")
-    for pos, bit in enumerate(prefix, start=1):
-        if bit not in (0, 1):
-            raise ValueError("forced prefix must be a 0/1 vector")
-        if bit and not spec.is_info(pos):
-            raise ValueError(f"forced prefix sets 1 at frozen position {pos}")
-
-    paths = [_Path(_TreeState(input_llrs, n), [], 0, [])]
-    discarded = 0
-    min_discarded_pm = None
-
-    for pos in range(1, N + 1):
-        llrs = [p.tree.leaf_llr(pos - 1) for p in paths]
-        if pos <= len(prefix) or not spec.is_info(pos):
-            bit = prefix[pos - 1] if pos <= len(prefix) else 0
-            for p, llr in zip(paths, llrs):
-                _apply(p, pos, llr, bit)
-            continue
-        # split every path, keep the L best by (pm, decision prefix)
-        candidates = []
-        for p, llr in zip(paths, llrs):
-            for bit in (0, 1):
-                candidates.append((p.pm + _penalty(llr, bit), p.decisions + [bit], p, llr, bit))
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        kept, dropped = candidates[:L], candidates[L:]
-        if dropped:
-            discarded += len(dropped)
-            best_dropped = dropped[0][0]
-            if min_discarded_pm is None or best_dropped < min_discarded_pm:
-                min_discarded_pm = best_dropped
-        uses = {}
-        for _, _, parent, _, _ in kept:
-            uses[id(parent)] = uses.get(id(parent), 0) + 1
-        nxt = []
-        for _, _, parent, llr, bit in kept:
-            if uses[id(parent)] > 1:
-                # clone while the parent is still pristine; the parent object
-                # itself is consumed in place by its final kept child
-                uses[id(parent)] -= 1
-                p = _Path(
-                    parent.tree.clone(), list(parent.decisions), parent.pm, list(parent.rds)
-                )
-            else:
-                p = parent
-            _apply(p, pos, llr, bit)
-            nxt.append(p)
-        paths = nxt
-
-    paths.sort(key=lambda p: (p.pm, p.decisions))
-    ranked = [DecodePath(tuple(p.decisions), p.pm, tuple(p.rds)) for p in paths]
-    if with_diagnostics:
-        return ranked, SearchDiagnostics(discarded, min_discarded_pm)
-    return ranked
-
-
-def constrained_scl(input_llrs, spec, L: int, forced_prefix, with_diagnostics=False):
-    """scl_decode under a pinned decision prefix (see scl_decode)."""
-    return scl_decode(
-        input_llrs, spec, L, forced_prefix=forced_prefix, with_diagnostics=with_diagnostics
-    )
-
-
-# ---- batched channel decode ----
-
-
-def scl_decode_batch(llr_matrix, spec, L: int):
-    """Best-path decisions for a batch of REAL-mode decodes.
-
-    llr_matrix: finite float array (B, N).  Returns a uint8 array (B, N)
-    holding the lowest-metric path of each decode.
-    """
-    if L < 1:
-        raise ValueError(f"list size L={L} must be >= 1")
-    llr_matrix = np.asarray(llr_matrix, dtype=np.float64)
-    if llr_matrix.ndim != 2:
-        raise ValueError(f"expected a (B, N) LLR matrix, got shape {llr_matrix.shape}")
-    B, N = llr_matrix.shape
+    B, N = llrs.shape
     n = N.bit_length() - 1
-    if N != spec.N:
-        raise ValueError(f"LLR row length {N} does not match N={spec.N}")
-    if not np.isfinite(llr_matrix).all():
-        raise ValueError("LLR matrix holds NaN or infinite entries")
-    info = np.zeros(N, dtype=bool)
-    info[[a - 1 for a in spec.A]] = True
+    # the information bits past the prefix, where paths split
+    split = np.isin(np.arange(1, N + 1), spec.A) & (np.arange(N) >= len(prefix))
+    frame = np.arange(B)[:, None]
+    # candidates in sort layout, (B, 2, width) in the batch order and
+    # (B, width, 2) in the prefix order, flattened
+    axis, grow = (2, np.s_[:, :, None]) if prefix_order else (1, np.s_[:, None])
 
-    # alpha[s] / beta_left[s] rows are read through amap[s] / bmap[s]: lane
-    # j of decode b lives in row map[b * L + j] of the buffer viewed as
-    # (B * L, width); None is the identity.  A buffer of shape (B, 1, width)
-    # is shared by every lane and ignores its map: alpha[n] holds the
-    # channel LLRs, and stages computed from it alone stay shared.
-    alpha = [None] * n + [llr_matrix[:, None, :]]
+    def layout(pair):
+        return np.concatenate([x[grow] for x in pair], axis).reshape(B, -1)
+
+    # lane j of decode b reads row map[b * width + j] of alpha[s] (map
+    # amap[s]) or beta_left[s] (bmap[s]) viewed as (B * width, size), width
+    # being the lane count the buffer was written at; None is the identity.
+    # A (B, 1, size) buffer, such as the channel LLRs in alpha[n] and every
+    # stage computed from them alone, is shared by all lanes.
+    alpha = [None] * n + [llrs[:, None, :]]
     amap = [None] * (n + 1)
-    beta_left = [None] * n
-    bmap = [None] * n
-    pm = np.full((B, L), np.inf)
-    pm[:, 0] = 0.0
-    row0 = np.arange(0, B * L, L)[:, None]
-    # per information bit, the kept candidate of each lane: bit = c >= L,
-    # parent lane = c % L
-    kept = np.zeros((len(spec.A), B, L), dtype=np.min_scalar_type(2 * L - 1))
-    k = 0
+    beta_left, bmap = [None] * n, [None] * n
+    pm = np.zeros((B, 1), dtype=np.int64 if llrs.dtype.kind == "i" else llrs.dtype)
+    # per information bit, each lane's parent lane and bit; per position,
+    # whether each lane's decision was charged
+    parents, bits, flags = [], [], []
+    discarded, low = 0, None
 
     def rows(buf, rowmap):
         if rowmap is None or buf.shape[1] == 1:
             return buf
-        return buf.reshape(B * L, -1).take(rowmap, axis=0).reshape(buf.shape)
+        return buf.reshape(-1, buf.shape[2]).take(rowmap, axis=0).reshape(B, -1, buf.shape[2])
 
     for phi in range(N):
         if phi == 0:
@@ -229,19 +116,42 @@ def scl_decode_batch(llr_matrix, spec, L: int):
             alpha[s - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
             amap[s - 1] = None
             s -= 1
-        leaf = alpha[0][..., 0]  # (B, L), or (B, 1) while still shared
+        leaf = alpha[0][..., 0]  # (B, width), or (B, 1) while still shared
+        width = pm.shape[1]
+        # sctree._penalty: a bit against the sign of a nonzero leaf costs
+        # |leaf|, any other bit int 0
+        mag = np.abs(leaf)
 
-        if not info[phi]:
-            pm = pm + np.maximum(-leaf, 0.0)
-            bit = np.zeros((B, L), dtype=np.uint8)
+        if not split[phi]:
+            value = prefix[phi] if phi < len(prefix) else 0
+            charged = leaf > 0 if value else leaf < 0
+            pm = pm + np.where(charged, mag, 0)
+            bit = np.full((B, width), value, dtype=np.uint8)
+            if rds:
+                flags.append(np.broadcast_to(charged, (B, width)))
         else:
-            cand = np.concatenate([pm + np.maximum(-leaf, 0.0), pm + np.maximum(leaf, 0.0)], axis=1)
-            order = np.argsort(cand, axis=1, kind="stable")[:, :L]
-            src = (order % L + row0).ravel()
-            bit = (order >= L).astype(np.uint8)
-            pm = np.take_along_axis(cand, order, axis=1)
-            kept[k] = order
-            k += 1
+            charge = (leaf < 0, leaf > 0)
+            cand = layout([pm + np.where(c, mag, 0) for c in charge])
+            keep = min(L, 2 * width)
+            if prefix_order and keep == 2 * width:
+                order = np.broadcast_to(np.arange(keep), (B, keep))
+            else:
+                order = np.argsort(cand, axis=1, kind="stable")
+                if keep < 2 * width:
+                    discarded += 2 * width - keep
+                    first = cand[frame[:, 0], order[:, keep]]
+                    low = first if low is None else np.where(first < low, first, low)
+                order = order[:, :keep]
+                if prefix_order:
+                    order = np.sort(order, axis=1)
+            lane, bit = np.divmod(order, 2) if prefix_order else np.divmod(order, width)[::-1]
+            pm = cand[frame, order]
+            if rds:
+                flags.append(layout([np.broadcast_to(c, (B, width)) for c in charge])[frame, order])
+            bit = bit.astype(np.uint8)
+            parents.append(lane.astype(np.min_scalar_type(L - 1)))
+            bits.append(bit)
+            src = (lane + frame * width).ravel()
             # only stages still to be read need their maps moved: alpha[t]
             # feeds a pending g iff the path is in the left half at stage t,
             # beta_left[t] awaits its right sibling iff bit t of phi is set
@@ -263,11 +173,99 @@ def scl_decode_batch(llr_matrix, spec, L: int):
             beta_left[s] = cur
             bmap[s] = None
 
-    out = np.zeros((B, N), dtype=np.uint8)
-    frame = np.arange(B)
-    lane = np.argmin(pm, axis=1)
-    for k, phi in reversed(list(enumerate(np.flatnonzero(info)))):
-        c = kept[k, frame, lane]
-        out[:, phi] = c >= L
-        lane = c % L
-    return out
+    def trace(lanes):
+        decisions = np.zeros(lanes.shape + (N,), dtype=np.uint8)
+        decisions[..., : len(prefix)] = prefix
+        charged = np.zeros(decisions.shape, dtype=bool) if rds else None
+        k = len(bits)
+        for phi in reversed(range(N)):
+            if rds:
+                charged[..., phi] = flags[phi][frame, lanes]
+            if split[phi]:
+                k -= 1
+                decisions[..., phi] = bits[k][frame, lanes]
+                lanes = parents[k][frame, lanes]
+        return decisions, charged
+
+    return pm, trace, discarded, low
+
+
+def _exact_input(input_llrs, N):
+    """One LLR vector as a (1, N) engine input of the dtype its values need
+    (see the module docstring)."""
+    kinds = set(map(type, input_llrs))
+    if kinds == {float}:
+        return np.array([input_llrs], dtype=np.float64)
+    if kinds == {int}:
+        top = max(1, max(map(abs, input_llrs)))
+        # stage LLRs stay within top * N, path metrics within top * N * N
+        if top * N * N <= np.iinfo(np.int64).max:
+            return np.array([input_llrs], dtype=np.min_scalar_type(-2 * top * N))
+    return np.array([list(input_llrs)], dtype=object)
+
+
+def _python_pm(pm):
+    """An engine metric as the scalar arithmetic types it: a path never
+    charged holds int 0."""
+    return (pm.item() if isinstance(pm, np.generic) else pm) or 0
+
+
+def _search(input_llrs, spec, L, forced_prefix=(), rds=False):
+    """scl_decode's search, unchecked: the (paths, N) uint8 decisions of
+    every surviving path in ascending order, their engine metrics, their
+    charge flags (with rds, else None) and the SearchDiagnostics."""
+    llrs = _exact_input(input_llrs, spec.N)
+    pm, trace, discarded, low = _engine(llrs, spec, L, True, forced_prefix, rds)
+    decisions, charged = trace(np.arange(pm.shape[1])[None])
+    diagnostics = SearchDiagnostics(discarded, None if low is None else _python_pm(low[0]))
+    return decisions[0], pm[0], None if charged is None else charged[0], diagnostics
+
+
+def scl_decode(input_llrs, spec, L: int, forced_prefix=(), with_diagnostics=False):
+    """Ranked list of at most L paths, ascending (pm, decisions).
+
+    forced_prefix pins the first decisions (it must put 0 on every frozen
+    position it covers); splitting starts after it.
+    """
+    N = spec.N
+    _check_llrs(input_llrs, N)
+    prefix = [int(b) for b in forced_prefix]
+    if len(prefix) > N:
+        raise ValueError(f"forced prefix longer than N={N}")
+    for pos, bit in enumerate(prefix, start=1):
+        if bit not in (0, 1):
+            raise ValueError("forced prefix must be a 0/1 vector")
+        if bit and not spec.is_info(pos):
+            raise ValueError(f"forced prefix sets 1 at frozen position {pos}")
+
+    decisions, pm, charged, diagnostics = _search(input_llrs, spec, L, prefix, rds=True)
+    # the lanes are in decision order, so a stable sort by pm ranks by
+    # (pm, decisions)
+    positions = np.arange(1, N + 1)
+    ranked = [
+        DecodePath(
+            tuple(decisions[k].tolist()), _python_pm(pm[k]), tuple(positions[charged[k]].tolist())
+        )
+        for k in np.argsort(pm, kind="stable")
+    ]
+    if with_diagnostics:
+        return ranked, diagnostics
+    return ranked
+
+
+def scl_decode_batch(llr_matrix, spec, L: int):
+    """Best-path decisions for a batch of REAL-mode decodes.
+
+    llr_matrix: finite float array (B, N).  Returns a uint8 array (B, N)
+    holding the lowest-metric path of each decode.
+    """
+    llr_matrix = np.asarray(llr_matrix, dtype=np.float64)
+    if llr_matrix.ndim != 2:
+        raise ValueError(f"expected a (B, N) LLR matrix, got shape {llr_matrix.shape}")
+    N = llr_matrix.shape[1]
+    if N != spec.N:
+        raise ValueError(f"LLR row length {N} does not match N={spec.N}")
+    if not np.isfinite(llr_matrix).all():
+        raise ValueError("LLR matrix holds NaN or infinite entries")
+    pm, trace, _, _ = _engine(llr_matrix, spec, L, False)
+    return trace(np.argmin(pm, axis=1)[:, None])[0][:, 0]

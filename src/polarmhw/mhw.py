@@ -28,7 +28,7 @@ import numpy as np
 from polarmhw.bitops import encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count, zero_capacity_set
 from polarmhw.construction import CodeSpec
-from polarmhw.listdec import constrained_scl, scl_decode
+from polarmhw.listdec import _search
 from polarmhw.sctree import sc_retrace
 
 __all__ = [
@@ -115,11 +115,6 @@ def _min_weight(rows, d_m):
     return rows[encode_rows(rows).sum(axis=1) == d_m]
 
 
-def _path_rows(paths, N):
-    """The decisions of list-decoder paths as a (paths, N) uint8 array."""
-    return np.array([p.decisions for p in paths], dtype=np.uint8).reshape(-1, N)
-
-
 # ---- exhaustive oracle ----
 
 
@@ -164,13 +159,12 @@ def _search_pair(spec, i, j, L, d_m, trigger_pm):
     prefix = [0] * j
     prefix[i - 1] = 1
     prefix[j - 1] = 1
-    paths, diag = constrained_scl([1] * spec.N, spec, L, prefix, with_diagnostics=True)
-    found = _min_weight(_path_rows(paths, spec.N), d_m)
+    paths, _, _, diag = _search([1] * spec.N, spec, L, prefix)
+    found = _min_weight(paths, d_m)
     note = None
     if diag.min_discarded_pm is not None and diag.min_discarded_pm <= trigger_pm:
         overlap = len(zero_capacity_set(i, spec.N) & set(spec.A))
-        wide = constrained_scl([1] * spec.N, spec, 1 << overlap, prefix)
-        refound = _min_weight(_path_rows(wide, spec.N), d_m)
+        refound = _min_weight(_search([1] * spec.N, spec, 1 << overlap, prefix)[0], d_m)
         old, new = set(map(bytes, found)), set(map(bytes, refound))
         if new != old:
             note = (
@@ -360,9 +354,8 @@ def scl_global_search(spec, L: int) -> MhwResult:
             f"possible omission: list size {L} is below the counting bound "
             f"plus one ({needed})"
         )
-    survivors = scl_decode([1] * spec.N, spec, L)
     # d_m >= 1, so the all-zero path never passes the weight filter
-    vectors = _min_weight(_path_rows(survivors, spec.N), d_m)
+    vectors = _min_weight(_search([1] * spec.N, spec, L)[0], d_m)
     return MhwResult(d_m, vectors, "SCL_GLOBAL", L, warning)
 
 

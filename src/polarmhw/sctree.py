@@ -13,11 +13,12 @@ The decoder works in two scalar modes, selected by the input LLR types:
 
 One tree state (per-stage LLR buffers and pending left partial sums) runs
 the schedule leaf by leaf; SC decoding, retrace and replay differ only in the
-decision they commit at each leaf, and the scalar list decoder in listdec
-keeps one such state per path.  The engine records the decoding LLR of every
-leaf and, on request, the LLR and partial-sum vectors of every node, keyed
-by (stage, node index): stage lambda means node size 2**lambda, node index
-is 1-based left to right, so the root is (n, 1) and leaf p is (0, p).
+decision they commit at each leaf.  The list decoders in listdec run the same
+f, g and penalty arithmetic on numpy arrays.  The engine records the decoding
+LLR of every leaf and, on request, the LLR and partial-sum vectors of every
+node, keyed by (stage, node index): stage lambda means node size 2**lambda,
+node index is 1-based left to right, so the root is (n, 1) and leaf p is
+(0, p).
 """
 
 from __future__ import annotations
@@ -120,8 +121,7 @@ class _TreeState:
 
     With record_nodes, every LLR vector is captured where it is written and
     every partial-sum vector where it is completed, keyed by (stage, node),
-    in the order a recursive walk of the tree visits them.  The list decoder
-    clones a state on every path split; a clone captures nothing.
+    in the order a recursive walk of the tree visits them.
     """
 
     __slots__ = ("n", "alpha", "beta_left", "node_llrs", "node_betas")
@@ -133,14 +133,6 @@ class _TreeState:
         self.beta_left = [None] * n
         self.node_llrs = {(n, 1): tuple(self.alpha[n])} if record_nodes else None
         self.node_betas = {} if record_nodes else None
-
-    def clone(self):
-        twin = object.__new__(_TreeState)
-        twin.n = self.n
-        twin.alpha = [None if a is None else list(a) for a in self.alpha]
-        twin.beta_left = [None if b is None else list(b) for b in self.beta_left]
-        twin.node_llrs = twin.node_betas = None
-        return twin
 
     def leaf_llr(self, phi):
         alpha, record = self.alpha, self.node_llrs
@@ -190,7 +182,7 @@ def _penalty(llr, bit):
 
 def _sc(input_llrs, spec, decide, record_nodes):
     """One SC pass in which decide(position, llr) picks every bit.  The path
-    metric and reverse-decision set follow _penalty, as in the list decoder."""
+    metric and reverse-decision set follow _penalty, as in the list decoders."""
     N = spec.N
     _check_llrs(input_llrs, N)
     tree = _TreeState(input_llrs, N.bit_length() - 1, record_nodes)

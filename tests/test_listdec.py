@@ -8,7 +8,7 @@ from conftest import brute_force_minimum_weight, first_one, random_specs
 
 from polarmhw.bitops import encode, generator_row_weight, min_distance
 from polarmhw.construction import CodeSpec, construct_pw, design_sigma
-from polarmhw.listdec import constrained_scl, scl_decode, scl_decode_batch
+from polarmhw.listdec import scl_decode, scl_decode_batch
 from polarmhw.sctree import sc_decode, sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
@@ -70,7 +70,7 @@ def test_all_ones_survivors_include_the_all_zero_path_at_metric_zero():
 
 def test_constrained_two_path_search_after_forcing_positions_four_and_six():
     prefix = [0, 0, 0, 1, 0, 1]
-    paths = constrained_scl([1] * 8, SPEC8, L=2, forced_prefix=prefix)
+    paths = scl_decode([1] * 8, SPEC8, L=2, forced_prefix=prefix)
     assert [p.decisions for p in paths] == [
         (0, 0, 0, 1, 0, 1, 0, 0),
         (0, 0, 0, 1, 0, 1, 0, 1),
@@ -86,7 +86,7 @@ def test_constrained_two_path_search_after_forcing_positions_four_and_six():
 
 
 def test_constrained_full_search_after_forcing_position_four():
-    paths = constrained_scl([1] * 8, SPEC8, L=8, forced_prefix=[0, 0, 0, 1])
+    paths = scl_decode([1] * 8, SPEC8, L=8, forced_prefix=[0, 0, 0, 1])
     assert len(paths) == 8
     expected = {u for u in brute_force_minimum_weight(SPEC8)[1] if first_one(u) == 4}
     assert {p.decisions for p in paths} == expected
@@ -180,14 +180,14 @@ def test_diagnostics_report_discards_when_list_saturates():
 
 def test_forced_prefix_must_respect_frozen_positions():
     with pytest.raises(ValueError):
-        constrained_scl([1] * 8, SPEC8, L=2, forced_prefix=[0, 0, 1])
+        scl_decode([1] * 8, SPEC8, L=2, forced_prefix=[0, 0, 1])
 
 
 def test_forced_prefix_must_fit_and_be_binary():
     with pytest.raises(ValueError):
-        constrained_scl([1] * 8, SPEC8, L=2, forced_prefix=[0] * 9)
+        scl_decode([1] * 8, SPEC8, L=2, forced_prefix=[0] * 9)
     with pytest.raises(ValueError):
-        constrained_scl([1] * 8, SPEC8, L=2, forced_prefix=[0, 0, 0, 2])
+        scl_decode([1] * 8, SPEC8, L=2, forced_prefix=[0, 0, 0, 2])
 
 
 def test_list_size_and_input_length_are_validated():
@@ -204,7 +204,7 @@ def test_scalar_decoder_rejects_non_finite_llrs():
         with pytest.raises(ValueError, match="NaN or infinite"):
             scl_decode(llrs, SPEC8, L=2)
     with pytest.raises(ValueError, match="NaN or infinite"):
-        constrained_scl([float("nan")] * 8, SPEC8, L=2, forced_prefix=[0, 0, 0, 1])
+        scl_decode([float("nan")] * 8, SPEC8, L=2, forced_prefix=[0, 0, 0, 1])
     # Python ints are exact and never checked: a value past the float range
     # still decodes
     assert scl_decode([10**400] * 8, SPEC8, L=2)[0].decisions == (0,) * 8
@@ -309,3 +309,58 @@ def test_batch_decoder_golden_tie_decisions():
                 assert out.dtype == np.uint8 and out.shape == (16, N)
                 digest.update(out.tobytes())
     assert digest.hexdigest() == GOLDEN_TIES
+
+
+# ---- golden outcomes of the exact list decoder ----
+#
+# One digest over the repr of every scl_decode outcome on a seeded corpus:
+# decisions, pm and its Python type, rds and the prune diagnostics.  The
+# corpus mixes Python ints (some past the int64 range of the path metric),
+# dyadic floats, Gaussian floats and mixed int/float vectors whose leaves
+# hit exactly zero or tie an int metric with an equal float one, with and
+# without forced prefixes, N = 2..256, L = 1..64 and lists wider than 2^K.
+
+GOLDEN_SCL = "76f1070cae5f34d407c7f51048f885d922dd7eb22a4051a7c5fb031ba9728de0"
+MIXED_LLRS = (-2, -1, 0, 1, 2, -1.0, 0.0, 1.0, 2.0, 0.5)
+
+
+def golden_scl_corpus():
+    rng = random.Random(20191218)
+    kinds = ("int", "dyadic", "gauss", "mixed", "big", "ones")
+    for N in (2, 4, 8, 16, 32, 64, 128, 256):
+        for L in (1, 2, 3, 4, 8, 64) if N <= 64 else (4, 64):
+            for kind in kinds * 2:
+                K = rng.randint(1, min(N, rng.choice((3, N))))
+                spec = CodeSpec(N, tuple(rng.sample(range(1, N + 1), K)))
+                if kind == "int":
+                    llrs = [rng.randint(-6, 6) for _ in range(N)]
+                elif kind == "dyadic":
+                    llrs = [rng.randint(-12, 12) / 4 for _ in range(N)]
+                elif kind == "gauss":
+                    llrs = [rng.gauss(0.5, 2.0) for _ in range(N)]
+                elif kind == "mixed":
+                    llrs = [rng.choice(MIXED_LLRS) for _ in range(N)]
+                elif kind == "big":
+                    llrs = [rng.randint(-(2**62), 2**62) for _ in range(N)]
+                else:
+                    llrs = [1] * N
+                prefix = []
+                if rng.random() < 0.5:
+                    for pos in range(1, rng.randint(0, N) + 1):
+                        prefix.append(rng.randint(0, 1) if spec.is_info(pos) else 0)
+                yield spec, llrs, L, prefix
+    # small magnitudes typed int or float at random: int and float metrics
+    # of equal value meet in the ranking and among the discarded candidates
+    for _ in range(400):
+        N, L = rng.choice((8, 16, 32, 64)), rng.choice((1, 2, 3, 4, 8))
+        spec = CodeSpec(N, tuple(rng.sample(range(1, N + 1), rng.randint(1, N))))
+        yield spec, [rng.choice((int, float))(rng.randint(-2, 2)) for _ in range(N)], L, []
+
+
+def test_scl_decode_golden_corpus():
+    digest = hashlib.sha256()
+    for spec, llrs, L, prefix in golden_scl_corpus():
+        out = scl_decode(llrs, spec, L, forced_prefix=prefix, with_diagnostics=True)
+        digest.update(repr(out).encode())
+        digest.update(repr([type(p.pm).__name__ for p in out[0]]).encode())
+    assert digest.hexdigest() == GOLDEN_SCL

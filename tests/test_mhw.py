@@ -79,6 +79,9 @@ def test_search_subset_examples():
     assert len(four) == 4
     expected = {u for u in brute_force_minimum_weight(SPEC8)[1] if u[3] and u[5]}
     assert vector_set(four) == expected
+    # width 1 discards a candidate at the trigger metric, so the search
+    # reruns at full width and must return the same rows
+    assert search_subset(SPEC8, 4, 6, L=1).tolist() == four.tolist()
 
     one = search_subset(SPEC8, 4, 8, L=1)
     assert one.tolist() == [[0, 0, 0, 1, 0, 0, 0, 1]]
@@ -184,6 +187,20 @@ def test_global_search_examples():
     tiny = scl_global_search(CodeSpec(8, (8,)), L=2)
     assert tiny.count == 1
     assert tiny.vectors.tolist() == [[0, 0, 0, 0, 0, 0, 0, 1]]
+
+
+def test_subset_scl_list_is_under_half_the_global_list():
+    # the paper's claim: the subset searches need less than half the list
+    # size of one global search wider than the counting bound
+    for N, K, widest in ((256, 136, 64), (512, 256, 32)):
+        spec = construct_pw(N, K)
+        bound = bound_count(spec, materialize_sets=False).total
+        subset = enumerate_subset_scl(spec)
+        assert subset.max_list_used == widest
+        assert subset.max_list_used * 2 < bound + 1
+        assert subset.warning is None
+        assert np.array_equal(subset.vectors, enumerate_zero_split(spec).vectors)
+        assert np.array_equal(subset.vectors, scl_global_search(spec, bound + 1).vectors)
 
 
 # ---- cross-method agreement and structural laws ----
