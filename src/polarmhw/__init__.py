@@ -6,7 +6,6 @@ from polarmhw.bitops import (
     binary_expansion,
     encode,
     generator_row,
-    generator_row_weight,
     min_distance,
     positions_of,
     row_prefix,
@@ -28,12 +27,10 @@ from polarmhw.channel import (
     FerPoint,
     fer_estimate,
     q_function,
-    read_fer_csv,
     render_fer_csv,
     simulate_fer,
     sweep_fer,
     wilson_interval,
-    write_fer_csv,
 )
 from polarmhw.construction import (
     CodeSpec,
@@ -63,7 +60,6 @@ from polarmhw.mhw import (
     exhaustive_mhw,
     read_enumeration,
     scl_global_search,
-    search_subset,
     write_enumeration,
     zero_split_subset,
     zero_split_triggers,

@@ -24,7 +24,6 @@ __all__ = [
     "positions_of",
     "zero_digit_prefix_sum",
     "generator_row",
-    "generator_row_weight",
     "row_prefix",
     "encode",
     "encode_rows",
@@ -83,14 +82,6 @@ def generator_row(i: int, N: int) -> list[int]:
         raise ValueError(f"row index i={i} out of range [1, {N}]")
     mask = i - 1
     return [1 if (c & ~mask) == 0 else 0 for c in range(N)]
-
-
-def generator_row_weight(i: int, N: int) -> int:
-    """Hamming weight of row i of G_N, i.e. 2**popcount(i-1)."""
-    _check_length(N)
-    if not 1 <= i <= N:
-        raise ValueError(f"row index i={i} out of range [1, {N}]")
-    return 1 << (i - 1).bit_count()
 
 
 def row_prefix(i: int, lam: int, N: int) -> list[int]:

@@ -39,8 +39,6 @@ __all__ = [
     "simulate_fer",
     "sweep_fer",
     "render_fer_csv",
-    "write_fer_csv",
-    "read_fer_csv",
 ]
 
 _Z95 = 1.959963984540054
@@ -219,38 +217,3 @@ def render_fer_csv(spec, points, estimates=None, header_lines=()) -> str:
             f"{pt.ci_lo:.6e},{pt.ci_hi:.6e},{est_exact:.6e},{est_bound:.6e}"
         )
     return "\n".join(rows) + "\n"
-
-
-def write_fer_csv(path, spec, points, estimates=None, header_lines=()) -> None:
-    """Write render_fer_csv output to path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_fer_csv(spec, points, estimates, header_lines))
-
-
-_FER_COLUMNS = (
-    "ebn0_db", "trials", "errors", "fer", "ci_lo", "ci_hi",
-    "estimate_exact", "estimate_bound",
-)
-
-
-def read_fer_csv(path):
-    """Parse a write_fer_csv file back into a list of per-point dicts.
-
-    Comment lines are skipped; the header row and column count are checked
-    so a written file always reads back.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    data = [line for line in lines if not line.startswith("#")]
-    if not data or data[0] != ",".join(_FER_COLUMNS):
-        raise ValueError(f"{path}: missing FER CSV header row")
-    out = []
-    for lineno, line in enumerate(data[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(_FER_COLUMNS):
-            raise ValueError(f"{path}:{lineno}: expected {len(_FER_COLUMNS)} columns")
-        row = {}
-        for name, cell in zip(_FER_COLUMNS, cells):
-            row[name] = int(cell) if name in ("trials", "errors") else float(cell)
-        out.append(row)
-    return out

@@ -35,6 +35,7 @@ from .construction import (
     load_spec,
     save_spec,
 )
+from .listdec import _search
 from .mhw import (
     EXHAUSTIVE_CAP,
     ExhaustiveCapError,
@@ -47,7 +48,7 @@ from .mhw import (
 )
 from .sctree import sc_decode, sc_replay, sc_retrace
 
-__all__ = ["main", "UsageError", "read_bound_csv", "read_sweep_csv"]
+__all__ = ["main", "UsageError"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -177,54 +178,6 @@ def _resolve_spec(args):
     return _build_spec(args.N, args.K, args.A, args.construction, args.design_ebn0)
 
 
-# ---- CSV readers (round-trip interface for bound/sweep outputs) ----
-
-
-def _read_csv_rows(path, header: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    data = [line for line in lines if not line.startswith("#")]
-    if not data or data[0] != header:
-        raise ValueError(f"{path}: missing header row {header!r}")
-    return data[1:]
-
-
-def read_bound_csv(path):
-    """Parse a `bound --csv` file into per-trigger dicts."""
-    rows = []
-    for lineno, line in enumerate(_read_csv_rows(path, _BOUND_HEADER), start=2):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 columns")
-        rows.append(
-            {
-                "trigger": int(cells[0]),
-                "overlap": int(cells[1]),
-                "term": int(cells[2]),
-            }
-        )
-    return rows
-
-
-def read_sweep_csv(path):
-    """Parse a `sweep` CSV into per-rate dicts; exact is None when skipped."""
-    rows = []
-    for lineno, line in enumerate(_read_csv_rows(path, _SWEEP_HEADER), start=2):
-        cells = line.split(",")
-        if len(cells) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 columns")
-        rows.append(
-            {
-                "R": float(cells[0]),
-                "K": int(cells[1]),
-                "d_m": int(cells[2]),
-                "bound": int(cells[3]),
-                "exact": None if cells[4] == "" else int(cells[4]),
-            }
-        )
-    return rows
-
-
 # ---- construct ----
 
 
@@ -346,9 +299,20 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     triggers = list(report.a_m)[:max_triggers]
     ones = [1] * N
     members, full_counts = _weight_filtered_leaves(spec, triggers, max_members)
-    # one replay of every sampled member, read by the zero-location and
-    # equal-pm checks
-    replays = {i: [sc_replay(ones, spec, u) for u in members[i]] for i in triggers}
+    retraced = {i: sc_retrace(ones, spec, {i}) for i in triggers}
+    # one SC replay of every sampled member, then of every retraced path, all
+    # in one list-engine run (L = 1, every decision pinned): per path its
+    # trigger, path metric, reverse-decision set and zero-LLR positions
+    paths = [(i, u) for i in triggers for u in members[i]]
+    paths += [(i, retraced[i].decisions) for i in triggers]
+    replays = []
+    for (i, _), (u, pm, llr, _) in zip(
+        paths, _search(ones, spec, 1, [u for _, u in paths], leaves=True)
+    ):
+        charged = np.where(u[0] == 1, llr[0] > 0, llr[0] < 0)
+        rds, zeros = (tuple((np.flatnonzero(x) + 1).tolist()) for x in (charged, llr[0] == 0))
+        replays.append((i, pm[0], rds, zeros))
+    replays, retrace_replays = replays[: -len(triggers)], replays[-len(triggers) :]
     n_members = sum(len(v) for v in members.values())
     scope = f"{len(triggers)} triggers, {n_members} members"
 
@@ -397,7 +361,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
             pool = [p for p in range(1, N + 1) if p not in set(predicted)]
             predicted = sorted(predicted[:-1] + pool[:1])
         want = tuple(predicted)
-        if any(rep.zero_positions != want for rep in replays[i]):
+        if any(zeros != want for t, _, _, zeros in replays if t == i):
             ok = False
     detail = scope + (" [negative control]" if negative_control else "")
     checks.append(("zero-location-replay", "PASS" if ok else "FAIL", detail))
@@ -417,14 +381,11 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     # Forcing a lone disagreement at the trigger is stable under replay: same
     # penalty, same single flip position, positive cost.
     ok = True
-    retraced = {}
-    for i in triggers:
-        rt = sc_retrace(ones, spec, {i})
-        retraced[i] = rt
-        rep = sc_replay(ones, spec, list(rt.decisions))
-        if rt.rds != (i,) or rep.rds != (i,):
+    for i, (_, pm, rds, _) in zip(triggers, retrace_replays):
+        rt = retraced[i]
+        if rt.rds != (i,) or rds != (i,):
             ok = False
-        if rep.pm != rt.pm or not rt.pm > 0:
+        if pm != rt.pm or not rt.pm > 0:
             ok = False
     checks.append(("retrace-rds-fixed", "PASS" if ok else "FAIL", scope))
 
@@ -439,7 +400,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     ok = True
     for i in triggers:
         want = retraced[i].pm
-        if any(rep.pm != want for rep in replays[i]):
+        if any(pm != want for t, pm, _, _ in replays if t == i):
             ok = False
     checks.append(("equal-pm-within-subset", "PASS" if ok else "FAIL", scope))
 
@@ -464,7 +425,11 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
             ok = False
     exact = None
     if report.total <= exact_limit:
-        exact = enumerate_zero_split(spec).count
+        # the walk over every trigger has already run unless triggers were capped
+        if len(triggers) == len(report.a_m):
+            exact = sum(full_counts.values())
+        else:
+            exact = enumerate_zero_split(spec).count
         if exact > report.total:
             ok = False
         detail = f"exact={exact} bound={report.total}"

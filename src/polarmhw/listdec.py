@@ -1,13 +1,22 @@
 """Successive-cancellation list decoding with path metrics and reverse sets.
 
 One lockstep numpy engine decodes B LLR vectors at once, each with a list
-of up to L paths (lanes); the lane axis grows to min(L, 2 * live) at each
-information bit, so no lane is dead.  Path state is copied lazily (Tal &
-Vardy, "List decoding of polar codes"): each stage buffer is read through a
-lane -> row map that a prune composes with the kept lanes' parents, and a
-parent stage's rows are gathered only when a child stage is recomputed.
-Each information bit stores every lane's parent lane and bit; decisions,
-and the positions where a path was charged, are traced back at the end.
+of up to L paths (lanes); the lane axis grows to min(L, 2 * width) at each
+information bit.  Path state is copied lazily (Tal & Vardy, "List decoding
+of polar codes"): each stage buffer is read through a lane -> row map that
+a prune composes with the kept lanes' parents, and a parent stage's rows
+are gathered only when a child stage is recomputed.  Each information bit
+stores every lane's parent lane and bit; decisions, and on request the
+decoding LLR of every leaf, are traced back at the end.
+
+Each decode may pin its own decision prefix.  While all prefixes have one
+length no lane is dead.  Otherwise decodes that start splitting at
+different leaves share the lane axis under a live-lane mask: the candidates
+of dead lanes, and the forbidden bit at a pinned leaf, rank after every
+other candidate and never count as discarded, and the lane axis grows only
+as far as some decode has valid candidates.  So the constrained searches of
+one list width run as one call, and so do SC replays (L = 1, the whole path
+pinned).
 
 Two tie orders share one stable argsort of the candidate metrics.
 scl_decode_batch (the AWGN simulation) lays the candidates out as [bit 0 of
@@ -57,21 +66,29 @@ class SearchDiagnostics:
     min_discarded_pm: object = None
 
 
-def _engine(llrs, spec, L, prefix_order, prefix=(), rds=False):
-    """List-decode the rows of a (B, N) LLR array, the first len(prefix)
-    decisions pinned to prefix.
+def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
+    """List-decode the rows of a (B, N) LLR array, the first ends[b]
+    decisions of row b pinned to prefix[b], a (B, P) 0/1 array that is 0
+    past each row's end (None: nothing pinned).  Rows with different ends
+    need the prefix order.
 
-    Returns (pm, trace, discarded, low): the (B, width) final path metrics;
+    Returns (pm, live, trace, discarded, low): the (B, width) final path
+    metrics; the (B, width) live-lane mask, or None when every lane is live;
     trace(lanes), the (B, m, N) decisions of the (B, m) lanes picked and,
-    with rds, their charge flags (else None); how many candidates each
-    decode discarded; the (B,) metric of the cheapest one, or None.
+    with leaves, the decoding LLRs of their leaves (else None); how many
+    candidates each row discarded and the metric of the cheapest one (where
+    that count is nonzero), each a (B,) array or one value for every row.
     """
     if L < 1:
         raise ValueError(f"list size L={L} must be >= 1")
     B, N = llrs.shape
     n = N.bit_length() - 1
-    # the information bits past the prefix, where paths split
-    split = np.isin(np.arange(1, N + 1), spec.A) & (np.arange(N) >= len(prefix))
+    if prefix is None:
+        prefix, ends = np.zeros((B, 0), dtype=np.uint8), np.zeros(B, dtype=np.intp)
+    P = prefix.shape[1]
+    # the information bits past the shortest prefix, where paths may split
+    split = np.isin(np.arange(1, N + 1), spec.A) & (np.arange(N) >= ends.min())
+    live = None if ends.min() == ends.max() else np.ones((B, 1), dtype=bool)
     frame = np.arange(B)[:, None]
     # candidates in sort layout, (B, 2, width) in the batch order and
     # (B, width, 2) in the prefix order, flattened
@@ -90,8 +107,8 @@ def _engine(llrs, spec, L, prefix_order, prefix=(), rds=False):
     beta_left, bmap = [None] * n, [None] * n
     pm = np.zeros((B, 1), dtype=np.int64 if llrs.dtype.kind == "i" else llrs.dtype)
     # per information bit, each lane's parent lane and bit; per position,
-    # whether each lane's decision was charged
-    parents, bits, flags = [], [], []
+    # each lane's leaf LLR
+    parents, bits, recorded = [], [], []
     discarded, low = 0, None
 
     def rows(buf, rowmap):
@@ -118,36 +135,57 @@ def _engine(llrs, spec, L, prefix_order, prefix=(), rds=False):
             s -= 1
         leaf = alpha[0][..., 0]  # (B, width), or (B, 1) while still shared
         width = pm.shape[1]
+        if leaves:
+            recorded.append(np.broadcast_to(leaf, (B, width)))
         # sctree._penalty: a bit against the sign of a nonzero leaf costs
         # |leaf|, any other bit int 0
         mag = np.abs(leaf)
 
         if not split[phi]:
-            value = prefix[phi] if phi < len(prefix) else 0
-            charged = leaf > 0 if value else leaf < 0
+            # a pinned bit, or a frozen 0 (prefixes are 0 past their ends)
+            if phi < P:
+                value = prefix[:, phi, None]
+                charged = np.where(value == 1, leaf > 0, leaf < 0)
+            else:
+                value, charged = 0, leaf < 0
             pm = pm + np.where(charged, mag, 0)
             bit = np.full((B, width), value, dtype=np.uint8)
-            if rds:
-                flags.append(np.broadcast_to(charged, (B, width)))
         else:
             charge = (leaf < 0, leaf > 0)
             cand = layout([pm + np.where(c, mag, 0) for c in charge])
             keep = min(L, 2 * width)
+            if live is not None:
+                # a row still pinned here allows one bit, a dead lane none
+                want = np.where(phi < ends, prefix[:, min(phi, P - 1)], 2)[:, None]
+                ok = layout([live & (want != 1), live & (want != 0)])
+                keep = min(L, int(ok.sum(axis=1).max()))
             if prefix_order and keep == 2 * width:
                 order = np.broadcast_to(np.arange(keep), (B, keep))
             else:
-                order = np.argsort(cand, axis=1, kind="stable")
+                if live is None:
+                    order = np.argsort(cand, axis=1, kind="stable")
+                else:
+                    order = np.lexsort((cand, ~ok))  # valid first, then stable by metric
                 if keep < 2 * width:
-                    discarded += 2 * width - keep
-                    first = cand[frame[:, 0], order[:, keep]]
-                    low = first if low is None else np.where(first < low, first, low)
+                    cut = order[:, keep]
+                    first = cand[frame[:, 0], cut]
+                    if live is None:
+                        discarded += 2 * width - keep
+                        low = first if low is None else np.where(first < low, first, low)
+                    else:
+                        # a row that discards keeps L live lanes from then
+                        # on, so its first candidate past the cut is valid
+                        # and its cheapest loss; before that, its low is unused
+                        low = first if low is None else low
+                        low = np.where((discarded == 0) | (first < low), first, low)
+                        discarded = discarded + np.maximum(ok.sum(axis=1) - keep, 0)
                 order = order[:, :keep]
                 if prefix_order:
                     order = np.sort(order, axis=1)
+            if live is not None:
+                live = ok[frame, order]
             lane, bit = np.divmod(order, 2) if prefix_order else np.divmod(order, width)[::-1]
             pm = cand[frame, order]
-            if rds:
-                flags.append(layout([np.broadcast_to(c, (B, width)) for c in charge])[frame, order])
             bit = bit.astype(np.uint8)
             parents.append(lane.astype(np.min_scalar_type(L - 1)))
             bits.append(bit)
@@ -175,19 +213,19 @@ def _engine(llrs, spec, L, prefix_order, prefix=(), rds=False):
 
     def trace(lanes):
         decisions = np.zeros(lanes.shape + (N,), dtype=np.uint8)
-        decisions[..., : len(prefix)] = prefix
-        charged = np.zeros(decisions.shape, dtype=bool) if rds else None
+        decisions[..., :P] = prefix[:, None]
+        llr = np.empty(decisions.shape, dtype=llrs.dtype) if leaves else None
         k = len(bits)
         for phi in reversed(range(N)):
-            if rds:
-                charged[..., phi] = flags[phi][frame, lanes]
             if split[phi]:
                 k -= 1
                 decisions[..., phi] = bits[k][frame, lanes]
                 lanes = parents[k][frame, lanes]
-        return decisions, charged
+            if leaves:
+                llr[..., phi] = recorded[phi][frame, lanes]
+        return decisions, llr
 
-    return pm, trace, discarded, low
+    return pm, live, trace, discarded, low
 
 
 def _exact_input(input_llrs, N):
@@ -210,15 +248,29 @@ def _python_pm(pm):
     return (pm.item() if isinstance(pm, np.generic) else pm) or 0
 
 
-def _search(input_llrs, spec, L, forced_prefix=(), rds=False):
-    """scl_decode's search, unchecked: the (paths, N) uint8 decisions of
-    every surviving path in ascending order, their engine metrics, their
-    charge flags (with rds, else None) and the SearchDiagnostics."""
-    llrs = _exact_input(input_llrs, spec.N)
-    pm, trace, discarded, low = _engine(llrs, spec, L, True, forced_prefix, rds)
-    decisions, charged = trace(np.arange(pm.shape[1])[None])
-    diagnostics = SearchDiagnostics(discarded, None if low is None else _python_pm(low[0]))
-    return decisions[0], pm[0], None if charged is None else charged[0], diagnostics
+def _search(input_llrs, spec, L, prefixes=((),), leaves=False):
+    """scl_decode's search from one LLR vector, unchecked, for each forced
+    prefix in one engine run.  Per prefix: the (paths, N) uint8 decisions of
+    every surviving path in ascending order, their engine metrics, their leaf
+    LLRs (with leaves, else None) and the SearchDiagnostics."""
+    B, N = len(prefixes), spec.N
+    ends = np.array([len(p) for p in prefixes], dtype=np.intp)
+    prefix = np.zeros((B, ends.max()), dtype=np.uint8)
+    for row, p in zip(prefix, prefixes):
+        row[: len(p)] = p
+    llrs = np.broadcast_to(_exact_input(input_llrs, N), (B, N))
+    pm, live, trace, discarded, low = _engine(llrs, spec, L, True, prefix, ends, leaves)
+    decisions, llr = trace(np.broadcast_to(np.arange(pm.shape[1]), pm.shape))
+    discarded = np.broadcast_to(discarded, B)
+    out = []
+    for b in range(B):
+        kept = slice(None) if live is None else live[b]
+        diagnostics = SearchDiagnostics(
+            int(discarded[b]), _python_pm(low[b]) if discarded[b] else None
+        )
+        leaf_llrs = None if llr is None else llr[b, kept]
+        out.append((decisions[b, kept], pm[b, kept], leaf_llrs, diagnostics))
+    return out
 
 
 def scl_decode(input_llrs, spec, L: int, forced_prefix=(), with_diagnostics=False):
@@ -238,7 +290,8 @@ def scl_decode(input_llrs, spec, L: int, forced_prefix=(), with_diagnostics=Fals
         if bit and not spec.is_info(pos):
             raise ValueError(f"forced prefix sets 1 at frozen position {pos}")
 
-    decisions, pm, charged, diagnostics = _search(input_llrs, spec, L, prefix, rds=True)
+    decisions, pm, llr, diagnostics = _search(input_llrs, spec, L, [prefix], leaves=True)[0]
+    charged = np.where(decisions == 1, llr > 0, llr < 0)
     # the lanes are in decision order, so a stable sort by pm ranks by
     # (pm, decisions)
     positions = np.arange(1, N + 1)
@@ -267,5 +320,5 @@ def scl_decode_batch(llr_matrix, spec, L: int):
         raise ValueError(f"LLR row length {N} does not match N={spec.N}")
     if not np.isfinite(llr_matrix).all():
         raise ValueError("LLR matrix holds NaN or infinite entries")
-    pm, trace, _, _ = _engine(llr_matrix, spec, L, False)
+    pm, _, trace, _, _ = _engine(llr_matrix, spec, L, False)
     return trace(np.argmin(pm, axis=1)[:, None])[0][:, 0]

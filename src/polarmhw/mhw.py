@@ -4,7 +4,7 @@
 * enumerate_subset_scl: per minimum-weight row i and per zero-capacity
   information position j after i, a constrained list search pinned to the
   prefix 1-at-i, 1-at-j recovers the subset U(i, j); list sizes shrink
-  geometrically along j.
+  geometrically along j, and the searches of one list size run together.
 * enumerate_zero_split: one lockstep numpy walk over all rows i at once
   that follows hard decisions, forks at exactly-zero information LLRs, and
   abandons a branch when a frozen position sees a negative LLR; one batched
@@ -37,7 +37,6 @@ __all__ = [
     "EnumFormatError",
     "EXHAUSTIVE_CAP",
     "exhaustive_mhw",
-    "search_subset",
     "enumerate_subset_scl",
     "zero_split_subset",
     "zero_split_triggers",
@@ -151,77 +150,72 @@ def exhaustive_mhw(spec, cap: int = EXHAUSTIVE_CAP) -> MhwResult:
 # ---- constrained list searches ----
 
 
-def _search_pair(spec, i, j, L, d_m, trigger_pm):
-    """One constrained search: returns (vectors, note).  A discarded
-    candidate that still carried the bare trigger metric may have been on a
-    valid trajectory; in that case rerun at full width and report whether
-    the schedule truly lost anything."""
+def _pair_prefix(i, j):
     prefix = [0] * j
-    prefix[i - 1] = 1
-    prefix[j - 1] = 1
-    paths, _, _, diag = _search([1] * spec.N, spec, L, prefix)
-    found = _min_weight(paths, d_m)
-    note = None
-    if diag.min_discarded_pm is not None and diag.min_discarded_pm <= trigger_pm:
-        overlap = len(zero_capacity_set(i, spec.N) & set(spec.A))
-        refound = _min_weight(_search([1] * spec.N, spec, 1 << overlap, prefix)[0], d_m)
-        old, new = set(map(bytes, found)), set(map(bytes, refound))
-        if new != old:
-            note = (
-                f"list size {L} for trigger {i}, split {j} lost "
-                f"{len(new - old)} vectors; recovered at width {1 << overlap}"
-            )
-            found = refound
-    return found, note
+    prefix[i - 1] = prefix[j - 1] = 1
+    return prefix
 
 
-def search_subset(spec, i: int, j: int, L: int):
-    """All minimum-weight vectors whose first two ones sit at i and j, as a
-    sorted read-only uint8 array."""
-    d_m, a_m = min_distance(spec)
-    if i not in a_m:
-        raise ValueError(f"position {i} is not a minimum-weight information row")
-    if j not in (zero_capacity_set(i, spec.N) & set(spec.A)):
-        raise ValueError(
-            f"position {j} is not a zero-capacity information position after {i}"
-        )
-    trigger_pm = sc_retrace([1] * spec.N, spec, {i}).pm
-    vectors, _ = _search_pair(spec, i, j, L, d_m, trigger_pm)
-    return _sorted_rows(vectors)
-
-
-def _subset_scl_trigger(spec, i, d_m):
-    """U(i): the bare row message plus every constrained-search subset,
-    with the shrinking list schedule 2**(overlap - cnt)."""
-    single = np.eye(1, spec.N, i - 1, dtype=np.uint8)
-    vectors = [single]
-    splits = sorted(zero_capacity_set(i, spec.N) & set(spec.A))
-    if not splits:
-        return single, 0, None
-    trigger_pm = sc_retrace([1] * spec.N, spec, {i}).pm
-    max_list = 0
-    notes = []
-    for cnt, j in enumerate(splits, start=1):
-        L = 1 << (len(splits) - cnt)
-        max_list = max(max_list, L)
-        found, note = _search_pair(spec, i, j, L, d_m, trigger_pm)
-        vectors.append(found)
-        if note:
-            notes.append(note)
-    return np.concatenate(vectors), max_list, "; ".join(notes) if notes else None
+def _search_group(spec, pairs, L, d_m, trigger_pms):
+    """The constrained searches of the (i, j) pairs at list width L, in one
+    engine run: per pair, (vectors, note).  A discarded candidate that still
+    carried the bare trigger metric may have been on a valid trajectory; in
+    that case rerun the pair at full width and report whether the schedule
+    truly lost anything."""
+    ones = [1] * spec.N
+    searches = _search(ones, spec, L, [_pair_prefix(i, j) for i, j in pairs])
+    out = []
+    for (i, j), (paths, _, _, diag) in zip(pairs, searches):
+        found = _min_weight(paths, d_m)
+        note = None
+        if diag.min_discarded_pm is not None and diag.min_discarded_pm <= trigger_pms[i]:
+            overlap = len(zero_capacity_set(i, spec.N) & set(spec.A))
+            refound = _search(ones, spec, 1 << overlap, [_pair_prefix(i, j)])[0][0]
+            refound = _min_weight(refound, d_m)
+            old, new = set(map(bytes, found)), set(map(bytes, refound))
+            if new != old:
+                note = (
+                    f"list size {L} for trigger {i}, split {j} lost "
+                    f"{len(new - old)} vectors; recovered at width {1 << overlap}"
+                )
+                found = refound
+        out.append((found, note))
+    return out
 
 
 def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
-    """Every minimum-weight vector, trigger by trigger; a vector found under
-    two triggers breaks the partition law and aborts."""
+    """Every minimum-weight vector: per trigger i the bare row message plus,
+    per zero-capacity information position j after i (the cnt-th of them),
+    the subset U(i, j) from a constrained search at list width
+    2**(overlap - cnt).  The searches of one width run as one engine call;
+    `threads` workers share those calls.  A vector found under two triggers
+    breaks the partition law and aborts."""
     d_m, a_m = min_distance(spec)
+    pairs, groups, trigger_pms = [], {}, {}
+    for i in a_m:
+        splits = sorted(zero_capacity_set(i, spec.N) & set(spec.A))
+        if splits:
+            trigger_pms[i] = sc_retrace([1] * spec.N, spec, {i}).pm
+        for cnt, j in enumerate(splits, start=1):
+            pairs.append((i, j))
+            groups.setdefault(1 << (len(splits) - cnt), []).append((i, j))
+    singles = np.zeros((len(a_m), spec.N), dtype=np.uint8)
+    singles[np.arange(len(a_m)), np.array(a_m) - 1] = 1
+    # every pair's vectors, held bit-packed until all are found, so that only
+    # the final array and its sorted copy are ever held unpacked
+    found = {}
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        outs = list((pool.map if pool else map)(lambda i: _subset_scl_trigger(spec, i, d_m), a_m))
-    vectors = np.concatenate([o[0] for o in outs])
-    max_list = max((o[1] for o in outs), default=0)
-    notes = [o[2] for o in outs if o[2]]
+        outs = (pool.map if pool else map)(
+            lambda L: _search_group(spec, groups[L], L, d_m, trigger_pms), groups
+        )
+        for group, out in zip(groups.values(), outs):
+            for pair, (rows, note) in zip(group, out):
+                found[pair] = np.packbits(rows, axis=1), note
+    packed = np.concatenate([np.packbits(singles, axis=1)] + [found[p][0] for p in pairs])
+    notes = [found[p][1] for p in pairs if found[p][1]]
     warning = "; ".join(notes) if notes else None
-    return MhwResult(d_m, vectors, "SUBSET_SCL", max_list, warning)
+    vectors = np.unpackbits(packed, axis=1, count=spec.N)
+    return MhwResult(d_m, vectors, "SUBSET_SCL", max(groups, default=0), warning)
 
 
 # ---- zero-split walker ----
@@ -355,7 +349,7 @@ def scl_global_search(spec, L: int) -> MhwResult:
             f"plus one ({needed})"
         )
     # d_m >= 1, so the all-zero path never passes the weight filter
-    vectors = _min_weight(_search([1] * spec.N, spec, L)[0], d_m)
+    vectors = _min_weight(_search([1] * spec.N, spec, L)[0][0], d_m)
     return MhwResult(d_m, vectors, "SCL_GLOBAL", L, warning)
 
 

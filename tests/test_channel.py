@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_specs
+from csvio import write_fer_csv
 
 from polarmhw.channel import (
     FerEstimate,
@@ -13,7 +14,6 @@ from polarmhw.channel import (
     simulate_fer,
     sweep_fer,
     wilson_interval,
-    write_fer_csv,
 )
 from polarmhw.construction import CodeSpec, construct_pw, design_sigma
 from polarmhw.mhw import exhaustive_mhw

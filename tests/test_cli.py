@@ -3,14 +3,15 @@
 import hashlib
 import random
 
+from csvio import read_bound_csv, read_fer_csv, read_sweep_csv
+
 from polarmhw import (
     cli,
     construct_pw,
     load_spec,
     read_enumeration,
-    read_fer_csv,
 )
-from polarmhw.cli import main, read_bound_csv, read_sweep_csv
+from polarmhw.cli import main
 
 SPEC8_ARGS = ["--N", "8", "--A", "4,6,7,8"]
 

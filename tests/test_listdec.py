@@ -6,9 +6,10 @@ import pytest
 
 from conftest import brute_force_minimum_weight, first_one, random_specs
 
-from polarmhw.bitops import encode, generator_row_weight, min_distance
-from polarmhw.construction import CodeSpec, construct_pw, design_sigma
-from polarmhw.listdec import scl_decode, scl_decode_batch
+from polarmhw.bitops import encode, generator_row, min_distance
+from polarmhw.construction import CodeSpec, construct_ga, construct_pw, design_sigma
+from polarmhw.listdec import SearchDiagnostics, _search, scl_decode, scl_decode_batch
+from polarmhw.mhw import enumerate_zero_split
 from polarmhw.sctree import sc_decode, sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
@@ -112,7 +113,7 @@ def test_minimum_weight_survivors_have_singleton_reverse_sets():
                 continue
             i = first_one(p.decisions)
             assert i in a_m
-            assert generator_row_weight(i, spec.N) == d_m
+            assert sum(generator_row(i, spec.N)) == d_m
             assert p.rds == (i,)
             assert p.pm == sc_retrace([1] * spec.N, spec, rds={i}).pm
 
@@ -147,6 +148,64 @@ def test_path_metrics_match_replay_float_mode():
             replay = sc_replay(llrs, spec, list(p.decisions))
             assert replay.pm == pytest.approx(p.pm, rel=1e-9, abs=1e-12)
             assert replay.rds == p.rds
+
+
+def test_batched_replay_matches_scalar_replay():
+    # verify replays all its sampled members in one engine run, L = 1 with
+    # every decision pinned: each row's metric, leaf LLRs and zero positions
+    # must equal the scalar SC replay's, on every minimum-weight member
+    specs = [construct_pw(16, 8), construct_pw(64, 32), construct_ga(128, 64, 2.0)]
+    specs += [construct_pw(256, 136)] + random_specs(8, (32, 64), seed=81, max_K=20)
+    for spec in specs:
+        ones = [1] * spec.N
+        members = enumerate_zero_split(spec).vectors
+        replays = _search(ones, spec, 1, members, leaves=True)
+        assert len(replays) == len(members)
+        for u, (decisions, pm, llr, diagnostics) in zip(members, replays):
+            ref = sc_replay(ones, spec, list(u))
+            assert decisions.tolist() == [u.tolist()]
+            assert pm.tolist() == [ref.pm]
+            assert llr.tolist() == [list(ref.llrs)]
+            assert tuple((np.flatnonzero(llr[0] == 0) + 1).tolist()) == ref.zero_positions
+            assert diagnostics == SearchDiagnostics()
+
+
+def batched_search_corpus():
+    rng = random.Random(82)
+    for spec in random_specs(100, (8, 16, 32, 64), seed=83):
+        N = spec.N
+        llrs = rng.choice(
+            (
+                [1] * N,
+                [rng.randint(-3, 3) for _ in range(N)],
+                [rng.gauss(0.5, 2.0) for _ in range(N)],
+                [rng.choice(MIXED_LLRS) for _ in range(N)],
+            )
+        )
+        yield spec, llrs, rng.choice((1, 2, 3, 4, 8)), rng
+    # small magnitudes typed int or float at random: equal int and float
+    # metrics meet among the discarded candidates
+    for spec in random_specs(300, (8, 16), seed=84):
+        llrs = [rng.choice((int, float))(rng.randint(-2, 2)) for _ in range(spec.N)]
+        yield spec, llrs, rng.choice((1, 2, 3, 4)), rng
+
+
+def test_batched_searches_match_one_at_a_time():
+    # searches pinned to prefixes of different lengths share one engine run
+    # under a live-lane mask; each must equal its own run: paths, metrics,
+    # leaf LLRs, discard count and cheapest discarded metric (and its type)
+    for spec, llrs, L, rng in batched_search_corpus():
+        prefixes = [
+            [rng.randint(0, 1) if spec.is_info(p) else 0 for p in range(1, rng.randint(0, spec.N) + 1)]
+            for _ in range(rng.randint(2, 6))
+        ]
+        together = _search(llrs, spec, L, prefixes, leaves=True)
+        for prefix, (decisions, pm, llr, diagnostics) in zip(prefixes, together):
+            alone = _search(llrs, spec, L, [prefix], leaves=True)[0]
+            assert decisions.tolist() == alone[0].tolist()
+            assert pm.tolist() == alone[1].tolist()
+            assert llr.tolist() == alone[2].tolist()
+            assert repr(diagnostics) == repr(alone[3])
 
 
 # ---- ranking and diagnostics ----

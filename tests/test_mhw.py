@@ -14,7 +14,7 @@ from conftest import (
 )
 
 from polarmhw import bitops
-from polarmhw.bitops import encode, generator_row_weight, min_distance
+from polarmhw.bitops import encode, generator_row, min_distance
 from polarmhw.bound import bound_count, per_subset_bound, zero_capacity_set
 from polarmhw.construction import CodeSpec, construct_ga, construct_pw
 from polarmhw.mhw import (
@@ -26,11 +26,11 @@ from polarmhw.mhw import (
     exhaustive_mhw,
     read_enumeration,
     scl_global_search,
-    search_subset,
     write_enumeration,
     zero_split_subset,
 )
-from polarmhw.sctree import sc_replay
+from polarmhw.mhw import _search_group
+from polarmhw.sctree import sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
 
@@ -74,29 +74,25 @@ def test_exhaustive_cap_refuses_large_codes():
 # ---- constrained subset searches ----
 
 
-def test_search_subset_examples():
-    four = search_subset(SPEC8, 4, 6, L=4)
-    assert len(four) == 4
+def test_grouped_subset_search_examples():
+    # the searches of one list width run together, each pinned to its own
+    # prefix 1-at-i, 1-at-j; every pair gets the vectors whose first two
+    # ones sit at i and j
+    pairs = [(4, 6), (4, 8), (7, 8)]
+    trigger_pms = {i: sc_retrace([1] * 8, SPEC8, {i}).pm for i in (4, 7)}
+    (four, note), (one, _), (last, _) = _search_group(SPEC8, pairs, 4, 4, trigger_pms)
     expected = {u for u in brute_force_minimum_weight(SPEC8)[1] if u[3] and u[5]}
     assert vector_set(four) == expected
-    # width 1 discards a candidate at the trigger metric, so the search
-    # reruns at full width and must return the same rows
-    assert search_subset(SPEC8, 4, 6, L=1).tolist() == four.tolist()
-
-    one = search_subset(SPEC8, 4, 8, L=1)
+    assert note is None
     assert one.tolist() == [[0, 0, 0, 1, 0, 0, 0, 1]]
     assert weight(one[0]) == 4
-
-    assert len(search_subset(SPEC8, 7, 8, L=1)) == 1
-
-
-def test_search_subset_rejects_invalid_pairs():
-    with pytest.raises(ValueError):
-        search_subset(SPEC8, 5, 6, L=2)
-    with pytest.raises(ValueError):
-        search_subset(SPEC8, 4, 5, L=2)
-    with pytest.raises(ValueError):
-        search_subset(SPEC8, 7, 6, L=2)
+    assert last.tolist() == [[0, 0, 0, 0, 0, 0, 1, 1]]
+    # width 1 discards a candidate at the trigger metric, so (4, 6) reruns at
+    # full width, returns the same rows and says what the schedule lost
+    narrow = _search_group(SPEC8, pairs, 1, 4, trigger_pms)
+    assert vector_set(narrow[0][0]) == expected
+    assert narrow[0][1] == "list size 1 for trigger 4, split 6 lost 3 vectors; recovered at width 8"
+    assert [out[0].tolist() for out in narrow[1:]] == [one.tolist(), last.tolist()]
 
 
 def test_subset_scl_enumeration_length_eight():
@@ -248,7 +244,7 @@ def test_replaying_enumerated_vectors_flips_only_the_trigger():
             i = first_one(u)
             out = sc_replay([1] * spec.N, spec, list(u))
             assert out.rds == (i,)
-            assert weight(u) == generator_row_weight(i, spec.N) == d_m
+            assert weight(u) == sum(generator_row(i, spec.N)) == d_m
 
 
 def test_thread_count_does_not_change_results():
@@ -380,20 +376,20 @@ def test_enumeration_path_makes_no_per_vector_encode_calls(monkeypatch, tmp_path
 # to a single byte of an enumeration file, shows up here.
 
 
-def perturbed_pw1024(seed):
-    """PW(1024, 192) with 8 information rows swapped for frozen rows of weight
+def perturbed_pw(N, K, seed):
+    """PW(N, K) with 8 information rows swapped for frozen rows of weight
     >= d_m, keeping d_m; such sets are not closed under the partial order, so
     their walks kill branches."""
-    base = construct_pw(1024, 192)
+    base = construct_pw(N, K)
     d_m = min_distance(base)[0]
     rng = random.Random(seed)
     info = sorted(base.A)
     frozen = [
-        p for p in range(1, 1025) if not base.is_info(p) and 1 << (p - 1).bit_count() >= d_m
+        p for p in range(1, N + 1) if not base.is_info(p) and 1 << (p - 1).bit_count() >= d_m
     ]
     while True:
         keep = set(info) - set(rng.sample(info, 8))
-        spec = CodeSpec(1024, tuple(sorted(keep | set(rng.sample(frozen, 8)))))
+        spec = CodeSpec(N, tuple(sorted(keep | set(rng.sample(frozen, 8)))))
         if min_distance(spec)[0] == d_m:
             return spec
 
@@ -413,7 +409,7 @@ def corpus_spec(label):
         return construct_pw(int(args[0]), int(args[1]))
     if kind == "ga":
         return construct_ga(int(args[0]), int(args[1]), 2.0)
-    return perturbed_pw1024(int(args[0]))
+    return perturbed_pw(1024, 192, int(args[0]))
 
 
 def walk_digest(specs):
@@ -487,3 +483,35 @@ def test_enumeration_file_golden_bytes(label, tmp_path):
     spec_back, result_back = read_enumeration(path)
     assert spec_back.A == spec.A
     assert result_back == result
+
+
+# ---- golden subset-SCL corpus ----
+#
+# One digest over every enumerate_subset_scl result (vectors, max_list_used,
+# warning) at one and two threads: PW codes at N = 16..256 and three rates,
+# seeded 8-swap perturbations of PW codes at N = 64..256, and random sets at
+# N <= 64.  Recorded with the per-pair searches that preceded the grouped ones.
+
+GOLDEN_SUBSET_SCL = "99ec81686b156196e19007f845db977f1f2ac4fe0d9ba7dbccad1c3d2d1124f2"
+
+
+def subset_scl_corpus():
+    Ns = (16, 32, 64, 128, 256)
+    specs = [construct_pw(N, K) for N in Ns for K in (N // 4, N // 2, 3 * N // 4)]
+    # smaller codes have fewer than 8 frozen rows of weight >= d_m to swap in
+    perturbed = (
+        (64, 32), (64, 48), (128, 32), (128, 64), (128, 96), (256, 64), (256, 128), (256, 192)
+    )
+    for N, K in perturbed:
+        specs += [perturbed_pw(N, K, seed) for seed in (0, 1)]
+    return specs + random_specs(40, (16, 32, 64), seed=39, max_K=20)
+
+
+def test_subset_scl_golden_corpus():
+    digest = hashlib.sha256()
+    for spec in subset_scl_corpus():
+        for threads in (1, 2):
+            out = enumerate_subset_scl(spec, threads=threads)
+            digest.update(f"{spec.A};{threads};{out.max_list_used};{out.warning};".encode())
+            digest.update(out.vectors.tobytes())
+    assert digest.hexdigest() == GOLDEN_SUBSET_SCL
