@@ -298,7 +298,10 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     d_m = report.d_m
     triggers = list(report.a_m)[:max_triggers]
     ones = [1] * N
-    members, full_counts = _weight_filtered_leaves(spec, triggers, max_members)
+    # one walk: over every trigger when the exact count is wanted
+    exact_wanted = report.total <= exact_limit
+    walked = report.a_m if exact_wanted else triggers
+    members, full_counts = _weight_filtered_leaves(spec, walked, max_members)
     retraced = {i: sc_retrace(ones, spec, {i}) for i in triggers}
     # one SC replay of every sampled member, then of every retraced path, all
     # in one list-engine run (L = 1, every decision pinned): per path its
@@ -313,7 +316,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
         rds, zeros = (tuple((np.flatnonzero(x) + 1).tolist()) for x in (charged, llr[0] == 0))
         replays.append((i, pm[0], rds, zeros))
     replays, retrace_replays = replays[: -len(triggers)], replays[-len(triggers) :]
-    n_members = sum(len(v) for v in members.values())
+    n_members = sum(len(members[i]) for i in triggers)
     scope = f"{len(triggers)} triggers, {n_members} members"
 
     # Tail decomposition: parts tile [i+1, N] contiguously with power-of-two
@@ -424,12 +427,8 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
         if full_counts[i] > per_subset_bound(i, spec):
             ok = False
     exact = None
-    if report.total <= exact_limit:
-        # the walk over every trigger has already run unless triggers were capped
-        if len(triggers) == len(report.a_m):
-            exact = sum(full_counts.values())
-        else:
-            exact = enumerate_zero_split(spec).count
+    if exact_wanted:
+        exact = sum(full_counts.values())
         if exact > report.total:
             ok = False
         detail = f"exact={exact} bound={report.total}"

@@ -2,12 +2,14 @@
 
 One lockstep numpy engine decodes B LLR vectors at once, each with a list
 of up to L paths (lanes); the lane axis grows to min(L, 2 * width) at each
-information bit.  Path state is copied lazily (Tal & Vardy, "List decoding
-of polar codes"): each stage buffer is read through a lane -> row map that
-a prune composes with the kept lanes' parents, and a parent stage's rows
-are gathered only when a child stage is recomputed.  Each information bit
-stores every lane's parent lane and bit; decisions, and on request the
-decoding LLR of every leaf, are traced back at the end.
+information bit.  It runs on _Stages, the package's one numpy SC stage
+engine, which mhw's zero-split walk shares.  Path state is copied lazily
+(Tal & Vardy, "List decoding of polar codes"): each stage buffer is read
+through a lane -> row map that a change of lanes composes with their
+parents, and a parent stage's rows are gathered only when a child stage is
+recomputed.  Each change of lanes stores every lane's parent, each leaf its
+nonzero bits; decisions, and on request the decoding LLR of every leaf,
+are traced back at the end.
 
 Each decode may pin its own decision prefix.  While all prefixes have one
 length no lane is dead.  Otherwise decodes that start splitting at
@@ -66,6 +68,100 @@ class SearchDiagnostics:
     min_discarded_pm: object = None
 
 
+class _Stages:
+    """The SC stage buffers of B decodes of `width` lanes each, run leaf by
+    leaf like sctree._TreeState (leaf, then commit) for every lane at once;
+    select() between the two replaces the lanes by copies of given parents.
+
+    Lane j of decode b reads row map[b * w + j] of alpha[s] (map amap[s]) or
+    beta_left[s] (bmap[s]) viewed as (B * w, size), w being the lane count
+    the buffer was written at; None is the identity.  A (B, 1, size) buffer,
+    such as the channel LLRs in alpha[n] and every stage computed from them
+    alone, is shared by all lanes.
+    """
+
+    def __init__(self, llrs):
+        B, N = llrs.shape
+        self.B, self.N, self.n = B, N, N.bit_length() - 1
+        self.width = 1
+        self.frame = np.arange(B)[:, None]
+        self.alpha = [None] * self.n + [llrs[:, None, :]]
+        self.amap = [None] * (self.n + 1)
+        self.beta_left, self.bmap = [None] * self.n, [None] * self.n
+        self.parents, self.bits = {}, {}
+
+    def _rows(self, buf, rowmap):
+        if rowmap is None or buf.shape[1] == 1:
+            return buf
+        return buf.reshape(-1, buf.shape[2]).take(rowmap, axis=0).reshape(self.B, -1, buf.shape[2])
+
+    def leaf(self, phi):
+        """The (B, width) decoding LLRs of leaf phi, or (B, 1) while shared."""
+        alpha, amap = self.alpha, self.amap
+        if phi == 0:
+            s = self.n
+        else:
+            s = (phi & -phi).bit_length() - 1
+            parent = self._rows(alpha[s + 1], amap[s + 1])
+            half = 1 << s
+            a, b = parent[..., :half], parent[..., half:]
+            alpha[s] = np.where(self._rows(self.beta_left[s], self.bmap[s]) == 1, b - a, b + a)
+            amap[s] = None
+        while s > 0:
+            parent = alpha[s]
+            half = 1 << (s - 1)
+            a, b = parent[..., :half], parent[..., half:]
+            alpha[s - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+            amap[s - 1] = None
+            s -= 1
+        return alpha[0][..., 0]
+
+    def select(self, phi, lane):
+        """Make the (B, m) array of parent lanes the new lanes at leaf phi."""
+        self.parents[phi] = lane.astype(np.min_scalar_type(self.width - 1))
+        src = (lane + self.frame * self.width).ravel()
+        self.width = lane.shape[1]
+        # only stages still to be read need their maps moved: alpha[t] feeds
+        # a pending g iff the path is in the left half at stage t, beta_left[t]
+        # awaits its right sibling iff bit t of phi is set
+        for t in range(1, self.n):
+            if (phi >> (t - 1)) & 1 == 0:
+                self.amap[t] = src if self.amap[t] is None else self.amap[t][src]
+        for t in range(self.n):
+            if (phi >> t) & 1:
+                self.bmap[t] = src if self.bmap[t] is None else self.bmap[t][src]
+
+    def commit(self, phi, bit):
+        """Decide the (B, width) uint8 bits at leaf phi: the partial sums."""
+        if np.count_nonzero(bit):
+            self.bits[phi] = bit
+        if phi == self.N - 1:
+            return  # the last leaf completes only the root, which nothing reads
+        cur = bit[:, :, None]
+        s = 0
+        while (phi >> s) & 1:
+            cur = np.concatenate([self._rows(self.beta_left[s], self.bmap[s]) ^ cur, cur], axis=2)
+            s += 1
+        self.beta_left[s], self.bmap[s] = cur, None
+
+    def trace(self, lanes, recorded=None):
+        """The (B, m, N) decisions of the (B, m) final lanes picked, read back
+        through every select's parent lanes and every nonzero committed bit
+        array, and, given every leaf's LLRs as leaf() returned them, their
+        leaf LLRs (else None)."""
+        frame = self.frame
+        decisions = np.zeros(lanes.shape + (self.N,), dtype=np.uint8)
+        llr = None if recorded is None else np.empty(decisions.shape, dtype=recorded[0].dtype)
+        for phi in reversed(range(self.N)):
+            if phi in self.bits:
+                decisions[..., phi] = self.bits[phi][frame, lanes]
+            if phi in self.parents:
+                lanes = self.parents[phi][frame, lanes]
+            if llr is not None:
+                llr[..., phi] = recorded[phi][frame, lanes]
+        return decisions, llr
+
+
 def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
     """List-decode the rows of a (B, N) LLR array, the first ends[b]
     decisions of row b pinned to prefix[b], a (B, P) 0/1 array that is 0
@@ -82,7 +178,6 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
     if L < 1:
         raise ValueError(f"list size L={L} must be >= 1")
     B, N = llrs.shape
-    n = N.bit_length() - 1
     if prefix is None:
         prefix, ends = np.zeros((B, 0), dtype=np.uint8), np.zeros(B, dtype=np.intp)
     P = prefix.shape[1]
@@ -97,43 +192,13 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
     def layout(pair):
         return np.concatenate([x[grow] for x in pair], axis).reshape(B, -1)
 
-    # lane j of decode b reads row map[b * width + j] of alpha[s] (map
-    # amap[s]) or beta_left[s] (bmap[s]) viewed as (B * width, size), width
-    # being the lane count the buffer was written at; None is the identity.
-    # A (B, 1, size) buffer, such as the channel LLRs in alpha[n] and every
-    # stage computed from them alone, is shared by all lanes.
-    alpha = [None] * n + [llrs[:, None, :]]
-    amap = [None] * (n + 1)
-    beta_left, bmap = [None] * n, [None] * n
+    stages = _Stages(llrs)
     pm = np.zeros((B, 1), dtype=np.int64 if llrs.dtype.kind == "i" else llrs.dtype)
-    # per information bit, each lane's parent lane and bit; per position,
-    # each lane's leaf LLR
-    parents, bits, recorded = [], [], []
+    recorded = [] if leaves else None  # per position, each lane's leaf LLR
     discarded, low = 0, None
 
-    def rows(buf, rowmap):
-        if rowmap is None or buf.shape[1] == 1:
-            return buf
-        return buf.reshape(-1, buf.shape[2]).take(rowmap, axis=0).reshape(B, -1, buf.shape[2])
-
     for phi in range(N):
-        if phi == 0:
-            s = n
-        else:
-            s = (phi & -phi).bit_length() - 1
-            parent = rows(alpha[s + 1], amap[s + 1])
-            half = 1 << s
-            a, b = parent[..., :half], parent[..., half:]
-            alpha[s] = np.where(rows(beta_left[s], bmap[s]) == 1, b - a, b + a)
-            amap[s] = None
-        while s > 0:
-            parent = alpha[s]
-            half = 1 << (s - 1)
-            a, b = parent[..., :half], parent[..., half:]
-            alpha[s - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-            amap[s - 1] = None
-            s -= 1
-        leaf = alpha[0][..., 0]  # (B, width), or (B, 1) while still shared
+        leaf = stages.leaf(phi)  # (B, width), or (B, 1) while still shared
         width = pm.shape[1]
         if leaves:
             recorded.append(np.broadcast_to(leaf, (B, width)))
@@ -187,45 +252,10 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
             lane, bit = np.divmod(order, 2) if prefix_order else np.divmod(order, width)[::-1]
             pm = cand[frame, order]
             bit = bit.astype(np.uint8)
-            parents.append(lane.astype(np.min_scalar_type(L - 1)))
-            bits.append(bit)
-            src = (lane + frame * width).ravel()
-            # only stages still to be read need their maps moved: alpha[t]
-            # feeds a pending g iff the path is in the left half at stage t,
-            # beta_left[t] awaits its right sibling iff bit t of phi is set
-            for t in range(1, n):
-                if (phi >> (t - 1)) & 1 == 0:
-                    amap[t] = src if amap[t] is None else amap[t][src]
-            for t in range(n):
-                if (phi >> t) & 1:
-                    bmap[t] = src if bmap[t] is None else bmap[t][src]
+            stages.select(phi, lane)
+        stages.commit(phi, bit)
 
-        cur = bit[:, :, None]
-        node = phi
-        s = 0
-        while node & 1:
-            cur = np.concatenate([rows(beta_left[s], bmap[s]) ^ cur, cur], axis=2)
-            node >>= 1
-            s += 1
-        if s < n:
-            beta_left[s] = cur
-            bmap[s] = None
-
-    def trace(lanes):
-        decisions = np.zeros(lanes.shape + (N,), dtype=np.uint8)
-        decisions[..., :P] = prefix[:, None]
-        llr = np.empty(decisions.shape, dtype=llrs.dtype) if leaves else None
-        k = len(bits)
-        for phi in reversed(range(N)):
-            if split[phi]:
-                k -= 1
-                decisions[..., phi] = bits[k][frame, lanes]
-                lanes = parents[k][frame, lanes]
-            if leaves:
-                llr[..., phi] = recorded[phi][frame, lanes]
-        return decisions, llr
-
-    return pm, live, trace, discarded, low
+    return pm, live, lambda lanes: stages.trace(lanes, recorded), discarded, low
 
 
 def _exact_input(input_llrs, N):

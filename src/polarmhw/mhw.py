@@ -5,10 +5,11 @@
   information position j after i, a constrained list search pinned to the
   prefix 1-at-i, 1-at-j recovers the subset U(i, j); list sizes shrink
   geometrically along j, and the searches of one list size run together.
-* enumerate_zero_split: one lockstep numpy walk over all rows i at once
-  that follows hard decisions, forks at exactly-zero information LLRs, and
-  abandons a branch when a frozen position sees a negative LLR; one batched
-  polar transform then keeps the leaves of weight d_m.  No metrics.
+* enumerate_zero_split: one lockstep walk over all rows i at once, on the
+  list decoder's stage engine, that follows hard decisions, forks at
+  exactly-zero information LLRs, and abandons a branch when a frozen
+  position sees a negative LLR; one batched polar transform then keeps the
+  leaves of weight d_m.  No metrics.
 * scl_global_search: one wide unconstrained list search on the all-ones
   input; the minimum-weight survivors are the answer when the list is wider
   than the counting bound.
@@ -28,8 +29,7 @@ import numpy as np
 from polarmhw.bitops import encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count, zero_capacity_set
 from polarmhw.construction import CodeSpec
-from polarmhw.listdec import _search
-from polarmhw.sctree import sc_retrace
+from polarmhw.listdec import _Stages, _search
 
 __all__ = [
     "MhwResult",
@@ -156,19 +156,20 @@ def _pair_prefix(i, j):
     return prefix
 
 
-def _search_group(spec, pairs, L, d_m, trigger_pms):
+def _search_group(spec, pairs, L, d_m):
     """The constrained searches of the (i, j) pairs at list width L, in one
     engine run: per pair, (vectors, note).  A discarded candidate that still
     carried the bare trigger metric may have been on a valid trajectory; in
     that case rerun the pair at full width and report whether the schedule
-    truly lost anything."""
+    truly lost anything.  That metric is d_m: before trigger i the SC path is
+    all-zero, so reversing i costs the leaf LLR 2**popcount(i - 1) = d_m."""
     ones = [1] * spec.N
     searches = _search(ones, spec, L, [_pair_prefix(i, j) for i, j in pairs])
     out = []
     for (i, j), (paths, _, _, diag) in zip(pairs, searches):
         found = _min_weight(paths, d_m)
         note = None
-        if diag.min_discarded_pm is not None and diag.min_discarded_pm <= trigger_pms[i]:
+        if diag.min_discarded_pm is not None and diag.min_discarded_pm <= d_m:
             overlap = len(zero_capacity_set(i, spec.N) & set(spec.A))
             refound = _search(ones, spec, 1 << overlap, [_pair_prefix(i, j)])[0][0]
             refound = _min_weight(refound, d_m)
@@ -191,11 +192,9 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
     `threads` workers share those calls.  A vector found under two triggers
     breaks the partition law and aborts."""
     d_m, a_m = min_distance(spec)
-    pairs, groups, trigger_pms = [], {}, {}
+    pairs, groups = [], {}
     for i in a_m:
         splits = sorted(zero_capacity_set(i, spec.N) & set(spec.A))
-        if splits:
-            trigger_pms[i] = sc_retrace([1] * spec.N, spec, {i}).pm
         for cnt, j in enumerate(splits, start=1):
             pairs.append((i, j))
             groups.setdefault(1 << (len(splits) - cnt), []).append((i, j))
@@ -206,7 +205,7 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
     found = {}
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         outs = (pool.map if pool else map)(
-            lambda L: _search_group(spec, groups[L], L, d_m, trigger_pms), groups
+            lambda L: _search_group(spec, groups[L], L, d_m), groups
         )
         for group, out in zip(groups.values(), outs):
             for pair, (rows, note) in zip(group, out):
@@ -224,88 +223,58 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
 def _zero_split_walk(spec, triggers):
     """Walk the SC tree of the all-ones input from every trigger at once.
 
-    One integer-valued copy of the SC stage LLRs per live branch, all
+    One lane per live branch on the list engine's stage buffers, all
     branches advancing in lockstep over the leaves.  Until a trigger i, the
     all-zero path (owner -1) serves every trigger still to come; at i it
-    forks off a row with bit 1 owned by i.  Past its trigger a row forks at an
-    information bit whose LLR is exactly 0 (the copy takes bit 1) and dies at
-    a frozen bit whose LLR is negative; elsewhere it follows the hard
+    forks off a lane with bit 1 owned by i.  Past its trigger a lane forks at
+    an information bit whose LLR is exactly 0 (the copy takes bit 1) and dies
+    at a frozen bit whose LLR is negative; elsewhere it follows the hard
     decision.  The all-zero path is dropped after the last trigger.
 
-    Returns (decisions, owner, branch_positions, kills): a (rows, N) uint8
-    decision matrix of the surviving branches, the index into `triggers` of
-    each row, and per trigger the set of fork positions and the number of
-    killed branches.
+    Returns (decisions, branch_positions, kills): a (rows, N) uint8 decision
+    matrix of the surviving branches, and per trigger the set of fork
+    positions and the number of killed branches.
     """
     N = spec.N
-    n = N.bit_length() - 1
     branch_positions = [set() for _ in triggers]
     kills = [0] * len(triggers)
     if not triggers:
-        return np.zeros((0, N), dtype=np.uint8), np.zeros(0, dtype=np.intp), branch_positions, kills
-    info = np.zeros(N, dtype=bool)
-    info[[a - 1 for a in spec.A]] = True
+        return np.zeros((0, N), dtype=np.uint8), branch_positions, kills
+    info = spec.info_mask
     starts = {i - 1: k for k, i in enumerate(triggers)}
     last = max(starts)
-
     # LLR magnitudes at stage t are at most 2**(n - t) <= N, so the smallest
-    # signed type that holds -2N is exact.  A buffer with one row holds the
-    # same values for every row (the channel input always; other stages while
-    # only one row exists) and is broadcast, never gathered.  The partial sums
-    # a g update needs are re-encoded from the decisions of its left sibling.
-    alpha = [None] * n + [np.ones((1, N), dtype=np.min_scalar_type(-2 * N))]
-    decisions = np.zeros((1, N), dtype=np.uint8)
+    # signed type that holds -2N is exact
+    stages = _Stages(np.ones((1, N), dtype=np.min_scalar_type(-2 * N)))
     owner = np.array([-1], dtype=np.intp)
+    no_fork = np.zeros(0, dtype=np.intp)
 
     for phi in range(N):
-        if phi == 0:
-            s = n
-        else:
-            s = (phi & -phi).bit_length() - 1
-            half = 1 << s
-            a, b = alpha[s + 1][:, :half], alpha[s + 1][:, half:]
-            alpha[s] = np.where(encode_rows(decisions[:, phi - half : phi]) == 1, b - a, b + a)
-        while s > 0:
-            half = 1 << (s - 1)
-            a, b = alpha[s][:, :half], alpha[s][:, half:]
-            alpha[s - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-            s -= 1
-        leaf = alpha[0][:, 0]  # one per row, or a single shared value
+        leaf = stages.leaf(phi)[0]  # one per lane, or a single shared value
         walking = owner >= 0
-        # the hard decision; at a frozen bit a 1 marks exactly the dead rows
+        # the hard decision; at a frozen bit a 1 marks exactly the dead lanes
         bit = (walking & (leaf < 0)).astype(np.uint8)
-        alive = np.ones(len(owner), dtype=bool)
-        fork = np.zeros(0, dtype=np.intp)
-        if info[phi]:
-            fork = np.flatnonzero(walking & (leaf == 0))
-            for k in set(owner[fork].tolist()):
-                branch_positions[k].add(phi + 1)
-        else:
-            alive = bit == 0
-            for k in owner[~alive].tolist():
-                kills[k] += 1
+        fork = np.flatnonzero(walking & (leaf == 0)) if info[phi] else no_fork
+        alive = (bit == 0) | info[phi]
+        for k in set(owner[fork].tolist()):
+            branch_positions[k].add(phi + 1)
+        for k in owner[~alive].tolist():
+            kills[k] += 1
         if phi == last:
             alive &= walking
-        # rows after this leaf: the live rows, the bit-1 copies of the forked
-        # rows, then the bit-1 copy of the all-zero path for a trigger here
+        # lanes after this leaf: the live ones, bit-1 copies of the forked
+        # ones, then the bit-1 copy of the all-zero path for a trigger here
         start = [np.flatnonzero(~walking)] if phi in starts else []
         if len(fork) or start or not alive.all():
             live = np.flatnonzero(alive)
-            rows = np.concatenate([live, fork] + start)
-            owner = owner[rows]
+            lanes = np.concatenate([live, fork] + start)
+            owner = owner[lanes]
             if start:
                 owner[-1] = starts[phi]
-            bit = np.concatenate([bit[live], np.ones(len(rows) - len(live), dtype=np.uint8)])
-            decisions = decisions[rows]
-            # only stages still to be read move: alpha[t] feeds a pending g
-            # iff bit t - 1 of phi is 0
-            for t in range(1, n):
-                if (phi >> (t - 1)) & 1 == 0 and len(alpha[t]) > 1:
-                    alpha[t] = alpha[t][rows]
-            if not len(owner):
-                break
-        decisions[:, phi] = bit
-    return decisions, owner, branch_positions, kills
+            bit = np.concatenate([bit[live], np.ones(len(lanes) - len(live), dtype=np.uint8)])
+            stages.select(phi, lanes[None])
+        stages.commit(phi, bit[None])
+    return stages.trace(np.arange(len(owner))[None])[0][0], branch_positions, kills
 
 
 def zero_split_subset(spec, i: int):
@@ -316,7 +285,7 @@ def zero_split_subset(spec, i: int):
     zero information LLR forked the walk, and how many branches died at a
     negative frozen LLR.
     """
-    decisions, _, branch_positions, kills = _zero_split_walk(spec, (i,))
+    decisions, branch_positions, kills = _zero_split_walk(spec, (i,))
     return _sorted_rows(decisions), branch_positions[0], kills[0]
 
 

@@ -13,12 +13,13 @@ The decoder works in two scalar modes, selected by the input LLR types:
 
 One tree state (per-stage LLR buffers and pending left partial sums) runs
 the schedule leaf by leaf; SC decoding, retrace and replay differ only in the
-decision they commit at each leaf.  The list decoders in listdec run the same
-f, g and penalty arithmetic on numpy arrays.  The engine records the decoding
-LLR of every leaf and, on request, the LLR and partial-sum vectors of every
-node, keyed by (stage, node index): stage lambda means node size 2**lambda,
-node index is 1-based left to right, so the root is (n, 1) and leaf p is
-(0, p).
+decision they commit at each leaf.  The numpy stage engine of listdec, which
+its list decoder and mhw's zero-split walk share, runs the same f and g
+arithmetic on every lane at once; the tests check it against this one.
+This engine records the decoding LLR of every leaf and, on request, the LLR
+and partial-sum vectors of every node, keyed by (stage, node index): stage
+lambda means node size 2**lambda, node index is 1-based left to right, so
+the root is (n, 1) and leaf p is (0, p).
 """
 
 from __future__ import annotations

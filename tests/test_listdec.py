@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 
@@ -8,9 +9,9 @@ from conftest import brute_force_minimum_weight, first_one, random_specs
 
 from polarmhw.bitops import encode, generator_row, min_distance
 from polarmhw.construction import CodeSpec, construct_ga, construct_pw, design_sigma
-from polarmhw.listdec import SearchDiagnostics, _search, scl_decode, scl_decode_batch
+from polarmhw.listdec import SearchDiagnostics, _search, _Stages, scl_decode, scl_decode_batch
 from polarmhw.mhw import enumerate_zero_split
-from polarmhw.sctree import sc_decode, sc_replay, sc_retrace
+from polarmhw.sctree import _TreeState, sc_decode, sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
 
@@ -206,6 +207,60 @@ def test_batched_searches_match_one_at_a_time():
             assert pm.tolist() == alone[1].tolist()
             assert llr.tolist() == alone[2].tolist()
             assert repr(diagnostics) == repr(alone[3])
+
+
+# ---- the shared stage buffers ----
+
+
+def random_llrs(rng, dtype, B, N):
+    if dtype is np.int16:
+        return rng.integers(-8, 9, size=(B, N)).astype(np.int16)
+    if dtype is np.float64:
+        return rng.normal(0.5, 2.0, size=(B, N))
+    # Python ints past the int64 range mixed with dyadic floats
+    values = [x * 10**20 if x % 2 else x / 4 for x in rng.integers(-8, 9, size=B * N).tolist()]
+    return np.array(values, dtype=object).reshape(B, N)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float64, object], ids=lambda d: np.dtype(d).name)
+def test_stage_buffers_match_the_scalar_tree_under_random_lane_maps(dtype):
+    # the list engine and the zero-split walk both run on _Stages: every
+    # lane's leaves, decisions and recorded leaf LLRs must equal the scalar
+    # tree's along that lane's path, whatever the lane maps do (repeat lanes,
+    # drop lanes, shrink to one lane as a kill does, grow from the shared
+    # one-row buffers)
+    rng = np.random.default_rng(88)
+    for _ in range(60):
+        N, B = int(rng.choice((2, 4, 8, 16, 32, 64))), int(rng.integers(1, 4))
+        llrs = random_llrs(rng, dtype, B, N)
+        stages = _Stages(llrs)
+        trees = [[_TreeState(row.tolist(), N.bit_length() - 1)] for row in llrs]
+        paths = [[([], [])] for _ in range(B)]  # per lane, (decisions, leaves)
+        recorded = []
+        for phi in range(N):
+            width = len(trees[0])
+            leaf = np.broadcast_to(stages.leaf(phi), (B, width))
+            recorded.append(leaf)
+            assert leaf.tolist() == [[t.leaf_llr(phi) for t in row] for row in trees]
+            for row, values in zip(paths, leaf.tolist()):
+                for (_, leaves), value in zip(row, values):
+                    leaves.append(value)
+            if rng.random() < 0.4:
+                m = int(rng.choice((1, 1, width, min(2 * width, 16), 8)))
+                lane = rng.integers(0, width, size=(B, m))
+                stages.select(phi, lane)
+                trees = [[copy.deepcopy(row[j]) for j in js] for row, js in zip(trees, lane)]
+                paths = [[copy.deepcopy(row[j]) for j in js] for row, js in zip(paths, lane)]
+            bit = rng.integers(0, 2, size=(B, len(trees[0]))).astype(np.uint8)
+            stages.commit(phi, bit)
+            for row, path, bits in zip(trees, paths, bit.tolist()):
+                for t, (decisions, _), b in zip(row, path, bits):
+                    t.commit(phi, b)
+                    decisions.append(b)
+        width = len(trees[0])
+        decisions, leaves = stages.trace(np.broadcast_to(np.arange(width), (B, width)), recorded)
+        assert decisions.tolist() == [[d for d, _ in row] for row in paths]
+        assert leaves.tolist() == [[v for _, v in row] for row in paths]
 
 
 # ---- ranking and diagnostics ----

@@ -79,8 +79,7 @@ def test_grouped_subset_search_examples():
     # prefix 1-at-i, 1-at-j; every pair gets the vectors whose first two
     # ones sit at i and j
     pairs = [(4, 6), (4, 8), (7, 8)]
-    trigger_pms = {i: sc_retrace([1] * 8, SPEC8, {i}).pm for i in (4, 7)}
-    (four, note), (one, _), (last, _) = _search_group(SPEC8, pairs, 4, 4, trigger_pms)
+    (four, note), (one, _), (last, _) = _search_group(SPEC8, pairs, 4, 4)
     expected = {u for u in brute_force_minimum_weight(SPEC8)[1] if u[3] and u[5]}
     assert vector_set(four) == expected
     assert note is None
@@ -89,10 +88,31 @@ def test_grouped_subset_search_examples():
     assert last.tolist() == [[0, 0, 0, 0, 0, 0, 1, 1]]
     # width 1 discards a candidate at the trigger metric, so (4, 6) reruns at
     # full width, returns the same rows and says what the schedule lost
-    narrow = _search_group(SPEC8, pairs, 1, 4, trigger_pms)
+    narrow = _search_group(SPEC8, pairs, 1, 4)
     assert vector_set(narrow[0][0]) == expected
     assert narrow[0][1] == "list size 1 for trigger 4, split 6 lost 3 vectors; recovered at width 8"
     assert [out[0].tolist() for out in narrow[1:]] == [one.tolist(), last.tolist()]
+
+
+def test_trigger_metric_is_the_minimum_distance():
+    # _search_group compares discards against d_m: reversing trigger i on the
+    # all-ones input costs d_m, as the scalar retrace computes it
+    specs = [
+        construct_pw(N, K)
+        for N in (8, 16, 32, 64, 128, 256)
+        for K in range(max(1, N // 16), N + 1, max(1, N // 16))
+    ]
+    specs += [
+        construct_ga(N, K, 2.0) for N in (64, 128, 256) for K in range(N // 16, N + 1, N // 16)
+    ]
+    specs += random_specs(300, (8, 16, 32, 64), seed=8, max_K=64)
+    triggers = 0
+    for spec in specs:
+        d_m, a_m = min_distance(spec)
+        for i in a_m:
+            assert sc_retrace([1] * spec.N, spec, {i}).pm == d_m, (spec.A, i)
+            triggers += 1
+    assert triggers > 1000
 
 
 def test_subset_scl_enumeration_length_eight():
