@@ -3,13 +3,10 @@
 __version__ = "0.1.0"
 
 from polarmhw.bitops import (
-    binary_expansion,
     encode,
     generator_row,
     min_distance,
     positions_of,
-    row_prefix,
-    zero_digit_prefix_sum,
 )
 from polarmhw.bound import (
     BoundReport,

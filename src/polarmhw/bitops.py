@@ -20,48 +20,20 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "binary_expansion",
     "positions_of",
-    "zero_digit_prefix_sum",
     "generator_row",
-    "row_prefix",
     "encode",
     "encode_rows",
     "min_distance",
 ]
 
 
-# ---- expansions and index sets ----
-
-
-def binary_expansion(i: int, n: int) -> list[int]:
-    """LSB-first binary digits of i, padded to length n."""
-    if n < 1:
-        raise ValueError(f"need at least one digit, got n={n}")
-    if not 0 <= i < (1 << n):
-        raise ValueError(f"{i} is not representable in {n} binary digits")
-    return [(i >> j) & 1 for j in range(n)]
+# ---- index sets ----
 
 
 def positions_of(symbol: int, x) -> tuple[int, ...]:
     """Ascending 1-based positions where the bit vector x equals symbol."""
     return tuple(p for p, v in enumerate(x, start=1) if v == symbol)
-
-
-def zero_digit_prefix_sum(i: int, n: int, x: int) -> int:
-    """Sum of 2**(p-1) over the first x zero-digit positions p of i - 1.
-
-    The zero digits of the expansion of i - 1 mark the stages at which the
-    tail [i+1, 2**n] splits into complete subtrees; the partial sum over the
-    x lowest of them is the total span of the first x subtrees.  Summing over
-    all zero digits spans the whole tail: the result is then 2**n - i.
-    """
-    if n < 1 or not 1 <= i <= (1 << n) - 1:
-        raise ValueError(f"index i={i} must lie in [1, 2^{n} - 1]")
-    zeros = positions_of(0, binary_expansion(i - 1, n))
-    if not 1 <= x <= len(zeros):
-        raise ValueError(f"x={x} out of range; i-1={i - 1} has {len(zeros)} zero digits")
-    return sum(1 << (p - 1) for p in zeros[:x])
 
 
 # ---- generator rows and encoding ----
@@ -82,21 +54,6 @@ def generator_row(i: int, N: int) -> list[int]:
         raise ValueError(f"row index i={i} out of range [1, {N}]")
     mask = i - 1
     return [1 if (c & ~mask) == 0 else 0 for c in range(N)]
-
-
-def row_prefix(i: int, lam: int, N: int) -> list[int]:
-    """First 2**lam entries of row i of G_N.
-
-    Only the low lam digits of i - 1 matter: the prefix weight is
-    2**popcount((i-1) mod 2**lam), a fixed fraction of the full row weight.
-    """
-    n = _check_length(N)
-    if not 1 <= i <= N:
-        raise ValueError(f"row index i={i} out of range [1, {N}]")
-    if not 0 <= lam <= n:
-        raise ValueError(f"stage lam={lam} out of range [0, {n}]")
-    mask = (i - 1) & ((1 << lam) - 1)
-    return [1 if (c & ~mask) == 0 else 0 for c in range(1 << lam)]
 
 
 def encode(u, N: int | None = None) -> list[int]:

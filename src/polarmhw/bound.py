@@ -21,15 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from polarmhw.bitops import (
-    _check_length,
-    binary_expansion,
-    encode,
-    min_distance,
-    positions_of,
-    row_prefix,
-    zero_digit_prefix_sum,
-)
+from polarmhw.bitops import _check_length, encode, min_distance
 
 __all__ = [
     "Part",
@@ -90,57 +82,38 @@ class BoundReport:
         return tuple(t.i for t in self.triggers)
 
 
-# ---- tail decomposition ----
+# ---- tail decomposition and zero-capacity sets ----
+
+
+def _tail(i: int, n: int):
+    """(start, lam) of each part of the tail of i, in ascending order: walking
+    the digits of i - 1 from the least significant, a zero digit at stage lam
+    adds a part of 2**lam positions right after the previous one."""
+    r = i - 1
+    start = i + 1
+    for lam in range(n):
+        if not (r >> lam) & 1:
+            yield start, lam
+            start += 1 << lam
 
 
 def decompose(i: int, n: int) -> Decomposition:
-    """Split [i+1, 2**n] into complete subtrees, one per zero digit of i - 1.
-
-    The k-th zero digit (1-based position p_k in the LSB-first expansion)
-    contributes a subtree of stage lam = p_k - 1; subtree spans are the
-    partial sums of 2**lam, so the parts tile the tail in ascending order.
-    i = 2**n has an empty tail and an empty decomposition.
+    """Split [i+1, 2**n] into complete subtrees, one per zero digit of i - 1,
+    tiling the tail in ascending order.  i = 2**n has no zero digit below n,
+    hence an empty tail and an empty decomposition.
     """
     if n < 1 or not 1 <= i <= (1 << n):
         raise ValueError(f"index i={i} must lie in [1, 2^{n}]")
-    if i == (1 << n):
-        return Decomposition(i, n, ())
-    zeros = positions_of(0, binary_expansion(i - 1, n))
     parts = []
-    prev = 0
-    for k, p in enumerate(zeros, start=1):
-        lam = p - 1
-        gamma = zero_digit_prefix_sum(i, n, k)
-        start, end = i + 1 + prev, i + gamma
-        parts.append(Part(k, start, end, lam, end >> lam))
-        prev = gamma
+    for start, lam in _tail(i, n):
+        end = start + (1 << lam) - 1
+        parts.append(Part(len(parts) + 1, start, end, lam, end >> lam))
     return Decomposition(i, n, tuple(parts))
-
-
-def zero_capacity_set(i: int, N: int) -> frozenset[int]:
-    """Positions after i whose decoding LLR is pinned to zero once a
-    trajectory puts its first 1 at i (noiseless all-ones input).
-
-    Within each part, these sit at the offsets where the length-2**lam
-    prefix of generator row i is 1.
-    """
-    n = _check_length(N)
-    if not 1 <= i <= N:
-        raise ValueError(f"index i={i} out of range [1, {N}]")
-    out = []
-    for part in decompose(i, n).parts:
-        prefix = row_prefix(i, part.lam, N)
-        base = part.start - 1
-        out.extend(base + h for h in positions_of(1, prefix))
-    return frozenset(out)
-
-
-# ---- fast membership counting ----
 
 
 @lru_cache(maxsize=4096)
 def _subset_values(mask: int) -> np.ndarray:
-    """All submasks of `mask` as an int64 array (unordered)."""
+    """All submasks of `mask` as an ascending int64 array."""
     arr = np.zeros(1, dtype=np.int64)
     m = mask
     while m:
@@ -150,26 +123,34 @@ def _subset_values(mask: int) -> np.ndarray:
     return arr
 
 
-def _overlap(i: int, n: int, info_mask: np.ndarray, want_members: bool):
-    """|zero_capacity_set(i) & A| via the one-extra-bit form: the members are
-    exactly the e with e-1 = (high bits of i-1 above t) | 2**t | s for some
-    unset bit t of i-1 and submask s of its bits below t."""
+def _zero_capacity(i: int, n: int) -> np.ndarray:
+    """Ascending 0-based indices of the zero-capacity positions of i.
+
+    Within each part, these are the offsets covered by the low lam digits of
+    i - 1, where the length-2**lam prefix of generator row i is 1
+    (equivalently: the e > i whose e - 1 has exactly one digit that i - 1
+    lacks).  The parts are read off the digit walk directly: building Part
+    objects would cost more than the rest of the bound.
+    """
     r = i - 1
-    count = 0
-    chunks = [] if want_members else None
-    for t in range(n):
-        if (r >> t) & 1:
-            continue
-        base = (r & ~((1 << t) - 1)) | (1 << t)
-        cand = base | _subset_values(r & ((1 << t) - 1))
-        hits = info_mask[cand]
-        count += int(hits.sum())
-        if want_members:
-            chunks.append(cand[hits] + 1)
-    if want_members:
-        members = np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
-        return count, tuple(int(e) for e in members)
-    return count, None
+    chunks = [start - 1 + _subset_values(r & ((1 << lam) - 1)) for start, lam in _tail(i, n)]
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+
+def zero_capacity_set(i: int, N: int) -> frozenset[int]:
+    """Positions after i whose decoding LLR is pinned to zero once a
+    trajectory puts its first 1 at i (noiseless all-ones input)."""
+    n = _check_length(N)
+    if not 1 <= i <= N:
+        raise ValueError(f"index i={i} out of range [1, {N}]")
+    return frozenset((_zero_capacity(i, n) + 1).tolist())
+
+
+def _overlap(i: int, n: int, info_mask: np.ndarray, want_members: bool):
+    """|zero_capacity_set(i) & A|, and on request its ascending members."""
+    zc = _zero_capacity(i, n)
+    hits = zc[info_mask[zc]]
+    return len(hits), tuple((hits + 1).tolist()) if want_members else None
 
 
 def bound_count(spec, materialize_sets: bool | None = None) -> BoundReport:

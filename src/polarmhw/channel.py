@@ -192,26 +192,20 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
     return points
 
 
-def render_fer_csv(spec, points, estimates=None, header_lines=()) -> str:
+def render_fer_csv(spec, points, header_lines=()) -> str:
     """CSV text: optional comment lines, a header row, then one row per
-    measured point with both closed-form estimates appended.
-
-    estimates may precompute {ebn0_db: (exact, bound)}; otherwise they are
-    derived here once per point.
-    """
+    measured point with both closed-form estimates appended; the exact count
+    and the bound behind them are derived once, at the first point."""
     rows = [line if line.startswith("#") else f"# {line}" for line in header_lines]
     rows.append("ebn0_db,trials,errors,fer,ci_lo,ci_hi,estimate_exact,estimate_bound")
     exact_count = None
     bound_total = None
     for pt in points:
-        if estimates is not None and pt.ebn0_db in estimates:
-            est_exact, est_bound = estimates[pt.ebn0_db]
-        else:
-            if exact_count is None:
-                exact_count = enumerate_zero_split(spec).count
-                bound_total = bound_count(spec, materialize_sets=False).total
-            est_exact = fer_estimate(spec, pt.ebn0_db, "EXACT", a_dm=exact_count).value
-            est_bound = fer_estimate(spec, pt.ebn0_db, "BOUND", a_dm=bound_total).value
+        if exact_count is None:
+            exact_count = enumerate_zero_split(spec).count
+            bound_total = bound_count(spec, materialize_sets=False).total
+        est_exact = fer_estimate(spec, pt.ebn0_db, "EXACT", a_dm=exact_count).value
+        est_bound = fer_estimate(spec, pt.ebn0_db, "BOUND", a_dm=bound_total).value
         rows.append(
             f"{pt.ebn0_db:g},{pt.trials},{pt.frame_errors},{pt.fer:.6e},"
             f"{pt.ci_lo:.6e},{pt.ci_hi:.6e},{est_exact:.6e},{est_bound:.6e}"

@@ -294,7 +294,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     checks = []
     N = spec.N
     n = N.bit_length() - 1
-    report = bound_count(spec)
+    report = bound_count(spec, materialize_sets=False)
     d_m = report.d_m
     triggers = list(report.a_m)[:max_triggers]
     ones = [1] * N
@@ -524,15 +524,7 @@ def cmd_sweep(args, argv) -> int:
     for K in Ks:
         if not 1 <= K <= N:
             raise UsageError(f"--K-grid value {K} out of [1, {N}]")
-        if args.construction == "ga":
-            ebn0 = (
-                _DEFAULT_DESIGN_EBN0
-                if args.design_ebn0 is None
-                else args.design_ebn0
-            )
-            spec = construct_ga(N, K, ebn0)
-        else:
-            spec = construct_pw(N, K)
+        spec = _build_spec(N, K, None, args.construction, args.design_ebn0)
         report = bound_count(spec, materialize_sets=False)
         exact = (
             enumerate_zero_split(spec, threads=threads).count

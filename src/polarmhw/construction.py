@@ -209,8 +209,10 @@ def design_sigma(ebn0_db: float, rate: float) -> float:
     return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
 
 
-def construct_ga(N: int, K: int, design_ebn0_db: float, design_rate: float = 0.5) -> CodeSpec:
-    order = gaussian_approx_order(N, design_sigma(design_ebn0_db, design_rate))
+def construct_ga(N: int, K: int, design_ebn0_db: float) -> CodeSpec:
+    """The K most reliable channels by Gaussian approximation, designed at
+    design_ebn0_db for rate 1/2 whatever K is."""
+    order = gaussian_approx_order(N, design_sigma(design_ebn0_db, 0.5))
     return CodeSpec(N, order.top(K), f"GA({design_ebn0_db:g}dB)")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from polarmhw.bitops import encode_rows, generator_row, min_distance
-from polarmhw.bound import bound_count, zero_capacity_set
+from polarmhw.bound import bound_count, per_subset_bound
 from polarmhw.construction import CodeSpec
 from polarmhw.listdec import _Stages, _search
 
@@ -170,14 +170,14 @@ def _search_group(spec, pairs, L, d_m):
         found = _min_weight(paths, d_m)
         note = None
         if diag.min_discarded_pm is not None and diag.min_discarded_pm <= d_m:
-            overlap = len(zero_capacity_set(i, spec.N) & set(spec.A))
-            refound = _search(ones, spec, 1 << overlap, [_pair_prefix(i, j)])[0][0]
+            width = per_subset_bound(i, spec)
+            refound = _search(ones, spec, width, [_pair_prefix(i, j)])[0][0]
             refound = _min_weight(refound, d_m)
             old, new = set(map(bytes, found)), set(map(bytes, refound))
             if new != old:
                 note = (
                     f"list size {L} for trigger {i}, split {j} lost "
-                    f"{len(new - old)} vectors; recovered at width {1 << overlap}"
+                    f"{len(new - old)} vectors; recovered at width {width}"
                 )
                 found = refound
         out.append((found, note))
@@ -191,13 +191,13 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
     2**(overlap - cnt).  The searches of one width run as one engine call;
     `threads` workers share those calls.  A vector found under two triggers
     breaks the partition law and aborts."""
-    d_m, a_m = min_distance(spec)
+    report = bound_count(spec, materialize_sets=True)
+    d_m, a_m = report.d_m, report.a_m
     pairs, groups = [], {}
-    for i in a_m:
-        splits = sorted(zero_capacity_set(i, spec.N) & set(spec.A))
-        for cnt, j in enumerate(splits, start=1):
-            pairs.append((i, j))
-            groups.setdefault(1 << (len(splits) - cnt), []).append((i, j))
+    for t in report.triggers:
+        for cnt, j in enumerate(t.members, start=1):
+            pairs.append((t.i, j))
+            groups.setdefault(1 << (t.overlap - cnt), []).append((t.i, j))
     singles = np.zeros((len(a_m), spec.N), dtype=np.uint8)
     singles[np.arange(len(a_m)), np.array(a_m) - 1] = 1
     # every pair's vectors, held bit-packed until all are found, so that only
@@ -333,8 +333,9 @@ _WRITE_ROWS = 128
 
 def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     """Stable text dump: header fields then one lexicographically sorted
-    record per vector (message bits in A order and the full u, hex-packed).
-    header_lines are embedded as comments right after the magic line."""
+    record per vector (message bits in A order and the full u, hex-packed),
+    written batch by batch.  header_lines are embedded as comments right
+    after the magic line."""
     A = sorted(spec.A)
     lines = [_ENUM_MAGIC]
     for extra in header_lines:
@@ -351,18 +352,18 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     if result.warning:
         lines.append(f"# warning: {result.warning}")
     info_cols = [a - 1 for a in A]
-    for start in range(0, result.count, _WRITE_ROWS):
-        u = result.vectors[start : start + _WRITE_ROWS]
-        weights = encode_rows(u).sum(axis=1).tolist()
-        msgs = np.packbits(u[:, info_cols], axis=1, bitorder="little")
-        words = np.packbits(u, axis=1, bitorder="little")
-        for msg, word, w in zip(msgs, words, weights):
-            lines.append(
-                f"msg={int.from_bytes(msg.tobytes(), 'little'):x} "
-                f"u={int.from_bytes(word.tobytes(), 'little'):x} w={w}"
-            )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+        for start in range(0, result.count, _WRITE_ROWS):
+            u = result.vectors[start : start + _WRITE_ROWS]
+            weights = encode_rows(u).sum(axis=1).tolist()
+            msgs = np.packbits(u[:, info_cols], axis=1, bitorder="little")
+            words = np.packbits(u, axis=1, bitorder="little")
+            fh.writelines(
+                f"msg={int.from_bytes(msg.tobytes(), 'little'):x} "
+                f"u={int.from_bytes(word.tobytes(), 'little'):x} w={w}\n"
+                for msg, word, w in zip(msgs, words, weights)
+            )
 
 
 def read_enumeration(path):

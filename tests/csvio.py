@@ -50,10 +50,10 @@ def read_sweep_csv(path):
     return rows
 
 
-def write_fer_csv(path, spec, points, estimates=None, header_lines=()) -> None:
+def write_fer_csv(path, spec, points, header_lines=()) -> None:
     """Write render_fer_csv output to path."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_fer_csv(spec, points, estimates, header_lines))
+        fh.write(render_fer_csv(spec, points, header_lines))
 
 
 def read_fer_csv(path):

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from polarmhw.bitops import (
-    binary_expansion,
     encode,
     encode_rows,
     generator_row,
     min_distance,
     positions_of,
-    row_prefix,
-    zero_digit_prefix_sum,
 )
 
 
@@ -33,29 +30,6 @@ class SpecStub:
         self.A = tuple(A)
 
 
-def test_binary_expansion_examples():
-    assert binary_expansion(0, 3) == [0, 0, 0]
-    assert binary_expansion(1, 3) == [1, 0, 0]
-    assert binary_expansion(5, 3) == [1, 0, 1]
-
-
-def test_binary_expansion_reconstructs_value():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 16)
-        x = rng.randrange(1 << n)
-        digits = binary_expansion(x, n)
-        assert len(digits) == n
-        assert sum(d << j for j, d in enumerate(digits)) == x
-
-
-def test_binary_expansion_range_errors():
-    with pytest.raises(ValueError):
-        binary_expansion(8, 3)
-    with pytest.raises(ValueError):
-        binary_expansion(-1, 3)
-
-
 def test_positions_of_examples():
     x = [1, 1, 0, 1, 0]
     assert positions_of(0, x) == (3, 5)
@@ -71,28 +45,6 @@ def test_positions_partition():
         ones = positions_of(1, x)
         assert sorted(zeros + ones) == list(range(1, len(x) + 1))
         assert not set(zeros) & set(ones)
-
-
-def test_zero_digit_prefix_sum_examples():
-    assert zero_digit_prefix_sum(2, 3, 1) == 2
-    assert zero_digit_prefix_sum(2, 3, 2) == 6
-    assert zero_digit_prefix_sum(7, 3, 1) == 1
-
-
-def test_zero_digit_prefix_sum_full_identity():
-    # summing over every zero digit spans the whole tail [i+1, 2^n]
-    for n in range(1, 11):
-        for i in range(1, (1 << n)):
-            zeros = positions_of(0, binary_expansion(i - 1, n))
-            if zeros:
-                assert zero_digit_prefix_sum(i, n, len(zeros)) == (1 << n) - i
-
-
-def test_zero_digit_prefix_sum_errors():
-    with pytest.raises(ValueError):
-        zero_digit_prefix_sum(8, 3, 1)  # i = 2^n excluded
-    with pytest.raises(ValueError):
-        zero_digit_prefix_sum(7, 3, 2)  # only one zero digit available
 
 
 def test_generator_row_examples():
@@ -113,26 +65,6 @@ def test_generator_row_weight_law():
     for N in (2, 8, 64, 1024):
         for i in range(1, N + 1):
             assert sum(generator_row(i, N)) == 1 << (i - 1).bit_count()
-
-
-def test_row_prefix_examples():
-    assert row_prefix(2, 1, 8) == [1, 1]
-    assert row_prefix(2, 2, 8) == [1, 1, 0, 0]
-    for i in (1, 3, 8):
-        assert row_prefix(i, 3, 8) == generator_row(i, 8)
-
-
-def test_row_prefix_weight_law():
-    # prefix weight = full weight / 2^(popcount of the digits above the cut)
-    for N in (2, 4, 8, 16, 64, 256):
-        n = N.bit_length() - 1
-        for i in range(1, N + 1):
-            row = generator_row(i, N)
-            for lam in range(n + 1):
-                prefix = row_prefix(i, lam, N)
-                assert prefix == row[: 1 << lam]
-                high = (i - 1) >> lam
-                assert sum(prefix) == sum(row) >> high.bit_count()
 
 
 def test_encode_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from conftest import (
     random_specs,
 )
 
-from polarmhw.bitops import min_distance, row_prefix
+from polarmhw.bitops import min_distance
 from polarmhw.bound import (
     bound_count,
     decompose,
@@ -18,7 +19,7 @@ from polarmhw.bound import (
     subtree_input_llr,
     zero_capacity_set,
 )
-from polarmhw.construction import CodeSpec
+from polarmhw.construction import CodeSpec, construct_ga, construct_pw
 from polarmhw.sctree import sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
@@ -84,7 +85,7 @@ def test_zero_capacity_set_examples():
 
 
 def test_zero_capacity_set_matches_one_extra_bit_characterization():
-    for N in (4, 8, 16, 64, 256):
+    for N in (4, 8, 16, 64, 256, 1024):
         for i in range(1, N + 1):
             assert zero_capacity_set(i, N) == one_extra_bit_members(i, N)
 
@@ -250,13 +251,93 @@ def test_subtree_input_llr_matches_retrace_of_the_bare_trigger():
                 assert list(got) == want
 
 
-def test_part_prefix_weights_follow_the_closed_form():
-    # weight of the length-2**lam prefix of row i depends only on the low
-    # lam digits of i - 1
-    rng = random.Random(27)
+# ---- golden bound corpus ----
+#
+# Digests of every trigger's (i, overlap, term, members) from
+# bound_count(spec, materialize_sets=True), and of decompose and
+# zero_capacity_set for every i, recorded with the decomposition that summed
+# the zero digits of i - 1 part by part and read each part's zero-capacity
+# offsets off a generator-row prefix.
+
+
+def bound_digest(specs):
+    h = hashlib.sha256()
+    for spec in specs:
+        report = bound_count(spec, materialize_sets=True)
+        h.update(f"{spec.N} {spec.A} d_m={report.d_m} total={report.total}\n".encode())
+        for t in report.triggers:
+            h.update(f"{t.i} {t.overlap} {t.term} {t.members}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def bound_family(label):
+    kind, N = label.split("-")
+    N = int(N)
+    step = max(1, N // 16)
+    if kind == "pw":
+        return [construct_pw(N, K) for K in range(step, N + 1, step)]
+    return [construct_ga(N, K, 2.0) for K in range(step, N + 1, step)]
+
+
+GOLDEN_BOUNDS = {
+    "pw-4": "2b29b841c35e7d22",
+    "pw-8": "905db9d7b4d65155",
+    "pw-16": "ed55334d8ede250c",
+    "pw-32": "38ed62d25855e328",
+    "pw-64": "4d34098e6ee17db6",
+    "pw-128": "e54b6cd13c7a7faa",
+    "pw-256": "e32577905a88310e",
+    "pw-512": "c0e8c873ebebe1a1",
+    "pw-1024": "40bab0bcab4127d7",
+    "pw-2048": "62cd47e033557008",
+    "pw-4096": "1892dca1488135e8",
+    "ga-4": "2b29b841c35e7d22",
+    "ga-8": "905db9d7b4d65155",
+    "ga-16": "ed55334d8ede250c",
+    "ga-32": "a776df69a417e332",
+    "ga-64": "08165a714c9200db",
+    "ga-128": "0cd00861a1e83a29",
+    "ga-256": "6564fe7d1cd4079d",
+    "ga-512": "5702b3479d7a95a0",
+    "ga-1024": "af0c230fcef1df0e",
+    "ga-2048": "6c1b1d10b929f807",
+    "ga-4096": "5ddcc52c2165e3f6",
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_BOUNDS))
+def test_bound_golden_corpus(label):
+    assert bound_digest(bound_family(label)) == GOLDEN_BOUNDS[label]
+
+
+def test_bound_golden_random_sets():
+    rng = random.Random(91)
+    specs = []
     for _ in range(200):
-        N = 1 << rng.randint(1, 8)
-        i = rng.randint(1, N)
-        lam = rng.randint(0, N.bit_length() - 1)
-        w = sum(row_prefix(i, lam, N))
-        assert w == 1 << ((i - 1) & ((1 << lam) - 1)).bit_count()
+        N = 1 << rng.randint(1, 10)
+        specs.append(CodeSpec(N, tuple(rng.sample(range(1, N + 1), rng.randint(1, N)))))
+    assert bound_digest(specs) == "d5f2a7a95b5f65b3"
+
+
+GOLDEN_TAILS = {
+    2: "0772207bcf2c7aab",
+    4: "239f4e79b9666a6d",
+    8: "f7a9bf86993af856",
+    16: "a9df46f303e41f9c",
+    32: "61b6251776aa571a",
+    64: "56f9d4d12c8ae60b",
+    128: "73f542e9a8e01beb",
+    256: "7de13112baf7abbc",
+    512: "a3fac7022e1b5993",
+    1024: "8f46381dc600de2e",
+}
+
+
+@pytest.mark.parametrize("N", sorted(GOLDEN_TAILS))
+def test_tail_golden_every_trigger(N):
+    n = N.bit_length() - 1
+    h = hashlib.sha256()
+    for i in range(1, N + 1):
+        parts = [(p.k, p.start, p.end, p.lam, p.node) for p in decompose(i, n).parts]
+        h.update(f"{i} {parts} {sorted(zero_capacity_set(i, N))}\n".encode())
+    assert h.hexdigest()[:16] == GOLDEN_TAILS[N]

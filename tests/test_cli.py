@@ -127,6 +127,17 @@ def test_design_ebn0_with_pw_is_exit_2(capsys):
     assert "--design-ebn0" in err
 
 
+def test_sweep_design_ebn0_with_pw_is_exit_2(capsys):
+    for extra in ([], ["--construction", "pw"]):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--N", "16", "--K-grid", "4,8", "--design-ebn0", "1.0", *extra],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --design-ebn0 applies only to --construction ga\n"
+
+
 # ---- verify ----
 
 

@@ -4,7 +4,6 @@ import random
 import pytest
 from scipy.optimize import brentq
 
-from polarmhw.bitops import binary_expansion
 from polarmhw.construction import (
     CodeSpec,
     SpecFormatError,
@@ -39,8 +38,8 @@ def ga_means_reference(N, sigma):
     means = []
     for i in range(1, N + 1):
         m = 2.0 / (sigma * sigma)
-        for digit in reversed(binary_expansion(i - 1, n)):  # MSB first
-            m = 2.0 * m if digit else _check_scalar(m)
+        for t in reversed(range(n)):  # digits of i - 1, MSB first
+            m = 2.0 * m if (i - 1) >> t & 1 else _check_scalar(m)
         means.append(m)
     return means
 
