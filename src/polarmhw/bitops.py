@@ -56,17 +56,13 @@ def generator_row(i: int, N: int) -> list[int]:
     return [1 if (c & ~mask) == 0 else 0 for c in range(N)]
 
 
-def encode(u, N: int | None = None) -> list[int]:
+def encode(u) -> list[int]:
     """Polar transform c = u G_N over GF(2) of one 0/1 vector (see encode_rows).
 
     The transform is an involution: encode(encode(u)) == u.
     """
     c = [int(b) for b in u]
-    if N is None:
-        N = len(c)
-    if len(c) != N:
-        raise ValueError(f"|u|={len(c)} does not match N={N}")
-    _check_length(N)
+    _check_length(len(c))
     if any(b not in (0, 1) for b in c):
         raise ValueError("u must be a 0/1 vector")
     return encode_rows(np.array([c], dtype=np.uint8))[0].tolist()
@@ -96,15 +92,25 @@ def min_distance(spec) -> tuple[int, tuple[int, ...]]:
     generator-row weight: the span of the chosen rows sits inside the
     Reed-Muller code of the largest chosen row degree, whose minimum distance
     is exactly the smallest chosen row weight, and a single row attains it.
+
+    A CodeSpec computes this once and keeps it; any other object with N and
+    A is validated here first.
     """
     cached = getattr(spec, "_min_distance_pair", None)
     if cached is not None:
         return cached
-    A = tuple(sorted(spec.A))
-    if not A:
+    A = np.sort(np.array(spec.A, dtype=np.int64))
+    if not A.size:
         raise ValueError("no information bits")
     _check_length(spec.N)
     if A[0] < 1 or A[-1] > spec.N:
         raise ValueError(f"information set not within [1, {spec.N}]")
-    best = min((a - 1).bit_count() for a in A)
-    return 1 << best, tuple(a for a in A if (a - 1).bit_count() == best)
+    return _min_row_weight(A)
+
+
+def _min_row_weight(A: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """(smallest row weight, the rows attaining it) of ascending 1-based rows
+    A: a row's weight is 2**popcount(row - 1)."""
+    weights = np.bitwise_count(A - 1)
+    best = int(weights.min())
+    return 1 << best, tuple(A[weights == best].tolist())

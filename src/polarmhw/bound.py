@@ -35,11 +35,6 @@ __all__ = [
     "subtree_input_llr",
 ]
 
-# reports materialize the per-trigger member sets only for codes up to this
-# length unless the caller overrides; the counts themselves are always exact
-_MATERIALIZE_LIMIT = 4096
-
-
 @dataclass(frozen=True)
 class Part:
     """One complete subtree of the tail: positions [start, end], rooted at
@@ -50,9 +45,6 @@ class Part:
     end: int
     lam: int
     node: int
-
-    def positions(self) -> range:
-        return range(self.start, self.end + 1)
 
 
 @dataclass(frozen=True)
@@ -153,19 +145,16 @@ def _overlap(i: int, n: int, info_mask: np.ndarray, want_members: bool):
     return len(hits), tuple((hits + 1).tolist()) if want_members else None
 
 
-def bound_count(spec, materialize_sets: bool | None = None) -> BoundReport:
+def bound_count(spec, materialize_sets: bool = False) -> BoundReport:
     """Upper bound on the number of minimum-weight codewords.
 
     One term per minimum-weight information row i: 2 to the number of
     zero-capacity positions of i that are information positions.  The report
-    carries those position sets when materialize_sets is true (default: only
-    for N up to 4096).
+    carries those position sets when materialize_sets is true.
     """
     d_m, a_m = min_distance(spec)
     N = spec.N
     n = N.bit_length() - 1
-    if materialize_sets is None:
-        materialize_sets = N <= _MATERIALIZE_LIMIT
     info_mask = spec.info_mask
     triggers = []
     total = 0

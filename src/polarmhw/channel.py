@@ -41,7 +41,6 @@ __all__ = [
     "render_fer_csv",
 ]
 
-_Z95 = 1.959963984540054
 _CHUNK_FRAMES = 1024
 
 
@@ -69,8 +68,9 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z95):
-    """Wilson score interval for a binomial proportion; brackets errors/trials."""
+def wilson_interval(errors: int, trials: int):
+    """95% Wilson score interval for a binomial proportion; brackets errors/trials."""
+    z = 1.959963984540054  # two-sided 95% normal quantile
     if trials < 1:
         raise ValueError("need at least one trial")
     p = errors / trials
@@ -107,10 +107,10 @@ def _chunk_errors(spec, sigma, L, seed, chunk, frames, random_messages):
     """Frame errors in one chunk, from its own counter-based stream."""
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk]))
     N = spec.N
-    info_cols = [a - 1 for a in spec.A]
+    info = spec.info_mask
     if random_messages:
         u = np.zeros((frames, N), dtype=np.uint8)
-        u[:, info_cols] = rng.integers(0, 2, size=(frames, spec.K), dtype=np.uint8)
+        u[:, info] = rng.integers(0, 2, size=(frames, spec.K), dtype=np.uint8)
         c = encode_rows(u)
     else:
         u = np.zeros((frames, N), dtype=np.uint8)
@@ -119,7 +119,7 @@ def _chunk_errors(spec, sigma, L, seed, chunk, frames, random_messages):
     y = symbols + sigma * rng.normal(size=(frames, N))
     llrs = 2.0 * y / (sigma * sigma)
     decided = scl_decode_batch(llrs, spec, L)
-    wrong = decided[:, info_cols] != u[:, info_cols]
+    wrong = decided[:, info] != u[:, info]
     return int(np.count_nonzero(wrong.any(axis=1)))
 
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bitops import generator_row, positions_of
+from .bitops import _check_length, generator_row, positions_of
 from .bound import (
     bound_count,
     decompose,
@@ -228,6 +228,8 @@ def cmd_enumerate(args, argv) -> int:
         and (args.method or "zero-split") != "scl-global"
     ):
         raise UsageError("--list-size applies to --method scl-global or --check")
+    if args.list_size is not None and args.list_size < 1:
+        raise UsageError("--list-size must be >= 1")
     for line in _echo_lines(argv):
         print(line)
     print(_spec_line(spec))
@@ -515,6 +517,7 @@ def cmd_simulate(args, argv) -> int:
 
 def cmd_sweep(args, argv) -> int:
     N = args.N
+    _check_length(N)
     threads = _resolve_threads(args)
     if args.K_grid:
         Ks = _parse_grid(args.K_grid, int, "--K-grid")

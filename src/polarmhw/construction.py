@@ -19,7 +19,7 @@ Two constructions are provided:
   larger mean are more reliable.
 
 Design-noise convention: construct_ga maps its design Eb/N0 through a fixed
-design rate (default 1/2), sigma^2 = 1/(2 * rate * 10^(EbN0/10)).  Keeping
+design rate of 1/2, sigma^2 = 1/(2 * rate * 10^(EbN0/10)).  Keeping
 sigma independent of K makes the ranking a single permutation per (N, design
 point), so information sets are nested in K.
 """
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from polarmhw.bitops import _check_length
+from polarmhw.bitops import _check_length, _min_row_weight
 
 __all__ = [
     "CodeSpec",
@@ -58,7 +58,12 @@ _LN_PHI_SPLIT = -0.4527 * 10.0 ** 0.86 + 0.0218
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A polar code: length N = 2^n, information set A, construction label."""
+    """A polar code: length N = 2^n, information set A, construction label.
+
+    A is held twice, both fixed at construction: as an ascending tuple of
+    Python ints, and as info_mask, a read-only boolean array over the 0-based
+    positions.  Every other layer reads one of the two.
+    """
 
     N: int
     A: tuple[int, ...]
@@ -66,15 +71,18 @@ class CodeSpec:
 
     def __post_init__(self):
         _check_length(self.N)
-        A = tuple(sorted(self.A))
-        if not A:
+        if not len(self.A):
             raise ValueError("information set is empty")
-        if len(set(A)) != len(A):
-            raise ValueError("information set has duplicate positions")
-        if A[0] < 1 or A[-1] > self.N:
+        if min(self.A) < 1 or max(self.A) > self.N:
             raise ValueError(f"information set not within [1, {self.N}]")
+        mask = np.zeros(self.N, dtype=bool)
+        mask[np.fromiter(self.A, np.int64, len(self.A)) - 1] = True
+        mask.flags.writeable = False
+        A = tuple((np.flatnonzero(mask) + 1).tolist())
+        if len(A) != len(self.A):
+            raise ValueError("information set has duplicate positions")
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "_info", frozenset(A))
+        object.__setattr__(self, "info_mask", mask)
 
     @property
     def n(self) -> int:
@@ -89,45 +97,35 @@ class CodeSpec:
         return len(self.A) / self.N
 
     def is_info(self, position: int) -> bool:
-        return position in self._info
-
-    def frozen_positions(self) -> tuple[int, ...]:
-        return tuple(p for p in range(1, self.N + 1) if p not in self._info)
-
-    @cached_property
-    def info_mask(self) -> np.ndarray:
-        """Boolean mask over 0-based positions; computed once per spec."""
-        mask = np.zeros(self.N, dtype=bool)
-        mask[np.asarray(self.A, dtype=np.int64) - 1] = True
-        return mask
+        return 1 <= position <= self.N and bool(self.info_mask[position - 1])
 
     @cached_property
     def _min_distance_pair(self) -> tuple[int, tuple[int, ...]]:
-        """(minimum row weight, rows attaining it); computed once per spec."""
-        arr = np.asarray(self.A, dtype=np.int64)
-        weights = np.bitwise_count(arr - 1)
-        best = int(weights.min())
-        rows = tuple(int(a) for a in arr[weights == best])
-        return 1 << best, rows
+        """min_distance(self), computed once per spec."""
+        return _min_row_weight(np.flatnonzero(self.info_mask) + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReliabilityOrder:
-    """Permutation of [1, N], most reliable channel first, plus raw scores."""
+    """Permutation of [1, N], most reliable channel first, plus raw scores:
+    read-only arrays, the ranking 1-based int64 and the scores float64."""
 
-    ranking: tuple[int, ...]
-    scores: tuple[float, ...]
+    ranking: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self):
+        self.ranking.flags.writeable = False
+        self.scores.flags.writeable = False
 
     def top(self, K: int) -> tuple[int, ...]:
         if not 1 <= K <= len(self.ranking):
             raise ValueError(f"K={K} out of range [1, {len(self.ranking)}]")
-        return tuple(sorted(self.ranking[:K]))
+        return tuple(np.sort(self.ranking[:K]).tolist())
 
 
-def _rank(scores: np.ndarray) -> tuple[int, ...]:
+def _rank(scores: np.ndarray) -> ReliabilityOrder:
     # descending score, ascending index on ties
-    idx = np.lexsort((np.arange(1, len(scores) + 1), -scores))
-    return tuple(int(i) + 1 for i in idx)
+    return ReliabilityOrder(np.argsort(-scores, kind="stable") + 1, scores)
 
 
 # ---- polarization weight ----
@@ -135,11 +133,12 @@ def _rank(scores: np.ndarray) -> tuple[int, ...]:
 
 def polarization_weight_order(N: int) -> ReliabilityOrder:
     n = _check_length(N)
-    idx = np.arange(N, dtype=np.int64)
-    scores = np.zeros(N)
+    # channels 2**j + 1 .. 2**(j+1) repeat the scores before them plus beta**j;
+    # each score sums its powers in ascending digit order
+    scores = np.zeros(1)
     for j in range(n):
-        scores += ((idx >> j) & 1) * PW_BETA ** j
-    return ReliabilityOrder(_rank(scores), tuple(float(s) for s in scores))
+        scores = np.concatenate([scores, scores + PW_BETA ** j])
+    return _rank(scores)
 
 
 def construct_pw(N: int, K: int) -> CodeSpec:
@@ -200,7 +199,7 @@ def gaussian_approx_order(N: int, sigma: float) -> ReliabilityOrder:
         nxt[0::2] = _check_combine(means)
         nxt[1::2] = 2.0 * means
         means = nxt
-    return ReliabilityOrder(_rank(means), tuple(float(m) for m in means))
+    return _rank(means)
 
 
 def design_sigma(ebn0_db: float, rate: float) -> float:

@@ -182,7 +182,7 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
         prefix, ends = np.zeros((B, 0), dtype=np.uint8), np.zeros(B, dtype=np.intp)
     P = prefix.shape[1]
     # the information bits past the shortest prefix, where paths may split
-    split = np.isin(np.arange(1, N + 1), spec.A) & (np.arange(N) >= ends.min())
+    split = spec.info_mask & (np.arange(N) >= ends.min())
     live = None if ends.min() == ends.max() else np.ones((B, 1), dtype=bool)
     frame = np.arange(B)[:, None]
     # candidates in sort layout, (B, 2, width) in the batch order and

@@ -131,7 +131,7 @@ def exhaustive_mhw(spec, cap: int = EXHAUSTIVE_CAP) -> MhwResult:
         )
     words = (N + 63) // 64
     rows = np.zeros((K, words), dtype=np.uint64)
-    for k, a in enumerate(sorted(spec.A)):
+    for k, a in enumerate(spec.A):
         for p, v in enumerate(generator_row(a, N)):
             if v:
                 rows[k, p // 64] |= np.uint64(1 << (p % 64))
@@ -143,7 +143,7 @@ def exhaustive_mhw(spec, cap: int = EXHAUSTIVE_CAP) -> MhwResult:
     # message m puts bit k of m at information position A[k]
     hits = np.flatnonzero(weights == d_m)
     vectors = np.zeros((len(hits), N), dtype=np.uint8)
-    vectors[:, np.array(sorted(spec.A)) - 1] = (hits[:, None] >> np.arange(K)) & 1
+    vectors[:, spec.info_mask] = (hits[:, None] >> np.arange(K)) & 1
     return MhwResult(d_m, vectors, "EXHAUSTIVE", 0)
 
 
@@ -336,14 +336,13 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     record per vector (message bits in A order and the full u, hex-packed),
     written batch by batch.  header_lines are embedded as comments right
     after the magic line."""
-    A = sorted(spec.A)
     lines = [_ENUM_MAGIC]
     for extra in header_lines:
         lines.append(extra if extra.startswith("#") else f"# {extra}")
     lines += [
         f"N={spec.N}",
         f"K={spec.K}",
-        "A=" + " ".join(str(a) for a in A),
+        "A=" + " ".join(str(a) for a in spec.A),
         f"d_m={result.d_m}",
         f"method={result.method}",
         f"count={result.count}",
@@ -351,13 +350,12 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     ]
     if result.warning:
         lines.append(f"# warning: {result.warning}")
-    info_cols = [a - 1 for a in A]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
         for start in range(0, result.count, _WRITE_ROWS):
             u = result.vectors[start : start + _WRITE_ROWS]
             weights = encode_rows(u).sum(axis=1).tolist()
-            msgs = np.packbits(u[:, info_cols], axis=1, bitorder="little")
+            msgs = np.packbits(u[:, spec.info_mask], axis=1, bitorder="little")
             words = np.packbits(u, axis=1, bitorder="little")
             fh.writelines(
                 f"msg={int.from_bytes(msg.tobytes(), 'little'):x} "

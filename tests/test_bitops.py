@@ -82,7 +82,7 @@ def test_encode_matches_matrix_product_and_involutes():
         G = kron_matrix(N)
         for _ in range(20):
             u = [rng.randint(0, 1) for _ in range(N)]
-            c = encode(u, N)
+            c = encode(u)
             assert c == (np.array(u, dtype=np.uint8) @ G % 2).tolist()
             assert encode(c) == u
 
@@ -111,8 +111,6 @@ def test_encode_rows_matches_matrix_product_and_involutes():
 
 
 def test_encode_errors():
-    with pytest.raises(ValueError):
-        encode([0, 1, 0], 4)
     with pytest.raises(ValueError):
         encode([0, 1, 2, 0])
     with pytest.raises(ValueError):

@@ -124,7 +124,7 @@ def test_bound_examples_length_eight():
 
 
 def test_bound_example_full_rate_length_four():
-    report = bound_count(CodeSpec(4, (1, 2, 3, 4)))
+    report = bound_count(CodeSpec(4, (1, 2, 3, 4)), materialize_sets=True)
     assert report.d_m == 1
     assert report.a_m == (1,)
     assert report.triggers[0].members == (2, 3)

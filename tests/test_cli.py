@@ -103,6 +103,15 @@ def test_unknown_flag_is_exit_2(capsys):
     assert code == 2
 
 
+def test_list_size_below_one_is_exit_2(capsys):
+    for L in ("0", "-3"):
+        for mode in (["--method", "scl-global"], ["--check"]):
+            code, out, err = run(capsys, ["enumerate", *SPEC8_ARGS, *mode, "--list-size", L])
+            assert code == 2
+            assert out == ""
+            assert err == "error: --list-size must be >= 1\n"
+
+
 def test_list_size_without_global_method_is_exit_2(capsys):
     code, _, err = run(capsys, ["enumerate", *SPEC8_ARGS, "--list-size", "4"])
     assert code == 2
@@ -136,6 +145,14 @@ def test_sweep_design_ebn0_with_pw_is_exit_2(capsys):
         assert code == 2
         assert out == ""
         assert err == "error: --design-ebn0 applies only to --construction ga\n"
+
+
+def test_sweep_bad_length_is_exit_2(capsys):
+    for N in ("0", "1", "-4", "6"):
+        code, out, err = run(capsys, ["sweep", "--N", N])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: code length N={N} is not a power of two >= 2\n"
 
 
 # ---- verify ----

@@ -1,9 +1,12 @@
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from polarmhw.bitops import min_distance
 from polarmhw.construction import (
     CodeSpec,
     SpecFormatError,
@@ -52,7 +55,32 @@ def test_codespec_normalizes_and_validates():
     assert spec.A == (4, 6, 7, 8)
     assert (spec.n, spec.K, spec.R) == (3, 4, 0.5)
     assert spec.is_info(4) and not spec.is_info(5)
-    assert spec.frozen_positions() == (1, 2, 3, 5)
+
+
+def test_codespec_elements_are_python_ints():
+    # a numpy scalar would change the repr of A, which golden digests hash
+    specs = (CodeSpec(8, (np.int64(7), 4, 8, 6)), construct_pw(256, 77), construct_ga(256, 77, 2.0))
+    for spec in specs:
+        assert all(type(a) is int for a in spec.A)
+        d_m, rows = min_distance(spec)
+        assert type(d_m) is int and all(type(r) is int for r in rows)
+
+
+def test_codespec_is_info_agrees_with_A():
+    rng = random.Random(23)
+    for _ in range(200):
+        N = 1 << rng.randint(1, 6)
+        spec = CodeSpec(N, tuple(rng.sample(range(1, N + 1), rng.randint(1, N))))
+        assert [spec.is_info(p) for p in range(N + 2)] == [p in spec.A for p in range(N + 2)]
+
+
+def test_information_set_arrays_are_read_only():
+    spec = construct_pw(16, 8)
+    orders = (polarization_weight_order(16), gaussian_approx_order(16, 0.8))
+    arrays = [spec.info_mask] + [getattr(o, f) for o in orders for f in ("ranking", "scores")]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
 
 
 @pytest.mark.parametrize(
@@ -147,6 +175,49 @@ def test_construct_range_errors():
             builder(0)
         with pytest.raises(ValueError):
             builder(9)
+
+
+# ---- golden constructions ----
+#
+# Per N: the PW ranking, then construct_pw and construct_ga at 0 and 2 dB for
+# every K up to N = 64 and K stepped by N/16 beyond; recorded with the
+# construction that ranked by a two-key lexsort into Python tuples.
+
+
+def construction_digest(N):
+    h = hashlib.sha256()
+    h.update(f"{[int(r) for r in polarization_weight_order(N).ranking]}\n".encode())
+    step = 1 if N <= 64 else N // 16
+    for K in range(step, N + 1, step):
+        h.update(f"pw {K} {construct_pw(N, K).A}\n".encode())
+        for db in (0.0, 2.0):
+            h.update(f"ga{db:g} {K} {construct_ga(N, K, db).A}\n".encode())
+    return h.hexdigest()[:16]
+
+
+GOLDEN_CONSTRUCTIONS = {
+    2: "3d301a551d4a116e",
+    4: "f2f1b9dbafeb2328",
+    8: "54fa2c9e46c27ee5",
+    16: "6539d4c82f7c542f",
+    32: "b36ba14539cfe562",
+    64: "ab078cb00e1259d9",
+    128: "08b42da2b242b603",
+    256: "454ff2d36f12d757",
+    512: "99fe27c8313a17c5",
+    1024: "5bb6764167c5e01e",
+    2048: "45fcead21d1f3c25",
+    4096: "59791dc568a476b9",
+    8192: "e54386b46dada836",
+    16384: "6aa51233439ba017",
+    32768: "f7519ef519d14d00",
+    65536: "a2c3b3825f0aa38e",
+}
+
+
+@pytest.mark.parametrize("N", sorted(GOLDEN_CONSTRUCTIONS))
+def test_construction_golden(N):
+    assert construction_digest(N) == GOLDEN_CONSTRUCTIONS[N]
 
 
 # ---- spec files ----
