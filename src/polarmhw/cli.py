@@ -28,13 +28,7 @@ from .bound import (
     zero_capacity_set,
 )
 from .channel import render_fer_csv, sweep_fer
-from .construction import (
-    CodeSpec,
-    construct_ga,
-    construct_pw,
-    load_spec,
-    save_spec,
-)
+from .construction import CodeSpec, _codes, load_spec, save_spec
 from .listdec import _search
 from .mhw import (
     EXHAUSTIVE_CAP,
@@ -150,13 +144,16 @@ def _build_spec(N, K, A_text, construction, design_ebn0):
         return CodeSpec(N, _parse_positions(A_text))
     if K is None:
         raise UsageError("need --K (with optional --construction) or --A")
-    kind = construction or "pw"
-    if kind == "pw":
+    return _build_codes(N, construction, design_ebn0)(K)
+
+
+def _build_codes(N, construction, design_ebn0):
+    """K -> the code of length N that --construction builds (pw by default)."""
+    if (construction or "pw") == "pw":
         if design_ebn0 is not None:
             raise UsageError("--design-ebn0 applies only to --construction ga")
-        return construct_pw(N, K)
-    ebn0 = _DEFAULT_DESIGN_EBN0 if design_ebn0 is None else design_ebn0
-    return construct_ga(N, K, ebn0)
+        return _codes(N)
+    return _codes(N, _DEFAULT_DESIGN_EBN0 if design_ebn0 is None else design_ebn0)
 
 
 def _resolve_spec(args):
@@ -523,11 +520,14 @@ def cmd_sweep(args, argv) -> int:
         Ks = _parse_grid(args.K_grid, int, "--K-grid")
     else:
         Ks = list(range(1, N))
-    rows = []
     for K in Ks:
         if not 1 <= K <= N:
             raise UsageError(f"--K-grid value {K} out of [1, {N}]")
-        spec = _build_spec(N, K, None, args.construction, args.design_ebn0)
+    # one reliability order serves every K
+    codes = _build_codes(N, args.construction, args.design_ebn0)
+    rows = []
+    for K in Ks:
+        spec = codes(K)
         report = bound_count(spec, materialize_sets=False)
         exact = (
             enumerate_zero_split(spec, threads=threads).count

@@ -104,6 +104,22 @@ class CodeSpec:
         """min_distance(self), computed once per spec."""
         return _min_row_weight(np.flatnonzero(self.info_mask) + 1)
 
+    @cached_property
+    def _sc_steps(self) -> tuple[tuple[int, int], ...]:
+        """The SC schedule of the code tree, computed once per spec: one
+        (first leaf, stage) step per maximal all-frozen node of 2**stage >= 2
+        leaves and one (leaf, 0) step per other leaf, in leaf order."""
+        # info[p] counts the information positions before leaf p
+        info = np.concatenate([[0], np.cumsum(self.info_mask)]).tolist()
+        steps, phi = [], 0
+        while phi < self.N:
+            s = (phi & -phi).bit_length() - 1 if phi else self.n
+            while s and info[phi + (1 << s)] > info[phi]:
+                s -= 1
+            steps.append((phi, s))
+            phi += 1 << s
+        return tuple(steps)
+
 
 @dataclass(frozen=True, eq=False)
 class ReliabilityOrder:
@@ -141,9 +157,19 @@ def polarization_weight_order(N: int) -> ReliabilityOrder:
     return _rank(scores)
 
 
+def _codes(N: int, design_ebn0_db=None):
+    """K -> the code of length N that construct_pw (design_ebn0_db None) or
+    construct_ga builds, all K read off one reliability order."""
+    if design_ebn0_db is None:
+        order, label = polarization_weight_order(N), "PW"
+    else:
+        order = gaussian_approx_order(N, design_sigma(design_ebn0_db, 0.5))
+        label = f"GA({design_ebn0_db:g}dB)"
+    return lambda K: CodeSpec(N, order.top(K), label)
+
+
 def construct_pw(N: int, K: int) -> CodeSpec:
-    order = polarization_weight_order(N)
-    return CodeSpec(N, order.top(K), "PW")
+    return _codes(N)(K)
 
 
 # ---- gaussian approximation ----
@@ -211,8 +237,7 @@ def design_sigma(ebn0_db: float, rate: float) -> float:
 def construct_ga(N: int, K: int, design_ebn0_db: float) -> CodeSpec:
     """The K most reliable channels by Gaussian approximation, designed at
     design_ebn0_db for rate 1/2 whatever K is."""
-    order = gaussian_approx_order(N, design_sigma(design_ebn0_db, 0.5))
-    return CodeSpec(N, order.top(K), f"GA({design_ebn0_db:g}dB)")
+    return _codes(N, design_ebn0_db)(K)
 
 
 # ---- spec files ----

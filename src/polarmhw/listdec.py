@@ -11,6 +11,17 @@ recomputed.  Each change of lanes stores every lane's parent, each leaf its
 nonzero bits; decisions, and on request the decoding LLR of every leaf,
 are traced back at the end.
 
+Integer runs that record no leaf LLR (the subset and global searches, and
+the zero-split walk) take each maximal all-frozen (rate-0) node of 2**s >= 2
+leaves in one step, in the schedule CodeSpec._sc_steps: its input alpha is
+computed at stage s and no lower, its partial sums are all 0, and under
+min-sum its frozen 0 bits cost sum_j |alpha_j| [alpha_j < 0] in all, so some
+leaf LLR in it is negative iff some alpha_j is (the SSC rate-0 node rule:
+Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011; Hashemi, Condo &
+Gross, IEEE TSP 2017).  scl_decode and verify's replays record every leaf's
+LLR, and a float sum over a node would round differently from the per-leaf
+one, so those runs and scl_decode_batch keep the leaf schedule.
+
 Each decode may pin its own decision prefix.  While all prefixes have one
 length no lane is dead.  Otherwise decodes that start splitting at
 different leaves share the lane axis under a live-lane mask: the candidates
@@ -27,7 +38,9 @@ every lane, bit 1 of every lane], so ties rank by (bit, lane).  scl_decode
 prefix order and lays the candidates out as [lane 0 bit 0, lane 0 bit 1,
 lane 1 bit 0, ...], so ties rank by prefix, smallest first; the sorted kept
 indices are the new lanes, again in prefix order.  On exact ties (integer
-LLRs, say) the orders may keep different survivors.
+LLRs, say) the orders may keep different survivors.  Integer metrics that
+all fit in int16 are sorted as int16 when rows hold 256 candidates or more;
+numpy ranks them stably by radix, in the same order.
 
 scl_decode computes in the type of its input: Python floats in float64;
 Python ints in the smallest integer type holding 2 * max|LLR| * N, with
@@ -70,8 +83,10 @@ class SearchDiagnostics:
 
 class _Stages:
     """The SC stage buffers of B decodes of `width` lanes each, run leaf by
-    leaf like sctree._TreeState (leaf, then commit) for every lane at once;
-    select() between the two replaces the lanes by copies of given parents.
+    leaf like sctree._TreeState (leaf, then commit) for every lane at once,
+    or a rate-0 node of 2**s leaves in one step (node(phi, s), then
+    commit(phi, None, s): all its bits 0, none stored for trace); select()
+    between the two replaces the lanes by copies of given parents.
 
     Lane j of decode b reads row map[b * w + j] of alpha[s] (map amap[s]) or
     beta_left[s] (bmap[s]) viewed as (B * w, size), w being the lane count
@@ -95,50 +110,63 @@ class _Stages:
             return buf
         return buf.reshape(-1, buf.shape[2]).take(rowmap, axis=0).reshape(self.B, -1, buf.shape[2])
 
-    def leaf(self, phi):
-        """The (B, width) decoding LLRs of leaf phi, or (B, 1) while shared."""
+    def node(self, phi, s=0):
+        """The (B, width, 2**s) input LLRs of the node of 2**s leaves whose
+        first leaf is phi, a multiple of 2**s, or (B, 1, 2**s) while shared;
+        no stage below s is computed."""
         alpha, amap = self.alpha, self.amap
         if phi == 0:
-            s = self.n
+            t = self.n
         else:
-            s = (phi & -phi).bit_length() - 1
-            parent = self._rows(alpha[s + 1], amap[s + 1])
-            half = 1 << s
+            t = (phi & -phi).bit_length() - 1
+            parent = self._rows(alpha[t + 1], amap[t + 1])
+            half = 1 << t
             a, b = parent[..., :half], parent[..., half:]
-            alpha[s] = np.where(self._rows(self.beta_left[s], self.bmap[s]) == 1, b - a, b + a)
-            amap[s] = None
-        while s > 0:
-            parent = alpha[s]
-            half = 1 << (s - 1)
+            alpha[t] = np.where(self._rows(self.beta_left[t], self.bmap[t]) == 1, b - a, b + a)
+            amap[t] = None
+        while t > s:
+            parent = alpha[t]
+            half = 1 << (t - 1)
             a, b = parent[..., :half], parent[..., half:]
-            alpha[s - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-            amap[s - 1] = None
-            s -= 1
-        return alpha[0][..., 0]
+            alpha[t - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+            amap[t - 1] = None
+            t -= 1
+        return alpha[s]
 
-    def select(self, phi, lane):
-        """Make the (B, m) array of parent lanes the new lanes at leaf phi."""
+    def leaf(self, phi):
+        """The (B, width) decoding LLRs of leaf phi, or (B, 1) while shared."""
+        return self.node(phi)[..., 0]
+
+    def select(self, phi, lane, s=0):
+        """Make the (B, m) array of parent lanes the new lanes at leaf phi, or
+        at the node of 2**s leaves whose first leaf is phi."""
         self.parents[phi] = lane.astype(np.min_scalar_type(self.width - 1))
         src = (lane + self.frame * self.width).ravel()
         self.width = lane.shape[1]
         # only stages still to be read need their maps moved: alpha[t] feeds
         # a pending g iff the path is in the left half at stage t, beta_left[t]
-        # awaits its right sibling iff bit t of phi is set
-        for t in range(1, self.n):
+        # awaits its right sibling iff bit t of phi is set.  Past a node, the
+        # alpha[t] of t <= s are rebuilt before they are read, and their maps
+        # may be for another lane count
+        for t in range(s + 1, self.n):
             if (phi >> (t - 1)) & 1 == 0:
                 self.amap[t] = src if self.amap[t] is None else self.amap[t][src]
         for t in range(self.n):
             if (phi >> t) & 1:
                 self.bmap[t] = src if self.bmap[t] is None else self.bmap[t][src]
 
-    def commit(self, phi, bit):
-        """Decide the (B, width) uint8 bits at leaf phi: the partial sums."""
-        if np.count_nonzero(bit):
-            self.bits[phi] = bit
-        if phi == self.N - 1:
+    def commit(self, phi, bit, s=0):
+        """Decide the (B, width) uint8 bits at leaf phi, or 0 at every leaf
+        of the node of 2**s > 1 leaves whose first leaf is phi (bit is then
+        not read): the partial sums."""
+        if s == 0:
+            if np.count_nonzero(bit):
+                self.bits[phi] = bit
+            cur = bit[:, :, None]
+        else:
+            cur = np.zeros((self.B, self.width, 1 << s), dtype=np.uint8)
+        if phi + (1 << s) == self.N:
             return  # the last leaf completes only the root, which nothing reads
-        cur = bit[:, :, None]
-        s = 0
         while (phi >> s) & 1:
             cur = np.concatenate([self._rows(self.beta_left[s], self.bmap[s]) ^ cur, cur], axis=2)
             s += 1
@@ -193,11 +221,20 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
         return np.concatenate([x[grow] for x in pair], axis).reshape(B, -1)
 
     stages = _Stages(llrs)
-    pm = np.zeros((B, 1), dtype=np.int64 if llrs.dtype.kind == "i" else llrs.dtype)
+    integer = llrs.dtype.kind == "i"
+    pm = np.zeros((B, 1), dtype=np.int64 if integer else llrs.dtype)
     recorded = [] if leaves else None  # per position, each lane's leaf LLR
     discarded, low = 0, None
+    # integer metrics with no leaf recorded take each rate-0 node in one step
+    steps = spec._sc_steps if integer and not leaves else ((phi, 0) for phi in range(N))
 
-    for phi in range(N):
+    for phi, s in steps:
+        if s:
+            # under min-sum the 0 bits of a rate-0 node cost, summed over its
+            # leaves, sum_j |alpha_j| [alpha_j < 0] over its input alpha
+            pm = pm - np.minimum(stages.node(phi, s), 0).sum(axis=2, dtype=np.int64)
+            stages.commit(phi, None, s)
+            continue
         leaf = stages.leaf(phi)  # (B, width), or (B, 1) while still shared
         width = pm.shape[1]
         if leaves:
@@ -227,10 +264,16 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
             if prefix_order and keep == 2 * width:
                 order = np.broadcast_to(np.arange(keep), (B, keep))
             else:
+                key = cand
+                if integer and 2 * width >= 256 and cand.max() <= np.iinfo(np.int16).max:
+                    # metrics are sums of |LLR|, never negative; numpy sorts
+                    # 16-bit ints stably by radix, in the same order, which
+                    # costs a fixed pass per row and pays on rows this long
+                    key = cand.astype(np.int16)
                 if live is None:
-                    order = np.argsort(cand, axis=1, kind="stable")
+                    order = np.argsort(key, axis=1, kind="stable")
                 else:
-                    order = np.lexsort((cand, ~ok))  # valid first, then stable by metric
+                    order = np.lexsort((key, ~ok))  # valid first, then stable by metric
                 if keep < 2 * width:
                     cut = order[:, keep]
                     first = cand[frame[:, 0], cut]

@@ -229,7 +229,10 @@ def _zero_split_walk(spec, triggers):
     forks off a lane with bit 1 owned by i.  Past its trigger a lane forks at
     an information bit whose LLR is exactly 0 (the copy takes bit 1) and dies
     at a frozen bit whose LLR is negative; elsewhere it follows the hard
-    decision.  The all-zero path is dropped after the last trigger.
+    decision.  A rate-0 node (CodeSpec._sc_steps) is one step: a lane dies
+    there iff some LLR of the node's input is negative, which is iff a leaf
+    of the node sees a negative LLR, and the node records no bits.  The
+    all-zero path is dropped after the last trigger.
 
     Returns (decisions, branch_positions, kills): a (rows, N) uint8 decision
     matrix of the surviving branches, and per trigger the set of fork
@@ -249,13 +252,17 @@ def _zero_split_walk(spec, triggers):
     owner = np.array([-1], dtype=np.intp)
     no_fork = np.zeros(0, dtype=np.intp)
 
-    for phi in range(N):
-        leaf = stages.leaf(phi)[0]  # one per lane, or a single shared value
+    for phi, s in spec._sc_steps:
+        # per lane, or shared, the node's input LLRs: one leaf LLR, or those
+        # of a rate-0 node, which a lane survives iff none is negative
+        llr = stages.node(phi, s)[0]
         walking = owner >= 0
-        # the hard decision; at a frozen bit a 1 marks exactly the dead lanes
-        bit = (walking & (leaf < 0)).astype(np.uint8)
-        fork = np.flatnonzero(walking & (leaf == 0)) if info[phi] else no_fork
-        alive = (bit == 0) | info[phi]
+        is_info = s == 0 and info[phi]
+        # the hard decision; at a frozen bit or node a 1 marks exactly the
+        # dead lanes
+        bit = (walking & (llr < 0).any(axis=1)).astype(np.uint8)
+        fork = np.flatnonzero(walking & (llr[:, 0] == 0)) if is_info else no_fork
+        alive = (bit == 0) | is_info
         for k in set(owner[fork].tolist()):
             branch_positions[k].add(phi + 1)
         for k in owner[~alive].tolist():
@@ -272,8 +279,8 @@ def _zero_split_walk(spec, triggers):
             if start:
                 owner[-1] = starts[phi]
             bit = np.concatenate([bit[live], np.ones(len(lanes) - len(live), dtype=np.uint8)])
-            stages.select(phi, lanes[None])
-        stages.commit(phi, bit[None])
+            stages.select(phi, lanes[None], s)
+        stages.commit(phi, bit[None], s)
     return stages.trace(np.arange(len(owner))[None])[0][0], branch_positions, kills
 
 

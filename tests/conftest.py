@@ -78,3 +78,13 @@ def random_specs(count, N_choices, seed, max_K=16):
         A = rng.sample(range(1, N + 1), K)
         out.append(CodeSpec(N, tuple(A)))
     return out
+
+
+def leaf_schedule(spec):
+    """A copy of spec whose SC schedule takes every leaf alone: the reference
+    for the engine's one-step rate-0 nodes."""
+    from polarmhw.construction import CodeSpec
+
+    ref = CodeSpec(spec.N, spec.A)
+    ref.__dict__["_sc_steps"] = tuple((phi, 0) for phi in range(spec.N))
+    return ref

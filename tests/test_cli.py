@@ -6,8 +6,11 @@ import random
 from csvio import read_bound_csv, read_fer_csv, read_sweep_csv
 
 from polarmhw import (
+    bound_count,
     cli,
+    construct_ga,
     construct_pw,
+    enumerate_zero_split,
     load_spec,
     read_enumeration,
 )
@@ -234,6 +237,27 @@ def test_sweep_csv_round_trips(capsys, tmp_path):
     bound_out = capsys.readouterr().out
     row = next(r for r in rows if r["K"] == 8)
     assert f"total={row['bound']}" in bound_out
+
+
+def test_sweep_rows_match_each_constructed_code(capsys, tmp_path):
+    # sweep reads every K off one reliability order; each row must equal
+    # the one built from that K's own construct_pw / construct_ga code
+    builds = {
+        ("pw",): lambda K: construct_pw(64, K),
+        ("ga",): lambda K: construct_ga(64, K, 2.0),
+        ("ga", "0"): lambda K: construct_ga(64, K, 0.0),
+    }
+    for flags, build in builds.items():
+        csv_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--N", "64", "--K-grid", "2:62:6", "--exact-limit", "300"]
+        argv += ["--construction", flags[0], "--out", str(csv_path)]
+        argv += ["--design-ebn0", flags[1]] if len(flags) > 1 else []
+        assert run(capsys, argv)[0] == 0
+        for row in read_sweep_csv(csv_path):
+            spec = build(row["K"])
+            report = bound_count(spec)
+            exact = enumerate_zero_split(spec).count if report.total <= 300 else None
+            assert (row["d_m"], row["bound"], row["exact"]) == (report.d_m, report.total, exact)
 
 
 def test_simulate_csv_round_trips(capsys, tmp_path):

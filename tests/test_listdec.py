@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import brute_force_minimum_weight, first_one, random_specs
+from conftest import RawSpec, brute_force_minimum_weight, first_one, leaf_schedule, random_specs
 
 from polarmhw.bitops import encode, generator_row, min_distance
 from polarmhw.construction import CodeSpec, construct_ga, construct_pw, design_sigma
@@ -261,6 +261,124 @@ def test_stage_buffers_match_the_scalar_tree_under_random_lane_maps(dtype):
         decisions, leaves = stages.trace(np.broadcast_to(np.arange(width), (B, width)), recorded)
         assert decisions.tolist() == [[d for d, _ in row] for row in paths]
         assert leaves.tolist() == [[v for _, v in row] for row in paths]
+
+
+def random_rate0_spec(rng, N):
+    """A random information set whose frozen positions often fill whole
+    nodes: each aligned block of N/8 leaves is all frozen with chance 1/3."""
+    info = rng.random(N) < rng.random()
+    block = max(1, N // 8)
+    info &= np.repeat(rng.random(N // block) >= 1 / 3, block)
+    A = tuple((np.flatnonzero(info) + 1).tolist())
+    return CodeSpec(N, A or (N,))
+
+
+def test_stage_node_steps_match_the_scalar_tree_under_random_lane_maps():
+    # a rate-0 node runs as one _Stages step: its input LLRs must equal the
+    # scalar tree's, run leaf by leaf with 0 decided at every leaf of the
+    # node, and a select at the node that changes the lane count must move
+    # only the maps of stages >= the node's: those below may still hold maps
+    # for the old count, and composing them raises or misreads a row
+    rng = np.random.default_rng(89)
+    nodes = 0
+    for _ in range(80):
+        N, B = int(rng.choice((4, 8, 16, 32, 64))), int(rng.integers(1, 4))
+        spec = random_rate0_spec(rng, N)
+        llrs = random_llrs(rng, np.int16, B, N)
+        stages = _Stages(llrs)
+        trees = [[_TreeState(row.tolist(), spec.n)] for row in llrs]
+        paths = [[[]] for _ in range(B)]  # per lane, its decisions
+        for phi, s in spec._sc_steps:
+            width = len(trees[0])
+            got = np.broadcast_to(stages.node(phi, s), (B, width, 1 << s))
+            for row in trees:
+                for t in row:
+                    t.leaf_llr(phi)
+            assert got.tolist() == [[t.alpha[s] for t in row] for row in trees]
+            if rng.random() < 0.5:
+                m = int(rng.choice((1, width, min(2 * width, 16), 8)))
+                lane = rng.integers(0, width, size=(B, m))
+                stages.select(phi, lane, s)
+                trees = [[copy.deepcopy(row[j]) for j in js] for row, js in zip(trees, lane)]
+                paths = [[list(row[j]) for j in js] for row, js in zip(paths, lane)]
+            if s:
+                nodes += 1
+                stages.commit(phi, None, s)
+                bits = np.zeros((B, len(trees[0]), 1 << s), dtype=np.uint8)
+            else:
+                bits = rng.integers(0, 2, size=(B, len(trees[0]), 1), dtype=np.uint8)
+                stages.commit(phi, bits[..., 0])
+            for row, path, lane_bits in zip(trees, paths, bits.tolist()):
+                for t, decisions, values in zip(row, path, lane_bits):
+                    for p, b in enumerate(values, start=phi):
+                        t.leaf_llr(p)
+                        t.commit(p, b)
+                        decisions.append(b)
+        width = len(trees[0])
+        decisions, _ = stages.trace(np.broadcast_to(np.arange(width), (B, width)))
+        assert decisions.tolist() == paths
+    assert nodes > 100
+
+
+def test_rate0_node_penalty_is_the_sum_of_its_negative_inputs():
+    # the node step's rule, against the scalar tree: deciding 0 at every leaf
+    # of a node with integer input alpha costs sum_j |alpha_j| [alpha_j < 0]
+    # under min-sum, and some leaf LLR is negative iff some alpha_j is
+    rng = random.Random(90)
+    for s in range(1, 7):
+        for _ in range(100):
+            alpha = [rng.randint(rng.choice((-6, -1, 0)), 6) for _ in range(1 << s)]
+            replay = sc_replay(alpha, RawSpec(1 << s, ()), [0] * len(alpha))
+            assert replay.pm == sum(-a for a in alpha if a < 0)
+            assert any(l < 0 for l in replay.llrs) == any(a < 0 for a in alpha)
+
+
+def test_search_node_steps_match_the_leaf_schedule():
+    # integer searches that record no leaf LLR take each rate-0 node in one
+    # step; decisions, metrics with their dtype and the prune diagnostics
+    # must equal the leaf-by-leaf run's, with and without pinned prefixes of
+    # different lengths
+    rng = random.Random(91)
+    specs = random_specs(60, (16, 32, 64, 128, 256), seed=92, max_K=256)
+    specs += [construct_pw(N, N // 2) for N in (32, 64, 128, 256)]
+    specs += [construct_ga(N, N // 4, 2.0) for N in (64, 256)]
+    nodes = 0
+    for spec in specs:
+        ref = leaf_schedule(spec)
+        nodes += sum(s > 0 for _, s in spec._sc_steps)
+        N = spec.N
+        llrs = rng.choice(([1] * N, [rng.randint(-3, 3) for _ in range(N)]))
+        prefixes = [
+            [rng.randint(0, 1) if spec.is_info(p) else 0 for p in range(1, rng.randint(0, N) + 1)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        L = rng.choice((1, 2, 4, 16, 64))
+        for got, want in zip(_search(llrs, spec, L, prefixes), _search(llrs, ref, L, prefixes)):
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].dtype == want[1].dtype == np.int64
+            assert got[1].tolist() == want[1].tolist()
+            assert repr(got[3]) == repr(want[3])
+    assert nodes > 300
+
+
+def test_integer_searches_match_float_searches_of_the_same_values():
+    # integer runs take rate-0 nodes in one step and rank rows of 256 or
+    # more candidates as int16 when every metric fits; float runs of the
+    # same values keep the leaf schedule and the float64 sort, so both must
+    # keep the same paths at the same metrics (large LLRs overflow int16)
+    rng = random.Random(93)
+    specs = random_specs(10, (64, 128, 256), seed=94, max_K=256) + [construct_pw(256, 128)]
+    for spec in specs:
+        top = rng.choice((1, 3, 3000))
+        llrs = [rng.randint(-top, top) for _ in range(spec.N)]
+        prefixes = [[], [0] * rng.randint(1, spec.N // 2)]
+        L = rng.choice((128, 512))
+        ints, floats = _search(llrs, spec, L, prefixes), _search(list(map(float, llrs)), spec, L, prefixes)
+        for got, want in zip(ints, floats):
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tolist() == want[1].tolist()
+            assert got[3].discarded == want[3].discarded
+            assert got[3].min_discarded_pm == want[3].min_discarded_pm
 
 
 # ---- ranking and diagnostics ----

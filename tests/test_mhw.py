@@ -9,6 +9,7 @@ from conftest import (
     brute_force_minimum_weight,
     first_one,
     group_by_trigger,
+    leaf_schedule,
     random_specs,
     vector_set,
 )
@@ -29,7 +30,7 @@ from polarmhw.mhw import (
     write_enumeration,
     zero_split_subset,
 )
-from polarmhw.mhw import _search_group
+from polarmhw.mhw import _search_group, _zero_split_walk
 from polarmhw.sctree import sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
@@ -182,6 +183,24 @@ def test_branch_positions_are_zero_capacity_information_positions():
         for i in min_distance(spec)[1]:
             _, branches, _ = zero_split_subset(spec, i)
             assert branches <= zero_capacity_set(i, spec.N) & info
+
+
+def test_zero_split_walk_node_steps_match_the_leaf_schedule():
+    # the walk takes each rate-0 node in one step, where a lane dies iff some
+    # input LLR is negative; decisions, fork positions and kills must equal
+    # the leaf-by-leaf walk's, on random sets (whose walks kill) and codes
+    specs = random_specs(60, (16, 32, 64, 128, 256), seed=36, max_K=256)
+    specs += [construct_pw(N, N // 2) for N in (64, 128, 256)]
+    specs += [construct_ga(256, 64, 2.0), perturbed_pw(128, 64, 0), perturbed_pw(256, 136, 1)]
+    kills = 0
+    for spec in specs:
+        triggers = min_distance(spec)[1]
+        got = _zero_split_walk(spec, triggers)
+        want = _zero_split_walk(leaf_schedule(spec), triggers)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1:] == want[1:]
+        kills += sum(got[2])
+    assert kills > 100
 
 
 # ---- global list search ----
