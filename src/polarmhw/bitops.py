@@ -13,6 +13,12 @@ Conventions used across the package:
 
 Rows are computed on demand; no N x N matrix is ever materialized, so the
 counting path stays cheap even for N in the 2**16 range.
+
+The polar transform has one implementation here, on rows packed 64 bits to a
+little-endian uint64 word (_pack, _transform, _weights): encode, encode_rows,
+the enumerators' weight filter and the enumeration file's writer and reader
+all run on it.  mhw.exhaustive_mhw packs generator rows its own way on
+purpose, so that the oracle shares no transform with the enumerators.
 """
 
 from __future__ import annotations
@@ -69,17 +75,51 @@ def encode(u) -> list[int]:
 
 
 def encode_rows(u):
-    """Polar transform of every row of a (rows, N) 0/1 integer array, by a
-    reshape butterfly: one XOR over all rows per stage.  Returns a new array
-    of the same shape and dtype."""
-    c = np.array(u, copy=True)
-    rows, N = c.shape
+    """Polar transform of every row of a (rows, N) 0/1 integer array, run on
+    the rows' packed words.  Returns a new array of the same shape and
+    dtype."""
+    u = np.asarray(u)
+    words = _transform(_pack(u), u.shape[1])
+    c = np.unpackbits(words.view(np.uint8), axis=1, count=u.shape[1], bitorder="little")
+    return c.astype(u.dtype, copy=False)
+
+
+# Per stage with half = 2**k < 64, the bits whose partner sits half places
+# higher in the same word, those whose index has bit k clear: 0x5555...,
+# 0x3333..., 0x0F0F..., 0x00FF..., 0x0000FFFF... and 0x00000000FFFFFFFF.
+_STAGE_MASKS = [np.uint64(sum(1 << b for b in range(64) if not b >> k & 1)) for k in range(6)]
+
+
+def _pack(rows) -> np.ndarray:
+    """A (rows, N) 0/1 array as (rows, ceil(N / 64)) little-endian uint64
+    words: position p (1-based) is bit (p - 1) % 64 of word (p - 1) // 64,
+    and the bits past N are zero."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    if packed.shape[1] % 8:
+        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return packed.view("<u8")
+
+
+def _transform(words: np.ndarray, N: int) -> np.ndarray:
+    """Polar transform of packed rows of length N, in place: the stages
+    inside a word shift and mask, the stages across words XOR whole words
+    by the reshape butterfly.  Returns words."""
+    for k, mask in enumerate(_STAGE_MASKS):
+        if 1 << k >= N:
+            break
+        words ^= (words >> (1 << k)) & mask
+    rows, W = words.shape
     half = 1
-    while half < N:
-        pairs = c.reshape(rows, N // (2 * half), 2, half)
+    while half < W:
+        pairs = words.reshape(rows, W // (2 * half), 2, half)
         pairs[:, :, 0, :] ^= pairs[:, :, 1, :]
         half *= 2
-    return c
+    return words
+
+
+def _weights(words: np.ndarray) -> np.ndarray:
+    """Hamming weight of every packed row."""
+    return np.bitwise_count(words).sum(axis=1)
 
 
 # ---- minimum distance ----

@@ -1,6 +1,8 @@
 """Enumeration of minimum-weight information vectors, four independent ways.
 
-* exhaustive_mhw: encode every message (numpy-packed, capped at K <= 22).
+* exhaustive_mhw: encode every message (capped at K <= 22), XORing
+  generator rows it packs into uint64 words itself, so that this oracle
+  shares no transform with the other three.
 * enumerate_subset_scl: per minimum-weight row i and per zero-capacity
   information position j after i, a constrained list search pinned to the
   prefix 1-at-i, 1-at-j recovers the subset U(i, j); list sizes shrink
@@ -15,6 +17,11 @@
   than the counting bound.
 
 All four agree on every tested code; the test suite enforces that.
+
+The weight filter of the last three (_min_weight) and the w= fields that
+write_enumeration prints and read_enumeration checks come from bitops' one
+polar transform, which runs on rows packed into little-endian uint64 words;
+the enumeration file's u= hex is those words read as one integer.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polarmhw.bitops import encode_rows, generator_row, min_distance
+from polarmhw.bitops import _pack, _transform, _weights, generator_row, min_distance
 from polarmhw.bound import bound_count, per_subset_bound
 from polarmhw.construction import CodeSpec
 from polarmhw.listdec import _Stages, _search
@@ -111,7 +118,7 @@ def _sorted_rows(rows):
 
 def _min_weight(rows, d_m):
     """The rows of a (count, N) 0/1 array whose codeword has weight d_m."""
-    return rows[encode_rows(rows).sum(axis=1) == d_m]
+    return rows[_weights(_transform(_pack(rows), rows.shape[1])) == d_m]
 
 
 # ---- exhaustive oracle ----
@@ -333,8 +340,10 @@ def scl_global_search(spec, L: int) -> MhwResult:
 
 _ENUM_MAGIC = "polarmhw-enum 1"
 _RECORD = re.compile("msg=([0-9a-f]+) u=([0-9a-f]+) w=([0-9]+)")
-# Vectors encoded per batch by write_enumeration: its arrays stay within
-# 2 * _WRITE_ROWS * N bytes however many vectors the file holds.
+# Vectors encoded per batch by write_enumeration.  However many vectors the
+# file holds, a batch's arrays are its message bits (_WRITE_ROWS * K bytes,
+# then packed to an eighth of that) and its packed words with the
+# transform's two temporaries (3 * _WRITE_ROWS * 8 * ceil(N / 64) bytes).
 _WRITE_ROWS = 128
 
 
@@ -361,13 +370,14 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
         fh.writelines(line + "\n" for line in lines)
         for start in range(0, result.count, _WRITE_ROWS):
             u = result.vectors[start : start + _WRITE_ROWS]
-            weights = encode_rows(u).sum(axis=1).tolist()
-            msgs = np.packbits(u[:, spec.info_mask], axis=1, bitorder="little")
-            words = np.packbits(u, axis=1, bitorder="little")
+            msgs = np.packbits(u.compress(spec.info_mask, axis=1), axis=1, bitorder="little")
+            words = _pack(u)
+            # u= is read off the words before the transform overwrites them
+            us = [int.from_bytes(word.tobytes(), "little") for word in words]
+            weights = _weights(_transform(words, spec.N)).tolist()
             fh.writelines(
-                f"msg={int.from_bytes(msg.tobytes(), 'little'):x} "
-                f"u={int.from_bytes(word.tobytes(), 'little'):x} w={w}\n"
-                for msg, word, w in zip(msgs, words, weights)
+                f"msg={int.from_bytes(msg.tobytes(), 'little'):x} u={word:x} w={w}\n"
+                for msg, word, w in zip(msgs, us, weights)
             )
 
 
@@ -414,23 +424,30 @@ def read_enumeration(path):
     if count != len(records):
         raise EnumFormatError(f"{path}: header count {count} != {len(records)} records")
     spec = CodeSpec(N, A)
-    # u=, hex-packed with position 1 in the lowest bit
-    for _, word, _ in records:
-        if word >> N:
-            raise EnumFormatError(f"{path}: u={word:x} sets a bit past N={N}")
-    width = -(-N // 8)
-    packed = b"".join(word.to_bytes(width, "little") for _, word, _ in records)
-    u = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
-    u = np.unpackbits(u, axis=1, count=N, bitorder="little")
-    msgs = np.packbits(u[:, spec.info_mask], axis=1, bitorder="little")
+    # u= is hex with position 1 in the lowest bit, so its little-endian bytes
+    # are the row's packed words
+    width = -(-N // 64)
+    try:
+        data = b"".join(word.to_bytes(8 * width, "little") for _, word, _ in records)
+        words = np.frombuffer(data, dtype="<u8").reshape(-1, width)
+        # only a top word of N < 64 positions has bits past N
+        past = (words[:, -1] & ~_pack(np.ones((1, N), dtype=np.uint8))[0, -1]) != 0
+    except OverflowError:  # a u= wider than the words sets a bit past N
+        past = [word >> N != 0 for _, word, _ in records]
+    if np.any(past):
+        word = records[int(np.argmax(past))][1]
+        raise EnumFormatError(f"{path}: u={word:x} sets a bit past N={N}")
+    u = np.unpackbits(words.view(np.uint8), axis=1, count=N, bitorder="little")
+    msgs = np.packbits(u.compress(spec.info_mask, axis=1), axis=1, bitorder="little")
     for (msg, word, _), want in zip(records, msgs):
         if int.from_bytes(want.tobytes(), "little") != msg:
             raise EnumFormatError(f"{path}: message/u mismatch for u={word:x}")
-    frozen = u[:, ~spec.info_mask].any(axis=1)
+    frozen = (words & _pack(~spec.info_mask[None])).any(axis=1)
     if frozen.any():
         word = records[int(np.argmax(frozen))][1]
         raise EnumFormatError(f"{path}: nonzero frozen position in u={word:x}")
-    for (_, word, w), weight in zip(records, encode_rows(u).sum(axis=1).tolist()):
+    weights = _weights(_transform(words.copy(), N)).tolist()
+    for (_, word, w), weight in zip(records, weights):
         if w != weight:
             raise EnumFormatError(f"{path}: w={w} but u={word:x} has weight {weight}")
     try:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from polarmhw.bitops import (
+    _pack,
+    _transform,
+    _weights,
     encode,
     encode_rows,
     generator_row,
@@ -98,16 +101,31 @@ def test_encode_linearity():
 
 
 def test_encode_rows_matches_matrix_product_and_involutes():
+    # N < 64 fills part of one packed word, N = 64 exactly one, and larger N
+    # adds the stages across words
     rng = np.random.default_rng(15)
-    for N in (2, 4, 8, 64, 256):
-        G = kron_matrix(N).astype(np.int64)
-        u = rng.integers(0, 2, size=(40, N), dtype=np.uint8)
+    for n in range(1, 13):
+        N = 1 << n
+        if N <= 512:
+            u = rng.integers(0, 2, size=(40, N), dtype=np.uint8)
+            want = (u.astype(np.int64) @ kron_matrix(N).astype(np.int64)) % 2
+        else:
+            # G_N is too large to build here: sparse messages, each codeword
+            # the XOR of the generator rows of its ones
+            u = np.zeros((40, N), dtype=np.uint8)
+            want = np.zeros((40, N), dtype=np.int64)
+            for row, c in zip(u, want):
+                for i in rng.choice(N, size=8, replace=False).tolist():
+                    row[i] = 1
+                    c ^= generator_row(i + 1, N)
         c = encode_rows(u)
         assert c.dtype == np.uint8 and c.shape == u.shape
-        assert np.array_equal(c, (u.astype(np.int64) @ G) % 2)
+        assert np.array_equal(c, want)
         assert np.array_equal(encode_rows(c), u)
-    empty = encode_rows(np.zeros((0, 16), dtype=np.uint8))
-    assert empty.shape == (0, 16)
+        assert np.array_equal(_weights(_transform(_pack(u), N)), want.sum(axis=1))
+        wide = encode_rows(u.astype(np.int64))
+        assert wide.dtype == np.int64 and np.array_equal(wide, want)
+        assert encode_rows(np.zeros((0, N), dtype=np.uint8)).shape == (0, N)
 
 
 def test_encode_errors():

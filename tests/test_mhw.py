@@ -383,6 +383,24 @@ def test_enumeration_file_rejects_corruption(tmp_path):
         read_enumeration(bad)
 
 
+def test_enumeration_reader_reports_first_bit_past_n(tmp_path):
+    # bits past N inside the top word or in a u= wider than the packed
+    # words: the earlier of two such records is reported, whatever its bits
+    path = tmp_path / "mhw.txt"
+    write_enumeration(path, SPEC8, enumerate_zero_split(SPEC8))
+    good = path.read_text().splitlines()
+    bad = tmp_path / "bad.txt"
+    for first, second in ((1 << 8, 1 << 9), (1 << 8, 1 << 64), (1 << 64, 1 << 8)):
+        edited = list(good)
+        for k, extra in ((8, first), (9, second)):
+            msg, u, w = edited[k].split()
+            edited[k] = f"{msg} u={int(u[2:], 16) | extra:x} {w}"
+        bad.write_text("\n".join(edited) + "\n")
+        want = edited[8].split()[1]
+        with pytest.raises(EnumFormatError, match=f"{want} sets a bit past N=8"):
+            read_enumeration(bad)
+
+
 def test_enumeration_path_makes_no_per_vector_encode_calls(monkeypatch, tmp_path):
     # every module-level name bound to bitops.encode, in any polarmhw module
     # (mhw.encode included where it exists), counts its calls
@@ -404,6 +422,7 @@ def test_enumeration_path_makes_no_per_vector_encode_calls(monkeypatch, tmp_path
     spec = construct_pw(256, 136)
     result = enumerate_zero_split(spec)
     write_enumeration(tmp_path / "pw.txt", spec, result)
+    assert read_enumeration(tmp_path / "pw.txt")[1] == result
     assert result.count > 0
     assert len(calls) == 0
 
