@@ -76,9 +76,10 @@ def encode(u) -> list[int]:
 
 def encode_rows(u):
     """Polar transform of every row of a (rows, N) 0/1 integer array, run on
-    the rows' packed words.  Returns a new array of the same shape and
-    dtype."""
+    the rows' packed words (any nonzero entry packs as 1).  Returns a new
+    array of the same shape and dtype."""
     u = np.asarray(u)
+    _check_length(u.shape[1])
     words = _transform(_pack(u), u.shape[1])
     c = np.unpackbits(words.view(np.uint8), axis=1, count=u.shape[1], bitorder="little")
     return c.astype(u.dtype, copy=False)

@@ -424,19 +424,14 @@ def read_enumeration(path):
     if count != len(records):
         raise EnumFormatError(f"{path}: header count {count} != {len(records)} records")
     spec = CodeSpec(N, A)
+    for _, word, _ in records:
+        if word >> N:
+            raise EnumFormatError(f"{path}: u={word:x} sets a bit past N={N}")
     # u= is hex with position 1 in the lowest bit, so its little-endian bytes
     # are the row's packed words
     width = -(-N // 64)
-    try:
-        data = b"".join(word.to_bytes(8 * width, "little") for _, word, _ in records)
-        words = np.frombuffer(data, dtype="<u8").reshape(-1, width)
-        # only a top word of N < 64 positions has bits past N
-        past = (words[:, -1] & ~_pack(np.ones((1, N), dtype=np.uint8))[0, -1]) != 0
-    except OverflowError:  # a u= wider than the words sets a bit past N
-        past = [word >> N != 0 for _, word, _ in records]
-    if np.any(past):
-        word = records[int(np.argmax(past))][1]
-        raise EnumFormatError(f"{path}: u={word:x} sets a bit past N={N}")
+    data = bytearray(b"".join(word.to_bytes(8 * width, "little") for _, word, _ in records))
+    words = np.frombuffer(data, dtype="<u8").reshape(-1, width)
     u = np.unpackbits(words.view(np.uint8), axis=1, count=N, bitorder="little")
     msgs = np.packbits(u.compress(spec.info_mask, axis=1), axis=1, bitorder="little")
     for (msg, word, _), want in zip(records, msgs):
@@ -446,7 +441,7 @@ def read_enumeration(path):
     if frozen.any():
         word = records[int(np.argmax(frozen))][1]
         raise EnumFormatError(f"{path}: nonzero frozen position in u={word:x}")
-    weights = _weights(_transform(words.copy(), N)).tolist()
+    weights = _weights(_transform(words, N)).tolist()
     for (_, word, w), weight in zip(records, weights):
         if w != weight:
             raise EnumFormatError(f"{path}: w={w} but u={word:x} has weight {weight}")

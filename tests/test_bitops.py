@@ -133,6 +133,8 @@ def test_encode_errors():
         encode([0, 1, 2, 0])
     with pytest.raises(ValueError):
         encode([0, 1, 1])  # length not a power of two
+    with pytest.raises(ValueError):
+        encode_rows(np.zeros((1, 6), dtype=np.uint8))  # packs into one word
 
 
 def test_min_distance_examples():
