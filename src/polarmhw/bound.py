@@ -10,14 +10,17 @@ upper bound
 
     count <= sum over minimum-weight rows i of 2**|zero_capacity_set(i) & A|
 
-computed here without touching full generator rows, so the whole bound costs
-polylog work per trigger row rather than anything proportional to N.
+computed here without touching full generator rows.  One kernel
+enumerates the zero-capacity positions of all trigger rows of a code at
+once, in numpy blocks grouped by how many such positions a tail part holds,
+so the bound costs the total size of those sets, at most
+(trigger rows) * log N * d_m positions, plus about log2(d_m) + 1 groups of
+numpy calls per code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,30 +106,56 @@ def decompose(i: int, n: int) -> Decomposition:
     return Decomposition(i, n, tuple(parts))
 
 
-@lru_cache(maxsize=4096)
-def _subset_values(mask: int) -> np.ndarray:
-    """All submasks of `mask` as an ascending int64 array."""
-    arr = np.zeros(1, dtype=np.int64)
-    m = mask
-    while m:
-        b = m & -m
-        arr = np.concatenate([arr, arr | b])
-        m ^= b
-    return arr
+_DIGITS = 1 << np.arange(63, dtype=np.int64)
 
 
-def _zero_capacity(i: int, n: int) -> np.ndarray:
-    """Ascending 0-based indices of the zero-capacity positions of i.
+def _zero_capacity(a, n: int, info_mask: np.ndarray, keep: bool = False):
+    """The zero-capacity positions of every row i of the sequence a at once:
+    per row, how many of them info_mask marks, and on request those marked
+    positions, 0-based and ordered by (row, position).
 
-    Within each part, these are the offsets covered by the low lam digits of
-    i - 1, where the length-2**lam prefix of generator row i is 1
-    (equivalently: the e > i whose e - 1 has exactly one digit that i - 1
-    lacks).  The parts are read off the digit walk directly: building Part
-    objects would cost more than the rest of the bound.
+    With r = i - 1, the part of the tail at a zero digit t of r starts at
+    base = (r >> t << t) | 1 << t, and its zero-capacity positions are base
+    plus each submask of r mod 2**t (equivalently: the e > i whose e - 1 has
+    exactly one digit that r lacks).  The (row, t) pairs are grouped by
+    q = popcount(r mod 2**t), so each group's (pairs, 2**q) block of
+    positions takes q doublings, one per digit of r below t, lowest first.
+    The work is the total size of the sets plus one group of numpy calls per
+    value of q.
     """
-    r = i - 1
-    chunks = [start - 1 + _subset_values(r & ((1 << lam) - 1)) for start, lam in _tail(i, n)]
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    # array methods, not np.nonzero/np.argsort/np.cumsum: their dispatch is
+    # a large share of the fixed cost of a code with few triggers
+    r = np.asarray(a, dtype=np.int64) - 1
+    rows, t = (~r[:, None] & _DIGITS[:n]).nonzero()
+    r_t, bit = r[rows], _DIGITS[t]
+    low = r_t & (bit - 1)
+    q = np.bitwise_count(low)
+    # pairs in ascending q, rows still ascending within each group
+    order = q.argsort(kind="stable")
+    rows, low, base = rows[order], low[order], ((r_t - low) | bit)[order]
+    hits = np.empty(len(rows), dtype=np.int64)
+    kept_rows, kept = [rows[:0]], [r[:0]]  # empty seeds: a row may have no pair
+    end = 0
+    for size, pairs in enumerate(np.bincount(q).tolist()):
+        if not pairs:
+            continue
+        start, end = end, end + pairs
+        block, m = base[start:end, None], low[start:end]
+        for _ in range(size):
+            b = m & -m
+            m = m ^ b
+            block = np.concatenate([block, block | b[:, None]], axis=1)
+        marked = info_mask[block]
+        hits[start:end] = marked.sum(axis=1)
+        if keep:
+            kept_rows.append(np.repeat(rows[start:end], hits[start:end]))
+            kept.append(block[marked])
+    counts = np.zeros(len(r), dtype=np.int64)
+    np.add.at(counts, rows, hits)
+    if not keep:
+        return counts, None
+    kept_rows, kept = np.concatenate(kept_rows), np.concatenate(kept)
+    return counts, kept[np.lexsort((kept, kept_rows))]
 
 
 def zero_capacity_set(i: int, N: int) -> frozenset[int]:
@@ -135,14 +164,8 @@ def zero_capacity_set(i: int, N: int) -> frozenset[int]:
     n = _check_length(N)
     if not 1 <= i <= N:
         raise ValueError(f"index i={i} out of range [1, {N}]")
-    return frozenset((_zero_capacity(i, n) + 1).tolist())
-
-
-def _overlap(i: int, n: int, info_mask: np.ndarray, want_members: bool):
-    """|zero_capacity_set(i) & A|, and on request its ascending members."""
-    zc = _zero_capacity(i, n)
-    hits = zc[info_mask[zc]]
-    return len(hits), tuple((hits + 1).tolist()) if want_members else None
+    _, zc = _zero_capacity([i], n, np.ones(N, dtype=bool), keep=True)
+    return frozenset((zc + 1).tolist())
 
 
 def bound_count(spec, materialize_sets: bool = False) -> BoundReport:
@@ -154,16 +177,16 @@ def bound_count(spec, materialize_sets: bool = False) -> BoundReport:
     """
     d_m, a_m = min_distance(spec)
     N = spec.N
-    n = N.bit_length() - 1
-    info_mask = spec.info_mask
-    triggers = []
-    total = 0
-    for i in a_m:
-        overlap, members = _overlap(i, n, info_mask, materialize_sets)
-        term = 1 << overlap
-        triggers.append(TriggerTerm(i, overlap, term, members))
-        total += term
-    return BoundReport(N, d_m, tuple(triggers), total)
+    counts, hits = _zero_capacity(a_m, N.bit_length() - 1, spec.info_mask, materialize_sets)
+    if materialize_sets:
+        members = [tuple(h.tolist()) for h in np.split(hits + 1, counts.cumsum()[:-1])]
+    else:
+        members = [None] * len(a_m)
+    triggers = tuple(
+        TriggerTerm(i, overlap, 1 << overlap, m)
+        for i, overlap, m in zip(a_m, counts.tolist(), members)
+    )
+    return BoundReport(N, d_m, triggers, sum(t.term for t in triggers))
 
 
 def per_subset_bound(i: int, spec) -> int:
@@ -171,9 +194,8 @@ def per_subset_bound(i: int, spec) -> int:
     d_m, a_m = min_distance(spec)
     if i not in a_m:
         raise ValueError(f"position {i} is not a minimum-weight information row")
-    n = spec.N.bit_length() - 1
-    overlap, _ = _overlap(i, n, spec.info_mask, False)
-    return 1 << overlap
+    counts, _ = _zero_capacity([i], spec.N.bit_length() - 1, spec.info_mask)
+    return 1 << int(counts[0])
 
 
 # ---- subtree root LLRs in closed form ----

@@ -73,10 +73,16 @@ class CodeSpec:
         _check_length(self.N)
         if not len(self.A):
             raise ValueError("information set is empty")
-        if min(self.A) < 1 or max(self.A) > self.N:
+        try:
+            rows = np.fromiter(self.A, np.int64, len(self.A))
+            inside = rows.min() >= 1 and rows.max() <= self.N
+        except OverflowError:  # outside int64, so outside [1, N] too
+            inside = False
+        # checked before the write: a row of 0 would wrap to the last position
+        if not inside:
             raise ValueError(f"information set not within [1, {self.N}]")
         mask = np.zeros(self.N, dtype=bool)
-        mask[np.fromiter(self.A, np.int64, len(self.A)) - 1] = True
+        mask[rows - 1] = True
         mask.flags.writeable = False
         A = tuple((np.flatnonzero(mask) + 1).tolist())
         if len(A) != len(self.A):
@@ -136,7 +142,9 @@ class ReliabilityOrder:
     def top(self, K: int) -> tuple[int, ...]:
         if not 1 <= K <= len(self.ranking):
             raise ValueError(f"K={K} out of range [1, {len(self.ranking)}]")
-        return tuple(np.sort(self.ranking[:K]).tolist())
+        top = np.zeros(len(self.ranking), dtype=bool)
+        top[self.ranking[:K] - 1] = True
+        return tuple((np.flatnonzero(top) + 1).tolist())
 
 
 def _rank(scores: np.ndarray) -> ReliabilityOrder:

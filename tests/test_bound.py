@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -80,8 +81,10 @@ def test_decomposition_partitions_the_tail_exhaustively():
 def test_zero_capacity_set_examples():
     assert zero_capacity_set(2, 8) == {3, 4, 5, 6}
     assert zero_capacity_set(4, 8) == {5, 6, 7, 8}
-    for N in (2, 4, 8, 16):
+    for N in (2, 4, 8, 16, 1 << 16):
         assert zero_capacity_set(N, N) == frozenset()
+    # i - 1 = 0: every digit is zero and each part holds one position
+    assert zero_capacity_set(1, 1 << 16) == {(1 << t) + 1 for t in range(16)}
 
 
 def test_zero_capacity_set_matches_one_extra_bit_characterization():
@@ -174,6 +177,25 @@ def test_bound_report_members_match_set_intersection():
             assert t.term == 1 << t.overlap
 
 
+def test_bound_matches_one_extra_bit_rule_at_length_65536():
+    # GA codes whose triggers' zero-capacity sets fill large blocks, checked
+    # against the information positions p > i - 1 with exactly one digit
+    # that i - 1 lacks
+    for K, d_m, n_triggers in ((1024, 4096, 399), (9216, 1024, 3277)):
+        spec = construct_ga(1 << 16, K, 2.0)
+        report = bound_count(spec, materialize_sets=K == 1024)
+        assert (report.d_m, len(report.triggers)) == (d_m, n_triggers)
+        info = np.array(spec.A, dtype=np.int64) - 1
+        r = np.array(report.a_m, dtype=np.int64) - 1
+        for lo in range(0, len(r), 256):
+            rr = r[lo : lo + 256, None]
+            hit = (info > rr) & (np.bitwise_count(info & ~rr) == 1)
+            for t, row in zip(report.triggers[lo : lo + 256], hit):
+                assert t.overlap == np.count_nonzero(row)
+                if t.members is not None:
+                    assert t.members == tuple((info[row] + 1).tolist())
+
+
 def test_bound_skips_member_sets_when_asked():
     report = bound_count(SPEC8, materialize_sets=False)
     assert all(t.members is None for t in report.triggers)
@@ -188,6 +210,11 @@ def test_per_subset_bound_examples():
         per_subset_bound(8, SPEC8)
     with pytest.raises(ValueError):
         per_subset_bound(5, SPEC8)
+    spec = construct_ga(4096, 1024, 2.0)
+    report = bound_count(spec)
+    assert len(report.triggers) > 1
+    for t in report.triggers:
+        assert per_subset_bound(t.i, spec) == t.term
 
 
 # ---- zero LLR locations along minimum-weight trajectories ----
