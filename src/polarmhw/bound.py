@@ -21,6 +21,7 @@ numpy calls per code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,14 +68,26 @@ class TriggerTerm:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """The bound of one code: its minimum-weight rows a_m, each row's
+    overlap (how many of its zero-capacity positions are information
+    positions), each row's marked positions when they were asked for, and
+    total, the exact sum of 2**overlap.  The TriggerTerm tuple is built the
+    first time something reads triggers."""
+
     N: int
     d_m: int
-    triggers: tuple[TriggerTerm, ...]
+    a_m: tuple[int, ...]
+    overlaps: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...] | None
     total: int
 
-    @property
-    def a_m(self) -> tuple[int, ...]:
-        return tuple(t.i for t in self.triggers)
+    @cached_property
+    def triggers(self) -> tuple[TriggerTerm, ...]:
+        members = (None,) * len(self.a_m) if self.members is None else self.members
+        return tuple(
+            TriggerTerm(i, overlap, 1 << overlap, m)
+            for i, overlap, m in zip(self.a_m, self.overlaps, members)
+        )
 
 
 # ---- tail decomposition and zero-capacity sets ----
@@ -178,15 +191,12 @@ def bound_count(spec, materialize_sets: bool = False) -> BoundReport:
     d_m, a_m = min_distance(spec)
     N = spec.N
     counts, hits = _zero_capacity(a_m, N.bit_length() - 1, spec.info_mask, materialize_sets)
+    members = None
     if materialize_sets:
-        members = [tuple(h.tolist()) for h in np.split(hits + 1, counts.cumsum()[:-1])]
-    else:
-        members = [None] * len(a_m)
-    triggers = tuple(
-        TriggerTerm(i, overlap, 1 << overlap, m)
-        for i, overlap, m in zip(a_m, counts.tolist(), members)
-    )
-    return BoundReport(N, d_m, triggers, sum(t.term for t in triggers))
+        members = tuple(tuple(h.tolist()) for h in np.split(hits + 1, counts.cumsum()[:-1]))
+    # rows sharing an overlap share a term: one shift per distinct overlap
+    total = sum(rows << overlap for overlap, rows in enumerate(np.bincount(counts).tolist()))
+    return BoundReport(N, d_m, a_m, tuple(counts.tolist()), members, total)
 
 
 def per_subset_bound(i: int, spec) -> int:

@@ -56,51 +56,80 @@ _LN_PHI_SPLIT = -0.4527 * 10.0 ** 0.86 + 0.0218
 # ---- code specification ----
 
 
-@dataclass(frozen=True)
 class CodeSpec:
     """A polar code: length N = 2^n, information set A, construction label.
 
-    A is held twice, both fixed at construction: as an ascending tuple of
-    Python ints, and as info_mask, a read-only boolean array over the 0-based
-    positions.  Every other layer reads one of the two.
+    The information set is stored once, as info_mask: a read-only boolean
+    array over the 0-based positions.  A, the ascending tuple of 1-based
+    Python ints, is derived from the mask the first time something reads it
+    and kept; the bound, the sweep and min_distance read only the mask.  A
+    spec is immutable, and two specs are equal iff N, the information set
+    and the label are.
     """
 
-    N: int
-    A: tuple[int, ...]
-    construction: str = "EXPLICIT"
-
-    def __post_init__(self):
-        _check_length(self.N)
-        if not len(self.A):
+    def __init__(self, N: int, A, construction: str = "EXPLICIT"):
+        _check_length(N)
+        if not len(A):
             raise ValueError("information set is empty")
+        if not all(isinstance(a, (int, np.integer)) for a in A):
+            raise ValueError("information set positions must be integers")
         try:
-            rows = np.fromiter(self.A, np.int64, len(self.A))
-            inside = rows.min() >= 1 and rows.max() <= self.N
+            rows = np.fromiter(A, np.int64, len(A))
+            inside = rows.min() >= 1 and rows.max() <= N
         except OverflowError:  # outside int64, so outside [1, N] too
             inside = False
         # checked before the write: a row of 0 would wrap to the last position
         if not inside:
-            raise ValueError(f"information set not within [1, {self.N}]")
-        mask = np.zeros(self.N, dtype=bool)
+            raise ValueError(f"information set not within [1, {N}]")
+        mask = np.zeros(N, dtype=bool)
         mask[rows - 1] = True
-        mask.flags.writeable = False
-        A = tuple((np.flatnonzero(mask) + 1).tolist())
-        if len(A) != len(self.A):
+        if np.count_nonzero(mask) != len(A):
             raise ValueError("information set has duplicate positions")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "info_mask", mask)
+        self._set(N, mask, construction)
+
+    @classmethod
+    def _from_mask(cls, N: int, mask: np.ndarray, construction: str) -> CodeSpec:
+        """The spec of a boolean mask already known to be a nonempty
+        information set of length N, which the spec takes over unchecked."""
+        spec = cls.__new__(cls)
+        spec._set(N, mask, construction)
+        return spec
+
+    def _set(self, N, mask, construction):
+        mask.flags.writeable = False
+        vars(self).update(N=N, info_mask=mask, construction=construction)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable CodeSpec")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.N, self.construction) == (other.N, other.construction) and np.array_equal(
+            self.info_mask, other.info_mask
+        )
+
+    def __hash__(self):
+        return hash((self.N, self.A, self.construction))
+
+    def __repr__(self):
+        return f"CodeSpec(N={self.N!r}, A={self.A!r}, construction={self.construction!r})"
+
+    @cached_property
+    def A(self) -> tuple[int, ...]:
+        return tuple((np.flatnonzero(self.info_mask) + 1).tolist())
 
     @property
     def n(self) -> int:
         return self.N.bit_length() - 1
 
-    @property
+    @cached_property
     def K(self) -> int:
-        return len(self.A)
+        return int(np.count_nonzero(self.info_mask))
 
     @property
     def R(self) -> float:
-        return len(self.A) / self.N
+        return self.K / self.N
 
     def is_info(self, position: int) -> bool:
         return 1 <= position <= self.N and bool(self.info_mask[position - 1])
@@ -139,13 +168,6 @@ class ReliabilityOrder:
         self.ranking.flags.writeable = False
         self.scores.flags.writeable = False
 
-    def top(self, K: int) -> tuple[int, ...]:
-        if not 1 <= K <= len(self.ranking):
-            raise ValueError(f"K={K} out of range [1, {len(self.ranking)}]")
-        top = np.zeros(len(self.ranking), dtype=bool)
-        top[self.ranking[:K] - 1] = True
-        return tuple((np.flatnonzero(top) + 1).tolist())
-
 
 def _rank(scores: np.ndarray) -> ReliabilityOrder:
     # descending score, ascending index on ties
@@ -173,7 +195,17 @@ def _codes(N: int, design_ebn0_db=None):
     else:
         order = gaussian_approx_order(N, design_sigma(design_ebn0_db, 0.5))
         label = f"GA({design_ebn0_db:g}dB)"
-    return lambda K: CodeSpec(N, order.top(K), label)
+    rows = order.ranking - 1
+
+    def code(K: int) -> CodeSpec:
+        # the first K rows of a permutation of [0, N): distinct and in range
+        if not 1 <= K <= N:
+            raise ValueError(f"K={K} out of range [1, {N}]")
+        mask = np.zeros(N, dtype=bool)
+        mask[rows[:K]] = True
+        return CodeSpec._from_mask(N, mask, label)
+
+    return code
 
 
 def construct_pw(N: int, K: int) -> CodeSpec:

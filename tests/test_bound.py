@@ -202,6 +202,21 @@ def test_bound_skips_member_sets_when_asked():
     assert report.total == 14
 
 
+def test_bound_report_builds_trigger_terms_on_first_read():
+    spec = construct_ga(4096, 1024, 2.0)
+    for materialize in (False, True):
+        report = bound_count(spec, materialize_sets=materialize)
+        assert (report.d_m, report.a_m) == min_distance(spec)
+        assert report.total == sum(1 << o for o in report.overlaps)
+        assert "triggers" not in vars(report)
+        assert report.total == sum(t.term for t in report.triggers)
+        assert tuple(t.i for t in report.triggers) == report.a_m
+        assert tuple(t.overlap for t in report.triggers) == report.overlaps
+        assert all(type(t.term) is int for t in report.triggers)
+        assert report == bound_count(spec, materialize_sets=materialize)
+    assert bound_count(spec, materialize_sets=False) != report
+
+
 def test_per_subset_bound_examples():
     assert per_subset_bound(4, SPEC8) == 8
     assert per_subset_bound(6, SPEC8) == 4

@@ -1,15 +1,18 @@
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from polarmhw.bitops import min_distance
+from polarmhw.bound import bound_count
 from polarmhw.construction import (
     CodeSpec,
     SpecFormatError,
+    _codes,
     construct_ga,
     construct_pw,
     design_sigma,
@@ -90,6 +93,94 @@ def test_information_set_arrays_are_read_only():
 def test_codespec_rejects_bad_input(N, A):
     with pytest.raises(ValueError):
         CodeSpec(N, A)
+
+
+@pytest.mark.parametrize(
+    "N,A,text",
+    [
+        (8, (), "information set is empty"),
+        (8, (0, 1), "information set not within [1, 8]"),
+        (8, (9,), "information set not within [1, 8]"),
+        (8, (3, 3), "information set has duplicate positions"),
+        (6, (1,), "code length N=6 is not a power of two >= 2"),
+        (8, (2 ** 63, 1), "information set not within [1, 8]"),
+        (8, (np.uint64(2 ** 64 - 1),), "information set not within [1, 8]"),
+        (4, (1.5, 2), "information set positions must be integers"),
+        (4, (1.0, 2), "information set positions must be integers"),
+        (4, ("1", 2), "information set positions must be integers"),
+        (4, np.array([1.0, 2.0]), "information set positions must be integers"),
+    ],
+)
+def test_codespec_error_texts(N, A, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        CodeSpec(N, A)
+
+
+def test_codespec_accepts_numpy_integers():
+    want = CodeSpec(8, (4, 6, 7, 8))
+    for A in (np.array([7, 4, 8, 6]), np.array([7, 4, 8, 6], dtype=np.uint8), (np.int32(8), 4, 6, 7)):
+        spec = CodeSpec(8, A)
+        assert spec == want and spec.A == (4, 6, 7, 8)
+        assert all(type(a) is int for a in spec.A)
+
+
+def test_codespec_is_immutable():
+    spec = CodeSpec(8, (4, 6, 7, 8))
+    for name in ("N", "A", "construction", "info_mask"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+    assert spec == CodeSpec(8, (4, 6, 7, 8))
+
+
+def test_codespec_equality_reads_n_set_and_label():
+    spec = CodeSpec(8, (4, 6, 7, 8), "PW")
+    assert spec == CodeSpec(8, (8, 7, 6, 4), "PW")
+    assert spec != CodeSpec(8, (4, 6, 7, 8))
+    assert spec != CodeSpec(8, (4, 6, 7), "PW")
+    assert spec != CodeSpec(16, (4, 6, 7, 8), "PW")
+    assert spec != (8, (4, 6, 7, 8), "PW")
+    assert len({spec, CodeSpec(8, (8, 7, 6, 4), "PW"), CodeSpec(8, (4, 6, 7, 8))}) == 2
+
+
+def _ranked_codes():
+    for N in (1 << n for n in range(1, 17)):
+        yield N, "PW", None, polarization_weight_order(N).ranking
+        for ebn0 in (0.0, 2.0):
+            ranking = gaussian_approx_order(N, design_sigma(ebn0, 0.5)).ranking
+            yield N, f"GA({ebn0:g}dB)", ebn0, ranking
+
+
+def test_mask_built_specs_equal_public_ones():
+    for N, label, ebn0, ranking in _ranked_codes():
+        codes = _codes(N, ebn0)
+        for K in sorted({1, 2, N // 2, N - 1, N} - {0}):
+            got = codes(K)
+            want = CodeSpec(N, tuple(sorted(ranking[:K])), label)
+            assert got.info_mask.dtype == bool and not got.info_mask.flags.writeable
+            assert np.array_equal(got.info_mask, want.info_mask)
+            assert (got.N, got.K, got.R, got.construction) == (want.N, want.K, want.R, label)
+            assert type(got.K) is int and got.K == K
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert min_distance(got) == min_distance(want)
+            assert got._sc_steps == want._sc_steps
+            probes = {0, 1, N, N + 1, int(ranking[K - 1]), int(ranking[K % N])}
+            assert [got.is_info(p) for p in probes] == [want.is_info(p) for p in probes]
+            assert got.A == want.A and all(type(a) is int for a in got.A)
+        with pytest.raises(ValueError, match=re.escape(f"K=0 out of range [1, {N}]")):
+            codes(0)
+        with pytest.raises(ValueError, match=re.escape(f"K={N + 1} out of range [1, {N}]")):
+            codes(N + 1)
+
+
+def test_bound_leaves_A_unbuilt():
+    # the bound reads only the mask: building A (K Python ints) per code is
+    # the cost the mask-built specs remove from sweep and bound
+    spec = construct_ga(65536, 32768, 2.0)
+    bound_count(spec)
+    min_distance(spec)
+    assert spec.K == 32768 and "A" not in vars(spec)
+    repr(spec)
+    assert "A" in vars(spec)
 
 
 # ---- polarization weight ----
