@@ -97,7 +97,10 @@ def _pack(rows) -> np.ndarray:
     and the bits past N are zero."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     if packed.shape[1] % 8:
-        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+        # a zeroed buffer, not np.pad, whose fixed cost dominates short rows
+        words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        packed = words
     return packed.view("<u8")
 
 

@@ -28,7 +28,7 @@ from .bound import (
     zero_capacity_set,
 )
 from .channel import render_fer_csv, sweep_fer
-from .construction import CodeSpec, _codes, load_spec, save_spec
+from .construction import CodeSpec, _codes, construct_ga, construct_pw, load_spec, save_spec
 from .listdec import _search
 from .mhw import (
     EXHAUSTIVE_CAP,
@@ -144,16 +144,18 @@ def _build_spec(N, K, A_text, construction, design_ebn0):
         return CodeSpec(N, _parse_positions(A_text))
     if K is None:
         raise UsageError("need --K (with optional --construction) or --A")
-    return _build_codes(N, construction, design_ebn0)(K)
+    design = _design_point(construction, design_ebn0)
+    return construct_pw(N, K) if design is None else construct_ga(N, K, design)
 
 
-def _build_codes(N, construction, design_ebn0):
-    """K -> the code of length N that --construction builds (pw by default)."""
+def _design_point(construction, design_ebn0):
+    """The design Eb/N0 of the GA construction --construction asks for, or
+    None for pw, the default."""
     if (construction or "pw") == "pw":
         if design_ebn0 is not None:
             raise UsageError("--design-ebn0 applies only to --construction ga")
-        return _codes(N)
-    return _codes(N, _DEFAULT_DESIGN_EBN0 if design_ebn0 is None else design_ebn0)
+        return None
+    return _DEFAULT_DESIGN_EBN0 if design_ebn0 is None else design_ebn0
 
 
 def _resolve_spec(args):
@@ -524,7 +526,7 @@ def cmd_sweep(args, argv) -> int:
         if not 1 <= K <= N:
             raise UsageError(f"--K-grid value {K} out of [1, {N}]")
     # one reliability order serves every K
-    codes = _build_codes(N, args.construction, args.design_ebn0)
+    codes = _codes(N, _design_point(args.construction, args.design_ebn0))
     rows = []
     for K in Ks:
         spec = codes(K)

@@ -11,8 +11,8 @@ recomputed.  Each change of lanes stores every lane's parent, each leaf its
 nonzero bits; decisions, and on request the decoding LLR of every leaf,
 are traced back at the end.
 
-Integer runs that record no leaf LLR (the subset and global searches, and
-the zero-split walk) take each maximal all-frozen (rate-0) node of 2**s >= 2
+Integer runs that record no leaf LLR (the subset and global searches)
+take each maximal all-frozen (rate-0) node of 2**s >= 2
 leaves in one step, in the schedule CodeSpec._sc_steps: its input alpha is
 computed at stage s and no lower, its partial sums are all 0, and under
 min-sum its frozen 0 bits cost sum_j |alpha_j| [alpha_j < 0] in all, so some
@@ -20,7 +20,9 @@ leaf LLR in it is negative iff some alpha_j is (the SSC rate-0 node rule:
 Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011; Hashemi, Condo &
 Gross, IEEE TSP 2017).  scl_decode and verify's replays record every leaf's
 LLR, and a float sum over a node would round differently from the per-leaf
-one, so those runs and scl_decode_batch keep the leaf schedule.
+one, so those runs and scl_decode_batch keep the leaf schedule.  mhw's
+zero-split walk, which keeps no metric, runs rate-0, rate-1 and repetition
+nodes on the same stages in a schedule of its own.
 
 Each decode may pin its own decision prefix.  While all prefixes have one
 length no lane is dead.  Otherwise decodes that start splitting at
@@ -84,9 +86,10 @@ class SearchDiagnostics:
 class _Stages:
     """The SC stage buffers of B decodes of `width` lanes each, run leaf by
     leaf like sctree._TreeState (leaf, then commit) for every lane at once,
-    or a rate-0 node of 2**s leaves in one step (node(phi, s), then
-    commit(phi, None, s): all its bits 0, none stored for trace); select()
-    between the two replaces the lanes by copies of given parents.
+    or a node of 2**s leaves in one step (node(phi, s), then commit(phi,
+    bits, s, beta) with the node's bits and partial sums, or commit(phi,
+    None, s) for a node decided all 0); select() between the two replaces
+    the lanes by copies of given parents.
 
     Lane j of decode b reads row map[b * w + j] of alpha[s] (map amap[s]) or
     beta_left[s] (bmap[s]) viewed as (B * w, size), w being the lane count
@@ -110,12 +113,15 @@ class _Stages:
             return buf
         return buf.reshape(-1, buf.shape[2]).take(rowmap, axis=0).reshape(self.B, -1, buf.shape[2])
 
-    def node(self, phi, s=0):
+    def node(self, phi, s=0, top=None):
         """The (B, width, 2**s) input LLRs of the node of 2**s leaves whose
         first leaf is phi, a multiple of 2**s, or (B, 1, 2**s) while shared;
-        no stage below s is computed."""
+        no stage below s is computed, and none above top, a stage whose node
+        at phi node(phi, top) returned last."""
         alpha, amap = self.alpha, self.amap
-        if phi == 0:
+        if top is not None:
+            t = top
+        elif phi == 0:
             t = self.n
         else:
             t = (phi & -phi).bit_length() - 1
@@ -155,16 +161,23 @@ class _Stages:
             if (phi >> t) & 1:
                 self.bmap[t] = src if self.bmap[t] is None else self.bmap[t][src]
 
-    def commit(self, phi, bit, s=0):
-        """Decide the (B, width) uint8 bits at leaf phi, or 0 at every leaf
-        of the node of 2**s > 1 leaves whose first leaf is phi (bit is then
-        not read): the partial sums."""
-        if s == 0:
+    def commit(self, phi, bit, s=0, beta=None):
+        """Decide the (B, width) uint8 bits at leaf phi, or the (B, width,
+        2**s) bits of the node of 2**s leaves whose first leaf is phi, whose
+        partial sums (the node's bits times G) are beta; bit None decides 0
+        at every leaf of the node.  trace reads back each leaf's nonzero bits,
+        kept as one contiguous (B, width) array per leaf."""
+        if bit is None:
+            cur = np.zeros((self.B, self.width, 1 << s), dtype=np.uint8)
+        elif s == 0:
             if np.count_nonzero(bit):
                 self.bits[phi] = bit
             cur = bit[:, :, None]
         else:
-            cur = np.zeros((self.B, self.width, 1 << s), dtype=np.uint8)
+            leaves = bit.transpose(2, 0, 1).copy()
+            for j in leaves.any(axis=(1, 2)).nonzero()[0].tolist():
+                self.bits[phi + j] = leaves[j]
+            cur = beta
         if phi + (1 << s) == self.N:
             return  # the last leaf completes only the root, which nothing reads
         while (phi >> s) & 1:
@@ -180,7 +193,9 @@ class _Stages:
         frame = self.frame
         decisions = np.zeros(lanes.shape + (self.N,), dtype=np.uint8)
         llr = None if recorded is None else np.empty(decisions.shape, dtype=recorded[0].dtype)
-        for phi in reversed(range(self.N)):
+        # without leaf LLRs to read, only the leaves that stored something
+        leaves = range(self.N) if llr is not None else sorted(self.bits.keys() | self.parents.keys())
+        for phi in reversed(leaves):
             if phi in self.bits:
                 decisions[..., phi] = self.bits[phi][frame, lanes]
             if phi in self.parents:

@@ -11,7 +11,10 @@
   list decoder's stage engine, that follows hard decisions, forks at
   exactly-zero information LLRs, and abandons a branch when a frozen
   position sees a negative LLR; one batched polar transform then keeps the
-  leaves of weight d_m.  No metrics.
+  leaves of weight d_m.  No metrics.  The walk starts at the first trigger
+  from the all-zero path's LLRs in closed form and takes each rate-0,
+  rate-1 and repetition node in one step, by node rules that give the
+  leaf-by-leaf walk's forks and kills exactly.
 * scl_global_search: one wide unconstrained list search on the all-ones
   input; the minimum-weight survivors are the answer when the list is wider
   than the counting bound.
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polarmhw.bitops import _pack, _transform, _weights, generator_row, min_distance
+from polarmhw.bitops import _pack, _transform, _weights, encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count, per_subset_bound
 from polarmhw.construction import CodeSpec
 from polarmhw.listdec import _Stages, _search
@@ -227,6 +230,73 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
 # ---- zero-split walker ----
 
 
+# kinds of zero-split walk step; a single information leaf is a REP node
+_RATE0, _REP, _RATE1 = range(3)
+
+
+def _walk_steps(spec, triggers):
+    """The zero-split walk's schedule from the first trigger on, in leaf
+    order: (first leaf, s, kind) per node of 2**s leaves, the largest at its
+    first leaf that is rate-0 (every leaf frozen) or, holding no trigger,
+    rate-1 (every leaf information, s >= 1) or REP (every leaf frozen but
+    the last, which is information).  A leaf none of these fit, one holding
+    a trigger, is a REP node of one leaf."""
+    N = spec.N
+    # info[q] and trig[q] count the information leaves and the triggers
+    # before leaf q
+    info = np.concatenate([[0], np.cumsum(spec.info_mask)]).tolist()
+    marks = np.zeros(N + 1, dtype=np.intp)
+    marks[list(triggers)] = 1
+    trig = np.cumsum(marks).tolist()
+    steps = []
+    phi = min(triggers) - 1
+    while phi < N:
+        s = (phi & -phi).bit_length() - 1 if phi else spec.n
+        while s:
+            end = phi + (1 << s)
+            ones = info[end] - info[phi]
+            if not ones:
+                kind = _RATE0
+                break
+            if trig[end] == trig[phi]:
+                if ones == 1 << s:
+                    kind = _RATE1
+                    break
+                if ones == 1 and info[end] > info[end - 1]:
+                    kind = _REP
+                    break
+            s -= 1
+        else:
+            kind = _REP if info[phi + 1] > info[phi] else _RATE0
+        steps.append((phi, s, kind))
+        phi += 1 << s
+    return steps
+
+
+def _rate1_node(alpha):
+    """The (lanes, 2**s) bits and partial sums that hard decisions give a
+    rate-1 node of 2**s >= 2 leaves with (lanes, 2**s) input LLRs alpha, when
+    no entry of alpha is 0 and so no leaf LLR is (see _zero_split_walk); None
+    when some entry is 0."""
+    if not alpha.all():
+        return None
+    beta = (alpha < 0).view(np.uint8)
+    return encode_rows(beta), beta
+
+
+def _rep_node(alpha):
+    """(dead, llr) for a REP node of 2**s leaves with (lanes, 2**s) input LLRs
+    alpha: per lane whether some frozen leaf sees a negative LLR, and the
+    last leaf's LLR, the sum of alpha (see _zero_split_walk)."""
+    x, dead = alpha, np.zeros(len(alpha), dtype=bool)
+    while x.shape[1] > 1:
+        half = x.shape[1] >> 1
+        a, b = x[:, :half], x[:, half:]
+        dead |= (np.sign(a) * np.sign(b) < 0).any(axis=1)
+        x = a + b
+    return dead, x[:, 0]
+
+
 def _zero_split_walk(spec, triggers):
     """Walk the SC tree of the all-ones input from every trigger at once.
 
@@ -236,58 +306,116 @@ def _zero_split_walk(spec, triggers):
     forks off a lane with bit 1 owned by i.  Past its trigger a lane forks at
     an information bit whose LLR is exactly 0 (the copy takes bit 1) and dies
     at a frozen bit whose LLR is negative; elsewhere it follows the hard
-    decision.  A rate-0 node (CodeSpec._sc_steps) is one step: a lane dies
-    there iff some LLR of the node's input is negative, which is iff a leaf
-    of the node sees a negative LLR, and the node records no bits.  The
-    all-zero path is dropped after the last trigger.
+    decision.  The all-zero path reads only positive LLRs, so it never forks
+    or dies; it is dropped after the last trigger.
+
+    The walk starts at the first trigger p, in closed form: f(c, c) = c and
+    g(c, c) = 2c under all-zero partial sums, so the all-zero path's node at
+    stage t that holds leaf p reads 2**popcount(p >> t) in every entry.  From
+    there it takes the nodes of _walk_steps, each in one step from its input
+    LLRs alpha (the fast simplified SC node rules: Alamdar-Yazdi &
+    Kschischang, IEEE Comm. Letters 2011; Sarkis et al., IEEE JSAC 2014):
+
+    * rate-0: a lane dies iff some entry of alpha is negative.  With every
+      bit 0 the halves a, b of a node's input pass on f(a, b) and a + b:
+      both are nonnegative where a and b are, and where a_j or b_j is
+      negative, so is f(a_j, b_j) or a_j + b_j; by induction some leaf LLR
+      is negative iff some alpha_j is.  The node's bits are all 0.
+    * rate-1: if no entry of alpha is 0, no leaf LLR is either: f of two
+      nonzero values is nonzero, and after the hard decision on it g gives
+      sign(b) (|a| + |b|).  So no lane forks, the partial sums are the hard
+      decisions beta = [alpha < 0] and the bits are beta G (G is its own
+      inverse over GF(2)).  If some alpha_j is 0, so is f(a, b) where a or b
+      is, down to the first leaf, which forks: that leaf runs alone, then the
+      right halves on its path to the node, as rate-1 nodes or leaves.
+    * REP: with x^0 = alpha and x^(l+1) = a + b, a and b the halves of x^l,
+      the left half at level l is a rate-0 node with input f(a, b), so a lane
+      dies iff at some level some a_j and b_j are nonzero of opposite signs.
+      Otherwise the last leaf's LLR is sum(alpha): bit 1 if negative, a fork
+      if 0 (the copy takes bit 1 and goes after the live lanes, as at a
+      leaf), and the node's partial sums are that bit in every position.
 
     Returns (decisions, branch_positions, kills): a (rows, N) uint8 decision
     matrix of the surviving branches, and per trigger the set of fork
-    positions and the number of killed branches.
+    positions and the number of killed branches.  A trigger that is not an
+    information position raises ValueError.
     """
     N = spec.N
+    for i in triggers:
+        if not spec.is_info(i):
+            raise ValueError(f"trigger {i} is not an information position")
     branch_positions = [set() for _ in triggers]
     kills = [0] * len(triggers)
     if not triggers:
         return np.zeros((0, N), dtype=np.uint8), branch_positions, kills
-    info = spec.info_mask
     starts = {i - 1: k for k, i in enumerate(triggers)}
     last = max(starts)
     # LLR magnitudes at stage t are at most 2**(n - t) <= N, so the smallest
     # signed type that holds -2N is exact
-    stages = _Stages(np.ones((1, N), dtype=np.min_scalar_type(-2 * N)))
+    dtype = np.min_scalar_type(-2 * N)
+    stages = _Stages(np.ones((1, N), dtype=dtype))
+    # the all-zero path's stages at the first trigger, in closed form
+    first = min(starts)
+    for t in range(stages.n):
+        if t:
+            stages.alpha[t] = np.full((1, 1, 1 << t), 1 << (first >> t).bit_count(), dtype=dtype)
+        if first >> t & 1:
+            stages.beta_left[t] = np.zeros((1, 1, 1 << t), dtype=np.uint8)
     owner = np.array([-1], dtype=np.intp)
     no_fork = np.zeros(0, dtype=np.intp)
 
-    for phi, s in spec._sc_steps:
-        # per lane, or shared, the node's input LLRs: one leaf LLR, or those
-        # of a rate-0 node, which a lane survives iff none is negative
-        llr = stages.node(phi, s)[0]
-        walking = owner >= 0
-        is_info = s == 0 and info[phi]
-        # the hard decision; at a frozen bit or node a 1 marks exactly the
-        # dead lanes
-        bit = (walking & (llr < 0).any(axis=1)).astype(np.uint8)
-        fork = np.flatnonzero(walking & (llr[:, 0] == 0)) if is_info else no_fork
-        alive = (bit == 0) | is_info
-        for k in set(owner[fork].tolist()):
-            branch_positions[k].add(phi + 1)
-        for k in owner[~alive].tolist():
-            kills[k] += 1
-        if phi == last:
-            alive &= walking
-        # lanes after this leaf: the live ones, bit-1 copies of the forked
-        # ones, then the bit-1 copy of the all-zero path for a trigger here
-        start = [np.flatnonzero(~walking)] if phi in starts else []
-        if len(fork) or start or not alive.all():
-            live = np.flatnonzero(alive)
+    def decide(phi, s, alpha, kind):
+        # one rate-0 or REP node: kills, forks and the trigger's lane, if any
+        nonlocal owner
+        if kind == _RATE0:
+            dead, bit, fork = (alpha < 0).any(axis=1), None, no_fork
+        else:
+            dead, llr = _rep_node(alpha)
+            bit = llr < 0
+            fork = ((llr == 0) & ~dead).nonzero()[0]
+        k = starts.get(phi) if kind == _REP else None
+        if k is not None or len(fork) or dead.any():
+            for o in owner[dead].tolist():
+                kills[o] += 1
+            for o in set(owner[fork].tolist()):
+                branch_positions[o].add(phi + (1 << s))
+            if phi == last:
+                dead = dead | (owner < 0)
+            # lanes after this node: the live ones, bit-1 copies of the
+            # forked ones, then the bit-1 copy of the all-zero path for a
+            # trigger here
+            live = (~dead).nonzero()[0]
+            start = [] if k is None else [(owner < 0).nonzero()[0]]
             lanes = np.concatenate([live, fork] + start)
             owner = owner[lanes]
-            if start:
-                owner[-1] = starts[phi]
-            bit = np.concatenate([bit[live], np.ones(len(lanes) - len(live), dtype=np.uint8)])
+            if k is not None:
+                owner[-1] = k
+            if bit is not None:
+                bit = np.concatenate([bit[live], np.ones(len(lanes) - len(live), dtype=bool)])
             stages.select(phi, lanes[None], s)
-        stages.commit(phi, bit[None], s)
+        if bit is None or not bit.any():
+            stages.commit(phi, None, s)
+        elif s == 0:
+            stages.commit(phi, bit.view(np.uint8)[None])
+        else:
+            beta = np.repeat(bit.view(np.uint8)[None, :, None], 1 << s, axis=2)
+            bits = np.zeros_like(beta)
+            bits[..., -1] = beta[..., -1]
+            stages.commit(phi, bits, s, beta)
+
+    pending = _walk_steps(spec, triggers)[::-1]
+    while pending and len(owner):
+        phi, s, kind = pending.pop()
+        alpha = stages.node(phi, s)[0]
+        if kind == _RATE1:
+            node = _rate1_node(alpha)
+            if node is not None:
+                stages.commit(phi, node[0][None], s, node[1][None])
+                continue
+            # the first leaf forks: it now, then the right halves above it
+            pending += [(phi + (1 << t), t, _RATE1 if t else _REP) for t in reversed(range(s))]
+            alpha, s, kind = stages.node(phi, 0, s)[0], 0, _REP
+        decide(phi, s, alpha, kind)
     return stages.trace(np.arange(len(owner))[None])[0][0], branch_positions, kills
 
 

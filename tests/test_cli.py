@@ -150,6 +150,29 @@ def test_sweep_design_ebn0_with_pw_is_exit_2(capsys):
         assert err == "error: --design-ebn0 applies only to --construction ga\n"
 
 
+def test_single_codes_come_from_the_public_constructors(capsys, monkeypatch):
+    # a profiler that wraps construct_pw and construct_ga sees every code a
+    # command builds from --K; sweep reads all its codes off one order
+    from polarmhw import cli
+
+    calls = []
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def construct(*args):
+            calls.append(name)
+            return original(*args)
+
+        return construct
+
+    for name in ("construct_pw", "construct_ga"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert run(capsys, ["bound", "--N", "64", "--K", "32"])[0] == 0
+    assert run(capsys, ["bound", "--N", "64", "--K", "32", "--construction", "ga"])[0] == 0
+    assert calls == ["construct_pw", "construct_ga"]
+
+
 def test_sweep_bad_length_is_exit_2(capsys):
     for N in ("0", "1", "-4", "6"):
         code, out, err = run(capsys, ["sweep", "--N", N])
