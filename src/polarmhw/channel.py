@@ -146,6 +146,10 @@ def simulate_fer(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     sigma = design_sigma(ebn0_db, spec.K / spec.N)
+    # a path metric sums at most N leaf LLRs, each a sum of at most N channel
+    # LLRs of magnitude about 2/sigma^2: refuse the point before any overflows
+    if 4.0 * spec.N * spec.N / (sigma * sigma) == math.inf:
+        raise ValueError(f"Eb/N0 {ebn0_db:g} dB out of range: the decoder's LLR sums overflow")
     sizes = []
     done = 0
     while done < trials:

@@ -13,6 +13,7 @@ error, 3 capability refusal, 4 property failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -107,6 +108,12 @@ def _parse_grid(text: str, cast, flag: str) -> list:
     if not values:
         raise UsageError(f"{flag} grid is empty")
     return values
+
+
+def _finite_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def _resolve_threads(args) -> int:
@@ -490,7 +497,7 @@ def cmd_simulate(args, argv) -> int:
         raise UsageError("--list-size must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
-    grid = _parse_grid(args.ebn0, float, "--ebn0")
+    grid = _parse_grid(args.ebn0, _finite_float, "--ebn0")
     limit = None if args.error_limit <= 0 else args.error_limit
     points = sweep_fer(
         spec,
@@ -518,7 +525,7 @@ def cmd_sweep(args, argv) -> int:
     N = args.N
     _check_length(N)
     threads = _resolve_threads(args)
-    if args.K_grid:
+    if args.K_grid is not None:
         Ks = _parse_grid(args.K_grid, int, "--K-grid")
     else:
         Ks = list(range(1, N))

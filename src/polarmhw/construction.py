@@ -141,19 +141,44 @@ class CodeSpec:
 
     @cached_property
     def _sc_steps(self) -> tuple[tuple[int, int], ...]:
-        """The SC schedule of the code tree, computed once per spec: one
-        (first leaf, stage) step per maximal all-frozen node of 2**stage >= 2
-        leaves and one (leaf, 0) step per other leaf, in leaf order."""
-        # info[p] counts the information positions before leaf p
-        info = np.concatenate([[0], np.cumsum(self.info_mask)]).tolist()
-        steps, phi = [], 0
-        while phi < self.N:
-            s = (phi & -phi).bit_length() - 1 if phi else self.n
-            while s and info[phi + (1 << s)] > info[phi]:
-                s -= 1
-            steps.append((phi, s))
-            phi += 1 << s
-        return tuple(steps)
+        """The list engine's SC schedule, computed once per spec: the (first
+        leaf, s) pairs of _node_steps from leaf 0 with rate-0 nodes only."""
+        return tuple((phi, s) for phi, s, _ in _node_steps(self.info_mask, 0, (), (RATE0,)))
+
+
+# kinds of SC tree node: every leaf frozen; every leaf frozen but the last,
+# which is information (a repetition node); every leaf information
+RATE0, REP, RATE1 = range(3)
+
+
+def _node_steps(info_mask, first, triggers, kinds):
+    """The SC schedule from leaf `first` on, in leaf order: (first leaf, s,
+    kind) per node of 2**s leaves, the largest aligned node at its first
+    leaf whose kind is in `kinds`, RATE0, REP or RATE1, the last two holding
+    none of the 1-based positions `triggers`.  Any other step is a single
+    leaf: REP if it is an information leaf, RATE0 if not."""
+    N = len(info_mask)
+    # info[q] sums the weights before leaf q: 1 per information leaf and
+    # N + 1 per trigger, so a node holding a trigger is none of the kinds
+    weight = info_mask.astype(np.intp)
+    weight[[i - 1 for i in triggers]] = N + 1
+    info = np.concatenate([[0], np.cumsum(weight)]).tolist()
+    steps, phi = [], first
+    while phi < N:
+        s = (phi & -phi).bit_length() - 1 if phi else N.bit_length() - 1
+        while s:
+            end = phi + (1 << s)
+            ones = info[end] - info[phi]
+            last = ones == 1 == info[end] - info[end - 1]
+            kind = RATE0 if not ones else RATE1 if ones == 1 << s else REP if last else None
+            if kind in kinds:
+                break
+            s -= 1
+        else:
+            kind = REP if info[phi + 1] > info[phi] else RATE0
+        steps.append((phi, s, kind))
+        phi += 1 << s
+    return steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,7 +296,13 @@ def gaussian_approx_order(N: int, sigma: float) -> ReliabilityOrder:
 def design_sigma(ebn0_db: float, rate: float) -> float:
     if not 0 < rate <= 1:
         raise ValueError(f"rate {rate} out of (0, 1]")
-    return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    try:
+        sigma = math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        sigma = 0.0
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"Eb/N0 {ebn0_db:g} dB out of range: no positive finite noise std")
+    return sigma
 
 
 def construct_ga(N: int, K: int, design_ebn0_db: float) -> CodeSpec:

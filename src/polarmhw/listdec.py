@@ -12,9 +12,10 @@ nonzero bits; decisions, and on request the decoding LLR of every leaf,
 are traced back at the end.
 
 Integer runs that record no leaf LLR (the subset and global searches)
-take each maximal all-frozen (rate-0) node of 2**s >= 2
-leaves in one step, in the schedule CodeSpec._sc_steps: its input alpha is
-computed at stage s and no lower, its partial sums are all 0, and under
+take each maximal all-frozen (rate-0) node of 2**s >= 2 leaves in one step,
+in the schedule CodeSpec._sc_steps (construction._node_steps, the one node
+schedule builder, with rate-0 nodes only): its input alpha is computed at
+stage s and no lower, its partial sums are all 0, and under
 min-sum its frozen 0 bits cost sum_j |alpha_j| [alpha_j < 0] in all, so some
 leaf LLR in it is negative iff some alpha_j is (the SSC rate-0 node rule:
 Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011; Hashemi, Condo &
@@ -22,7 +23,8 @@ Gross, IEEE TSP 2017).  scl_decode and verify's replays record every leaf's
 LLR, and a float sum over a node would round differently from the per-leaf
 one, so those runs and scl_decode_batch keep the leaf schedule.  mhw's
 zero-split walk, which keeps no metric, runs rate-0, rate-1 and repetition
-nodes on the same stages in a schedule of its own.
+nodes on the same stages, in the schedule the same builder gives for all
+three kinds from the walk's first trigger.
 
 Each decode may pin its own decision prefix.  While all prefixes have one
 length no lane is dead.  Otherwise decodes that start splitting at

@@ -38,7 +38,7 @@ import numpy as np
 
 from polarmhw.bitops import _pack, _transform, _weights, encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count, per_subset_bound
-from polarmhw.construction import CodeSpec
+from polarmhw.construction import RATE0, RATE1, REP, CodeSpec, _node_steps
 from polarmhw.listdec import _Stages, _search
 
 __all__ = [
@@ -230,49 +230,6 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
 # ---- zero-split walker ----
 
 
-# kinds of zero-split walk step; a single information leaf is a REP node
-_RATE0, _REP, _RATE1 = range(3)
-
-
-def _walk_steps(spec, triggers):
-    """The zero-split walk's schedule from the first trigger on, in leaf
-    order: (first leaf, s, kind) per node of 2**s leaves, the largest at its
-    first leaf that is rate-0 (every leaf frozen) or, holding no trigger,
-    rate-1 (every leaf information, s >= 1) or REP (every leaf frozen but
-    the last, which is information).  A leaf none of these fit, one holding
-    a trigger, is a REP node of one leaf."""
-    N = spec.N
-    # info[q] and trig[q] count the information leaves and the triggers
-    # before leaf q
-    info = np.concatenate([[0], np.cumsum(spec.info_mask)]).tolist()
-    marks = np.zeros(N + 1, dtype=np.intp)
-    marks[list(triggers)] = 1
-    trig = np.cumsum(marks).tolist()
-    steps = []
-    phi = min(triggers) - 1
-    while phi < N:
-        s = (phi & -phi).bit_length() - 1 if phi else spec.n
-        while s:
-            end = phi + (1 << s)
-            ones = info[end] - info[phi]
-            if not ones:
-                kind = _RATE0
-                break
-            if trig[end] == trig[phi]:
-                if ones == 1 << s:
-                    kind = _RATE1
-                    break
-                if ones == 1 and info[end] > info[end - 1]:
-                    kind = _REP
-                    break
-            s -= 1
-        else:
-            kind = _REP if info[phi + 1] > info[phi] else _RATE0
-        steps.append((phi, s, kind))
-        phi += 1 << s
-    return steps
-
-
 def _rate1_node(alpha):
     """The (lanes, 2**s) bits and partial sums that hard decisions give a
     rate-1 node of 2**s >= 2 leaves with (lanes, 2**s) input LLRs alpha, when
@@ -312,9 +269,10 @@ def _zero_split_walk(spec, triggers):
     The walk starts at the first trigger p, in closed form: f(c, c) = c and
     g(c, c) = 2c under all-zero partial sums, so the all-zero path's node at
     stage t that holds leaf p reads 2**popcount(p >> t) in every entry.  From
-    there it takes the nodes of _walk_steps, each in one step from its input
-    LLRs alpha (the fast simplified SC node rules: Alamdar-Yazdi &
-    Kschischang, IEEE Comm. Letters 2011; Sarkis et al., IEEE JSAC 2014):
+    there it takes the rate-0, rate-1 and REP nodes of _node_steps (the last
+    two holding no trigger), each in one step from its input LLRs alpha (the
+    fast simplified SC node rules: Alamdar-Yazdi & Kschischang, IEEE Comm.
+    Letters 2011; Sarkis et al., IEEE JSAC 2014):
 
     * rate-0: a lane dies iff some entry of alpha is negative.  With every
       bit 0 the halves a, b of a node's input pass on f(a, b) and a + b:
@@ -367,13 +325,13 @@ def _zero_split_walk(spec, triggers):
     def decide(phi, s, alpha, kind):
         # one rate-0 or REP node: kills, forks and the trigger's lane, if any
         nonlocal owner
-        if kind == _RATE0:
+        if kind == RATE0:
             dead, bit, fork = (alpha < 0).any(axis=1), None, no_fork
         else:
             dead, llr = _rep_node(alpha)
             bit = llr < 0
             fork = ((llr == 0) & ~dead).nonzero()[0]
-        k = starts.get(phi) if kind == _REP else None
+        k = starts.get(phi) if kind == REP else None
         if k is not None or len(fork) or dead.any():
             for o in owner[dead].tolist():
                 kills[o] += 1
@@ -403,18 +361,18 @@ def _zero_split_walk(spec, triggers):
             bits[..., -1] = beta[..., -1]
             stages.commit(phi, bits, s, beta)
 
-    pending = _walk_steps(spec, triggers)[::-1]
+    pending = _node_steps(spec.info_mask, first, triggers, (RATE0, REP, RATE1))[::-1]
     while pending and len(owner):
         phi, s, kind = pending.pop()
         alpha = stages.node(phi, s)[0]
-        if kind == _RATE1:
+        if kind == RATE1:
             node = _rate1_node(alpha)
             if node is not None:
                 stages.commit(phi, node[0][None], s, node[1][None])
                 continue
             # the first leaf forks: it now, then the right halves above it
-            pending += [(phi + (1 << t), t, _RATE1 if t else _REP) for t in reversed(range(s))]
-            alpha, s, kind = stages.node(phi, 0, s)[0], 0, _REP
+            pending += [(phi + (1 << t), t, RATE1 if t else REP) for t in reversed(range(s))]
+            alpha, s, kind = stages.node(phi, 0, s)[0], 0, REP
         decide(phi, s, alpha, kind)
     return stages.trace(np.arange(len(owner))[None])[0][0], branch_positions, kills
 

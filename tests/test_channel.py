@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 from conftest import random_specs
 from csvio import write_fer_csv
 
+from polarmhw import channel
 from polarmhw.channel import (
     FerEstimate,
     fer_estimate,
@@ -129,6 +131,18 @@ def test_simulation_sees_no_errors_without_noise():
     assert pt.frame_errors == 0
     assert pt.fer == 0.0
     assert not pt.stopped_early
+
+
+def test_simulation_refuses_overflowing_llrs_before_drawing_noise(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(channel, "_chunk_errors", drawn)
+    cases = [(db, "the decoder's LLR sums overflow") for db in (3070.0, 3080.0)]
+    cases += [(db, "no positive finite noise std") for db in (1e308, -1e308, math.inf, math.nan)]
+    for db, why in cases:
+        with pytest.raises(ValueError, match=re.escape(f"Eb/N0 {db:g} dB out of range: {why}")):
+            simulate_fer(SPEC8, db, L=2, trials=8)
 
 
 def test_early_stop_counts_whole_chunks():

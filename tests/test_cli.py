@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import warnings
 
 from csvio import read_bound_csv, read_fer_csv, read_sweep_csv
 
@@ -179,6 +180,50 @@ def test_sweep_bad_length_is_exit_2(capsys):
         assert code == 2
         assert out == ""
         assert err == f"error: code length N={N} is not a power of two >= 2\n"
+
+
+def test_out_of_range_design_ebn0_is_exit_2(capsys, tmp_path):
+    # 10**(EbN0/10) overflows (or underflows to 0) in the noise std
+    source = ["--N", "16", "--K", "8", "--construction", "ga"]
+    for value in ("1e308", "-1e308"):
+        design = [f"--design-ebn0={value}"]
+        for argv in (
+            ["construct", *source, *design, "--out", str(tmp_path / "code.spec")],
+            ["bound", *source, *design],
+            ["sweep", "--N", "16", "--K-grid", "4,8", "--construction", "ga", *design],
+            ["simulate", *SPEC8_ARGS, f"--ebn0={value}", "--trials", "8"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            why = "no positive finite noise std"
+            assert err == f"error: Eb/N0 {float(value):g} dB out of range: {why}\n"
+
+
+def test_non_finite_or_overflowing_ebn0_is_exit_2(capsys):
+    # a non-finite value is a bad flag value; a finite point whose LLRs would
+    # overflow the decoder is refused before any noise is drawn, so no numpy
+    # warning reaches stderr
+    cases = [
+        (text, f"bad --ebn0 value: {bad!r} is not finite")
+        for text, bad in (("inf", "inf"), ("-inf", "-inf"), ("nan", "nan"), ("0:inf:1", "inf"))
+    ]
+    cases += [
+        (text, f"Eb/N0 {text} dB out of range: the decoder's LLR sums overflow")
+        for text in ("3080", "3070")
+    ]
+    for text, message in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            argv = ["simulate", *SPEC8_ARGS, f"--ebn0={text}", "--trials", "8"]
+            code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), text
+        assert caught == [], text
+
+
+def test_empty_K_grid_is_given_not_absent(capsys):
+    for grid in ("", " ", ","):
+        code, out, err = run(capsys, ["sweep", "--N", "8", "--K-grid", grid])
+        assert (code, out, err) == (2, "", "error: --K-grid grid is empty\n"), grid
 
 
 # ---- verify ----

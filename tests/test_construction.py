@@ -2,17 +2,24 @@ import hashlib
 import math
 import random
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from polarmhw.bitops import min_distance
 from polarmhw.bound import bound_count
 from polarmhw.construction import (
+    RATE0,
+    RATE1,
+    REP,
     CodeSpec,
     SpecFormatError,
     _codes,
+    _node_steps,
     construct_ga,
     construct_pw,
     design_sigma,
@@ -181,6 +188,74 @@ def test_bound_leaves_A_unbuilt():
     assert spec.K == 32768 and "A" not in vars(spec)
     repr(spec)
     assert "A" in vars(spec)
+
+
+# ---- SC node schedule ----
+
+
+def node_mask(rng, size):
+    """A random mask of `size` leaves: with probability 1/3, and always for
+    one leaf, a node of a random kind or random bits; else two halves."""
+    if size == 1 or rng.random() < 1 / 3:
+        kind = rng.integers(4)
+        if kind == 3:
+            return rng.random(size) < 0.5
+        mask = np.full(size, kind == RATE1)
+        mask[-1] = kind != RATE0
+        return mask
+    return np.concatenate([node_mask(rng, size // 2), node_mask(rng, size // 2)])
+
+
+@st.composite
+def schedule_inputs(draw):
+    """(mask, first leaf, triggers): a random mask of N = 2..256 leaves in
+    which every node kind occurs at every size, leaf 0 or a random first
+    leaf, and a random subset of the information positions as triggers."""
+    N = 1 << draw(st.sampled_from(range(1, 9)))
+    mask = node_mask(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), N)
+    info = (np.flatnonzero(mask) + 1).tolist()
+    triggers = sorted(draw(st.sets(st.sampled_from(info)))) if info else []
+    return mask, draw(st.just(0) | st.integers(0, N - 1)), triggers
+
+
+def node_kind(mask, triggers, phi, s):
+    """The kind of the node of 2**s >= 2 leaves at phi, by brute force, or
+    None when it is none of them."""
+    leaves = mask[phi : phi + (1 << s)]
+    if not leaves.any():
+        return RATE0
+    if any(phi < i <= phi + (1 << s) for i in triggers):
+        return None
+    if leaves.all():
+        return RATE1
+    return REP if leaves[-1] and not leaves[:-1].any() else None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(schedule_inputs())
+def test_node_steps_take_the_largest_allowed_node(inputs):
+    mask, first, triggers = inputs
+    N = len(mask)
+    for kinds in (kinds for r in range(4) for kinds in combinations((RATE0, REP, RATE1), r)):
+        steps = _node_steps(mask, first, triggers, kinds)
+        # the steps tile [first, N) in order, each node aligned
+        ends = [phi + (1 << s) for phi, s, _ in steps]
+        assert [phi for phi, _, _ in steps] == [first] + ends[:-1]
+        assert ends[-1] == N
+        for phi, s, kind in steps:
+            assert phi % (1 << s) == 0
+            if s:
+                # a node of an allowed kind; no trigger inside a rate-1 or REP node
+                assert kind in kinds and node_kind(mask, triggers, phi, s) == kind
+            else:
+                assert kind == (REP if mask[phi] else RATE0)
+            # no larger aligned node at phi has an allowed kind
+            top = (phi & -phi).bit_length() - 1 if phi else N.bit_length() - 1
+            for t in range(s + 1, top + 1):
+                assert node_kind(mask, triggers, phi, t) not in kinds
+    if mask.any():
+        spec = CodeSpec(N, tuple(np.flatnonzero(mask) + 1))
+        assert spec._sc_steps == tuple((phi, s) for phi, s, _ in _node_steps(mask, 0, (), (RATE0,)))
 
 
 # ---- polarization weight ----

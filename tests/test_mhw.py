@@ -9,15 +9,14 @@ from conftest import (
     brute_force_minimum_weight,
     first_one,
     group_by_trigger,
-    leaf_schedule,
     random_specs,
     vector_set,
 )
 
-from polarmhw import bitops
+from polarmhw import bitops, mhw
 from polarmhw.bitops import encode, generator_row, min_distance
 from polarmhw.bound import bound_count, per_subset_bound, zero_capacity_set
-from polarmhw.construction import CodeSpec, construct_ga, construct_pw
+from polarmhw.construction import RATE0, CodeSpec, construct_ga, construct_pw
 from polarmhw.mhw import (
     EnumFormatError,
     ExhaustiveCapError,
@@ -185,22 +184,32 @@ def test_branch_positions_are_zero_capacity_information_positions():
             assert branches <= zero_capacity_set(i, spec.N) & info
 
 
-def test_zero_split_walk_node_steps_match_the_leaf_schedule():
-    # the walk takes each rate-0 node in one step, where a lane dies iff some
-    # input LLR is negative; decisions, fork positions and kills must equal
-    # the leaf-by-leaf walk's, on random sets (whose walks kill) and codes
+def test_zero_split_walk_node_steps_match_the_leaf_schedule(monkeypatch):
+    # the walk takes rate-0, rate-1 and REP nodes in one step each; its
+    # decisions, fork positions and kills must equal those of the walk over
+    # every leaf alone (no node kind) and over rate-0 nodes only, on random
+    # sets (whose walks kill) and codes
     specs = random_specs(60, (16, 32, 64, 128, 256), seed=36, max_K=256)
     specs += [construct_pw(N, N // 2) for N in (64, 128, 256)]
     specs += [construct_ga(256, 64, 2.0), perturbed_pw(128, 64, 0), perturbed_pw(256, 136, 1)]
-    kills = 0
-    for spec in specs:
-        triggers = min_distance(spec)[1]
-        got = _zero_split_walk(spec, triggers)
-        want = _zero_split_walk(leaf_schedule(spec), triggers)
-        assert got[0].tolist() == want[0].tolist()
-        assert got[1:] == want[1:]
-        kills += sum(got[2])
-    assert kills > 100
+    walks = [_zero_split_walk(spec, min_distance(spec)[1]) for spec in specs]
+    node_steps, calls = mhw._node_steps, []
+
+    def schedule(kinds):
+        def steps(info_mask, first, triggers, _):
+            calls.append(kinds)
+            return node_steps(info_mask, first, triggers, kinds)
+
+        return steps
+
+    for kinds in ((), (RATE0,)):
+        monkeypatch.setattr(mhw, "_node_steps", schedule(kinds))
+        for spec, want in zip(specs, walks):
+            got = _zero_split_walk(spec, min_distance(spec)[1])
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1:] == want[1:]
+    assert len(calls) == 2 * len(specs)
+    assert sum(sum(walk[2]) for walk in walks) > 100
 
 
 # ---- global list search ----

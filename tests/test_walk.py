@@ -18,8 +18,16 @@ from conftest import random_specs
 from test_mhw import perturbed_pw
 
 from polarmhw.bitops import encode, min_distance
-from polarmhw.construction import CodeSpec, construct_ga, construct_pw
-from polarmhw.mhw import _rate1_node, _rep_node, _walk_steps, _zero_split_walk, zero_split_subset
+from polarmhw.construction import (
+    RATE0,
+    RATE1,
+    REP,
+    CodeSpec,
+    _node_steps,
+    construct_ga,
+    construct_pw,
+)
+from polarmhw.mhw import _rate1_node, _rep_node, _zero_split_walk, zero_split_subset
 from polarmhw.sctree import _TreeState, sc_decode, sc_replay
 
 
@@ -116,7 +124,8 @@ def test_walk_schedule_from_the_first_trigger_is_short():
     # steps; the node steps take at most 30 (a rate-1 node whose input holds
     # a 0 splits further while the walk runs)
     spec = construct_pw(1024, 192)
-    steps = _walk_steps(spec, min_distance(spec)[1])
+    triggers = min_distance(spec)[1]
+    steps = _node_steps(spec.info_mask, min(triggers) - 1, triggers, (RATE0, REP, RATE1))
     assert steps[0][0] == min(min_distance(spec)[1]) - 1
     assert len(steps) <= 30
 
