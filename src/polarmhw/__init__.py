@@ -61,13 +61,4 @@ from polarmhw.mhw import (
     zero_split_subset,
     zero_split_triggers,
 )
-from polarmhw.sctree import (
-    ScOutcome,
-    beta_combine,
-    f_combine,
-    g_combine,
-    hard_decision,
-    sc_decode,
-    sc_replay,
-    sc_retrace,
-)
+from polarmhw.sctree import ScOutcome, sc_decode, sc_replay, sc_retrace

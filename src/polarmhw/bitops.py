@@ -12,7 +12,8 @@ Conventions used across the package:
   expansion of r - 1.  Row weights are therefore 2**popcount(r - 1).
 
 Rows are computed on demand; no N x N matrix is ever materialized, so the
-counting path stays cheap even for N in the 2**16 range.
+counting path stays cheap even for N in the 2**16 range.  min_distance hands
+back the (d_m, rows) pair that a CodeSpec computes once from its mask.
 
 The polar transform has one implementation here, on rows packed 64 bits to a
 little-endian uint64 word (_pack, _transform, _weights): encode, encode_rows,
@@ -130,31 +131,12 @@ def _weights(words: np.ndarray) -> np.ndarray:
 
 
 def min_distance(spec) -> tuple[int, tuple[int, ...]]:
-    """Minimum distance d_m of the code and the rows of A attaining it.
+    """Minimum distance d_m of a CodeSpec and the rows of A attaining it.
 
     For any information set over G_N the minimum distance equals the minimum
     generator-row weight: the span of the chosen rows sits inside the
     Reed-Muller code of the largest chosen row degree, whose minimum distance
     is exactly the smallest chosen row weight, and a single row attains it.
-
-    A CodeSpec computes this once and keeps it; any other object with N and
-    A is validated here first.
+    The spec computes the pair once and keeps it.
     """
-    cached = getattr(spec, "_min_distance_pair", None)
-    if cached is not None:
-        return cached
-    A = np.sort(np.array(spec.A, dtype=np.int64))
-    if not A.size:
-        raise ValueError("no information bits")
-    _check_length(spec.N)
-    if A[0] < 1 or A[-1] > spec.N:
-        raise ValueError(f"information set not within [1, {spec.N}]")
-    return _min_row_weight(A)
-
-
-def _min_row_weight(A: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """(smallest row weight, the rows attaining it) of ascending 1-based rows
-    A: a row's weight is 2**popcount(row - 1)."""
-    weights = np.bitwise_count(A - 1)
-    best = int(weights.min())
-    return 1 << best, tuple(A[weights == best].tolist())
+    return spec._min_distance_pair

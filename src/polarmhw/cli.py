@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -60,6 +61,17 @@ class UsageError(ValueError):
     """Conflicting flags or an unparseable flag value."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a word starting with '-' and then a
+    digit, '.', 'inf' or 'nan' (-1e3, -inf, -1:2:0.5) as a flag's value, not
+    as an option: argparse's own pattern knows only -2 and -0.5.  Subparsers
+    inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
+
+
 # ---- small helpers ----
 
 
@@ -77,6 +89,10 @@ def _spec_line(spec) -> str:
     )
 
 
+def _print_head(argv, spec) -> None:
+    print(*_echo_lines(argv), _spec_line(spec), sep="\n")
+
+
 def _parse_positions(text: str) -> tuple[int, ...]:
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -87,8 +103,11 @@ def _parse_positions(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad --A value: {exc}") from exc
 
 
-def _parse_grid(text: str, cast, flag: str) -> list:
-    """Comma/space separated values, or an inclusive start:stop:step range."""
+def _parse_grid(text: str, cast, flag: str, bounds=(-math.inf, math.inf)) -> list:
+    """Comma/space separated values, or an inclusive start:stop:step range,
+    each within bounds.  A range is cut after its first value out of bounds
+    before it is expanded, so it yields at most hi - lo + 2 values."""
+    lo, hi = bounds
     try:
         if ":" in text:
             pieces = text.split(":")
@@ -97,16 +116,21 @@ def _parse_grid(text: str, cast, flag: str) -> list:
             start, stop, step = (cast(p) for p in pieces)
             if step <= 0 or stop < start:
                 raise UsageError(f"{flag} range must ascend with positive step")
+            stop = start if start < lo else min(stop, hi + step)
             count = int(round((stop - start) / step))
             values = [start + k * step for k in range(count + 1)]
-            return [v for v in values if v <= stop + 1e-9]
-        values = [cast(t) for t in text.replace(",", " ").split()]
+            values = [v for v in values if v <= stop + 1e-9]
+        else:
+            values = [cast(t) for t in text.replace(",", " ").split()]
     except UsageError:
         raise
     except ValueError as exc:
         raise UsageError(f"bad {flag} value: {exc}") from exc
     if not values:
         raise UsageError(f"{flag} grid is empty")
+    for v in values:
+        if not lo <= v <= hi:
+            raise UsageError(f"{flag} value {v} out of [{lo}, {hi}]")
     return values
 
 
@@ -190,9 +214,7 @@ def _resolve_spec(args):
 def cmd_construct(args, argv) -> int:
     spec = _build_spec(args.N, args.K, args.A, args.construction, args.design_ebn0)
     save_spec(spec, args.out, header_lines=_echo_lines(argv))
-    for line in _echo_lines(argv):
-        print(line)
-    print(_spec_line(spec))
+    _print_head(argv, spec)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -203,9 +225,7 @@ def cmd_construct(args, argv) -> int:
 def cmd_bound(args, argv) -> int:
     spec = _resolve_spec(args)
     report = bound_count(spec, materialize_sets=False)
-    for line in _echo_lines(argv):
-        print(line)
-    print(_spec_line(spec))
+    _print_head(argv, spec)
     print(f"d_m={report.d_m} triggers={len(report.triggers)}")
     rows = [f"{t.i},{t.overlap},{t.term}" for t in report.triggers]
     print(_BOUND_HEADER)
@@ -236,9 +256,7 @@ def cmd_enumerate(args, argv) -> int:
         raise UsageError("--list-size applies to --method scl-global or --check")
     if args.list_size is not None and args.list_size < 1:
         raise UsageError("--list-size must be >= 1")
-    for line in _echo_lines(argv):
-        print(line)
-    print(_spec_line(spec))
+    _print_head(argv, spec)
     if args.check:
         results = []
         if spec.K <= EXHAUSTIVE_CAP:
@@ -466,9 +484,7 @@ def cmd_verify(args, argv) -> int:
     spec = _resolve_spec(args)
     if args.max_triggers < 1 or args.max_members < 1:
         raise UsageError("--max-triggers and --max-members must be >= 1")
-    for line in _echo_lines(argv):
-        print(line)
-    print(_spec_line(spec))
+    _print_head(argv, spec)
     checks = _run_verify(
         spec,
         negative_control=args.negative_control,
@@ -523,15 +539,13 @@ def cmd_simulate(args, argv) -> int:
 
 def cmd_sweep(args, argv) -> int:
     N = args.N
+    if N is None:
+        raise UsageError("sweep needs --N")
     _check_length(N)
-    threads = _resolve_threads(args)
     if args.K_grid is not None:
-        Ks = _parse_grid(args.K_grid, int, "--K-grid")
+        Ks = _parse_grid(args.K_grid, int, "--K-grid", (1, N))
     else:
         Ks = list(range(1, N))
-    for K in Ks:
-        if not 1 <= K <= N:
-            raise UsageError(f"--K-grid value {K} out of [1, {N}]")
     # one reliability order serves every K
     codes = _codes(N, _design_point(args.construction, args.design_ebn0))
     rows = []
@@ -539,7 +553,7 @@ def cmd_sweep(args, argv) -> int:
         spec = codes(K)
         report = bound_count(spec, materialize_sets=False)
         exact = (
-            enumerate_zero_split(spec, threads=threads).count
+            enumerate_zero_split(spec).count
             if report.total <= args.exact_limit
             else None
         )
@@ -558,7 +572,7 @@ def cmd_sweep(args, argv) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polarmhw",
         description="Minimum-weight codeword analysis for polar codes.",
     )
@@ -567,19 +581,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = argparse.ArgumentParser(add_help=False)
-    g = build.add_argument_group("code definition")
+    code = argparse.ArgumentParser(add_help=False)
+    g = code.add_argument_group("code definition")
     g.add_argument("--N", type=int, help="code length (power of two)")
-    g.add_argument("--K", type=int, help="number of information positions")
-    g.add_argument(
-        "--A",
-        metavar="POSITIONS",
-        help="explicit information set, comma or space separated, 1-based",
-    )
     g.add_argument(
         "--construction",
         choices=("pw", "ga"),
-        help="reliability rule used with --K (default pw)",
+        help="reliability rule (default pw)",
     )
     g.add_argument(
         "--design-ebn0",
@@ -587,6 +595,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DB",
         help=f"design point for --construction ga (default {_DEFAULT_DESIGN_EBN0:g})",
+    )
+
+    build = argparse.ArgumentParser(add_help=False, parents=[code])
+    g = build.add_argument_group("information set")
+    g.add_argument("--K", type=int, help="number of information positions")
+    g.add_argument(
+        "--A",
+        metavar="POSITIONS",
+        help="explicit information set, comma or space separated, 1-based",
     )
 
     source = argparse.ArgumentParser(add_help=False, parents=[build])
@@ -688,22 +705,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        parents=[threads],
+        parents=[code],
         help="bound (and exact count when cheap) across a rate grid",
-    )
-    p.add_argument("--N", type=int, required=True, help="code length (power of two)")
-    p.add_argument(
-        "--construction",
-        choices=("pw", "ga"),
-        default="pw",
-        help="reliability rule (default pw)",
-    )
-    p.add_argument(
-        "--design-ebn0",
-        type=float,
-        default=None,
-        metavar="DB",
-        help=f"design point for ga (default {_DEFAULT_DESIGN_EBN0:g})",
     )
     p.add_argument(
         "--K-grid",

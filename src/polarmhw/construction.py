@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from polarmhw.bitops import _check_length, _min_row_weight
+from polarmhw.bitops import _check_length
 
 __all__ = [
     "CodeSpec",
@@ -136,8 +136,12 @@ class CodeSpec:
 
     @cached_property
     def _min_distance_pair(self) -> tuple[int, tuple[int, ...]]:
-        """min_distance(self), computed once per spec."""
-        return _min_row_weight(np.flatnonzero(self.info_mask) + 1)
+        """min_distance(self), computed once per spec: a row's weight is
+        2**popcount(row - 1)."""
+        rows = np.flatnonzero(self.info_mask)
+        weights = np.bitwise_count(rows)
+        best = int(weights.min())
+        return 1 << best, tuple((rows[weights == best] + 1).tolist())
 
     @cached_property
     def _sc_steps(self) -> tuple[tuple[int, int], ...]:

@@ -29,16 +29,7 @@ from dataclasses import dataclass, replace
 
 from polarmhw.bitops import encode, positions_of
 
-__all__ = [
-    "ScOutcome",
-    "f_combine",
-    "g_combine",
-    "beta_combine",
-    "hard_decision",
-    "sc_decode",
-    "sc_retrace",
-    "sc_replay",
-]
+__all__ = ["ScOutcome", "sc_decode", "sc_retrace", "sc_replay"]
 
 
 # ---- node combines ----

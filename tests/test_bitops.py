@@ -13,6 +13,7 @@ from polarmhw.bitops import (
     min_distance,
     positions_of,
 )
+from polarmhw.construction import CodeSpec
 
 
 # ---- oracle: explicit Kronecker power, independent of the covered-bit rule ----
@@ -25,12 +26,6 @@ def kron_matrix(N):
     while G.shape[0] < N:
         G = np.kron(G, kernel)
     return G
-
-
-class SpecStub:
-    def __init__(self, N, A):
-        self.N = N
-        self.A = tuple(A)
 
 
 def test_positions_of_examples():
@@ -138,14 +133,9 @@ def test_encode_errors():
 
 
 def test_min_distance_examples():
-    assert min_distance(SpecStub(8, (4, 6, 7, 8))) == (4, (4, 6, 7))
-    assert min_distance(SpecStub(4, (1, 2, 3, 4))) == (1, (1,))
-    assert min_distance(SpecStub(2, (2,))) == (2, (2,))
-
-
-def test_min_distance_empty_error():
-    with pytest.raises(ValueError, match="no information bits"):
-        min_distance(SpecStub(8, ()))
+    assert min_distance(CodeSpec(8, (4, 6, 7, 8))) == (4, (4, 6, 7))
+    assert min_distance(CodeSpec(4, (1, 2, 3, 4))) == (1, (1,))
+    assert min_distance(CodeSpec(2, (2,))) == (2, (2,))
 
 
 def test_min_distance_matches_row_weights():
@@ -154,7 +144,7 @@ def test_min_distance_matches_row_weights():
         N = 1 << rng.randint(1, 8)
         K = rng.randint(1, N)
         A = sorted(rng.sample(range(1, N + 1), K))
-        dm, am = min_distance(SpecStub(N, A))
+        dm, am = min_distance(CodeSpec(N, A))
         weights = {i: 1 << (i - 1).bit_count() for i in A}
         assert dm == min(weights.values())
         assert am == tuple(i for i in A if weights[i] == dm)

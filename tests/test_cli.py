@@ -226,6 +226,51 @@ def test_empty_K_grid_is_given_not_absent(capsys):
         assert (code, out, err) == (2, "", "error: --K-grid grid is empty\n"), grid
 
 
+def test_K_grid_range_is_checked_before_it_is_expanded(capsys):
+    # a range stops at its first value out of [1, N]: a stop of 10**12
+    # allocates nothing, and the message names the same value as a list would
+    for grid, bad in (("1:1000000000000:1", 17), ("0:8:1", 0), ("-1000000000000:8:1", -10**12)):
+        code, out, err = run(capsys, ["sweep", "--N", "16", "--K-grid", grid])
+        assert (code, out, err) == (2, "", f"error: --K-grid value {bad} out of [1, 16]\n"), grid
+    # a range whose stop is past N but whose values are not stays valid
+    code, out, err = run(capsys, ["sweep", "--N", "16", "--K-grid", "1:20:7"])
+    assert (code, err) == (0, "")
+    assert [row.split(",")[1] for row in data_lines(out)[1:]] == ["1", "8", "15"]
+
+
+def test_negative_values_in_any_number_form_are_flag_values(capsys):
+    # argparse alone reads only -2 and -0.5 as values; -1e3, -inf and a
+    # range starting below zero went to its option matcher
+    for argv in (
+        ["simulate", *SPEC8_ARGS, "--ebn0", "-1e3", "--trials", "4"],
+        ["simulate", *SPEC8_ARGS, "--ebn0", "-1:2:0.5", "--trials", "4"],
+        ["bound", "--N", "16", "--K", "8", "--construction", "ga", "--design-ebn0", "-1e1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("# polarmhw")
+    spaced = run(capsys, ["simulate", *SPEC8_ARGS, "--ebn0", "-1e3", "--trials", "4"])[1]
+    joined = run(capsys, ["simulate", *SPEC8_ARGS, "--ebn0=-1e3", "--trials", "4"])[1]
+    assert data_lines(spaced) == data_lines(joined)
+    code, out, err = run(
+        capsys, ["bound", "--N", "16", "--K", "8", "--construction", "ga", "--design-ebn0", "-inf"]
+    )
+    why = "no positive finite noise std"
+    assert (code, out, err) == (2, "", f"error: Eb/N0 -inf dB out of range: {why}\n")
+    # an option name after a flag is still a missing value
+    code, out, err = run(capsys, ["simulate", *SPEC8_ARGS, "--ebn0", "--trials", "4"])
+    assert (code, out) == (2, "")
+    assert "argument --ebn0: expected one argument" in err
+
+
+def test_sweep_takes_the_code_flags_and_no_threads(capsys):
+    code, out, err = run(capsys, ["sweep", "--K-grid", "4"])
+    assert (code, out, err) == (2, "", "error: sweep needs --N\n")
+    code, out, err = run(capsys, ["sweep", "--N", "16", "--K-grid", "4", "--threads", "2"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --threads 2" in err
+
+
 # ---- verify ----
 
 
