@@ -13,6 +13,7 @@ error, 3 capability refusal, 4 property failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -64,12 +65,16 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     """An argument parser that takes a word starting with '-' and then a
     digit, '.', 'inf' or 'nan' (-1e3, -inf, -1:2:0.5) as a flag's value, not
-    as an option: argparse's own pattern knows only -2 and -0.5.  Subparsers
-    inherit the class."""
+    as an option: argparse's own pattern knows only -2 and -0.5.  It raises
+    its errors as UsageError, which main prints as one error: line, in place
+    of printing usage and exiting.  Subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 # ---- small helpers ----
@@ -141,7 +146,7 @@ def _finite_float(text: str) -> float:
 
 
 def _resolve_threads(args) -> int:
-    value = getattr(args, "threads", None)
+    value = args.threads
     if value is None:
         raw = os.environ.get("POLARMHW_THREADS", "")
         if raw:
@@ -571,6 +576,7 @@ def cmd_sweep(args, argv) -> int:
 # ---- parser ----
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="polarmhw",
@@ -645,7 +651,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-size",
         type=int,
         default=None,
-        help="list width for scl-global (default: counting bound + 1)",
+        help="list width for scl-global (default: counting bound + 1); with --check, "
+        "the least width of its global search",
     )
     p.add_argument(
         "--check",
@@ -727,13 +734,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args, argv)
+    except SystemExit:  # --help and --version print and exit 0
+        return EXIT_OK
     except (ExhaustiveCapError, MemoryError) as exc:
         print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_REFUSED

@@ -256,7 +256,7 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
         width = pm.shape[1]
         if leaves:
             recorded.append(np.broadcast_to(leaf, (B, width)))
-        # sctree._penalty: a bit against the sign of a nonzero leaf costs
+        # as in sctree._sc, a bit against the sign of a nonzero leaf costs
         # |leaf|, any other bit int 0
         mag = np.abs(leaf)
 

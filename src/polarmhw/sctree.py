@@ -11,6 +11,14 @@ The decoder works in two scalar modes, selected by the input LLR types:
   equality scan) but carries no meaning there: a zero LLR under AWGN is a
   measure-zero event and nothing downstream reads it.
 
+The check-node update f is the min-sum form sign(a) sign(b) min(|a|, |b|),
+not the tanh rule: every zero-propagation argument of the search machinery
+relies on min(|a|, |b|) being exactly zero when either operand is.  The
+variable-node update g is b + a after a left partial sum of 0, b - a after
+a 1.  A hard decision is 0 at a frozen position or a nonnegative LLR, so an
+exactly zero LLR at an information position resolves to 0: plain SC stays
+deterministic and the enumeration layer splits such positions explicitly.
+
 One tree state (per-stage LLR buffers and pending left partial sums) runs
 the schedule leaf by leaf; SC decoding, retrace and replay differ only in the
 decision they commit at each leaf.  The numpy stage engine of listdec, which
@@ -30,47 +38,6 @@ from dataclasses import dataclass, replace
 from polarmhw.bitops import encode, positions_of
 
 __all__ = ["ScOutcome", "sc_decode", "sc_retrace", "sc_replay"]
-
-
-# ---- node combines ----
-
-
-def f_combine(a, b):
-    """Check-node update: sign(a) sign(b) min(|a|, |b|) (min-sum form).
-
-    The min-sum form, not the tanh rule: all zero-propagation arguments used
-    by the search machinery rely on min(|a|, |b|) being exactly zero when
-    either operand is.
-    """
-    mag = min(abs(a), abs(b))
-    if (a < 0) != (b < 0):
-        return -mag
-    return mag
-
-
-def g_combine(a, b, bit):
-    """Variable-node update: b + a if bit = 0 else b - a."""
-    if bit not in (0, 1):
-        raise ValueError(f"decision bit must be 0 or 1, got {bit!r}")
-    return b - a if bit else b + a
-
-
-def beta_combine(left, right):
-    """Merge child partial sums: (left xor right) followed by right."""
-    if len(left) != len(right):
-        raise ValueError(f"partial-sum length mismatch: {len(left)} vs {len(right)}")
-    return [l ^ r for l, r in zip(left, right)] + list(right)
-
-
-def hard_decision(llr, position, spec):
-    """0 at frozen positions and nonnegative LLRs, 1 at negative info LLRs.
-
-    An exactly zero LLR at an info position resolves to 0; plain SC stays
-    deterministic and the enumeration layer splits such positions explicitly.
-    """
-    if not spec.is_info(position):
-        return 0
-    return 1 if llr < 0 else 0
 
 
 # ---- outcome record ----
@@ -132,17 +99,18 @@ class _TreeState:
             s = self.n
         else:
             s = (phi & -phi).bit_length() - 1
-            parent = alpha[s + 1]
-            half = 1 << s
-            left_beta = self.beta_left[s]
-            alpha[s] = [g_combine(parent[k], parent[k + half], left_beta[k]) for k in range(half)]
+            parent, left = alpha[s + 1], self.beta_left[s]
+            alpha[s] = [b - a if u else b + a for a, b, u in zip(parent, parent[1 << s :], left)]
             if record is not None:
                 record[(s, (phi >> s) + 1)] = tuple(alpha[s])
         while s > 0:
             parent = alpha[s]
-            half = 1 << (s - 1)
             s -= 1
-            alpha[s] = [f_combine(parent[k], parent[k + half]) for k in range(half)]
+            alpha[s] = [
+                -m if (a < 0) != (b < 0) else m
+                for a, b in zip(parent, parent[1 << s :])
+                for m in [min(abs(a), abs(b))]
+            ]
             if record is not None:
                 record[(s, (phi >> s) + 1)] = tuple(alpha[s])
         return alpha[0][0]
@@ -155,7 +123,8 @@ class _TreeState:
         s = 0
         node = phi
         while node & 1:
-            cur = beta_combine(self.beta_left[s], cur)
+            # the left sibling's partial sums xor this node's, then this node's
+            cur = [l ^ r for l, r in zip(self.beta_left[s], cur)] + cur
             node >>= 1
             s += 1
             if record is not None:
@@ -164,17 +133,11 @@ class _TreeState:
             self.beta_left[s] = cur
 
 
-def _penalty(llr, bit):
-    """Metric increment for deciding `bit` at LLR `llr`: |llr| on a sign
-    contradiction, zero otherwise (an exactly zero LLR never penalizes)."""
-    if (llr > 0 and bit == 1) or (llr < 0 and bit == 0):
-        return abs(llr)
-    return 0
-
-
 def _sc(input_llrs, spec, decide, record_nodes):
-    """One SC pass in which decide(position, llr) picks every bit.  The path
-    metric and reverse-decision set follow _penalty, as in the list decoders."""
+    """One SC pass in which decide(position, llr) picks every bit.  As in the
+    list decoders, a bit against the sign of a nonzero LLR adds |llr| to the
+    path metric and its position to the reverse-decision set; an exactly zero
+    LLR never penalizes."""
     N = spec.N
     _check_llrs(input_llrs, N)
     tree = _TreeState(input_llrs, N.bit_length() - 1, record_nodes)
@@ -183,9 +146,8 @@ def _sc(input_llrs, spec, decide, record_nodes):
     for phi in range(N):
         llr = tree.leaf_llr(phi)
         bit = decide(phi + 1, llr)
-        pen = _penalty(llr, bit)
-        if pen:
-            pm = pm + pen
+        if (llr > 0 and bit == 1) or (llr < 0 and bit == 0):
+            pm = pm + abs(llr)
             rds.append(phi + 1)
         tree.commit(phi, bit)
         decisions.append(bit)
@@ -203,7 +165,9 @@ def _sc(input_llrs, spec, decide, record_nodes):
 
 def sc_decode(input_llrs, spec, record_nodes: bool = False) -> ScOutcome:
     """Plain SC: follow hard decisions everywhere."""
-    return _sc(input_llrs, spec, lambda pos, llr: hard_decision(llr, pos, spec), record_nodes)
+    return _sc(
+        input_llrs, spec, lambda pos, llr: 1 if spec.is_info(pos) and llr < 0 else 0, record_nodes
+    )
 
 
 def sc_retrace(input_llrs, spec, rds, record_nodes: bool = False) -> ScOutcome:
@@ -217,10 +181,7 @@ def sc_retrace(input_llrs, spec, rds, record_nodes: bool = False) -> ScOutcome:
         raise ValueError(f"rds positions must lie in [1, {spec.N}]")
 
     def decide(pos, llr):
-        bit = hard_decision(llr, pos, spec)
-        if pos in rds and spec.is_info(pos):
-            bit = 1 - bit
-        return bit
+        return (1 if llr < 0 else 0) ^ (pos in rds) if spec.is_info(pos) else 0
 
     out = _sc(input_llrs, spec, decide, record_nodes)
     pm = sum(abs(out.llrs[p - 1]) for p in rds)

@@ -60,6 +60,16 @@ def test_version_flag(capsys):
     assert out.strip() == "polarmhw 0.1.0"
 
 
+def test_repeated_commands_in_one_process_print_the_same_bytes(capsys):
+    # main reuses one parser: a run after a failed parse must see no state
+    # left behind by the runs before it
+    commands = (["bound", "--N", "64", "--K", "32"], ["enumerate", *SPEC8_ARGS, "--check"])
+    first = [run(capsys, argv) for argv in commands]
+    assert run(capsys, ["bound", "--N", "x"])[0] == 2
+    assert [run(capsys, argv) for argv in commands] == first
+    assert [code for code, _, _ in first] == [0, 0]
+
+
 # ---- exit codes ----
 
 
@@ -105,6 +115,22 @@ def test_zero_trials_is_exit_2(capsys):
 def test_unknown_flag_is_exit_2(capsys):
     code, _, _ = run(capsys, ["bound", "--frobnicate"])
     assert code == 2
+
+
+def test_argparse_errors_are_one_error_line(capsys):
+    for argv in (
+        ["bound", "--N", "x", "--K", "4"],  # bad int
+        ["bound", "--N"],  # flag missing its value
+        ["bound", "--frobnicate"],  # unknown flag
+        ["frobnicate"],  # unknown command
+        [],  # no command
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    for argv in (["--help"], ["bound", "--help"], ["--version"]):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "") and out, argv
 
 
 def test_list_size_below_one_is_exit_2(capsys):

@@ -6,55 +6,9 @@ import pytest
 from conftest import RawSpec, brute_force_minimum_weight, first_one
 from polarmhw.bitops import encode, generator_row, positions_of
 from polarmhw.construction import CodeSpec
-from polarmhw.sctree import (
-    beta_combine,
-    f_combine,
-    g_combine,
-    hard_decision,
-    sc_decode,
-    sc_replay,
-    sc_retrace,
-)
+from polarmhw.sctree import sc_decode, sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
-
-
-def test_f_combine_examples():
-    assert f_combine(1, 1) == 1
-    assert f_combine(0, -7) == 0
-    assert f_combine(0, 3) == 0
-    assert f_combine(-3, 2) == -2
-
-
-def test_g_combine_examples():
-    assert g_combine(1, 1, 0) == 2
-    assert g_combine(1, 1, 1) == 0  # cancellation: the root of zero-valued LLRs
-    assert g_combine(2, 2, 0) == 4
-    with pytest.raises(ValueError):
-        g_combine(1, 1, 2)
-
-
-def test_combines_preserve_integers():
-    rng = random.Random(23)
-    for _ in range(300):
-        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-        assert isinstance(f_combine(a, b), int)
-        assert isinstance(g_combine(a, b, rng.randint(0, 1)), int)
-
-
-def test_beta_combine_examples():
-    assert beta_combine([0], [0]) == [0, 0]
-    assert beta_combine([1], [0]) == [1, 0]
-    assert beta_combine([1, 0], [1, 1]) == [0, 1, 1, 1]
-    with pytest.raises(ValueError):
-        beta_combine([1], [0, 0])
-
-
-def test_hard_decision_rules():
-    assert hard_decision(-5, 4, SPEC8) == 1
-    assert hard_decision(-5, 5, SPEC8) == 0  # frozen override
-    assert hard_decision(3, 4, SPEC8) == 0
-    assert hard_decision(0, 4, SPEC8) == 0
 
 
 def test_zero_llr_decision_is_flagged():
