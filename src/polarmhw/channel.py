@@ -21,6 +21,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -103,8 +104,9 @@ def fer_estimate(spec, ebn0_db: float, source: str = "EXACT", a_dm: int | None =
 # ---- Monte-Carlo simulation ----
 
 
-def _chunk_errors(spec, sigma, L, seed, chunk, frames, random_messages):
-    """Frame errors in one chunk, from its own counter-based stream."""
+def _chunk_llrs(spec, sigma, seed, chunk, frames, random_messages):
+    """The (frames, N) messages and channel LLRs of one chunk, from its own
+    counter-based stream."""
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk]))
     N = spec.N
     info = spec.info_mask
@@ -118,9 +120,80 @@ def _chunk_errors(spec, sigma, L, seed, chunk, frames, random_messages):
     symbols = 1.0 - 2.0 * c.astype(np.float64)
     y = symbols + sigma * rng.normal(size=(frames, N))
     llrs = 2.0 * y / (sigma * sigma)
-    decided = scl_decode_batch(llrs, spec, L)
-    wrong = decided[:, info] != u[:, info]
-    return int(np.count_nonzero(wrong.any(axis=1)))
+    return u, llrs
+
+
+def _batch_errors(spec, L, random_messages, chunks):
+    """Frame errors of each chunk of chunks, (sigma, seed, chunk, frames)
+    each, decoded in one engine call: the float engine decodes every row on
+    its own, so a frame's decision does not depend on the rows beside it."""
+    drawn = [_chunk_llrs(spec, *c, random_messages) for c in chunks]
+    u, llrs = (np.concatenate(parts) for parts in zip(*drawn))
+    del drawn
+    info = spec.info_mask
+    wrong = (scl_decode_batch(llrs, spec, L)[:, info] != u[:, info]).any(axis=1)
+    ends = np.cumsum([c[3] for c in chunks])[:-1]
+    return [int(np.count_nonzero(w)) for w in np.split(wrong, ends)]
+
+
+def _simulate(spec, grid, L, trials, seed, threads, error_limit, random_messages, chunk_frames):
+    """The FerPoint of each Eb/N0 in grid, point idx on the streams of seed
+    seed + 7919 * idx.
+
+    Wave r takes chunks r * threads ... r * threads + threads - 1 of every
+    point still running; its chunks, in grid and then chunk order, are
+    packed whole into engine calls of at most chunk_frames frames, which
+    share the pool.  Each point then adds its chunks in chunk order and stops
+    at the first where its errors reach error_limit, so neither the thread
+    count nor the other points move its result.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if chunk_frames < 1:
+        raise ValueError("chunk_frames must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    sigmas = []
+    for db in grid:
+        sigma = design_sigma(db, spec.K / spec.N)
+        # a path metric sums at most N leaf LLRs, each a sum of at most N
+        # channel LLRs of magnitude about 2/sigma^2: refuse the point before
+        # any noise is drawn
+        if 4.0 * spec.N * spec.N / (sigma * sigma) == math.inf:
+            raise ValueError(f"Eb/N0 {db:g} dB out of range: the decoder's LLR sums overflow")
+        sigmas.append(sigma)
+    sizes = [min(chunk_frames, trials - done) for done in range(0, trials, chunk_frames)]
+    errors, frames = [0] * len(grid), [0] * len(grid)
+    running = list(range(len(grid)))
+    run = partial(_batch_errors, spec, L, random_messages)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for first in range(0, len(sizes), threads):
+            wave = range(first, min(first + threads, len(sizes)))
+            batches, room = [], 0
+            for idx in running:
+                for chunk in wave:
+                    if sizes[chunk] > room:
+                        batches.append([])
+                        room = chunk_frames
+                    batches[-1].append((sigmas[idx], seed + 7919 * idx, chunk, sizes[chunk]))
+                    room -= sizes[chunk]
+            found = [n for counts in (pool.map if pool else map)(run, batches) for n in counts]
+            still = []
+            for k, idx in enumerate(running):
+                for chunk, n_err in zip(wave, found[k * len(wave) :]):
+                    errors[idx] += n_err
+                    frames[idx] += sizes[chunk]
+                    if error_limit is not None and errors[idx] >= error_limit:
+                        break
+                else:
+                    still.append(idx)
+            running = still
+            if not running:
+                break
+    return [
+        FerPoint(db, n, e, e / n, *wilson_interval(e, n), n < trials)
+        for db, e, n in zip(grid, errors, frames)
+    ]
 
 
 def simulate_fer(
@@ -139,61 +212,20 @@ def simulate_fer(
     Stops at the first chunk boundary where cumulative errors reach
     error_limit, or after `trials` frames, whichever comes first.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if chunk_frames < 1:
-        raise ValueError("chunk_frames must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    sigma = design_sigma(ebn0_db, spec.K / spec.N)
-    # a path metric sums at most N leaf LLRs, each a sum of at most N channel
-    # LLRs of magnitude about 2/sigma^2: refuse the point before any overflows
-    if 4.0 * spec.N * spec.N / (sigma * sigma) == math.inf:
-        raise ValueError(f"Eb/N0 {ebn0_db:g} dB out of range: the decoder's LLR sums overflow")
-    sizes = []
-    done = 0
-    while done < trials:
-        take = min(chunk_frames, trials - done)
-        sizes.append(take)
-        done += take
-
-    def run(chunk):
-        return _chunk_errors(spec, sigma, L, seed, chunk, sizes[chunk], random_messages)
-
-    errors = 0
-    frames = 0
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        # waves of `threads` chunks, each submitted only once the cumulative
-        # counts of the waves before it are below the limit
-        waves = (range(s, min(s + threads, len(sizes))) for s in range(0, len(sizes), threads))
-        counts = (c for wave in waves for c in zip(wave, (pool.map if pool else map)(run, wave)))
-        for chunk, n_err in counts:
-            errors += n_err
-            frames += sizes[chunk]
-            if error_limit is not None and errors >= error_limit:
-                break
-    lo, hi = wilson_interval(errors, frames)
-    return FerPoint(ebn0_db, frames, errors, errors / frames, lo, hi, frames < trials)
+    return _simulate(
+        spec, [ebn0_db], L, trials, seed, threads, error_limit, random_messages, chunk_frames
+    )[0]
 
 
 def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
               random_messages=False):
-    """simulate_fer across a grid, one decorrelated stream per point."""
-    points = []
-    for idx, db in enumerate(ebn0_grid):
-        points.append(
-            simulate_fer(
-                spec,
-                db,
-                L,
-                trials,
-                seed=seed + 7919 * idx,
-                threads=threads,
-                error_limit=error_limit,
-                random_messages=random_messages,
-            )
-        )
-    return points
+    """simulate_fer across a grid, one decorrelated stream per point; every
+    point is checked before any noise is drawn, and the chunks of all points
+    share decoder calls of at most 1,024 frames."""
+    return _simulate(
+        spec, list(ebn0_grid), L, trials, seed, threads, error_limit, random_messages,
+        _CHUNK_FRAMES,
+    )
 
 
 def render_fer_csv(spec, points, header_lines=()) -> str:

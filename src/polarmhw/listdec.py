@@ -128,15 +128,31 @@ class _Stages:
         else:
             t = (phi & -phi).bit_length() - 1
             parent = self._rows(alpha[t + 1], amap[t + 1])
+            # no later leaf reads alpha[t + 1], and alpha[:t] are rebuilt
+            # before they are read: free them before the new stages exist
+            alpha[: t + 2] = [None] * (t + 2)
             half = 1 << t
             a, b = parent[..., :half], parent[..., half:]
-            alpha[t] = np.where(self._rows(self.beta_left[t], self.bmap[t]) == 1, b - a, b + a)
-            amap[t] = None
+            # g = b + (1 - 2 beta) a: multiplying by +-1 is exact and b - a is
+            # b + (-a), so every dtype gets the bits b -+ a gives
+            g = (1 - 2 * self._rows(self.beta_left[t], self.bmap[t]).view(np.int8)) * a
+            g += b
+            alpha[t], amap[t] = g, None
         while t > s:
             parent = alpha[t]
             half = 1 << (t - 1)
             a, b = parent[..., :half], parent[..., half:]
-            alpha[t - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+            if parent.dtype.kind == "f":
+                # copysign(min(|a|, |b|), a b) equals sign(a) sign(b) min(|a|,
+                # |b|) but for the sign of a zero, which nothing reads; a b may
+                # overflow to an infinity of the right sign
+                m, tmp = np.abs(a), np.abs(b)
+                np.minimum(m, tmp, out=m)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.multiply(a, b, out=tmp)
+                alpha[t - 1] = np.copysign(m, tmp, out=m)
+            else:
+                alpha[t - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
             amap[t - 1] = None
             t -= 1
         return alpha[s]

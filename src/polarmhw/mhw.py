@@ -145,10 +145,11 @@ def exhaustive_mhw(spec, cap: int = EXHAUSTIVE_CAP) -> MhwResult:
         for p, v in enumerate(generator_row(a, N)):
             if v:
                 rows[k, p // 64] |= np.uint64(1 << (p % 64))
-    table = np.zeros((1, words), dtype=np.uint64)
+    # row m of the table is the codeword of message m
+    table = np.zeros((1 << K, words), dtype=np.uint64)
     for k in range(K):
-        table = np.vstack([table, table ^ rows[k]])
-    weights = np.bitwise_count(table).sum(axis=1)
+        np.bitwise_xor(table[: 1 << k], rows[k], out=table[1 << k : 2 << k])
+    weights = np.bitwise_count(table).sum(axis=1, dtype=np.uint32)
     d_m = int(weights[1:].min())
     # message m puts bit k of m at information position A[k]
     hits = np.flatnonzero(weights == d_m)

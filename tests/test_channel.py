@@ -125,6 +125,40 @@ def test_simulation_thread_count_invariance():
     assert lone.stopped_early
 
 
+def test_sweep_equals_its_points_run_one_at_a_time(monkeypatch):
+    # a sweep decodes the chunks of all its points together, a wave of
+    # `threads` chunks per running point packed whole into engine calls of at
+    # most 1,024 frames; each point must still equal simulate_fer on its own
+    # stream, at every thread count, with and without an early stop
+    spec = construct_pw(32, 16)
+    calls = []
+    decode = channel.scl_decode_batch
+
+    def counted(llrs, *args):
+        calls.append(len(llrs))
+        return decode(llrs, *args)
+
+    monkeypatch.setattr(channel, "scl_decode_batch", counted)
+    cases = [((0.0, 3.0, 5.0), 2500, 40), ((0.0, 2.0, 4.0), 2500, None), ((1.0, 2.0, 3.0), 500, 60)]
+    for grid, trials, limit in cases:
+        alone = [
+            simulate_fer(spec, db, L=2, trials=trials, seed=5 + 7919 * idx, error_limit=limit)
+            for idx, db in enumerate(grid)
+        ]
+        for threads in (1, 2, 3):
+            calls.clear()
+            swept = sweep_fer(spec, grid, L=2, trials=trials, seed=5, threads=threads, error_limit=limit)
+            assert swept == alone
+            assert max(calls) <= 1024
+            if trials == 500:
+                assert sorted(calls) == [500, 1000]  # two points share one call
+        if limit == 40:
+            # the first point stops at its first chunk, the second runs on and
+            # stops at its second, the third runs all 2,500 trials
+            stops = [(p.trials, p.stopped_early) for p in alone]
+            assert stops == [(1024, True), (2048, True), (2500, False)]
+
+
 def test_simulation_sees_no_errors_without_noise():
     spec = construct_pw(16, 8)
     pt = simulate_fer(spec, 25.0, L=1, trials=500, seed=8)
@@ -137,12 +171,15 @@ def test_simulation_refuses_overflowing_llrs_before_drawing_noise(monkeypatch):
     def drawn(*args):
         raise AssertionError("noise drawn")
 
-    monkeypatch.setattr(channel, "_chunk_errors", drawn)
+    monkeypatch.setattr(channel, "_chunk_llrs", drawn)
     cases = [(db, "the decoder's LLR sums overflow") for db in (3070.0, 3080.0)]
     cases += [(db, "no positive finite noise std") for db in (1e308, -1e308, math.inf, math.nan)]
     for db, why in cases:
         with pytest.raises(ValueError, match=re.escape(f"Eb/N0 {db:g} dB out of range: {why}")):
             simulate_fer(SPEC8, db, L=2, trials=8)
+    # a sweep checks every point before it draws the noise of any
+    with pytest.raises(ValueError, match="Eb/N0 3070 dB out of range"):
+        sweep_fer(SPEC8, [2.0, 3070.0], L=2, trials=8)
 
 
 def test_early_stop_counts_whole_chunks():

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,50 @@ def test_batch_decoder_recovers_clean_codewords():
     llrs = 4.0 * (1.0 - 2.0 * c.astype(np.float64))
     out = scl_decode_batch(llrs, spec, L=2)
     assert np.array_equal(out, u)
+
+
+def test_batch_decoder_rows_are_decoded_independently():
+    # simulate packs the chunks of several Eb/N0 points into one call: a row's
+    # decisions must not depend on the rows decoded beside it, at any noise
+    # level, and with the ties of integer-valued LLRs
+    for seed in range(4):
+        rng = np.random.default_rng(90 + seed)
+        spec = construct_pw(64, 32) if seed % 2 else construct_ga(64, 24, 1.0)
+        if seed < 3:
+            sigma = rng.uniform(0.5, 1.2, size=(40, 1))
+            llrs = 2.0 * (1.0 + sigma * rng.normal(size=(40, spec.N))) / sigma**2
+        else:
+            llrs = rng.integers(-2, 4, size=(40, spec.N)).astype(np.float64)
+        cuts = np.sort(rng.choice(np.arange(1, 40), size=5, replace=False))
+        for L in (1, 2, 8):
+            parts = [scl_decode_batch(part, spec, L=L) for part in np.split(llrs, cuts)]
+            assert np.array_equal(scl_decode_batch(llrs, spec, L=L), np.concatenate(parts))
+
+
+def test_batch_decoder_takes_llrs_whose_products_overflow():
+    # the float f takes its sign from a b, which overflows here to an infinity
+    # of the right sign: no numpy warning, and the scalar tree's decisions
+    rng = np.random.default_rng(6)
+    llrs = rng.choice((-1.0, 1.0), size=(16, 8)) * rng.uniform(1.0, 2.0, size=(16, 8)) * 1e200
+    out = scl_decode_batch(llrs, SPEC8, L=1)
+    for row, decoded in zip(llrs, out):
+        assert tuple(decoded.tolist()) == sc_decode(row.tolist(), SPEC8).decisions
+
+
+def test_batch_decoder_peak_memory():
+    # each LLR stage is freed once no later leaf reads it, so one call holds
+    # well under two sets of its B * L * N float64 stage entries
+    spec = construct_pw(512, 256)
+    B, L = 128, 8
+    sigma = design_sigma(2.0, spec.K / spec.N)
+    llrs = 2.0 * (1.0 + sigma * np.random.default_rng(5).normal(size=(B, spec.N))) / sigma**2
+    tracemalloc.start()
+    try:
+        scl_decode_batch(llrs, spec, L=L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * B * L * spec.N * 8
 
 
 def test_batch_decoder_validates_arguments():
