@@ -26,14 +26,14 @@ zero-split walk, which keeps no metric, runs rate-0, rate-1 and repetition
 nodes on the same stages, in the schedule the same builder gives for all
 three kinds from the walk's first trigger.
 
-Each decode may pin its own decision prefix.  While all prefixes have one
-length no lane is dead.  Otherwise decodes that start splitting at
-different leaves share the lane axis under a live-lane mask: the candidates
-of dead lanes, and the forbidden bit at a pinned leaf, rank after every
-other candidate and never count as discarded, and the lane axis grows only
-as far as some decode has valid candidates.  So the constrained searches of
-one list width run as one call, and so do SC replays (L = 1, the whole path
-pinned).
+Each decode may pin its own decision prefix and take its own list width.
+Decodes of one prefix length and one width run in a (B, width) lane layout,
+as SC replays do (L = 1, the whole path pinned).  Decodes that differ in
+either run ragged, from one shared LLR row: each decode's lanes sit
+contiguously on one lane axis, and at a split leaf its candidates rank
+among themselves only, so it keeps min(L_b, 2 * its lanes) of them and no
+lane is ever dead.  So mhw's constrained subset searches run as one call,
+each on its own lanes (a few calls at paper scale, to bound memory).
 
 Two tie orders share one stable argsort of the candidate metrics.
 scl_decode_batch (the AWGN simulation) lays the candidates out as [bit 0 of
@@ -91,7 +91,8 @@ class _Stages:
     or a node of 2**s leaves in one step (node(phi, s), then commit(phi,
     bits, s, beta) with the node's bits and partial sums, or commit(phi,
     None, s) for a node decided all 0); select() between the two replaces
-    the lanes by copies of given parents.
+    the lanes by copies of given parents.  Every decode starts with `width`
+    lanes, all reading the (B, 1, N) channel LLRs.
 
     Lane j of decode b reads row map[b * w + j] of alpha[s] (map amap[s]) or
     beta_left[s] (bmap[s]) viewed as (B * w, size), w being the lane count
@@ -100,10 +101,10 @@ class _Stages:
     alone, is shared by all lanes.
     """
 
-    def __init__(self, llrs):
+    def __init__(self, llrs, width=1):
         B, N = llrs.shape
         self.B, self.N, self.n = B, N, N.bit_length() - 1
-        self.width = 1
+        self.width = width
         self.frame = np.arange(B)[:, None]
         self.alpha = [None] * self.n + [llrs[:, None, :]]
         self.amap = [None] * (self.n + 1)
@@ -223,29 +224,55 @@ class _Stages:
         return decisions, llr
 
 
-def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
-    """List-decode the rows of a (B, N) LLR array, the first ends[b]
-    decisions of row b pinned to prefix[b], a (B, P) 0/1 array that is 0
-    past each row's end (None: nothing pinned).  Rows with different ends
-    need the prefix order.
+def _rank(key, integer):
+    """The stable argsort of the candidate metrics along the last axis.
+    Integer metrics are sums of |LLR|, never negative; numpy sorts 16-bit
+    ints stably by radix, in the same order, which costs a fixed pass per row
+    and pays on rows of 256 candidates or more, so those are sorted as int16
+    when every metric fits."""
+    if integer and key.shape[-1] >= 256 and key.max() <= np.iinfo(np.int16).max:
+        key = key.astype(np.int16)
+    return np.argsort(key, axis=-1, kind="stable")
 
-    Returns (pm, live, trace, discarded, low): the (B, width) final path
-    metrics; the (B, width) live-lane mask, or None when every lane is live;
-    trace(lanes), the (B, m, N) decisions of the (B, m) lanes picked and,
-    with leaves, the decoding LLRs of their leaves (else None); how many
-    candidates each row discarded and the metric of the cheapest one (where
-    that count is nonzero), each a (B,) array or one value for every row.
+
+def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
+    """List-decode the rows of a (B, N) LLR array, or the B rows of prefix
+    from one shared (1, N) LLR row, the first ends[b] decisions of row b
+    pinned to prefix[b], a (B, P) 0/1 array that is 0 past each row's end
+    (None: nothing pinned), at list width L, one int or one per row.
+
+    Rows of one end and one width run in a (B, width) lane layout.  Rows of
+    different ends or widths run ragged, which needs one shared LLR row and
+    the prefix order: row b's lanes sit contiguously, in row order, on the
+    one lane axis of a single frame, and at a split leaf row b ranks only its
+    own candidates and keeps min(L[b], 2 * its lanes) of them.
+
+    Returns (pm, counts, trace, discarded, low): the final path metrics,
+    (B, width), or (1, W) ragged, and counts[b], the lanes of row b;
+    trace(lanes), the (F, m, N) decisions of the
+    (F, m) lanes picked, F being B or, ragged, 1, and, with leaves, the
+    decoding LLRs of their leaves (else None); how many candidates each row
+    discarded and the metric of the cheapest one (where that count is
+    nonzero), each a (B,) array or one value for every row.
     """
-    if L < 1:
-        raise ValueError(f"list size L={L} must be >= 1")
+    L = np.asarray(L)
+    if L.min() < 1:
+        raise ValueError(f"list size L={L.min()} must be >= 1")
     B, N = llrs.shape
     if prefix is None:
         prefix, ends = np.zeros((B, 0), dtype=np.uint8), np.zeros(B, dtype=np.intp)
-    P = prefix.shape[1]
+    rows, P = prefix.shape
+    ragged = ends.min() != ends.max() or L.min() != L.max()
+    if ragged:
+        L = np.broadcast_to(L, rows)
+    else:
+        L, llrs = int(L.max()), np.broadcast_to(llrs, (rows, N))
+    B = len(llrs)
     # the information bits past the shortest prefix, where paths may split
     split = spec.info_mask & (np.arange(N) >= ends.min())
-    live = None if ends.min() == ends.max() else np.ones((B, 1), dtype=bool)
     frame = np.arange(B)[:, None]
+    # the prefix row of each lane, (1, W) ragged, else (B, 1)
+    owner = np.arange(rows)[None] if ragged else frame
     # candidates in sort layout, (B, 2, width) in the batch order and
     # (B, width, 2) in the prefix order, flattened
     axis, grow = (2, np.s_[:, :, None]) if prefix_order else (1, np.s_[:, None])
@@ -253,11 +280,14 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
     def layout(pair):
         return np.concatenate([x[grow] for x in pair], axis).reshape(B, -1)
 
-    stages = _Stages(llrs)
+    stages = _Stages(llrs, rows if ragged else 1)
     integer = llrs.dtype.kind == "i"
-    pm = np.zeros((B, 1), dtype=np.int64 if integer else llrs.dtype)
+    pm = np.zeros(owner.shape, dtype=np.int64 if integer else llrs.dtype)
     recorded = [] if leaves else None  # per position, each lane's leaf LLR
-    discarded, low = 0, None
+    if ragged:
+        discarded, low = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=pm.dtype)
+    else:
+        discarded, low = 0, None
     # integer metrics with no leaf recorded take each rate-0 node in one step
     steps = spec._sc_steps if integer and not leaves else ((phi, 0) for phi in range(N))
 
@@ -279,59 +309,67 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
         if not split[phi]:
             # a pinned bit, or a frozen 0 (prefixes are 0 past their ends)
             if phi < P:
-                value = prefix[:, phi, None]
+                value = prefix[owner, phi]
                 charged = np.where(value == 1, leaf > 0, leaf < 0)
             else:
                 value, charged = 0, leaf < 0
             pm = pm + np.where(charged, mag, 0)
             bit = np.full((B, width), value, dtype=np.uint8)
+            stages.commit(phi, bit)
+            continue
+
+        charge = (leaf < 0, leaf > 0)
+        cand = layout([pm + np.where(c, mag, 0) for c in charge])
+        if ragged:
+            # a row still pinned here allows its prefix bit, a split row both
+            want = np.where(phi < ends, prefix[:, phi] if phi < P else 0, 2)
+            ok = layout([want[owner] != 1, want[owner] != 0])[0]
+            counts = np.bincount(owner[0], minlength=rows)
+            # the split rows with more candidates than their width rank them
+            # by metric, stably in prefix order, and drop those past L[b];
+            # adjacent rows of one lane count and width rank together
+            over = ((want == 2) & (2 * counts > L)).nonzero()[0]
+            if len(over):
+                lanes = 2 * (np.cumsum(counts) - counts)  # each row's first candidate
+                size, keep = 2 * counts[over], L[over]
+                step = (np.diff(over) != 1) | (np.diff(size) != 0) | (np.diff(keep) != 0)
+                cuts = [0] + (step.nonzero()[0] + 1).tolist() + [len(over)]
+                first = np.empty(len(over), dtype=cand.dtype)  # each row's cheapest drop
+                for a, b in zip(cuts, cuts[1:]):
+                    m, k, lo = int(size[a]), int(keep[a]), int(lanes[over[a]])
+                    part = cand[0, lo : lo + (b - a) * m].reshape(b - a, m)
+                    rank = _rank(part, integer)
+                    first[a:b] = part[np.arange(b - a), rank[:, k]]
+                    drop = ok[lo : lo + (b - a) * m].reshape(b - a, m)
+                    drop[np.arange(b - a)[:, None], rank[:, k:]] = False
+                old = low[over]
+                low[over] = np.where((discarded[over] == 0) | (first < old), first, old)
+                discarded[over] += size - keep
+            order = ok.nonzero()[0][None]
         else:
-            charge = (leaf < 0, leaf > 0)
-            cand = layout([pm + np.where(c, mag, 0) for c in charge])
             keep = min(L, 2 * width)
-            if live is not None:
-                # a row still pinned here allows one bit, a dead lane none
-                want = np.where(phi < ends, prefix[:, min(phi, P - 1)], 2)[:, None]
-                ok = layout([live & (want != 1), live & (want != 0)])
-                keep = min(L, int(ok.sum(axis=1).max()))
             if prefix_order and keep == 2 * width:
                 order = np.broadcast_to(np.arange(keep), (B, keep))
             else:
-                key = cand
-                if integer and 2 * width >= 256 and cand.max() <= np.iinfo(np.int16).max:
-                    # metrics are sums of |LLR|, never negative; numpy sorts
-                    # 16-bit ints stably by radix, in the same order, which
-                    # costs a fixed pass per row and pays on rows this long
-                    key = cand.astype(np.int16)
-                if live is None:
-                    order = np.argsort(key, axis=1, kind="stable")
-                else:
-                    order = np.lexsort((key, ~ok))  # valid first, then stable by metric
+                order = _rank(cand, integer)
                 if keep < 2 * width:
-                    cut = order[:, keep]
-                    first = cand[frame[:, 0], cut]
-                    if live is None:
-                        discarded += 2 * width - keep
-                        low = first if low is None else np.where(first < low, first, low)
-                    else:
-                        # a row that discards keeps L live lanes from then
-                        # on, so its first candidate past the cut is valid
-                        # and its cheapest loss; before that, its low is unused
-                        low = first if low is None else low
-                        low = np.where((discarded == 0) | (first < low), first, low)
-                        discarded = discarded + np.maximum(ok.sum(axis=1) - keep, 0)
+                    first = cand[frame[:, 0], order[:, keep]]
+                    discarded += 2 * width - keep
+                    low = first if low is None else np.where(first < low, first, low)
                 order = order[:, :keep]
                 if prefix_order:
                     order = np.sort(order, axis=1)
-            if live is not None:
-                live = ok[frame, order]
-            lane, bit = np.divmod(order, 2) if prefix_order else np.divmod(order, width)[::-1]
-            pm = cand[frame, order]
-            bit = bit.astype(np.uint8)
-            stages.select(phi, lane)
-        stages.commit(phi, bit)
+        lane, bit = np.divmod(order, 2) if prefix_order else np.divmod(order, width)[::-1]
+        pm = cand[frame, order]
+        stages.select(phi, lane)
+        if ragged:
+            owner = owner[frame, lane]
+        stages.commit(phi, bit.astype(np.uint8))
 
-    return pm, live, lambda lanes: stages.trace(lanes, recorded), discarded, low
+    counts = np.bincount(owner[0], minlength=rows) if ragged else np.full(rows, pm.shape[1])
+    # the trace reads only the parent lanes and the committed bits
+    stages.alpha = stages.beta_left = stages.amap = stages.bmap = None
+    return pm, counts, lambda lanes: stages.trace(lanes, recorded), discarded, low
 
 
 def _exact_input(input_llrs, N):
@@ -356,26 +394,36 @@ def _python_pm(pm):
 
 def _search(input_llrs, spec, L, prefixes=((),), leaves=False):
     """scl_decode's search from one LLR vector, unchecked, for each forced
-    prefix in one engine run.  Per prefix: the (paths, N) uint8 decisions of
-    every surviving path in ascending order, their engine metrics, their leaf
-    LLRs (with leaves, else None) and the SearchDiagnostics."""
+    prefix in one engine run, at list width L, one int or one per prefix.
+    Per prefix: the (paths, N) uint8 decisions of every surviving path in
+    ascending order, their engine metrics, their leaf LLRs (with leaves,
+    else None) and the SearchDiagnostics."""
     B, N = len(prefixes), spec.N
+    widths = np.broadcast_to(L, B)
     ends = np.array([len(p) for p in prefixes], dtype=np.intp)
+    # the rows run in order of width and end, so that the rows that rank
+    # together at a leaf (one width, as many lanes) sit side by side
+    perm = np.lexsort((ends, widths))
     prefix = np.zeros((B, ends.max()), dtype=np.uint8)
-    for row, p in zip(prefix, prefixes):
-        row[: len(p)] = p
-    llrs = np.broadcast_to(_exact_input(input_llrs, N), (B, N))
-    pm, live, trace, discarded, low = _engine(llrs, spec, L, True, prefix, ends, leaves)
+    for row, b in zip(prefix, perm.tolist()):
+        row[: ends[b]] = prefixes[b]
+    llrs = _exact_input(input_llrs, N)
+    pm, counts, trace, discarded, low = _engine(
+        llrs, spec, widths[perm], True, prefix, ends[perm], leaves
+    )
+    # every final lane, rows after one another on one lane axis
     decisions, llr = trace(np.broadcast_to(np.arange(pm.shape[1]), pm.shape))
-    discarded = np.broadcast_to(discarded, B)
-    out = []
-    for b in range(B):
-        kept = slice(None) if live is None else live[b]
+    decisions = decisions.reshape(-1, N)
+    llr = None if llr is None else llr.reshape(-1, N)
+    pm, discarded = pm.reshape(-1), np.broadcast_to(discarded, B)
+    stops = np.cumsum(counts)
+    out = [None] * B
+    for k, b in enumerate(perm.tolist()):
+        lanes = slice(stops[k] - counts[k], stops[k])
         diagnostics = SearchDiagnostics(
-            int(discarded[b]), _python_pm(low[b]) if discarded[b] else None
+            int(discarded[k]), _python_pm(low[k]) if discarded[k] else None
         )
-        leaf_llrs = None if llr is None else llr[b, kept]
-        out.append((decisions[b, kept], pm[b, kept], leaf_llrs, diagnostics))
+        out[b] = decisions[lanes], pm[lanes], None if llr is None else llr[lanes], diagnostics
     return out
 
 

@@ -6,7 +6,8 @@
 * enumerate_subset_scl: per minimum-weight row i and per zero-capacity
   information position j after i, a constrained list search pinned to the
   prefix 1-at-i, 1-at-j recovers the subset U(i, j); list sizes shrink
-  geometrically along j, and the searches of one list size run together.
+  geometrically along j, and all the searches run as one ragged list
+  engine call, each at its own size on its own lanes.
 * enumerate_zero_split: one lockstep walk over all rows i at once, on the
   list decoder's stage engine, that follows hard decisions, forks at
   exactly-zero information LLRs, and abandons a branch when a frozen
@@ -167,31 +168,82 @@ def _pair_prefix(i, j):
     return prefix
 
 
-def _search_group(spec, pairs, L, d_m):
-    """The constrained searches of the (i, j) pairs at list width L, in one
-    engine run: per pair, (vectors, note).  A discarded candidate that still
-    carried the bare trigger metric may have been on a valid trajectory; in
-    that case rerun the pair at full width and report whether the schedule
-    truly lost anything.  That metric is d_m: before trigger i the SC path is
-    all-zero, so reversing i costs the leaf LLR 2**popcount(i - 1) = d_m."""
+# The searches of one engine run hold at most this many bytes of decisions
+# in all (or one search's): a bound on the run's stage buffers and trace,
+# whose every array is (lanes, at most N).
+_RUN_BYTES = 1 << 24
+
+
+def _subset_pairs(report):
+    """The (i, j) pairs of the subset searches of a materialized bound
+    report, in trigger order, and their list widths 2**(overlap - cnt), j
+    being the cnt-th member of trigger i."""
+    pairs, widths = [], []
+    for t in report.triggers:
+        for cnt, j in enumerate(t.members, start=1):
+            pairs.append((t.i, j))
+            widths.append(1 << (t.overlap - cnt))
+    return pairs, widths
+
+
+def _shares(weights, n):
+    """range(len(weights)) cut into min(n, len(weights)) contiguous nonempty
+    runs of about equal summed weight."""
+    n = min(n, len(weights))
+    total = np.cumsum(weights)
+    cuts = [0]
+    for k in range(1, n):
+        # just past the first index whose running sum reaches k/n of the
+        # total, leaving a pair for each run after it
+        cut = int(np.searchsorted(total, total[-1] * k / n)) + 1
+        cuts.append(min(max(cut, cuts[-1] + 1), len(weights) - n + k))
+    cuts.append(len(weights))
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def _subset_searches(spec, pairs, widths, d_m, threads=1):
+    """The constrained searches of the (i, j) pairs, pair k at list width
+    widths[k], in ragged engine runs of contiguous pairs and balanced summed
+    width: one run, or one per thread, or as many as keep each run within
+    _RUN_BYTES.  Per pair: (its vectors of weight d_m bit-packed by rows,
+    note).  A discarded candidate that still carried the bare trigger metric
+    may have been on a valid trajectory; the pairs that discarded one rerun
+    together, each at its full width per_subset_bound(i), and a note says
+    what the schedule truly lost.  That metric is d_m: before trigger i the
+    SC path is all-zero, so reversing i costs the leaf LLR
+    2**popcount(i - 1) = d_m."""
     ones = [1] * spec.N
-    searches = _search(ones, spec, L, [_pair_prefix(i, j) for i, j in pairs])
-    out = []
-    for (i, j), (paths, _, _, diag) in zip(pairs, searches):
-        found = _min_weight(paths, d_m)
-        note = None
-        if diag.min_discarded_pm is not None and diag.min_discarded_pm <= d_m:
-            width = per_subset_bound(i, spec)
-            refound = _search(ones, spec, width, [_pair_prefix(i, j)])[0][0]
-            refound = _min_weight(refound, d_m)
-            old, new = set(map(bytes, found)), set(map(bytes, refound))
-            if new != old:
-                note = (
-                    f"list size {L} for trigger {i}, split {j} lost "
-                    f"{len(new - old)} vectors; recovered at width {width}"
-                )
-                found = refound
-        out.append((found, note))
+
+    def run(jobs):
+        prefixes = [_pair_prefix(i, j) for (i, j), _ in jobs]
+        out = _search(ones, spec, [width for _, width in jobs], prefixes)
+        return [(np.packbits(_min_weight(rows, d_m), axis=1), diag) for rows, _, _, diag in out]
+
+    def search(jobs):
+        weights = [width for _, width in jobs]
+        runs = max(threads, -(-sum(weights) * spec.N // _RUN_BYTES))
+        shares = [jobs[r.start : r.stop] for r in _shares(weights, runs)]
+        workers = min(threads, len(shares))
+        with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            return [pair for out in (pool.map if pool else map)(run, shares) for pair in out]
+
+    found = search(list(zip(pairs, widths)))
+    lossy = [
+        k
+        for k, (_, diag) in enumerate(found)
+        if diag.min_discarded_pm is not None and diag.min_discarded_pm <= d_m
+    ]
+    full = [per_subset_bound(pairs[k][0], spec) for k in lossy]
+    out = [(rows, None) for rows, _ in found]
+    refound = search([(pairs[k], w) for k, w in zip(lossy, full)])
+    for k, width, (rows, _) in zip(lossy, full, refound):
+        old, new = set(map(bytes, out[k][0])), set(map(bytes, rows))
+        if new != old:
+            i, j = pairs[k]
+            out[k] = rows, (
+                f"list size {widths[k]} for trigger {i}, split {j} lost "
+                f"{len(new - old)} vectors; recovered at width {width}"
+            )
     return out
 
 
@@ -199,33 +251,23 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
     """Every minimum-weight vector: per trigger i the bare row message plus,
     per zero-capacity information position j after i (the cnt-th of them),
     the subset U(i, j) from a constrained search at list width
-    2**(overlap - cnt).  The searches of one width run as one engine call;
-    `threads` workers share those calls.  A vector found under two triggers
-    breaks the partition law and aborts."""
+    2**(overlap - cnt).  All searches run as one ragged engine call, each on
+    its own lanes, or in contiguous shares of one call each: one per worker
+    of `threads`, or more where one call would exceed _RUN_BYTES.  A vector
+    found under two triggers breaks the partition law and aborts."""
     report = bound_count(spec, materialize_sets=True)
     d_m, a_m = report.d_m, report.a_m
-    pairs, groups = [], {}
-    for t in report.triggers:
-        for cnt, j in enumerate(t.members, start=1):
-            pairs.append((t.i, j))
-            groups.setdefault(1 << (t.overlap - cnt), []).append((t.i, j))
+    pairs, widths = _subset_pairs(report)
     singles = np.zeros((len(a_m), spec.N), dtype=np.uint8)
     singles[np.arange(len(a_m)), np.array(a_m) - 1] = 1
-    # every pair's vectors, held bit-packed until all are found, so that only
-    # the final array and its sorted copy are ever held unpacked
-    found = {}
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        outs = (pool.map if pool else map)(
-            lambda L: _search_group(spec, groups[L], L, d_m), groups
-        )
-        for group, out in zip(groups.values(), outs):
-            for pair, (rows, note) in zip(group, out):
-                found[pair] = np.packbits(rows, axis=1), note
-    packed = np.concatenate([np.packbits(singles, axis=1)] + [found[p][0] for p in pairs])
-    notes = [found[p][1] for p in pairs if found[p][1]]
+    # every pair's vectors come bit-packed, so that only the final array and
+    # its sorted copy are ever held unpacked
+    found = _subset_searches(spec, pairs, widths, d_m, threads)
+    packed = np.concatenate([np.packbits(singles, axis=1)] + [rows for rows, _ in found])
+    notes = [note for _, note in found if note]
     warning = "; ".join(notes) if notes else None
     vectors = np.unpackbits(packed, axis=1, count=spec.N)
-    return MhwResult(d_m, vectors, "SUBSET_SCL", max(groups, default=0), warning)
+    return MhwResult(d_m, vectors, "SUBSET_SCL", max(widths, default=0), warning)
 
 
 # ---- zero-split walker ----

@@ -210,6 +210,32 @@ def test_batched_searches_match_one_at_a_time():
             assert repr(diagnostics) == repr(alone[3])
 
 
+def test_searches_at_their_own_widths_match_one_at_a_time():
+    # a ragged run gives each prefix its own list width and its own lanes,
+    # with prefixes ending at different leaves; each search must equal its
+    # own run: paths, metrics and their types, leaf LLRs, discard count and
+    # cheapest discarded metric (and its type)
+    kinds = set()
+    for spec, llrs, _, rng in batched_search_corpus():
+        ends = rng.sample(range(spec.N + 1), rng.randint(2, 6))
+        prefixes = [
+            [rng.randint(0, 1) if spec.is_info(p) else 0 for p in range(1, end + 1)]
+            for end in ends
+        ]
+        widths = [rng.choice((1, 2, 3, 4, 8, 16)) for _ in prefixes]
+        together = _search(llrs, spec, widths, prefixes, leaves=True)
+        for prefix, L, (decisions, pm, llr, diagnostics) in zip(prefixes, widths, together):
+            alone = _search(llrs, spec, L, [prefix], leaves=True)[0]
+            assert decisions.tolist() == alone[0].tolist()
+            assert pm.dtype == alone[1].dtype
+            assert [(type(x), x) for x in pm.tolist()] == [(type(x), x) for x in alone[1].tolist()]
+            assert llr.dtype == alone[2].dtype
+            assert llr.tolist() == alone[2].tolist()
+            assert repr(diagnostics) == repr(alone[3])
+        kinds.add(llr.dtype.kind)
+    assert kinds == {"i", "f", "O"}
+
+
 # ---- the shared stage buffers ----
 
 

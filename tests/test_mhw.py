@@ -13,7 +13,7 @@ from conftest import (
     vector_set,
 )
 
-from polarmhw import bitops, mhw
+from polarmhw import bitops, listdec, mhw
 from polarmhw.bitops import encode, generator_row, min_distance
 from polarmhw.bound import bound_count, per_subset_bound, zero_capacity_set
 from polarmhw.construction import RATE0, CodeSpec, construct_ga, construct_pw
@@ -29,7 +29,7 @@ from polarmhw.mhw import (
     write_enumeration,
     zero_split_subset,
 )
-from polarmhw.mhw import _search_group, _zero_split_walk
+from polarmhw.mhw import _subset_pairs, _subset_searches, _zero_split_walk
 from polarmhw.sctree import sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
@@ -75,27 +75,128 @@ def test_exhaustive_cap_refuses_large_codes():
 
 
 def test_grouped_subset_search_examples():
-    # the searches of one list width run together, each pinned to its own
-    # prefix 1-at-i, 1-at-j; every pair gets the vectors whose first two
-    # ones sit at i and j
+    # the searches run together, each pinned to its own prefix 1-at-i,
+    # 1-at-j at its own list width; every pair gets the vectors whose first
+    # two ones sit at i and j
     pairs = [(4, 6), (4, 8), (7, 8)]
-    (four, note), (one, _), (last, _) = _search_group(SPEC8, pairs, 4, 4)
+
+    def unpacked(rows):
+        return np.unpackbits(rows, axis=1, count=SPEC8.N)
+
+    (four, note), (one, _), (last, _) = _subset_searches(SPEC8, pairs, [4, 1, 2], 4)
     expected = {u for u in brute_force_minimum_weight(SPEC8)[1] if u[3] and u[5]}
-    assert vector_set(four) == expected
+    assert vector_set(unpacked(four)) == expected
     assert note is None
-    assert one.tolist() == [[0, 0, 0, 1, 0, 0, 0, 1]]
-    assert weight(one[0]) == 4
-    assert last.tolist() == [[0, 0, 0, 0, 0, 0, 1, 1]]
+    assert unpacked(one).tolist() == [[0, 0, 0, 1, 0, 0, 0, 1]]
+    assert weight(unpacked(one)[0]) == 4
+    assert unpacked(last).tolist() == [[0, 0, 0, 0, 0, 0, 1, 1]]
     # width 1 discards a candidate at the trigger metric, so (4, 6) reruns at
     # full width, returns the same rows and says what the schedule lost
-    narrow = _search_group(SPEC8, pairs, 1, 4)
-    assert vector_set(narrow[0][0]) == expected
+    narrow = _subset_searches(SPEC8, pairs, [1, 4, 1], 4)
+    assert vector_set(unpacked(narrow[0][0])) == expected
     assert narrow[0][1] == "list size 1 for trigger 4, split 6 lost 3 vectors; recovered at width 8"
-    assert [out[0].tolist() for out in narrow[1:]] == [one.tolist(), last.tolist()]
+    assert [unpacked(out[0]).tolist() for out in narrow[1:]] == [
+        unpacked(one).tolist(),
+        unpacked(last).tolist(),
+    ]
+    assert [out[1] for out in narrow[1:]] == [None, None]
+
+
+def subset_pairs(spec):
+    """The (i, j) pairs of spec's subset searches, their widths and d_m."""
+    report = bound_count(spec, materialize_sets=True)
+    return *_subset_pairs(report), report.d_m
+
+
+def count_engine_calls(monkeypatch):
+    """The number of rows of each listdec._engine call from now on."""
+    calls = []
+    engine = listdec._engine
+
+    def counted(llrs, spec, L, prefix_order, prefix=None, *args, **kwargs):
+        calls.append(len(llrs) if prefix is None else len(prefix))
+        return engine(llrs, spec, L, prefix_order, prefix, *args, **kwargs)
+
+    monkeypatch.setattr(listdec, "_engine", counted)
+    return calls
+
+
+def test_subset_scl_runs_every_search_in_one_engine_call(monkeypatch):
+    calls = count_engine_calls(monkeypatch)
+    for spec in (construct_pw(256, 136), perturbed_pw(128, 64, 0)):
+        pairs, widths, _ = subset_pairs(spec)
+        assert len(set(widths)) > 1
+        calls.clear()
+        out = enumerate_subset_scl(spec, threads=1)
+        assert out.warning is None
+        assert calls == [len(pairs)]
+
+
+def test_subset_scl_thread_count_invariance(monkeypatch):
+    # threads share the searches out in contiguous runs, one engine call
+    # each and one worker per run; the result never depends on the count
+    calls = count_engine_calls(monkeypatch)
+    workers = []
+    pool = mhw.ThreadPoolExecutor
+
+    def counted_pool(n):
+        workers.append(n)
+        return pool(n)
+
+    monkeypatch.setattr(mhw, "ThreadPoolExecutor", counted_pool)
+    specs = [construct_pw(256, 136), perturbed_pw(128, 64, 0), SPEC8, CodeSpec(4, (4,))]
+    for spec in specs + random_specs(6, (16, 32, 64), seed=41, max_K=20):
+        searches = len(subset_pairs(spec)[0])
+        results = []
+        for threads in (1, 2, 3, 64):
+            calls.clear()
+            workers.clear()
+            results.append(enumerate_subset_scl(spec, threads=threads))
+            assert len(calls) == min(threads, searches) <= searches
+            assert sum(calls) == searches
+            assert workers == ([len(calls)] if len(calls) > 1 else [])
+        assert all(out == results[0] for out in results[1:])
+
+
+def test_subset_scl_splits_runs_past_the_decision_budget(monkeypatch):
+    # searches whose decisions would exceed _RUN_BYTES in one engine run
+    # split into as many contiguous runs as keep each within it
+    spec = construct_pw(256, 136)
+    want = enumerate_subset_scl(spec)
+    pairs, widths, _ = subset_pairs(spec)
+    calls = count_engine_calls(monkeypatch)
+    budget = sum(widths) * spec.N // 5
+    monkeypatch.setattr(mhw, "_RUN_BYTES", budget)
+    assert enumerate_subset_scl(spec) == want
+    assert len(calls) == -(-sum(widths) * spec.N // budget) > 5
+    assert sum(calls) == len(pairs)
+
+
+def test_ragged_subset_searches_match_one_at_a_time(monkeypatch):
+    # list width 1 on every other pair makes most of them discard at the
+    # trigger metric: those rerun together at full width, on every thread
+    # count, and each pair's vectors and note equal its search alone
+    calls = count_engine_calls(monkeypatch)
+    notes = 0
+    for spec in (construct_pw(32, 16), construct_pw(64, 32), perturbed_pw(64, 32, 0)):
+        pairs, widths, d_m = subset_pairs(spec)
+        widths = [1 if k % 2 else w for k, w in enumerate(widths)]
+        calls.clear()
+        alone = [_subset_searches(spec, [p], [w], d_m)[0] for p, w in zip(pairs, widths)]
+        alone = [(rows.tobytes(), note) for rows, note in alone]
+        notes += sum(note is not None for _, note in alone)
+        reruns = len(calls) - len(pairs)
+        for threads in (1, 2, 3, 64):
+            calls.clear()
+            together = _subset_searches(spec, pairs, widths, d_m, threads)
+            assert [(rows.tobytes(), note) for rows, note in together] == alone
+            assert len(calls) <= 2 * min(threads, len(pairs))
+            assert sum(calls) == len(pairs) + reruns
+    assert notes > 20
 
 
 def test_trigger_metric_is_the_minimum_distance():
-    # _search_group compares discards against d_m: reversing trigger i on the
+    # _subset_searches compares discards against d_m: reversing trigger i on the
     # all-ones input costs d_m, as the scalar retrace computes it
     specs = [
         construct_pw(N, K)
