@@ -136,21 +136,19 @@ def _batch_errors(spec, L, random_messages, chunks):
     return [int(np.count_nonzero(w)) for w in np.split(wrong, ends)]
 
 
-def _simulate(spec, grid, L, trials, seed, threads, error_limit, random_messages, chunk_frames):
+def _simulate(spec, grid, L, trials, seed, threads, error_limit, random_messages):
     """The FerPoint of each Eb/N0 in grid, point idx on the streams of seed
     seed + 7919 * idx.
 
     Wave r takes chunks r * threads ... r * threads + threads - 1 of every
     point still running; its chunks, in grid and then chunk order, are
-    packed whole into engine calls of at most chunk_frames frames, which
+    packed whole into engine calls of at most _CHUNK_FRAMES frames, which
     share the pool.  Each point then adds its chunks in chunk order and stops
     at the first where its errors reach error_limit, so neither the thread
     count nor the other points move its result.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if chunk_frames < 1:
-        raise ValueError("chunk_frames must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     sigmas = []
@@ -162,7 +160,7 @@ def _simulate(spec, grid, L, trials, seed, threads, error_limit, random_messages
         if 4.0 * spec.N * spec.N / (sigma * sigma) == math.inf:
             raise ValueError(f"Eb/N0 {db:g} dB out of range: the decoder's LLR sums overflow")
         sigmas.append(sigma)
-    sizes = [min(chunk_frames, trials - done) for done in range(0, trials, chunk_frames)]
+    sizes = [min(_CHUNK_FRAMES, trials - done) for done in range(0, trials, _CHUNK_FRAMES)]
     errors, frames = [0] * len(grid), [0] * len(grid)
     running = list(range(len(grid)))
     run = partial(_batch_errors, spec, L, random_messages)
@@ -174,7 +172,7 @@ def _simulate(spec, grid, L, trials, seed, threads, error_limit, random_messages
                 for chunk in wave:
                     if sizes[chunk] > room:
                         batches.append([])
-                        room = chunk_frames
+                        room = _CHUNK_FRAMES
                     batches[-1].append((sigmas[idx], seed + 7919 * idx, chunk, sizes[chunk]))
                     room -= sizes[chunk]
             found = [n for counts in (pool.map if pool else map)(run, batches) for n in counts]
@@ -205,16 +203,13 @@ def simulate_fer(
     threads: int = 1,
     error_limit: int | None = 100,
     random_messages: bool = False,
-    chunk_frames: int = _CHUNK_FRAMES,
 ) -> FerPoint:
     """Monte-Carlo frame error rate at one operating point.
 
     Stops at the first chunk boundary where cumulative errors reach
     error_limit, or after `trials` frames, whichever comes first.
     """
-    return _simulate(
-        spec, [ebn0_db], L, trials, seed, threads, error_limit, random_messages, chunk_frames
-    )[0]
+    return _simulate(spec, [ebn0_db], L, trials, seed, threads, error_limit, random_messages)[0]
 
 
 def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
@@ -223,8 +218,7 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
     point is checked before any noise is drawn, and the chunks of all points
     share decoder calls of at most 1,024 frames."""
     return _simulate(
-        spec, list(ebn0_grid), L, trials, seed, threads, error_limit, random_messages,
-        _CHUNK_FRAMES,
+        spec, list(ebn0_grid), L, trials, seed, threads, error_limit, random_messages
     )
 
 

@@ -13,6 +13,7 @@ error, 3 capability refusal, 4 property failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import math
 import os
@@ -267,7 +268,7 @@ def cmd_enumerate(args, argv) -> int:
         if spec.K <= EXHAUSTIVE_CAP:
             results.append(exhaustive_mhw(spec))
         results.append(enumerate_subset_scl(spec, threads=threads))
-        result = enumerate_zero_split(spec, threads=threads)
+        result = enumerate_zero_split(spec)
         results.append(result)
         needed = bound_count(spec, materialize_sets=False).total + 1
         results.append(scl_global_search(spec, max(args.list_size or 0, needed)))
@@ -289,7 +290,7 @@ def cmd_enumerate(args, argv) -> int:
         elif method == "subset-scl":
             result = enumerate_subset_scl(spec, threads=threads)
         elif method == "zero-split":
-            result = enumerate_zero_split(spec, threads=threads)
+            result = enumerate_zero_split(spec)
         else:
             L = args.list_size or bound_count(spec, materialize_sets=False).total + 1
             result = scl_global_search(spec, L)
@@ -308,31 +309,21 @@ def cmd_enumerate(args, argv) -> int:
 # ---- verify ----
 
 
-def _weight_filtered_leaves(spec, triggers, cap: int):
-    """Sampled minimum-weight members of each trigger, in sorted order, plus
-    their full counts, from one walk over all the triggers."""
-    rows = zero_split_triggers(spec, triggers).vectors
-    first = rows.argmax(axis=1) + 1  # a member belongs to the trigger at its first one
-    members, full_counts = {}, {}
-    for i in triggers:
-        kept = rows[first == i]
-        members[i], full_counts[i] = kept[:cap].tolist(), len(kept)
-    return members, full_counts
-
-
 def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     """Return [(name, status, detail)] for the property suite on one code."""
-    checks = []
     N = spec.N
     n = N.bit_length() - 1
     report = bound_count(spec, materialize_sets=False)
     d_m = report.d_m
     triggers = list(report.a_m)[:max_triggers]
     ones = [1] * N
-    # one walk: over every trigger when the exact count is wanted
+    # one walk: over every trigger when the exact count is wanted; a member
+    # belongs to the trigger at its first one, and is sampled in sorted order
     exact_wanted = report.total <= exact_limit
-    walked = report.a_m if exact_wanted else triggers
-    members, full_counts = _weight_filtered_leaves(spec, walked, max_members)
+    rows = zero_split_triggers(spec, report.a_m if exact_wanted else triggers).vectors
+    first = rows.argmax(axis=1) + 1
+    members = {i: rows[first == i][:max_members].tolist() for i in triggers}
+    exact = len(rows) if exact_wanted else None
     retraced = {i: sc_retrace(ones, spec, {i}) for i in triggers}
     # one SC replay of every sampled member, then of every retraced path, all
     # in one list-engine run (L = 1, every decision pinned): per path its
@@ -347,142 +338,105 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
         rds, zeros = (tuple((np.flatnonzero(x) + 1).tolist()) for x in (charged, llr[0] == 0))
         replays.append((i, pm[0], rds, zeros))
     replays, retrace_replays = replays[: -len(triggers)], replays[-len(triggers) :]
-    n_members = sum(len(members[i]) for i in triggers)
-    scope = f"{len(triggers)} triggers, {n_members} members"
+    probes = [(i, u) for i in triggers[:2] for u in members[i][:4]]
+    scope = f"{len(triggers)} triggers, {len(replays)} members"
 
-    # Tail decomposition: parts tile [i+1, N] contiguously with power-of-two
-    # sizes and sit at even subtree indices.
-    ok = True
-    for i in triggers:
+    def tiles(i):
+        # the tail's parts tile [i+1, N] contiguously with power-of-two sizes
+        # and sit at even subtree indices
         parts = decompose(i, n).parts
-        expect_start = i + 1
-        for p in parts:
-            size = 1 << p.lam
-            if p.start != expect_start or p.end != p.start + size - 1:
-                ok = False
-            if p.node % 2 != 0 or p.end != p.node * size:
-                ok = False
-            expect_start = p.end + 1
-        if i < N and (not parts or parts[-1].end != N):
-            ok = False
-    checks.append(("partition-parts", "PASS" if ok else "FAIL", scope))
-
-    # Zero-pinned positions match the one-extra-bit characterization and the
-    # per-part cardinality formula.
-    ok = True
-    for i in triggers:
-        zc = zero_capacity_set(i, N)
-        r = i - 1
-        alt = {
-            e
-            for e in range(1, N + 1)
-            if e - 1 > r and ((e - 1) & ~r).bit_count() == 1
-        }
-        card = sum(
-            1 << (r & ((1 << p.lam) - 1)).bit_count()
-            for p in decompose(i, n).parts
+        ends = [i] + [p.end for p in parts]
+        return ends[-1] == N and all(
+            p.start == end + 1
+            and p.end == p.start + (1 << p.lam) - 1
+            and p.node % 2 == 0
+            and p.end == p.node << p.lam
+            for p, end in zip(parts, ends)
         )
-        if zc != alt or len(zc) != card:
-            ok = False
-    checks.append(("one-extra-bit-set", "PASS" if ok else "FAIL", scope))
 
-    # Replaying any minimum-weight member of a trigger against the noiseless
-    # all-positive input zeroes the decoder LLRs exactly on the predicted set.
-    ok = True
-    for i in triggers:
-        predicted = sorted(zero_capacity_set(i, N))
+    def one_extra_bit(i):
+        # the zero-pinned positions are those one bit above i - 1, in the
+        # number the per-part cardinality formula gives
+        r = i - 1
+        zc = zero_capacity_set(i, N)
+        alt = {e for e in range(1, N + 1) if e - 1 > r and ((e - 1) & ~r).bit_count() == 1}
+        card = sum(1 << (r & ((1 << p.lam) - 1)).bit_count() for p in decompose(i, n).parts)
+        return zc == alt and len(zc) == card
+
+    def predicted(i):
+        # replaying any member of i against the noiseless all-positive input
+        # zeroes the decoder LLRs exactly on the predicted set
+        want = sorted(zero_capacity_set(i, N))
         if negative_control:
-            pool = [p for p in range(1, N + 1) if p not in set(predicted)]
-            predicted = sorted(predicted[:-1] + pool[:1])
-        want = tuple(predicted)
-        if any(zeros != want for t, _, _, zeros in replays if t == i):
-            ok = False
-    detail = scope + (" [negative control]" if negative_control else "")
-    checks.append(("zero-location-replay", "PASS" if ok else "FAIL", detail))
+            pool = [p for p in range(1, N + 1) if p not in set(want)]
+            want = sorted(want[:-1] + pool[:1])
+        return all(zeros == tuple(want) for t, _, _, zeros in replays if t == i)
 
-    # Erasing the channel exactly on a generator row's support reproduces that
-    # support as the decoder's zero-LLR positions.
-    ok = True
-    for i in triggers:
+    def residual_zeros(i):
+        # erasing the channel exactly on a generator row's support reproduces
+        # that support as the decoder's zero-LLR positions
         row = generator_row(i, N)
         support = positions_of(1, row)
-        for scale in (1, 3.5):
-            out = sc_decode([scale * (1 - bit) for bit in row], spec)
-            if out.zero_positions != support:
-                ok = False
-    checks.append(("residual-zero-locations", "PASS" if ok else "FAIL", scope))
+        return all(
+            sc_decode([scale * (1 - bit) for bit in row], spec).zero_positions == support
+            for scale in (1, 3.5)
+        )
 
-    # Forcing a lone disagreement at the trigger is stable under replay: same
-    # penalty, same single flip position, positive cost.
-    ok = True
-    for i, (_, pm, rds, _) in zip(triggers, retrace_replays):
-        rt = retraced[i]
-        if rt.rds != (i,) or rds != (i,):
-            ok = False
-        if pm != rt.pm or not rt.pm > 0:
-            ok = False
-    checks.append(("retrace-rds-fixed", "PASS" if ok else "FAIL", scope))
+    def retrace_fixed(i, pm, rds, _):
+        # a lone disagreement at the trigger is stable under replay: same
+        # single flip position, same penalty, positive cost
+        return rds == retraced[i].rds == (i,) and pm == retraced[i].pm > 0
 
-    # The retraced path's codeword already sits at the minimum weight.
-    ok = True
-    for i in triggers:
-        if sum(retraced[i].codeword()) != d_m:
-            ok = False
-    checks.append(("retrace-weight", "PASS" if ok else "FAIL", f"d_m={d_m}"))
+    def root_llrs(i, u):
+        # subtree root LLRs along a member replay match the closed form; a
+        # part whose node the replay never recorded is a mismatch
+        got = sc_replay(ones, spec, u, record_nodes=True).node_llrs
+        return all(
+            (p.lam, p.node) in got
+            and list(got[p.lam, p.node]) == subtree_input_llr(i, p.k, u, n)
+            for p in decompose(i, n).parts
+        )
 
-    # Every member of a trigger costs exactly the trigger penalty.
-    ok = True
-    for i in triggers:
-        want = retraced[i].pm
-        if any(pm != want for t, pm, _, _ in replays if t == i):
-            ok = False
-    checks.append(("equal-pm-within-subset", "PASS" if ok else "FAIL", scope))
-
-    # Subtree root LLRs along a member replay match the closed form.
-    ok = True
-    probed = 0
-    for i in triggers[:2]:
-        parts = decompose(i, n).parts
-        for u in members[i][:4]:
-            rep = sc_replay(ones, spec, u, record_nodes=True)
-            probed += 1
-            for p in parts:
-                want = subtree_input_llr(i, p.k, u, n)
-                if list(rep.node_llrs[(p.lam, p.node)]) != want:
-                    ok = False
-    checks.append(("subtree-root-llr", "PASS" if ok else "FAIL", f"{probed} replays"))
-
-    # Counting bound dominates the exact counts, per trigger and in total.
-    ok = True
-    for i in triggers:
-        if full_counts[i] > per_subset_bound(i, spec):
-            ok = False
-    exact = None
-    if exact_wanted:
-        exact = sum(full_counts.values())
-        if exact > report.total:
-            ok = False
-        detail = f"exact={exact} bound={report.total}"
-    else:
-        detail = f"bound={report.total} (total enumeration skipped)"
-    checks.append(("bound-soundness", "PASS" if ok else "FAIL", detail))
-
-    # Tightness is reported, never required.
+    # the counting bound dominates the exact counts, per trigger and in total
+    sound = all(
+        np.count_nonzero(first == i) <= per_subset_bound(i, spec) for i in triggers
+    ) and (exact is None or exact <= report.total)
+    checks = [
+        ("partition-parts", all(map(tiles, triggers)), scope),
+        ("one-extra-bit-set", all(map(one_extra_bit, triggers)), scope),
+        (
+            "zero-location-replay",
+            all(map(predicted, triggers)),
+            scope + (" [negative control]" if negative_control else ""),
+        ),
+        ("residual-zero-locations", all(map(residual_zeros, triggers)), scope),
+        ("retrace-rds-fixed", all(retrace_fixed(*r) for r in retrace_replays), scope),
+        # the retraced path's codeword already sits at the minimum weight
+        (
+            "retrace-weight",
+            all(sum(retraced[i].codeword()) == d_m for i in triggers),
+            f"d_m={d_m}",
+        ),
+        # every member of a trigger costs exactly the trigger penalty
+        ("equal-pm-within-subset", all(pm == retraced[i].pm for i, pm, _, _ in replays), scope),
+        ("subtree-root-llr", all(root_llrs(i, u) for i, u in probes), f"{len(probes)} replays"),
+        (
+            "bound-soundness",
+            sound,
+            f"bound={report.total} (total enumeration skipped)"
+            if exact is None
+            else f"exact={exact} bound={report.total}",
+        ),
+    ]
+    checks = [(name, "PASS" if ok else "FAIL", detail) for name, ok, detail in checks]
+    # tightness is reported, never required
     if exact is None:
-        checks.append(
-            (
-                "bound-tightness",
-                "INFO",
-                f"skipped: bound {report.total} exceeds --exact-limit {exact_limit}",
-            )
-        )
+        tight = ("INFO", f"skipped: bound {report.total} exceeds --exact-limit {exact_limit}")
     elif exact == report.total:
-        checks.append(("bound-tightness", "PASS", f"tight at {exact}"))
+        tight = ("PASS", f"tight at {exact}")
     else:
-        checks.append(
-            ("bound-tightness", "INFO", f"bound {report.total} exceeds exact {exact}")
-        )
-    return checks
+        tight = ("INFO", f"bound {report.total} exceeds exact {exact}")
+    return checks + [("bound-tightness", *tight)]
 
 
 def cmd_verify(args, argv) -> int:
@@ -499,11 +453,12 @@ def cmd_verify(args, argv) -> int:
     )
     for name, status, detail in checks:
         print(f"check {name:<24} {status:<4} {detail}")
-    passes = sum(1 for _, s, _ in checks if s == "PASS")
-    fails = sum(1 for _, s, _ in checks if s == "FAIL")
-    infos = sum(1 for _, s, _ in checks if s == "INFO")
-    print(f"verify: {len(checks)} checks, {passes} PASS, {fails} FAIL, {infos} INFO")
-    return EXIT_PROPERTY if fails else EXIT_OK
+    tally = collections.Counter(status for _, status, _ in checks)
+    print(
+        f"verify: {len(checks)} checks, {tally['PASS']} PASS, {tally['FAIL']} FAIL, "
+        f"{tally['INFO']} INFO"
+    )
+    return EXIT_PROPERTY if tally["FAIL"] else EXIT_OK
 
 
 # ---- simulate ----

@@ -115,12 +115,11 @@ def test_simulation_is_reproducible():
     assert c != a
 
 
-def test_simulation_thread_count_invariance():
+def test_simulation_thread_count_invariance(monkeypatch):
+    monkeypatch.setattr(channel, "_CHUNK_FRAMES", 512)
     spec = construct_pw(32, 16)
-    lone = simulate_fer(spec, 1.5, L=2, trials=6000, seed=7, threads=1,
-                        error_limit=40, chunk_frames=512)
-    many = simulate_fer(spec, 1.5, L=2, trials=6000, seed=7, threads=4,
-                        error_limit=40, chunk_frames=512)
+    lone = simulate_fer(spec, 1.5, L=2, trials=6000, seed=7, threads=1, error_limit=40)
+    many = simulate_fer(spec, 1.5, L=2, trials=6000, seed=7, threads=4, error_limit=40)
     assert lone == many
     assert lone.stopped_early
 
@@ -182,10 +181,10 @@ def test_simulation_refuses_overflowing_llrs_before_drawing_noise(monkeypatch):
         sweep_fer(SPEC8, [2.0, 3070.0], L=2, trials=8)
 
 
-def test_early_stop_counts_whole_chunks():
+def test_early_stop_counts_whole_chunks(monkeypatch):
+    monkeypatch.setattr(channel, "_CHUNK_FRAMES", 256)
     spec = construct_pw(32, 16)
-    pt = simulate_fer(spec, 0.0, L=1, trials=10000, seed=9,
-                      error_limit=20, chunk_frames=256)
+    pt = simulate_fer(spec, 0.0, L=1, trials=10000, seed=9, error_limit=20)
     assert pt.stopped_early
     assert pt.trials % 256 == 0
     assert pt.frame_errors >= 20

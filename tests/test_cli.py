@@ -3,6 +3,9 @@
 import hashlib
 import random
 import warnings
+from dataclasses import replace
+
+import pytest
 
 from csvio import read_bound_csv, read_fer_csv, read_sweep_csv
 
@@ -322,6 +325,85 @@ def test_verify_soundness_passes_when_tightness_is_info(capsys):
     assert "PASS exact=4 bound=5" in out
     assert "INFO bound 5 exceeds exact 4" in out
     assert "0 FAIL" in out
+
+
+def _without_smallest(zero_capacity_set):
+    def corrupted(i, N):
+        zc = zero_capacity_set(i, N)
+        return zc - {min(zc)}
+
+    return corrupted
+
+
+def _shifted_nodes(decompose):
+    def corrupted(i, n):
+        d = decompose(i, n)
+        return replace(d, parts=tuple(replace(p, node=p.node + 1) for p in d.parts))
+
+    return corrupted
+
+
+def _pm_plus_one(sc_retrace):
+    def corrupted(llrs, spec, rds):
+        out = sc_retrace(llrs, spec, rds)
+        return replace(out, pm=out.pm + 1)
+
+    return corrupted
+
+
+# (check that must read FAIL, helper in cli's namespace, its corruption);
+# no helper means the --negative-control flag does the breaking
+VERIFY_BREAKS = [
+    ("partition-parts", "decompose", _shifted_nodes),
+    ("one-extra-bit-set", "zero_capacity_set", _without_smallest),
+    ("zero-location-replay", None, None),
+    (
+        "residual-zero-locations",
+        "sc_decode",
+        lambda f: lambda llrs, spec: replace(f(llrs, spec), zero_positions=()),
+    ),
+    ("retrace-rds-fixed", "sc_retrace", lambda f: lambda llrs, spec, rds: f(llrs, spec, ())),
+    (
+        "retrace-weight",
+        "sc_retrace",
+        lambda f: lambda llrs, spec, rds: f(llrs, spec, {*rds, spec.N}),
+    ),
+    ("equal-pm-within-subset", "sc_retrace", _pm_plus_one),
+    ("subtree-root-llr", "subtree_input_llr", lambda f: lambda *a: [x + 1 for x in f(*a)]),
+    ("bound-soundness", "per_subset_bound", lambda f: lambda i, spec: 0),
+]
+
+
+@pytest.mark.parametrize("check,helper,corrupt", VERIFY_BREAKS, ids=[b[0] for b in VERIFY_BREAKS])
+def test_every_check_can_fail(capsys, monkeypatch, check, helper, corrupt):
+    # a broken helper makes its check read FAIL and exit 4, never a traceback
+    argv = ["verify", "--N", "64", "--K", "32"]
+    if helper is None:
+        argv.append("--negative-control")
+    else:
+        monkeypatch.setattr(cli, helper, corrupt(getattr(cli, helper)))
+    code, out, err = run(capsys, argv)
+    assert code == 4 and err == ""
+    assert f"check {check:<24} FAIL" in out
+
+
+def test_verify_flag_variants_golden_digest(capsys):
+    # pins every verify line, and the exit code, under each flag and at the
+    # smallest codes, including the empty tail of a trigger at i == N
+    variants = (
+        ["--N", "64", "--K", "32", "--negative-control"],
+        ["--N", "128", "--K", "64", "--construction", "ga", "--exact-limit", "0"],
+        ["--N", "256", "--K", "136", "--max-triggers", "2", "--max-members", "3"],
+        ["--N", "2", "--K", "2"],
+        ["--N", "4", "--A", "1"],
+        ["--N", "16", "--A", "2,3,10,13,16"],
+    )
+    h = hashlib.sha256()
+    for variant in variants:
+        code, out, err = run(capsys, ["verify", *variant])
+        assert err == ""
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest()[:16] == "997d43bdc474d2c6"
 
 
 # ---- file round-trips ----
