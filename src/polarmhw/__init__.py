@@ -10,7 +10,6 @@ from polarmhw.bitops import (
 )
 from polarmhw.bound import (
     BoundReport,
-    Decomposition,
     Part,
     TriggerTerm,
     bound_count,

@@ -29,7 +29,6 @@ from polarmhw.bitops import _check_length, encode, min_distance
 
 __all__ = [
     "Part",
-    "Decomposition",
     "TriggerTerm",
     "BoundReport",
     "decompose",
@@ -49,13 +48,6 @@ class Part:
     end: int
     lam: int
     node: int
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    i: int
-    n: int
-    parts: tuple[Part, ...]
 
 
 @dataclass(frozen=True)
@@ -105,10 +97,10 @@ def _tail(i: int, n: int):
             start += 1 << lam
 
 
-def decompose(i: int, n: int) -> Decomposition:
+def decompose(i: int, n: int) -> tuple[Part, ...]:
     """Split [i+1, 2**n] into complete subtrees, one per zero digit of i - 1,
     tiling the tail in ascending order.  i = 2**n has no zero digit below n,
-    hence an empty tail and an empty decomposition.
+    hence an empty tail and no parts.
     """
     if n < 1 or not 1 <= i <= (1 << n):
         raise ValueError(f"index i={i} must lie in [1, 2^{n}]")
@@ -116,7 +108,7 @@ def decompose(i: int, n: int) -> Decomposition:
     for start, lam in _tail(i, n):
         end = start + (1 << lam) - 1
         parts.append(Part(len(parts) + 1, start, end, lam, end >> lam))
-    return Decomposition(i, n, tuple(parts))
+    return tuple(parts)
 
 
 _DIGITS = 1 << np.arange(63, dtype=np.int64)
@@ -189,14 +181,13 @@ def bound_count(spec, materialize_sets: bool = False) -> BoundReport:
     carries those position sets when materialize_sets is true.
     """
     d_m, a_m = min_distance(spec)
-    N = spec.N
-    counts, hits = _zero_capacity(a_m, N.bit_length() - 1, spec.info_mask, materialize_sets)
+    counts, hits = _zero_capacity(a_m, spec.n, spec.info_mask, materialize_sets)
     members = None
     if materialize_sets:
         members = tuple(tuple(h.tolist()) for h in np.split(hits + 1, counts.cumsum()[:-1]))
     # rows sharing an overlap share a term: one shift per distinct overlap
     total = sum(rows << overlap for overlap, rows in enumerate(np.bincount(counts).tolist()))
-    return BoundReport(N, d_m, a_m, tuple(counts.tolist()), members, total)
+    return BoundReport(spec.N, d_m, a_m, tuple(counts.tolist()), members, total)
 
 
 def per_subset_bound(i: int, spec) -> int:
@@ -204,7 +195,7 @@ def per_subset_bound(i: int, spec) -> int:
     d_m, a_m = min_distance(spec)
     if i not in a_m:
         raise ValueError(f"position {i} is not a minimum-weight information row")
-    counts, _ = _zero_capacity([i], spec.N.bit_length() - 1, spec.info_mask)
+    counts, _ = _zero_capacity([i], spec.n, spec.info_mask)
     return 1 << int(counts[0])
 
 
@@ -220,7 +211,7 @@ def subtree_input_llr(i: int, k: int, prefix_decisions, n: int) -> list:
     under the part root's left sibling and x doubles once per set digit of
     i - 1 above the part's stage.
     """
-    parts = decompose(i, n).parts
+    parts = decompose(i, n)
     if not 1 <= k <= len(parts):
         raise ValueError(f"part index k={k} out of range [1, {len(parts)}]")
     part = parts[k - 1]

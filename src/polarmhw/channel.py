@@ -96,7 +96,7 @@ def fer_estimate(spec, ebn0_db: float, source: str = "EXACT", a_dm: int | None =
             a_dm = enumerate_zero_split(spec).count
         else:
             a_dm = bound_count(spec, materialize_sets=False).total
-    sigma = design_sigma(ebn0_db, spec.K / spec.N)
+    sigma = design_sigma(ebn0_db, spec.R)
     value = a_dm * q_function(math.sqrt(d_m) / sigma)
     return FerEstimate(d_m, a_dm, value, source)
 
@@ -109,14 +109,10 @@ def _chunk_llrs(spec, sigma, seed, chunk, frames, random_messages):
     counter-based stream."""
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk]))
     N = spec.N
-    info = spec.info_mask
+    u = c = np.zeros((frames, N), dtype=np.uint8)
     if random_messages:
-        u = np.zeros((frames, N), dtype=np.uint8)
-        u[:, info] = rng.integers(0, 2, size=(frames, spec.K), dtype=np.uint8)
+        u[:, spec.info_mask] = rng.integers(0, 2, size=(frames, spec.K), dtype=np.uint8)
         c = encode_rows(u)
-    else:
-        u = np.zeros((frames, N), dtype=np.uint8)
-        c = u
     symbols = 1.0 - 2.0 * c.astype(np.float64)
     y = symbols + sigma * rng.normal(size=(frames, N))
     llrs = 2.0 * y / (sigma * sigma)
@@ -136,9 +132,29 @@ def _batch_errors(spec, L, random_messages, chunks):
     return [int(np.count_nonzero(w)) for w in np.split(wrong, ends)]
 
 
-def _simulate(spec, grid, L, trials, seed, threads, error_limit, random_messages):
-    """The FerPoint of each Eb/N0 in grid, point idx on the streams of seed
-    seed + 7919 * idx.
+def simulate_fer(
+    spec,
+    ebn0_db: float,
+    L: int,
+    trials: int,
+    seed: int = 0,
+    threads: int = 1,
+    error_limit: int | None = 100,
+    random_messages: bool = False,
+) -> FerPoint:
+    """Monte-Carlo frame error rate at one operating point.
+
+    Stops at the first chunk boundary where cumulative errors reach
+    error_limit, or after `trials` frames, whichever comes first.
+    """
+    return sweep_fer(spec, [ebn0_db], L, trials, seed, threads, error_limit, random_messages)[0]
+
+
+def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
+              random_messages=False):
+    """simulate_fer across a grid: the FerPoint of each Eb/N0, point idx on
+    the streams of seed seed + 7919 * idx.  Every point is checked before any
+    noise is drawn.
 
     Wave r takes chunks r * threads ... r * threads + threads - 1 of every
     point still running; its chunks, in grid and then chunk order, are
@@ -151,9 +167,12 @@ def _simulate(spec, grid, L, trials, seed, threads, error_limit, random_messages
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    grid = list(ebn0_grid)
     sigmas = []
     for db in grid:
-        sigma = design_sigma(db, spec.K / spec.N)
+        sigma = design_sigma(db, spec.R)
         # a path metric sums at most N leaf LLRs, each a sum of at most N
         # channel LLRs of magnitude about 2/sigma^2: refuse the point before
         # any noise is drawn
@@ -192,34 +211,6 @@ def _simulate(spec, grid, L, trials, seed, threads, error_limit, random_messages
         FerPoint(db, n, e, e / n, *wilson_interval(e, n), n < trials)
         for db, e, n in zip(grid, errors, frames)
     ]
-
-
-def simulate_fer(
-    spec,
-    ebn0_db: float,
-    L: int,
-    trials: int,
-    seed: int = 0,
-    threads: int = 1,
-    error_limit: int | None = 100,
-    random_messages: bool = False,
-) -> FerPoint:
-    """Monte-Carlo frame error rate at one operating point.
-
-    Stops at the first chunk boundary where cumulative errors reach
-    error_limit, or after `trials` frames, whichever comes first.
-    """
-    return _simulate(spec, [ebn0_db], L, trials, seed, threads, error_limit, random_messages)[0]
-
-
-def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
-              random_messages=False):
-    """simulate_fer across a grid, one decorrelated stream per point; every
-    point is checked before any noise is drawn, and the chunks of all points
-    share decoder calls of at most 1,024 frames."""
-    return _simulate(
-        spec, list(ebn0_grid), L, trials, seed, threads, error_limit, random_messages
-    )
 
 
 def render_fer_csv(spec, points, header_lines=()) -> str:

@@ -55,6 +55,10 @@ EXIT_PROPERTY = 4
 
 _DEFAULT_DESIGN_EBN0 = 2.0
 
+# --method's choices, and the order in which --check runs them (the
+# exhaustive oracle only up to its cap)
+_METHODS = ("exhaustive", "subset-scl", "zero-split", "scl-global")
+
 _BOUND_HEADER = "trigger,overlap,term"
 _SWEEP_HEADER = "R,K,d_m,bound,exact"
 
@@ -90,7 +94,7 @@ def _echo_lines(argv) -> list[str]:
 
 def _spec_line(spec) -> str:
     return (
-        f"N={spec.N} K={spec.K} R={spec.K / spec.N:.6g} "
+        f"N={spec.N} K={spec.K} R={spec.R:.6g} "
         f"construction={spec.construction}"
     )
 
@@ -252,48 +256,43 @@ def cmd_bound(args, argv) -> int:
 def cmd_enumerate(args, argv) -> int:
     spec = _resolve_spec(args)
     threads = _resolve_threads(args)
+    method = args.method or "zero-split"
     if args.check and args.method:
         raise UsageError("--check runs every method; drop --method")
-    if (
-        args.list_size is not None
-        and not args.check
-        and (args.method or "zero-split") != "scl-global"
-    ):
+    if args.list_size is not None and not args.check and method != "scl-global":
         raise UsageError("--list-size applies to --method scl-global or --check")
     if args.list_size is not None and args.list_size < 1:
         raise UsageError("--list-size must be >= 1")
     _print_head(argv, spec)
+
+    def run(name):
+        if name == "exhaustive":
+            return exhaustive_mhw(spec)
+        if name == "subset-scl":
+            return enumerate_subset_scl(spec, threads=threads)
+        if name == "zero-split":
+            return enumerate_zero_split(spec)
+        # a list of the bound + 1 misses nothing; --check's --list-size only widens it
+        L = args.list_size
+        if args.check or not L:
+            L = max(L or 0, bound_count(spec, materialize_sets=False).total + 1)
+        return scl_global_search(spec, L)
+
+    names = [method]
     if args.check:
-        results = []
-        if spec.K <= EXHAUSTIVE_CAP:
-            results.append(exhaustive_mhw(spec))
-        results.append(enumerate_subset_scl(spec, threads=threads))
-        result = enumerate_zero_split(spec)
-        results.append(result)
-        needed = bound_count(spec, materialize_sets=False).total + 1
-        results.append(scl_global_search(spec, max(args.list_size or 0, needed)))
-        base = results[0]
-        agree = all(
-            r.d_m == base.d_m and np.array_equal(r.vectors, base.vectors)
-            for r in results[1:]
-        )
-        if not agree:
-            for r in results:
+        names = [m for m in _METHODS if m != "exhaustive" or spec.K <= EXHAUSTIVE_CAP]
+    results = {name: run(name) for name in names}
+    # --out under --check writes the zero-split result
+    result = results[method]
+    if args.check:
+        base, *others = results.values()
+        if not all(r.d_m == base.d_m and np.array_equal(r.vectors, base.vectors) for r in others):
+            for r in results.values():
                 print(f"method={r.method} d_m={r.d_m} count={r.count}")
             print("mismatch between enumeration methods")
             return EXIT_PROPERTY
         print(f"{len(results)} methods agree: {base.count} vectors")
     else:
-        method = args.method or "zero-split"
-        if method == "exhaustive":
-            result = exhaustive_mhw(spec)
-        elif method == "subset-scl":
-            result = enumerate_subset_scl(spec, threads=threads)
-        elif method == "zero-split":
-            result = enumerate_zero_split(spec)
-        else:
-            L = args.list_size or bound_count(spec, materialize_sets=False).total + 1
-            result = scl_global_search(spec, L)
         if result.warning:
             print(f"warning: {result.warning}")
         print(
@@ -311,8 +310,7 @@ def cmd_enumerate(args, argv) -> int:
 
 def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     """Return [(name, status, detail)] for the property suite on one code."""
-    N = spec.N
-    n = N.bit_length() - 1
+    N, n = spec.N, spec.n
     report = bound_count(spec, materialize_sets=False)
     d_m = report.d_m
     triggers = list(report.a_m)[:max_triggers]
@@ -344,7 +342,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     def tiles(i):
         # the tail's parts tile [i+1, N] contiguously with power-of-two sizes
         # and sit at even subtree indices
-        parts = decompose(i, n).parts
+        parts = decompose(i, n)
         ends = [i] + [p.end for p in parts]
         return ends[-1] == N and all(
             p.start == end + 1
@@ -360,7 +358,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
         r = i - 1
         zc = zero_capacity_set(i, N)
         alt = {e for e in range(1, N + 1) if e - 1 > r and ((e - 1) & ~r).bit_count() == 1}
-        card = sum(1 << (r & ((1 << p.lam) - 1)).bit_count() for p in decompose(i, n).parts)
+        card = sum(1 << (r & ((1 << p.lam) - 1)).bit_count() for p in decompose(i, n))
         return zc == alt and len(zc) == card
 
     def predicted(i):
@@ -394,7 +392,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
         return all(
             (p.lam, p.node) in got
             and list(got[p.lam, p.node]) == subtree_input_llr(i, p.k, u, n)
-            for p in decompose(i, n).parts
+            for p in decompose(i, n)
         )
 
     # the counting bound dominates the exact counts, per trigger and in total
@@ -599,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--method",
-        choices=("exhaustive", "subset-scl", "zero-split", "scl-global"),
+        choices=_METHODS,
         help="enumeration strategy (default zero-split)",
     )
     p.add_argument(

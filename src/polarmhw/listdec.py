@@ -87,7 +87,7 @@ class SearchDiagnostics:
 
 class _Stages:
     """The SC stage buffers of B decodes of `width` lanes each, run leaf by
-    leaf like sctree._TreeState (leaf, then commit) for every lane at once,
+    leaf like sctree._TreeState (node(phi), then commit) for every lane at once,
     or a node of 2**s leaves in one step (node(phi, s), then commit(phi,
     bits, s, beta) with the node's bits and partial sums, or commit(phi,
     None, s) for a node decided all 0); select() between the two replaces
@@ -158,10 +158,6 @@ class _Stages:
             t -= 1
         return alpha[s]
 
-    def leaf(self, phi):
-        """The (B, width) decoding LLRs of leaf phi, or (B, 1) while shared."""
-        return self.node(phi)[..., 0]
-
     def select(self, phi, lane, s=0):
         """Make the (B, m) array of parent lanes the new lanes at leaf phi, or
         at the node of 2**s leaves whose first leaf is phi."""
@@ -207,8 +203,8 @@ class _Stages:
     def trace(self, lanes, recorded=None):
         """The (B, m, N) decisions of the (B, m) final lanes picked, read back
         through every select's parent lanes and every nonzero committed bit
-        array, and, given every leaf's LLRs as leaf() returned them, their
-        leaf LLRs (else None)."""
+        array, and, given recorded, every leaf's (B, width) LLRs in leaf
+        order, their leaf LLRs (else None)."""
         frame = self.frame
         decisions = np.zeros(lanes.shape + (self.N,), dtype=np.uint8)
         llr = None if recorded is None else np.empty(decisions.shape, dtype=recorded[0].dtype)
@@ -298,7 +294,7 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
             pm = pm - np.minimum(stages.node(phi, s), 0).sum(axis=2, dtype=np.int64)
             stages.commit(phi, None, s)
             continue
-        leaf = stages.leaf(phi)  # (B, width), or (B, 1) while still shared
+        leaf = stages.node(phi)[..., 0]  # (B, width), or (B, 1) while still shared
         width = pm.shape[1]
         if leaves:
             recorded.append(np.broadcast_to(leaf, (B, width)))
@@ -348,17 +344,14 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
             order = ok.nonzero()[0][None]
         else:
             keep = min(L, 2 * width)
-            if prefix_order and keep == 2 * width:
-                order = np.broadcast_to(np.arange(keep), (B, keep))
-            else:
-                order = _rank(cand, integer)
-                if keep < 2 * width:
-                    first = cand[frame[:, 0], order[:, keep]]
-                    discarded += 2 * width - keep
-                    low = first if low is None else np.where(first < low, first, low)
-                order = order[:, :keep]
-                if prefix_order:
-                    order = np.sort(order, axis=1)
+            order = _rank(cand, integer)
+            if keep < 2 * width:
+                first = cand[frame[:, 0], order[:, keep]]
+                discarded += 2 * width - keep
+                low = first if low is None else np.where(first < low, first, low)
+            order = order[:, :keep]
+            if prefix_order:
+                order = np.sort(order, axis=1)
         lane, bit = np.divmod(order, 2) if prefix_order else np.divmod(order, width)[::-1]
         pm = cand[frame, order]
         stages.select(phi, lane)

@@ -128,16 +128,16 @@ def _min_weight(rows, d_m):
 # ---- exhaustive oracle ----
 
 
-def exhaustive_mhw(spec, cap: int = EXHAUSTIVE_CAP) -> MhwResult:
+def exhaustive_mhw(spec) -> MhwResult:
     """Sweep all 2**K messages with packed-word codewords.
 
     The minimum nonzero weight is taken from the sweep itself, not from any
     row-weight shortcut, so this is a genuinely independent oracle.
     """
     K, N = spec.K, spec.N
-    if K > cap:
+    if K > EXHAUSTIVE_CAP:
         raise ExhaustiveCapError(
-            f"K={K} exceeds the exhaustive cap of {cap}; "
+            f"K={K} exceeds the exhaustive cap of {EXHAUSTIVE_CAP}; "
             "use the global list search with L past the counting bound instead"
         )
     words = (N + 63) // 64

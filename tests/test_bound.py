@@ -39,15 +39,15 @@ def one_extra_bit_members(i, N):
 
 def test_decompose_examples():
     d = decompose(2, 3)
-    assert [(p.start, p.end, p.lam, p.node) for p in d.parts] == [
+    assert [(p.start, p.end, p.lam, p.node) for p in d] == [
         (3, 4, 1, 2),
         (5, 8, 2, 2),
     ]
     d = decompose(1, 3)
-    assert [(p.start, p.end, p.lam) for p in d.parts] == [(2, 2, 0), (3, 4, 1), (5, 8, 2)]
+    assert [(p.start, p.end, p.lam) for p in d] == [(2, 2, 0), (3, 4, 1), (5, 8, 2)]
     d = decompose(7, 3)
-    assert [(p.start, p.end, p.lam, p.node) for p in d.parts] == [(8, 8, 0, 8)]
-    assert decompose(8, 3).parts == ()
+    assert [(p.start, p.end, p.lam, p.node) for p in d] == [(8, 8, 0, 8)]
+    assert decompose(8, 3) == ()
 
 
 def test_decompose_validates_range():
@@ -63,7 +63,7 @@ def test_decomposition_partitions_the_tail_exhaustively():
     for n in range(1, 13):
         N = 1 << n
         for i in range(1, N):
-            parts = decompose(i, n).parts
+            parts = decompose(i, n)
             assert parts, f"nonempty tail for i={i} < N={N}"
             expect_start = i + 1
             for p in parts:
@@ -99,7 +99,7 @@ def test_zero_capacity_set_cardinality_closed_form():
         for i in range(1, N + 1):
             expect = sum(
                 1 << ((i - 1) & ((1 << p.lam) - 1)).bit_count()
-                for p in decompose(i, n).parts
+                for p in decompose(i, n)
             )
             assert len(zero_capacity_set(i, N)) == expect
 
@@ -283,7 +283,7 @@ def test_subtree_input_llr_matches_recorded_node_values():
         n = spec.N.bit_length() - 1
         groups = group_by_trigger(brute_force_minimum_weight(spec)[1])
         for i, members in groups.items():
-            parts = decompose(i, n).parts
+            parts = decompose(i, n)
             for u in members:
                 out = sc_replay([1] * spec.N, spec, list(u), record_nodes=True)
                 for part in parts:
@@ -297,7 +297,7 @@ def test_subtree_input_llr_matches_retrace_of_the_bare_trigger():
         n = spec.N.bit_length() - 1
         for i in min_distance(spec)[1]:
             out = sc_retrace([1] * spec.N, spec, {i}, record_nodes=True)
-            for part in decompose(i, n).parts:
+            for part in decompose(i, n):
                 got = out.node_llrs[(part.lam, part.node)]
                 want = subtree_input_llr(i, part.k, out.decisions[: part.start - 1], n)
                 assert list(got) == want
@@ -390,6 +390,6 @@ def test_tail_golden_every_trigger(N):
     n = N.bit_length() - 1
     h = hashlib.sha256()
     for i in range(1, N + 1):
-        parts = [(p.k, p.start, p.end, p.lam, p.node) for p in decompose(i, n).parts]
+        parts = [(p.k, p.start, p.end, p.lam, p.node) for p in decompose(i, n)]
         h.update(f"{i} {parts} {sorted(zero_capacity_set(i, N))}\n".encode())
     assert h.hexdigest()[:16] == GOLDEN_TAILS[N]

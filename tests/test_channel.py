@@ -181,6 +181,28 @@ def test_simulation_refuses_overflowing_llrs_before_drawing_noise(monkeypatch):
         sweep_fer(SPEC8, [2.0, 3070.0], L=2, trials=8)
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"threads": -1}, "threads must be >= 1"),
+        ({"threads": 0}, "threads must be >= 1"),
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"seed": -1}, "seed must be nonnegative"),
+    ],
+    ids=["threads=-1", "threads=0", "trials=0", "seed=-1"],
+)
+def test_simulation_refuses_bad_counts_before_drawing_noise(monkeypatch, kwargs, message):
+    def drawn(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(channel, "_chunk_llrs", drawn)
+    args = {"L": 2, "trials": 10, **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate_fer(construct_pw(8, 4), 1.0, **args)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sweep_fer(construct_pw(8, 4), [1.0, 2.0], **args)
+
+
 def test_early_stop_counts_whole_chunks(monkeypatch):
     monkeypatch.setattr(channel, "_CHUNK_FRAMES", 256)
     spec = construct_pw(32, 16)

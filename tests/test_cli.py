@@ -2,8 +2,11 @@
 
 import hashlib
 import random
+import re
+import shlex
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -337,8 +340,7 @@ def _without_smallest(zero_capacity_set):
 
 def _shifted_nodes(decompose):
     def corrupted(i, n):
-        d = decompose(i, n)
-        return replace(d, parts=tuple(replace(p, node=p.node + 1) for p in d.parts))
+        return tuple(replace(p, node=p.node + 1) for p in decompose(i, n))
 
     return corrupted
 
@@ -404,6 +406,23 @@ def test_verify_flag_variants_golden_digest(capsys):
         assert err == ""
         h.update(f"{code}\n{out}".encode())
     assert h.hexdigest()[:16] == "997d43bdc474d2c6"
+
+
+def readme_examples():
+    """(command, expected lines) of each one-command sh block of README.md
+    that an output block follows."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    found = re.findall(r"```sh\n(polarmhw [^\n]*)\n```\n\s*```\n(.*?)```", text, re.DOTALL)
+    return [(command, output.splitlines()) for command, output in found]
+
+
+def test_readme_examples_print_their_output(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 4
+    for command, expected in examples:
+        code, out, err = run(capsys, shlex.split(command)[1:])
+        assert (code, err) == (0, ""), command
+        assert [line for line in expected if line not in out.splitlines()] == [], command
 
 
 # ---- file round-trips ----
@@ -563,3 +582,42 @@ def test_cli_stdout_golden_digest(capsys):
         assert code == 0 and err == ""
         h.update(f"{code}\n{out}".encode())
     assert h.hexdigest()[:16] == "192295aa3b453951"
+
+
+def test_enumerate_variants_golden_digest(capsys, monkeypatch, tmp_path):
+    # pins the exit code, stdout and --out bytes of every method, of
+    # scl-global's default width and its too-narrow-list warning, and of
+    # --check writing the zero-split result
+    monkeypatch.chdir(tmp_path)
+    variants = (
+        ["--method", "scl-global"],
+        ["--method", "scl-global", "--list-size", "2", "--out", "f"],
+        ["--check", "--out", "f"],
+        ["--method", "exhaustive", "--out", "f"],
+        ["--method", "subset-scl", "--out", "f"],
+        ["--method", "zero-split", "--out", "f"],
+    )
+    h = hashlib.sha256()
+    for variant in variants:
+        code, out, err = run(capsys, ["enumerate", *SPEC8_ARGS, *variant])
+        assert err == ""
+        written = (tmp_path / "f").read_text() if "--out" in variant else ""
+        h.update(f"{code}\n{out}\n{written}".encode())
+    assert h.hexdigest()[:16] == "4a22c51021cf46b1"
+
+
+def test_check_mismatch_is_exit_4(capsys, monkeypatch):
+    def one_short(spec, threads=1):
+        result = enumerate_zero_split(spec)
+        return replace(result, vectors=result.vectors[1:])
+
+    monkeypatch.setattr(cli, "enumerate_zero_split", one_short)
+    code, out, err = run(capsys, ["enumerate", *SPEC8_ARGS, "--check"])
+    assert code == 4 and err == ""
+    assert out.splitlines()[3:] == [
+        "method=EXHAUSTIVE d_m=4 count=14",
+        "method=SUBSET_SCL d_m=4 count=14",
+        "method=ZERO_SPLIT d_m=4 count=13",
+        "method=SCL_GLOBAL d_m=4 count=14",
+        "mismatch between enumeration methods",
+    ]

@@ -266,7 +266,7 @@ def test_stage_buffers_match_the_scalar_tree_under_random_lane_maps(dtype):
         recorded = []
         for phi in range(N):
             width = len(trees[0])
-            leaf = np.broadcast_to(stages.leaf(phi), (B, width))
+            leaf = np.broadcast_to(stages.node(phi)[..., 0], (B, width))
             recorded.append(leaf)
             assert leaf.tolist() == [[t.leaf_llr(phi) for t in row] for row in trees]
             for row, values in zip(paths, leaf.tolist()):

@@ -64,11 +64,11 @@ def test_exhaustive_matches_scalar_reference():
         assert vector_set(out.vectors) == vec_ref
 
 
-def test_exhaustive_cap_refuses_large_codes():
-    spec = CodeSpec(16, tuple(range(1, 12)))
+def test_exhaustive_cap_refuses_large_codes(monkeypatch):
+    monkeypatch.setattr(mhw, "EXHAUSTIVE_CAP", 10)
     with pytest.raises(ExhaustiveCapError):
-        exhaustive_mhw(spec, cap=10)
-    assert exhaustive_mhw(spec, cap=11).count >= 1
+        exhaustive_mhw(CodeSpec(16, tuple(range(1, 12))))
+    assert exhaustive_mhw(CodeSpec(16, tuple(range(1, 11)))).count >= 1
 
 
 # ---- constrained subset searches ----
