@@ -145,7 +145,7 @@ def simulate_fer(
     """Monte-Carlo frame error rate at one operating point.
 
     Stops at the first chunk boundary where cumulative errors reach
-    error_limit, or after `trials` frames, whichever comes first.
+    error_limit (None: never), or after `trials` frames, whichever comes first.
     """
     return sweep_fer(spec, [ebn0_db], L, trials, seed, threads, error_limit, random_messages)[0]
 
@@ -169,6 +169,10 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
         raise ValueError("seed must be nonnegative")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if L < 1:
+        raise ValueError(f"list size L={L} must be >= 1")
+    if error_limit is not None and error_limit < 1:
+        raise ValueError("error_limit must be >= 1 or None")
     grid = list(ebn0_grid)
     sigmas = []
     for db in grid:

@@ -8,9 +8,16 @@
   prefix 1-at-i, 1-at-j recovers the subset U(i, j); list sizes shrink
   geometrically along j, and all the searches run as one ragged list
   engine call, each at its own size on its own lanes.
-* enumerate_zero_split: one lockstep walk over all rows i at once, on the
-  list decoder's stage engine, that follows hard decisions, forks at
-  exactly-zero information LLRs, and abandons a branch when a frozen
+* enumerate_zero_split: the words of weight d_m whose u has its first 1 at
+  trigger i lie in RM(n - popcount(i - 1), n), and so in the lower-
+  triangular affine orbit of row i (Bardet, Dragoi, Otmani & Tillich, ISIT
+  2016; Rowshan, Dau & Viterbo, IEEE Trans. IT 2023).  A trigger whose
+  orbit holds at most 8 times its bound term takes the orbit's rows in A:
+  packed, they take no more than the walk's dense rows of that term, and a
+  trigger whose every upper row is in A always qualifies.  The others take
+  one zero_split_triggers walk (verify's, over every trigger): one lockstep
+  walk on the list decoder's stage engine, that follows hard decisions,
+  forks at exactly-zero information LLRs, and abandons a branch when a frozen
   position sees a negative LLR; one batched polar transform then keeps the
   leaves of weight d_m.  No metrics.  The walk starts at the first trigger
   from the all-zero path's LLRs in closed form and takes each rate-0,
@@ -441,11 +448,50 @@ def zero_split_triggers(spec, triggers) -> MhwResult:
     return MhwResult(d_m, _min_weight(_zero_split_walk(spec, triggers)[0], d_m), "ZERO_SPLIT", 0)
 
 
+_ORBIT_SLACK = 3  # orbits of at most 2**_ORBIT_SLACK bound terms are built
+
+
+def _orbit_block(i, N):
+    """The 2**E_i packed u rows of the lower-triangular affine orbit of row i:
+    codewords that AND, over the zero bits t of r = i - 1, the packed truth
+    tables of y_t + b_t + sum of a_{t,d} y_d over the set bits d < t of r,
+    y_j(x) = 1 + x_j.  A codeword of weight other than 2**popcount(r) raises
+    ValueError."""
+    r, n = i - 1, N.bit_length() - 1
+    y = _pack((np.arange(N) >> np.arange(n)[:, None] & 1) == 0)
+    words = ones = _pack(np.ones((1, N), dtype=bool))
+    for t in [t for t in range(n) if not r >> t & 1]:
+        factor = np.stack([y[t], y[t] ^ ones[0]])
+        for d in [d for d in range(t) if r >> d & 1]:
+            factor = np.concatenate([factor, factor ^ y[d]])
+        words = (words[:, None] & factor).reshape(-1, words.shape[1])
+    if (_weights(words) != 1 << r.bit_count()).any():
+        raise ValueError(f"an orbit codeword of trigger {i} misses weight {1 << r.bit_count()}")
+    return _transform(words, N)
+
+
 def enumerate_zero_split(spec, threads: int = 1) -> MhwResult:
-    """All minimum-weight vectors: zero_split_triggers over every trigger.
-    `threads` is accepted for the common enumerator interface; the result
-    never depended on it."""
-    return zero_split_triggers(spec, min_distance(spec)[1])
+    """All minimum-weight vectors: the rows in A of the orbit of each trigger
+    i with E_i = sum over the zero bits t of i - 1 of (1 + popcount((i - 1)
+    mod 2**t)) at most overlap_i + _ORBIT_SLACK, and the weight-d_m leaves of
+    one walk over the other triggers.  `threads` is accepted for the common
+    enumerator interface; the result never depended on it."""
+    report = bound_count(spec)
+    orbit, walk = [], []
+    for i, overlap in zip(report.a_m, report.overlaps):
+        r = i - 1
+        bits = sum(1 + (r % (1 << t)).bit_count() for t in range(spec.n) if not r >> t & 1)
+        (orbit if bits - overlap <= _ORBIT_SLACK else walk).append(i)
+    # packed until one final unpack: only the rows and their sorted copy go dense
+    frozen = _pack(~spec.info_mask[None])[0]
+    blocks = (_orbit_block(i, spec.N) for i in orbit)
+    rows = [block[~(block & frozen).any(axis=1)] for block in blocks]
+    if walk:
+        rows.append(_pack(_min_weight(_zero_split_walk(spec, walk)[0], report.d_m)))
+    rows = np.unpackbits(
+        np.concatenate(rows).view(np.uint8), axis=1, count=spec.N, bitorder="little"
+    )
+    return MhwResult(report.d_m, rows, "ZERO_SPLIT", 0)
 
 
 # ---- global list search ----

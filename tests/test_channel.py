@@ -188,8 +188,13 @@ def test_simulation_refuses_overflowing_llrs_before_drawing_noise(monkeypatch):
         ({"threads": 0}, "threads must be >= 1"),
         ({"trials": 0}, "trials must be >= 1"),
         ({"seed": -1}, "seed must be nonnegative"),
+        ({"L": 0}, "list size L=0 must be >= 1"),
+        ({"error_limit": 0}, "error_limit must be >= 1 or None"),
+        ({"error_limit": -1}, "error_limit must be >= 1 or None"),
     ],
-    ids=["threads=-1", "threads=0", "trials=0", "seed=-1"],
+    ids=[
+        "threads=-1", "threads=0", "trials=0", "seed=-1", "L=0", "error_limit=0", "error_limit=-1"
+    ],
 )
 def test_simulation_refuses_bad_counts_before_drawing_noise(monkeypatch, kwargs, message):
     def drawn(*args):

@@ -313,6 +313,91 @@ def test_zero_split_walk_node_steps_match_the_leaf_schedule(monkeypatch):
     assert sum(sum(walk[2]) for walk in walks) > 100
 
 
+# ---- trigger orbits ----
+
+
+def orbit_bits(i, N):
+    """E_i counted from its definition: per zero bit t of i - 1, one b_t and
+    one a_{t,d} per set bit d below t."""
+    r = i - 1
+    zeros = [t for t in range(N.bit_length() - 1) if not r >> t & 1]
+    return sum(1 + sum(r >> d & 1 for d in range(t)) for t in zeros)
+
+
+def test_orbit_blocks_hold_every_weight_d_m_row_of_their_trigger():
+    # the block of trigger i at N <= 32 is 2**E_i distinct u rows, each with
+    # its first one at i and a codeword of weight 2**popcount(i - 1); at
+    # N <= 16 it is exactly the set of such rows supported on the positions
+    # of weight >= 2**popcount(i - 1), from the exhaustive oracle
+    for N in (2, 4, 8, 16, 32):
+        for i in range(1, N + 1):
+            w = (i - 1).bit_count()
+            block = mhw._orbit_block(i, N).view(np.uint8)
+            u = np.unpackbits(block, axis=1, count=N, bitorder="little")
+            assert len(vector_set(u)) == len(u) == 2 ** orbit_bits(i, N)
+            assert (u.argmax(axis=1) == i - 1).all() and u[:, i - 1].all()
+            assert (bitops.encode_rows(u).sum(axis=1) == 1 << w).all()
+            if N <= 16:
+                rm = CodeSpec(N, tuple(p for p in range(1, N + 1) if (p - 1).bit_count() >= w))
+                assert vector_set(u) == group_by_trigger(exhaustive_mhw(rm).vectors)[i]
+
+
+def routed_corpus():
+    """Random sets at N <= 64, PW and GA codes at N <= 512 and perturbed PW
+    sets, leaving out the codes of more than 20,000 vectors, whose walks take
+    up to half a second each."""
+    specs = random_specs(40, (8, 16, 32, 64), seed=40, max_K=20)
+    for N in (64, 128, 256, 512):
+        for K in (N // 4, N // 2, 3 * N // 4):
+            specs += [construct_pw(N, K), construct_ga(N, K, 0.0), construct_ga(N, K, 2.0)]
+    specs += [perturbed_pw(N, K, seed) for N, K in ((128, 64), (256, 136)) for seed in (0, 1, 2)]
+    return [spec for spec in specs if bound_count(spec).total <= 20000]
+
+
+def test_routed_enumeration_equals_the_walk_and_the_oracle(monkeypatch):
+    # the default routing; orbits for every trigger with E_i <= 16 (every
+    # trigger up to N = 128), where N <= 256 keeps each orbit within 2**18
+    # rows; no orbits
+    specs = routed_corpus()
+    assert len(specs) > 60 and max(spec.N for spec in specs) == 512
+    for spec in specs:
+        walked = mhw.zero_split_triggers(spec, min_distance(spec)[1])
+        if spec.K <= mhw.EXHAUSTIVE_CAP:
+            assert np.array_equal(walked.vectors, exhaustive_mhw(spec).vectors)
+        for slack in (3, 16, -np.inf):
+            if slack < 16 or spec.N <= 256:
+                monkeypatch.setattr(mhw, "_ORBIT_SLACK", slack)
+                assert enumerate_zero_split(spec) == walked
+
+
+def test_routing_walks_exactly_the_triggers_past_the_slack(monkeypatch):
+    walked, walk = [], mhw._zero_split_walk
+
+    def recorded(spec, triggers):
+        walked.append(list(triggers))
+        return walk(spec, triggers)
+
+    monkeypatch.setattr(mhw, "_zero_split_walk", recorded)
+    for seed in (0, 1, 2):
+        spec = perturbed_pw(1024, 192, seed)
+        report = bound_count(spec)
+        want = [i for i, o in zip(report.a_m, report.overlaps) if orbit_bits(i, spec.N) - o > 3]
+        ref = mhw.zero_split_triggers(spec, report.a_m)
+        walked.clear()
+        assert enumerate_zero_split(spec) == ref
+        assert walked == [want]
+        assert want and len(want) < len(report.a_m)
+
+    def refused(spec, triggers):
+        raise AssertionError("walked")
+
+    spec = construct_pw(1024, 192)
+    ref = mhw.zero_split_triggers(spec, min_distance(spec)[1])
+    monkeypatch.setattr(mhw, "_zero_split_walk", refused)
+    assert enumerate_zero_split(spec) == ref
+    assert ref.count == bound_count(spec).total
+
+
 # ---- global list search ----
 
 
