@@ -16,10 +16,12 @@ counting path stays cheap even for N in the 2**16 range.  min_distance hands
 back the (d_m, rows) pair that a CodeSpec computes once from its mask.
 
 The polar transform has one implementation here, on rows packed 64 bits to a
-little-endian uint64 word (_pack, _transform, _weights): encode, encode_rows,
-the enumerators' weight filter and the enumeration file's writer and reader
-all run on it.  mhw.exhaustive_mhw packs generator rows its own way on
-purpose, so that the oracle shares no transform with the enumerators.
+little-endian uint64 word (_pack, _unpack, _transform, _weights), which are
+also the package's one row format for sets of vectors: encode, encode_rows,
+the enumerators' weight filter, mhw.MhwResult and the enumeration file's
+writer and reader all run on it.  mhw.exhaustive_mhw packs generator rows
+its own way on purpose, so that the oracle shares no transform with the
+enumerators.
 """
 
 from __future__ import annotations
@@ -81,9 +83,7 @@ def encode_rows(u):
     array of the same shape and dtype."""
     u = np.asarray(u)
     _check_length(u.shape[1])
-    words = _transform(_pack(u), u.shape[1])
-    c = np.unpackbits(words.view(np.uint8), axis=1, count=u.shape[1], bitorder="little")
-    return c.astype(u.dtype, copy=False)
+    return _unpack(_transform(_pack(u), u.shape[1]), u.shape[1]).astype(u.dtype)
 
 
 # Per stage with half = 2**k < 64, the bits whose partner sits half places
@@ -103,6 +103,13 @@ def _pack(rows) -> np.ndarray:
         words[:, : packed.shape[1]] = packed
         packed = words
     return packed.view("<u8")
+
+
+def _unpack(words: np.ndarray, N: int) -> np.ndarray:
+    """C-contiguous packed rows of length N as a new read-only uint8 array."""
+    rows = np.unpackbits(words.view(np.uint8), axis=1, count=N, bitorder="little")
+    rows.flags.writeable = False
+    return rows
 
 
 def _transform(words: np.ndarray, N: int) -> np.ndarray:

@@ -286,7 +286,7 @@ def cmd_enumerate(args, argv) -> int:
     result = results[method]
     if args.check:
         base, *others = results.values()
-        if not all(r.d_m == base.d_m and np.array_equal(r.vectors, base.vectors) for r in others):
+        if not all(r.d_m == base.d_m and np.array_equal(r.words, base.words) for r in others):
             for r in results.values():
                 print(f"method={r.method} d_m={r.d_m} count={r.count}")
             print("mismatch between enumeration methods")

@@ -29,10 +29,10 @@
 
 All four agree on every tested code; the test suite enforces that.
 
-The weight filter of the last three (_min_weight) and the w= fields that
-write_enumeration prints and read_enumeration checks come from bitops' one
-polar transform, which runs on rows packed into little-endian uint64 words;
-the enumeration file's u= hex is those words read as one integer.
+Sets of vectors travel as bitops' packed words: the orbit blocks and the
+weight filter of the last three (_min_weight) give them, MhwResult keeps them
+sorted, and they are the enumeration file's u= hex; its w= fields come from
+bitops' one polar transform.  Rows are unpacked only where they are read.
 """
 
 from __future__ import annotations
@@ -41,10 +41,12 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from polarmhw.bitops import _pack, _transform, _weights, encode_rows, generator_row, min_distance
+from polarmhw.bitops import _pack, _transform, _unpack, _weights
+from polarmhw.bitops import encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count, per_subset_bound
 from polarmhw.construction import RATE0, RATE1, REP, CodeSpec, _node_steps
 from polarmhw.listdec import _Stages, _search
@@ -79,16 +81,17 @@ class EnumFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MhwResult:
-    """A set of minimum-weight information vectors.
+    """A set of minimum-weight information vectors of length N.
 
-    vectors is a read-only C-contiguous (count, N) uint8 array of distinct
-    0/1 rows in lexicographic order; the constructor sorts the rows it is
-    given and rejects a repeated one.  Equality compares every field and the
-    array contents.
+    words is a read-only (count, ceil(N / 64)) array of distinct bitops._pack
+    rows in lexicographic order, position 1 first; the constructor sorts them
+    and rejects a repeat, a bit past N or a wrong column count.  vectors, their
+    (count, N) uint8 unpack, is built when first read.  == compares all fields.
     """
 
     d_m: int
-    vectors: np.ndarray
+    N: int
+    words: np.ndarray
     method: str
     max_list_used: int
     warning: str | None = None
@@ -96,40 +99,47 @@ class MhwResult:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "vectors", _sorted_rows(self.vectors))
+        object.__setattr__(self, "words", _sorted_words(self.words, self.N))
 
     @property
     def count(self) -> int:
-        return len(self.vectors)
+        return len(self.words)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return _unpack(self.words, self.N)
 
     def __eq__(self, other):
         if not isinstance(other, MhwResult):
             return NotImplemented
-        same = [(r.d_m, r.method, r.max_list_used, r.warning) for r in (self, other)]
-        return same[0] == same[1] and np.array_equal(self.vectors, other.vectors)
+        same = [(r.N, r.d_m, r.method, r.max_list_used, r.warning) for r in (self, other)]
+        return same[0] == same[1] and np.array_equal(self.words, other.words)
 
 
-def _sorted_rows(rows):
-    """The rows of a (count, N) 0/1 array as a sorted read-only uint8 copy;
-    a repeated row breaks the partition law of every enumerator and aborts."""
-    rows = np.asarray(rows, dtype=np.uint8)
-    if rows.ndim != 2 or (rows.size and rows.max() > 1):
-        raise ValueError("vectors must be a (count, N) array of 0/1 rows")
-    # packbits puts column 0 in the top bit, so the packed bytes compare in
-    # the same order as the rows
-    packed = np.packbits(rows, axis=1)
-    order = np.argsort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), kind="stable")
-    packed = packed[order]
-    if (packed[1:] == packed[:-1]).all(axis=1).any():
+# each byte bit-reversed: a packed row's bytes mapped through it sort as its vector
+_BIT_REVERSE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def _sorted_words(words, N):
+    """Packed rows of length N as a sorted read-only copy; a repeated row
+    breaks the partition law of every enumerator and aborts."""
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    shaped = words.ndim == 2 and words.shape[1] == -(-N // 64)
+    if not shaped or (words[:, -1] >> (N - 1) % 64 >> 1).any():
+        raise ValueError(f"words must be a (count, ceil(N / 64)) array of rows of N={N} bits")
+    keys = _BIT_REVERSE[words.view(np.uint8)]
+    order = np.argsort(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), kind="stable")
+    words = words[order]
+    if (words[1:] == words[:-1]).all(axis=1).any():
         raise ValueError("a vector is listed twice")
-    rows = rows[order]
-    rows.flags.writeable = False
-    return rows
+    words.flags.writeable = False
+    return words
 
 
 def _min_weight(rows, d_m):
-    """The rows of a (count, N) 0/1 array whose codeword has weight d_m."""
-    return rows[_weights(_transform(_pack(rows), rows.shape[1])) == d_m]
+    """The packed rows of a (count, N) 0/1 array whose codeword weighs d_m."""
+    words = _pack(rows)
+    return words[_weights(_transform(words.copy(), rows.shape[1])) == d_m]
 
 
 # ---- exhaustive oracle ----
@@ -163,16 +173,10 @@ def exhaustive_mhw(spec) -> MhwResult:
     hits = np.flatnonzero(weights == d_m)
     vectors = np.zeros((len(hits), N), dtype=np.uint8)
     vectors[:, spec.info_mask] = (hits[:, None] >> np.arange(K)) & 1
-    return MhwResult(d_m, vectors, "EXHAUSTIVE", 0)
+    return MhwResult(d_m, N, _pack(vectors), "EXHAUSTIVE", 0)
 
 
 # ---- constrained list searches ----
-
-
-def _pair_prefix(i, j):
-    prefix = [0] * j
-    prefix[i - 1] = prefix[j - 1] = 1
-    return prefix
 
 
 # The searches of one engine run hold at most this many bytes of decisions
@@ -212,7 +216,7 @@ def _subset_searches(spec, pairs, widths, d_m, threads=1):
     """The constrained searches of the (i, j) pairs, pair k at list width
     widths[k], in ragged engine runs of contiguous pairs and balanced summed
     width: one run, or one per thread, or as many as keep each run within
-    _RUN_BYTES.  Per pair: (its vectors of weight d_m bit-packed by rows,
+    _RUN_BYTES.  Per pair: (the packed words of its vectors of weight d_m,
     note).  A discarded candidate that still carried the bare trigger metric
     may have been on a valid trajectory; the pairs that discarded one rerun
     together, each at its full width per_subset_bound(i), and a note says
@@ -222,9 +226,9 @@ def _subset_searches(spec, pairs, widths, d_m, threads=1):
     ones = [1] * spec.N
 
     def run(jobs):
-        prefixes = [_pair_prefix(i, j) for (i, j), _ in jobs]
+        prefixes = [[int(p in (i, j)) for p in range(1, j + 1)] for (i, j), _ in jobs]
         out = _search(ones, spec, [width for _, width in jobs], prefixes)
-        return [(np.packbits(_min_weight(rows, d_m), axis=1), diag) for rows, _, _, diag in out]
+        return [(_min_weight(rows, d_m), diag) for rows, _, _, diag in out]
 
     def search(jobs):
         weights = [width for _, width in jobs]
@@ -265,16 +269,12 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
     report = bound_count(spec, materialize_sets=True)
     d_m, a_m = report.d_m, report.a_m
     pairs, widths = _subset_pairs(report)
-    singles = np.zeros((len(a_m), spec.N), dtype=np.uint8)
-    singles[np.arange(len(a_m)), np.array(a_m) - 1] = 1
-    # every pair's vectors come bit-packed, so that only the final array and
-    # its sorted copy are ever held unpacked
+    singles = _pack(np.arange(1, spec.N + 1) == np.array(a_m)[:, None])
     found = _subset_searches(spec, pairs, widths, d_m, threads)
-    packed = np.concatenate([np.packbits(singles, axis=1)] + [rows for rows, _ in found])
+    words = np.concatenate([singles] + [rows for rows, _ in found])
     notes = [note for _, note in found if note]
     warning = "; ".join(notes) if notes else None
-    vectors = np.unpackbits(packed, axis=1, count=spec.N)
-    return MhwResult(d_m, vectors, "SUBSET_SCL", max(widths, default=0), warning)
+    return MhwResult(d_m, spec.N, words, "SUBSET_SCL", max(widths, default=0), warning)
 
 
 # ---- zero-split walker ----
@@ -436,7 +436,7 @@ def zero_split_subset(spec, i: int):
     negative frozen LLR.
     """
     decisions, branch_positions, kills = _zero_split_walk(spec, (i,))
-    return _sorted_rows(decisions), branch_positions[0], kills[0]
+    return _unpack(_sorted_words(_pack(decisions), spec.N), spec.N), branch_positions[0], kills[0]
 
 
 def zero_split_triggers(spec, triggers) -> MhwResult:
@@ -444,8 +444,8 @@ def zero_split_triggers(spec, triggers) -> MhwResult:
     (minimum-weight rows of spec), by one lockstep walk over those triggers
     and one batched weight filter of its leaves."""
     d_m, _ = min_distance(spec)
-    # the walk's decision matrix is freed before the kept rows are sorted
-    return MhwResult(d_m, _min_weight(_zero_split_walk(spec, triggers)[0], d_m), "ZERO_SPLIT", 0)
+    words = _min_weight(_zero_split_walk(spec, triggers)[0], d_m)
+    return MhwResult(d_m, spec.N, words, "ZERO_SPLIT", 0)
 
 
 _ORBIT_SLACK = 3  # orbits of at most 2**_ORBIT_SLACK bound terms are built
@@ -482,16 +482,12 @@ def enumerate_zero_split(spec, threads: int = 1) -> MhwResult:
         r = i - 1
         bits = sum(1 + (r % (1 << t)).bit_count() for t in range(spec.n) if not r >> t & 1)
         (orbit if bits - overlap <= _ORBIT_SLACK else walk).append(i)
-    # packed until one final unpack: only the rows and their sorted copy go dense
     frozen = _pack(~spec.info_mask[None])[0]
     blocks = (_orbit_block(i, spec.N) for i in orbit)
-    rows = [block[~(block & frozen).any(axis=1)] for block in blocks]
+    words = [block[~(block & frozen).any(axis=1)] for block in blocks]
     if walk:
-        rows.append(_pack(_min_weight(_zero_split_walk(spec, walk)[0], report.d_m)))
-    rows = np.unpackbits(
-        np.concatenate(rows).view(np.uint8), axis=1, count=spec.N, bitorder="little"
-    )
-    return MhwResult(report.d_m, rows, "ZERO_SPLIT", 0)
+        words.append(_min_weight(_zero_split_walk(spec, walk)[0], report.d_m))
+    return MhwResult(report.d_m, spec.N, np.concatenate(words), "ZERO_SPLIT", 0)
 
 
 # ---- global list search ----
@@ -507,8 +503,8 @@ def scl_global_search(spec, L: int) -> MhwResult:
             f"plus one ({needed})"
         )
     # d_m >= 1, so the all-zero path never passes the weight filter
-    vectors = _min_weight(_search([1] * spec.N, spec, L)[0][0], d_m)
-    return MhwResult(d_m, vectors, "SCL_GLOBAL", L, warning)
+    words = _min_weight(_search([1] * spec.N, spec, L)[0][0], d_m)
+    return MhwResult(d_m, spec.N, words, "SCL_GLOBAL", L, warning)
 
 
 # ---- enumeration files ----
@@ -516,9 +512,9 @@ def scl_global_search(spec, L: int) -> MhwResult:
 _ENUM_MAGIC = "polarmhw-enum 1"
 _RECORD = re.compile("msg=([0-9a-f]+) u=([0-9a-f]+) w=([0-9]+)")
 # Vectors encoded per batch by write_enumeration.  However many vectors the
-# file holds, a batch's arrays are its message bits (_WRITE_ROWS * K bytes,
-# then packed to an eighth of that) and its packed words with the
-# transform's two temporaries (3 * _WRITE_ROWS * 8 * ceil(N / 64) bytes).
+# file holds, a batch's arrays are its rows and message bits (_WRITE_ROWS *
+# (N + K) bytes) and a copy of its words with the transform's two temporaries
+# (3 * _WRITE_ROWS * 8 * ceil(N / 64) bytes).
 _WRITE_ROWS = 128
 
 
@@ -526,7 +522,11 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     """Stable text dump: header fields then one lexicographically sorted
     record per vector (message bits in A order and the full u, hex-packed),
     written batch by batch.  header_lines are embedded as comments right
-    after the magic line."""
+    after the magic line.  A result of another length, or that sets a frozen
+    position of spec, raises ValueError before the file is opened."""
+    frozen = _pack(~spec.info_mask[None])[0]
+    if result.N != spec.N or (np.bitwise_or.reduce(result.words, axis=0) & frozen).any():
+        raise ValueError(f"the result's N={result.N} vectors are not information vectors of spec")
     lines = [_ENUM_MAGIC]
     for extra in header_lines:
         lines.append(extra if extra.startswith("#") else f"# {extra}")
@@ -544,12 +544,11 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
         for start in range(0, result.count, _WRITE_ROWS):
-            u = result.vectors[start : start + _WRITE_ROWS]
-            msgs = np.packbits(u.compress(spec.info_mask, axis=1), axis=1, bitorder="little")
-            words = _pack(u)
-            # u= is read off the words before the transform overwrites them
+            words = result.words[start : start + _WRITE_ROWS]
+            bits = _unpack(words, spec.N).compress(spec.info_mask, axis=1)
+            msgs = np.packbits(bits, axis=1, bitorder="little")
             us = [int.from_bytes(word.tobytes(), "little") for word in words]
-            weights = _weights(_transform(words, spec.N)).tolist()
+            weights = _weights(_transform(words.copy(), spec.N)).tolist()
             fh.writelines(
                 f"msg={int.from_bytes(msg.tobytes(), 'little'):x} u={word:x} w={w}\n"
                 for msg, word, w in zip(msgs, us, weights)
@@ -560,14 +559,18 @@ def read_enumeration(path):
     """Parse an enumeration file back into (CodeSpec, MhwResult).
 
     Every record must be well formed, set no bit past N or at a frozen
-    position, agree with its message and its weight, and appear once."""
+    position, agree with its message and its weight, and appear once.  A
+    '# warning: ' line after the fields restores the result's warning."""
     with open(path, encoding="utf-8") as fh:
         raw = [line.rstrip("\n") for line in fh]
     if not raw or raw[0] != _ENUM_MAGIC:
         raise EnumFormatError(f"{path}: missing '{_ENUM_MAGIC}' header")
     fields = {}
     records = []
+    warning = None
     for lineno, line in enumerate(raw[1:], start=2):
+        if line.startswith("# warning: ") and "maxListUsed" in fields:
+            warning = line[len("# warning: ") :]
         if not line or line.startswith("#"):
             continue
         if line.startswith("msg="):
@@ -605,10 +608,10 @@ def read_enumeration(path):
     # u= is hex with position 1 in the lowest bit, so its little-endian bytes
     # are the row's packed words
     width = -(-N // 64)
-    data = bytearray(b"".join(word.to_bytes(8 * width, "little") for _, word, _ in records))
+    data = b"".join(word.to_bytes(8 * width, "little") for _, word, _ in records)
     words = np.frombuffer(data, dtype="<u8").reshape(-1, width)
-    u = np.unpackbits(words.view(np.uint8), axis=1, count=N, bitorder="little")
-    msgs = np.packbits(u.compress(spec.info_mask, axis=1), axis=1, bitorder="little")
+    bits = _unpack(words, N).compress(spec.info_mask, axis=1)
+    msgs = np.packbits(bits, axis=1, bitorder="little")
     for (msg, word, _), want in zip(records, msgs):
         if int.from_bytes(want.tobytes(), "little") != msg:
             raise EnumFormatError(f"{path}: message/u mismatch for u={word:x}")
@@ -616,12 +619,12 @@ def read_enumeration(path):
     if frozen.any():
         word = records[int(np.argmax(frozen))][1]
         raise EnumFormatError(f"{path}: nonzero frozen position in u={word:x}")
-    weights = _weights(_transform(words, N)).tolist()
+    weights = _weights(_transform(words.copy(), N)).tolist()
     for (_, word, w), weight in zip(records, weights):
         if w != weight:
             raise EnumFormatError(f"{path}: w={w} but u={word:x} has weight {weight}")
     try:
-        result = MhwResult(d_m, u, fields["method"], max_list)
+        result = MhwResult(d_m, N, words, fields["method"], max_list, warning)
     except ValueError as exc:
         raise EnumFormatError(f"{path}: {exc}") from exc
     return spec, result

@@ -1,5 +1,6 @@
-"""The package's public surface: every exported name resolves, and the SC
-engine's per-node helpers stay private to sctree."""
+"""The package's public surface: every exported name resolves, the SC
+engine's per-node helpers stay private to sctree, and every bit packing in
+the package is bitops' little-endian row format."""
 
 import ast
 import importlib
@@ -36,3 +37,19 @@ def test_sc_node_helpers_are_not_package_names():
     for name in ("f_combine", "g_combine", "beta_combine", "hard_decision"):
         assert not hasattr(polarmhw, name), name
         assert name not in importlib.import_module("polarmhw.sctree").__all__
+
+
+def test_every_bit_packing_call_is_little_endian():
+    # a second packed row format (numpy's default big-endian bit order) would
+    # need its own sort key and its own conversions
+    calls = []
+    for path in sorted(Path(polarmhw.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if isinstance(node, ast.Call) and name in ("packbits", "unpackbits"):
+                orders = [k.value for k in node.keywords if k.arg == "bitorder"]
+                ok = [getattr(v, "value", None) for v in orders] == ["little"]
+                calls.append((path.name, node.lineno, ok))
+    assert calls
+    assert [call for call in calls if not call[2]] == []

@@ -609,7 +609,7 @@ def test_enumerate_variants_golden_digest(capsys, monkeypatch, tmp_path):
 def test_check_mismatch_is_exit_4(capsys, monkeypatch):
     def one_short(spec, threads=1):
         result = enumerate_zero_split(spec)
-        return replace(result, vectors=result.vectors[1:])
+        return replace(result, words=result.words[1:])
 
     monkeypatch.setattr(cli, "enumerate_zero_split", one_short)
     code, out, err = run(capsys, ["enumerate", *SPEC8_ARGS, "--check"])

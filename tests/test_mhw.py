@@ -1,9 +1,12 @@
 import hashlib
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_minimum_weight,
@@ -80,8 +83,8 @@ def test_grouped_subset_search_examples():
     # two ones sit at i and j
     pairs = [(4, 6), (4, 8), (7, 8)]
 
-    def unpacked(rows):
-        return np.unpackbits(rows, axis=1, count=SPEC8.N)
+    def unpacked(words):
+        return bitops._unpack(words, SPEC8.N)
 
     (four, note), (one, _), (last, _) = _subset_searches(SPEC8, pairs, [4, 1, 2], 4)
     expected = {u for u in brute_force_minimum_weight(SPEC8)[1] if u[3] and u[5]}
@@ -493,19 +496,68 @@ def test_thread_count_does_not_change_results():
 
 def test_result_vectors_are_a_sorted_read_only_array():
     rows = [[0, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
-    result = MhwResult(2, rows, "EXHAUSTIVE", 0)
+    words = bitops._pack(np.array(rows, dtype=np.uint8))
+    result = MhwResult(2, 4, words, "EXHAUSTIVE", 0)
+    assert result.words.dtype == np.uint64 and result.words.shape == (3, 1)
+    assert result.words[:, 0].tolist() == [0b1000, 0b1100, 0b1010]
     assert result.vectors.dtype == np.uint8 and result.vectors.flags.c_contiguous
     assert result.vectors.tolist() == sorted(rows)
+    assert result.vectors is result.vectors
     assert result.count == 3
-    with pytest.raises(ValueError):
-        result.vectors[0, 0] = 1
-    assert result == MhwResult(2, rows[::-1], "EXHAUSTIVE", 0)
-    assert result != MhwResult(2, rows[:2], "EXHAUSTIVE", 0)
-    assert result != MhwResult(2, rows, "ZERO_SPLIT", 0)
+    for array in (result.words, result.vectors):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    assert result == MhwResult(2, 4, words[::-1], "EXHAUSTIVE", 0)
+    assert result != MhwResult(2, 4, words[:2], "EXHAUSTIVE", 0)
+    assert result != MhwResult(2, 4, words, "ZERO_SPLIT", 0)
+    assert result != MhwResult(2, 8, words, "EXHAUSTIVE", 0)
+    assert result != MhwResult(2, 4, words, "EXHAUSTIVE", 0, "a warning")
     with pytest.raises(ValueError, match="listed twice"):
-        MhwResult(2, rows + rows[:1], "EXHAUSTIVE", 0)
-    with pytest.raises(ValueError):
-        MhwResult(2, [[0, 2, 0, 1]], "EXHAUSTIVE", 0)
+        MhwResult(2, 4, np.concatenate([words, words[:1]]), "EXHAUSTIVE", 0)
+    with pytest.raises(ValueError, match="N=4 bits"):
+        MhwResult(2, 4, [[0b10001]], "EXHAUSTIVE", 0)
+    with pytest.raises(ValueError, match="N=4 bits"):
+        MhwResult(2, 4, np.zeros((1, 2), dtype=np.uint64), "EXHAUSTIVE", 0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_sorted_words_order_is_the_vectors_lexicographic_order(data):
+    N = data.draw(st.sampled_from([2, 3, 7, 8, 63, 64, 65, 128, 200]) | st.integers(2, 200))
+    # row x holds position p in bit p - 1; the tails share all but the last
+    # eight positions, so that those decide their order
+    base = data.draw(st.integers(0, 2**N - 1))
+    tails = st.integers(0, 2 ** min(N, 8) - 1).map(lambda t: base ^ t << max(N - 8, 0))
+    ints = data.draw(st.lists(st.integers(0, 2**N - 1) | tails, unique=True, max_size=20))
+    rows = [tuple(x >> p & 1 for p in range(N)) for x in ints]
+    words = bitops._pack(np.array(rows, dtype=np.uint8).reshape(-1, N))
+    got = mhw._sorted_words(words, N)
+    assert not got.flags.writeable
+    assert list(map(tuple, bitops._unpack(got, N).tolist())) == sorted(rows)
+    W = -(-N // 64)
+    if rows:
+        with pytest.raises(ValueError, match="listed twice"):
+            mhw._sorted_words(np.concatenate([words, words[-1:]]), N)
+    if N % 64:
+        past = np.zeros((1, W), dtype=np.uint64)
+        past[0, -1] = np.uint64(1) << np.uint64(data.draw(st.integers(N % 64, 63)))
+        with pytest.raises(ValueError):
+            mhw._sorted_words(np.concatenate([words, past]), N)
+    for columns in (W - 1, W + 1):
+        with pytest.raises(ValueError):
+            mhw._sorted_words(np.zeros((len(rows), columns), dtype=np.uint64), N)
+
+
+def test_count_only_enumeration_never_holds_the_dense_rows():
+    spec = construct_pw(1024, 512)
+    tracemalloc.start()
+    try:
+        count = enumerate_zero_split(spec).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 54464
+    assert peak < count * spec.N
 
 
 # ---- enumeration files ----
@@ -522,6 +574,27 @@ def test_enumeration_file_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("polarmhw-enum 1\n")
     assert "count=14" in text
+
+
+def test_enumeration_file_keeps_the_warning(tmp_path):
+    out = scl_global_search(SPEC8, 4)
+    assert out.warning.startswith("possible omission")
+    path = tmp_path / "mhw.txt"
+    # a header comment that looks like a warning is not the result's
+    write_enumeration(path, SPEC8, out, header_lines=["# warning: from a header line"])
+    assert read_enumeration(path)[1] == out
+    write_enumeration(path, SPEC8, enumerate_zero_split(SPEC8), header_lines=["# warning: x"])
+    assert read_enumeration(path)[1].warning is None
+
+
+def test_writer_refuses_a_result_of_another_code(tmp_path):
+    path = tmp_path / "mhw.txt"
+    with pytest.raises(ValueError, match="N=16"):
+        write_enumeration(path, SPEC8, enumerate_zero_split(construct_pw(16, 8)))
+    # SPEC8's vectors set position 6, which this code freezes
+    with pytest.raises(ValueError, match="N=8"):
+        write_enumeration(path, CodeSpec(8, (4, 7, 8)), enumerate_zero_split(SPEC8))
+    assert not path.exists()
 
 
 def test_enumeration_file_is_byte_stable(tmp_path):
@@ -736,6 +809,20 @@ def test_enumeration_file_golden_bytes(label, tmp_path):
     spec_back, result_back = read_enumeration(path)
     assert spec_back.A == spec.A
     assert result_back == result
+
+
+def test_enumeration_file_paper_scale_bytes(tmp_path):
+    # PW(1024,512) takes every trigger from its orbit; the perturbed set takes
+    # five from orbits and walks six.  Digests recorded while the writer
+    # still read dense rows.
+    cases = (
+        (construct_pw(1024, 512), "857ad9743a355f4fb58fe758db5cb2ba67230b406236a2adbb65fb1621883e66"),
+        (perturbed_pw(1024, 192, 0), "6e75f9bc870fe6ef8965d629255166646dfd5743d2646c48524bcce370f61d29"),
+    )
+    for spec, digest in cases:
+        path = tmp_path / "mhw.txt"
+        write_enumeration(path, spec, enumerate_zero_split(spec))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # ---- golden subset-SCL corpus ----
