@@ -31,12 +31,19 @@ All four agree on every tested code; the test suite enforces that.
 
 Sets of vectors travel as bitops' packed words: the orbit blocks and the
 weight filter of the last three (_min_weight) give them, MhwResult keeps them
-sorted, and they are the enumeration file's u= hex; its w= fields come from
-bitops' one polar transform.  Rows are unpacked only where they are read.
+sorted, and _records, the one formatter of an enumeration file's records,
+prints them.  Rows are unpacked only where they are read.
+
+read_enumeration's contract: the magic line, then comments and every header
+field before the first record, d_m the code's minimum distance; every line
+from the first record on is exactly the record the writer writes for its u,
+newline and lowercase hex without leading zeros included, in sorted order.
+Every error is an EnumFormatError naming the path.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -510,121 +517,113 @@ def scl_global_search(spec, L: int) -> MhwResult:
 # ---- enumeration files ----
 
 _ENUM_MAGIC = "polarmhw-enum 1"
-_RECORD = re.compile("msg=([0-9a-f]+) u=([0-9a-f]+) w=([0-9]+)")
-# Vectors encoded per batch by write_enumeration.  However many vectors the
-# file holds, a batch's arrays are its rows and message bits (_WRITE_ROWS *
-# (N + K) bytes) and a copy of its words with the transform's two temporaries
-# (3 * _WRITE_ROWS * 8 * ceil(N / 64) bytes).
-_WRITE_ROWS = 128
+_FIELDS = ("N", "K", "A", "d_m", "method", "count", "maxListUsed")
+# Vectors encoded per batch by _records, for the writer and the reader.
+# However many vectors the file holds, a batch's arrays are its rows and
+# message bits (_BATCH_ROWS * (N + K) bytes) and a copy of its words with the
+# transform's two temporaries (3 * _BATCH_ROWS * 8 * ceil(N / 64) bytes).
+_BATCH_ROWS = 128
+
+
+def _records(spec, words):
+    """The file's line for each packed row of words, in order: its message
+    bits in A order and its u, hex-packed with position 1 in the lowest bit,
+    and its codeword weight."""
+    for start in range(0, len(words), _BATCH_ROWS):
+        batch = words[start : start + _BATCH_ROWS]
+        bits = _unpack(batch, spec.N).compress(spec.info_mask, axis=1)
+        msgs = np.packbits(bits, axis=1, bitorder="little")
+        us = [int.from_bytes(word.tobytes(), "little") for word in batch]
+        weights = _weights(_transform(batch.copy(), spec.N)).tolist()
+        yield from (
+            f"msg={int.from_bytes(msg.tobytes(), 'little'):x} u={u:x} w={w}\n"
+            for msg, u, w in zip(msgs, us, weights)
+        )
 
 
 def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
-    """Stable text dump: header fields then one lexicographically sorted
-    record per vector (message bits in A order and the full u, hex-packed),
-    written batch by batch.  header_lines are embedded as comments right
-    after the magic line.  A result of another length, or that sets a frozen
+    """Stable text dump: header fields then _records' line for each vector,
+    in the result's order.  header_lines are embedded as comments right after
+    the magic line.  A result of another length, or that sets a frozen
     position of spec, raises ValueError before the file is opened."""
     frozen = _pack(~spec.info_mask[None])[0]
     if result.N != spec.N or (np.bitwise_or.reduce(result.words, axis=0) & frozen).any():
         raise ValueError(f"the result's N={result.N} vectors are not information vectors of spec")
-    lines = [_ENUM_MAGIC]
-    for extra in header_lines:
-        lines.append(extra if extra.startswith("#") else f"# {extra}")
-    lines += [
-        f"N={spec.N}",
-        f"K={spec.K}",
-        "A=" + " ".join(str(a) for a in spec.A),
-        f"d_m={result.d_m}",
-        f"method={result.method}",
-        f"count={result.count}",
-        f"maxListUsed={result.max_list_used}",
-    ]
+    lines = [_ENUM_MAGIC] + [line if line[:1] == "#" else f"# {line}" for line in header_lines]
+    values = (spec.N, spec.K, " ".join(map(str, spec.A)), result.d_m, result.method)
+    values += (result.count, result.max_list_used)
+    lines += [f"{key}={value}" for key, value in zip(_FIELDS, values, strict=True)]
     if result.warning:
         lines.append(f"# warning: {result.warning}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)
-        for start in range(0, result.count, _WRITE_ROWS):
-            words = result.words[start : start + _WRITE_ROWS]
-            bits = _unpack(words, spec.N).compress(spec.info_mask, axis=1)
-            msgs = np.packbits(bits, axis=1, bitorder="little")
-            us = [int.from_bytes(word.tobytes(), "little") for word in words]
-            weights = _weights(_transform(words.copy(), spec.N)).tolist()
-            fh.writelines(
-                f"msg={int.from_bytes(msg.tobytes(), 'little'):x} u={word:x} w={w}\n"
-                for msg, word, w in zip(msgs, us, weights)
-            )
+        fh.writelines(_records(spec, result.words))
 
 
 def read_enumeration(path):
-    """Parse an enumeration file back into (CodeSpec, MhwResult).
+    """Parse an enumeration file back into (CodeSpec, MhwResult) under the
+    module docstring's contract, _BATCH_ROWS records at a time: each record's
+    u alone is parsed, and its line must be _records' line for it.  A
+    '# warning: ' comment after the fields restores the result's warning."""
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            return _read_enumeration(fh)
+    except ValueError as exc:  # ours, int()'s, CodeSpec's, MhwResult's or a bad UTF-8 byte
+        raise EnumFormatError(f"{path}: {exc}") from exc
 
-    Every record must be well formed, set no bit past N or at a frozen
-    position, agree with its message and its weight, and appear once.  A
-    '# warning: ' line after the fields restores the result's warning."""
-    with open(path, encoding="utf-8") as fh:
-        raw = [line.rstrip("\n") for line in fh]
-    if not raw or raw[0] != _ENUM_MAGIC:
-        raise EnumFormatError(f"{path}: missing '{_ENUM_MAGIC}' header")
-    fields = {}
-    records = []
-    warning = None
-    for lineno, line in enumerate(raw[1:], start=2):
-        if line.startswith("# warning: ") and "maxListUsed" in fields:
-            warning = line[len("# warning: ") :]
-        if not line or line.startswith("#"):
+
+def _read_enumeration(fh):
+    if fh.readline() != _ENUM_MAGIC + "\n":
+        raise EnumFormatError(f"line 1 is not '{_ENUM_MAGIC}'")
+    fields, warning, lineno = {}, None, 1
+    while (line := fh.readline()) and not line.startswith("msg="):
+        lineno += 1
+        text = line.rstrip("\n")
+        if text.startswith("# warning: ") and "maxListUsed" in fields:
+            warning = text[len("# warning: ") :]
+        if not text or text.startswith("#"):
             continue
-        if line.startswith("msg="):
-            match = _RECORD.fullmatch(line)
-            if not match:
-                raise EnumFormatError(f"{path}:{lineno}: bad record {line!r}")
-            records.append((int(match[1], 16), int(match[2], 16), int(match[3])))
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise EnumFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        if key in fields:
-            raise EnumFormatError(f"{path}:{lineno}: duplicate field {key!r}")
+        key, sep, value = text.partition("=")
+        if not sep or key in fields:
+            raise EnumFormatError(f"line {lineno}: not a new key=value field: {text!r}")
         fields[key] = value
-    for need in ("N", "K", "A", "d_m", "method", "count", "maxListUsed"):
+    for need in _FIELDS:
         if need not in fields:
-            raise EnumFormatError(f"{path}: missing field {need!r}")
-    try:
-        N = int(fields["N"])
-        K = int(fields["K"])
-        A = tuple(int(tok) for tok in fields["A"].split())
-        d_m = int(fields["d_m"])
-        count = int(fields["count"])
-        max_list = int(fields["maxListUsed"])
-    except ValueError as exc:
-        raise EnumFormatError(f"{path}: {exc}") from exc
-    if len(A) != K:
-        raise EnumFormatError(f"{path}: K={K} but A lists {len(A)} positions")
-    if count != len(records):
-        raise EnumFormatError(f"{path}: header count {count} != {len(records)} records")
-    spec = CodeSpec(N, A)
-    for _, word, _ in records:
-        if word >> N:
-            raise EnumFormatError(f"{path}: u={word:x} sets a bit past N={N}")
-    # u= is hex with position 1 in the lowest bit, so its little-endian bytes
-    # are the row's packed words
-    width = -(-N // 64)
-    data = b"".join(word.to_bytes(8 * width, "little") for _, word, _ in records)
+            raise EnumFormatError(f"missing field {need!r} before the first record")
+    N, K, d_m, count, max_list = (int(fields[k]) for k in _FIELDS if k not in ("A", "method"))
+    spec = CodeSpec(N, tuple(int(tok) for tok in fields["A"].split()))
+    if spec.K != K:
+        raise EnumFormatError(f"K={K} but A lists {spec.K} positions")
+    if d_m != min_distance(spec)[0]:
+        raise EnumFormatError(f"d_m={d_m} but the code has d_m={min_distance(spec)[0]}")
+    if max_list < 0:
+        raise EnumFormatError(f"maxListUsed={max_list} is negative")
+    record = re.compile(f"msg=[0-9a-f]+ u=([0-9a-f]+) w={d_m}\n")
+    frozen, width = _pack(~spec.info_mask[None])[0], -(-N // 64)
+    records, data = itertools.chain([line] if line else [], fh), bytearray()
+    while batch := list(itertools.islice(records, _BATCH_ROWS)):
+        us = []
+        for k, line in enumerate(batch, lineno + 1):
+            match = record.fullmatch(line)
+            if not match:
+                raise EnumFormatError(f"line {k}: not a record 'msg=<hex> u=<hex> w={d_m}'")
+            us.append(int(match[1], 16))
+            if us[-1] >> N:
+                raise EnumFormatError(f"line {k}: u={us[-1]:x} sets a bit past N={N}")
+        # position 1 is u's lowest bit, so its little-endian bytes are its packed words
+        chunk = b"".join(u.to_bytes(8 * width, "little") for u in us)
+        words = np.frombuffer(chunk, dtype="<u8").reshape(len(us), width)
+        if (np.bitwise_or.reduce(words, axis=0) & frozen).any():
+            raise EnumFormatError(f"nonzero frozen position in lines {lineno + 1}-{k}")
+        for k, (line, want) in enumerate(zip(batch, _records(spec, words)), lineno + 1):
+            if line != want:
+                raise EnumFormatError(f"line {k}: not the record the writer writes for its u")
+        data += chunk
+        lineno += len(batch)
     words = np.frombuffer(data, dtype="<u8").reshape(-1, width)
-    bits = _unpack(words, N).compress(spec.info_mask, axis=1)
-    msgs = np.packbits(bits, axis=1, bitorder="little")
-    for (msg, word, _), want in zip(records, msgs):
-        if int.from_bytes(want.tobytes(), "little") != msg:
-            raise EnumFormatError(f"{path}: message/u mismatch for u={word:x}")
-    frozen = (words & _pack(~spec.info_mask[None])).any(axis=1)
-    if frozen.any():
-        word = records[int(np.argmax(frozen))][1]
-        raise EnumFormatError(f"{path}: nonzero frozen position in u={word:x}")
-    weights = _weights(_transform(words.copy(), N)).tolist()
-    for (_, word, w), weight in zip(records, weights):
-        if w != weight:
-            raise EnumFormatError(f"{path}: w={w} but u={word:x} has weight {weight}")
-    try:
-        result = MhwResult(d_m, N, words, fields["method"], max_list, warning)
-    except ValueError as exc:
-        raise EnumFormatError(f"{path}: {exc}") from exc
+    if count != len(words):
+        raise EnumFormatError(f"header count {count} != {len(words)} records")
+    result = MhwResult(d_m, N, words, fields["method"], max_list, warning)
+    if not np.array_equal(result.words, words):
+        raise EnumFormatError("records out of order")
     return spec, result

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 import tracemalloc
 
@@ -667,6 +668,109 @@ def test_enumeration_reader_reports_first_bit_past_n(tmp_path):
         want = edited[8].split()[1]
         with pytest.raises(EnumFormatError, match=f"{want} sets a bit past N=8"):
             read_enumeration(bad)
+
+
+def swap_last_records(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:-2] + lines[:-3:-1])
+
+
+# SPEC8 files edited into what the writer never writes
+NEVER_WRITTEN = {
+    "d_m of another code": lambda text: text.replace("d_m=4\n", "d_m=2\n"),
+    "negative maxListUsed": lambda text: text.replace("maxListUsed=0\n", "maxListUsed=-5\n"),
+    "N not a power of two": lambda text: text.replace("N=8\n", "N=6\n"),
+    "A past N": lambda text: text.replace("A=4 6 7 8\n", "A=9 6 7 8\n"),
+    "A with a repeat": lambda text: text.replace("A=4 6 7 8\n", "A=4 4 7 8\n"),
+    "hex with a leading zero": lambda text: text.replace(" u=", " u=0", 1),
+    "no final newline": lambda text: text[:-1],
+    "a comment after a record": lambda text: text + "# note\n",
+    "a field after a record": lambda text: text + "extra=1\n",
+    "records out of order": swap_last_records,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NEVER_WRITTEN))
+def test_enumeration_reader_refuses_what_the_writer_never_writes(tmp_path, edit):
+    path = tmp_path / "mhw.txt"
+    write_enumeration(path, SPEC8, enumerate_zero_split(SPEC8))
+    text = path.read_text()
+    path.write_text(NEVER_WRITTEN[edit](text))
+    assert path.read_text() != text
+    with pytest.raises(EnumFormatError, match=re.escape(str(path))):
+        read_enumeration(path)
+
+
+@pytest.fixture(scope="module")
+def valid_enumeration_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("enum")
+    texts = []
+    for spec in (SPEC8, construct_pw(16, 8)):
+        write_enumeration(root / "valid.txt", spec, enumerate_zero_split(spec))
+        texts.append((root / "valid.txt").read_text())
+    return root, texts
+
+
+EDIT_CHARS = st.sampled_from("0123456789abcdef =-#\n\r") | st.characters(codec="utf-8")
+
+
+def edit_items(data, items, new):
+    """items after one replace, delete, insert, duplicate or swap; an
+    inserted or replacing item is drawn from new."""
+    items = list(items)
+    i, j = (data.draw(st.integers(0, len(items) - 1)) for _ in range(2))
+    kind = data.draw(st.sampled_from(("replace", "delete", "insert", "duplicate", "swap")))
+    if kind == "replace":
+        items[i] = data.draw(new)
+    elif kind == "delete":
+        del items[i]
+    elif kind in ("insert", "duplicate"):
+        items.insert(i, data.draw(new) if kind == "insert" else items[i])
+    else:
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def from_first_record(text):
+    start = text.find("\nmsg=")
+    return text[start + 1 :] if start >= 0 else ""
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_enumeration_reader_refuses_or_round_trips_an_edited_file(valid_enumeration_files, data):
+    # one or two edits of single characters or whole lines; a line put in is
+    # a copy of one of the file's, so that no edit can ask for a huge N
+    root, texts = valid_enumeration_files
+    text = data.draw(st.sampled_from(texts))
+    for _ in range(data.draw(st.integers(1, 2))):
+        if data.draw(st.booleans()):
+            text = "".join(edit_items(data, text, EDIT_CHARS))
+        else:
+            lines = text.splitlines(keepends=True)
+            text = "".join(edit_items(data, lines, st.sampled_from(lines)))
+    path = root / "edited.txt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        spec, result = read_enumeration(path)
+    except EnumFormatError:
+        return
+    write_enumeration(root / "again.txt", spec, result)
+    assert from_first_record((root / "again.txt").read_text()) == from_first_record(text)
+
+
+def test_reading_an_enumeration_file_never_holds_the_dense_rows(tmp_path):
+    spec = construct_pw(1024, 512)
+    path = tmp_path / "pw.txt"
+    write_enumeration(path, spec, enumerate_zero_split(spec))
+    tracemalloc.start()
+    try:
+        count = read_enumeration(path)[1].count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 54464
+    assert peak < count * spec.N
 
 
 def test_enumeration_path_makes_no_per_vector_encode_calls(monkeypatch, tmp_path):
