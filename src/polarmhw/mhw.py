@@ -2,7 +2,9 @@
 
 * exhaustive_mhw: encode every message (capped at K <= 22), XORing
   generator rows it packs into uint64 words itself, so that this oracle
-  shares no transform with the other three.
+  shares no transform with the other three.  It sweeps in blocks of at most
+  _SWEEP_BYTES, so it holds that budget, the rows and the hits, whatever
+  2**K is.
 * enumerate_subset_scl: per minimum-weight row i and per zero-capacity
   information position j after i, a constrained list search pinned to the
   prefix 1-at-i, 1-at-j recovers the subset U(i, j); list sizes shrink
@@ -34,11 +36,13 @@ weight filter of the last three (_min_weight) give them, MhwResult keeps them
 sorted, and _records, the one formatter of an enumeration file's records,
 prints them.  Rows are unpacked only where they are read.
 
-read_enumeration's contract: the magic line, then comments and every header
-field before the first record, d_m the code's minimum distance; every line
-from the first record on is exactly the record the writer writes for its u,
-newline and lowercase hex without leading zeros included, in sorted order.
-Every error is an EnumFormatError naming the path.
+read_enumeration's contract: the magic line, then comments and the header's
+field lines before the first record, each exactly as _field_lines writes it
+for the values it holds, in its order, and no blank line; d_m is the code's
+minimum distance; every line from the first record on is exactly the record
+the writer writes for its u, newline and lowercase hex without leading zeros
+included, in sorted order.  Every error is an EnumFormatError naming the
+path.
 """
 
 from __future__ import annotations
@@ -152,9 +156,20 @@ def _min_weight(rows, d_m):
 # ---- exhaustive oracle ----
 
 
-def exhaustive_mhw(spec) -> MhwResult:
-    """Sweep all 2**K messages with packed-word codewords.
+# The exhaustive sweep's table of low-message codewords holds at most this
+# many bytes (or one codeword, if that is larger).
+_SWEEP_BYTES = 1 << 18
 
+
+def exhaustive_mhw(spec) -> MhwResult:
+    """Sweep all 2**K messages with packed-word codewords, in blocks.
+
+    Message m is (h << b) | l.  One table holds the codewords of the 2**b low
+    parts l, b the largest that keeps it within _SWEEP_BYTES; the high part's
+    codeword h G follows the Gray code of h, one row XOR per step, and each
+    block is that table XOR h G in one reused buffer.  So the sweep holds
+    the table, one block, the K generator rows and the hits, however large
+    2**K is.
     The minimum nonzero weight is taken from the sweep itself, not from any
     row-weight shortcut, so this is a genuinely independent oracle.
     """
@@ -170,17 +185,35 @@ def exhaustive_mhw(spec) -> MhwResult:
         for p, v in enumerate(generator_row(a, N)):
             if v:
                 rows[k, p // 64] |= np.uint64(1 << (p % 64))
-    # row m of the table is the codeword of message m
-    table = np.zeros((1 << K, words), dtype=np.uint64)
-    for k in range(K):
-        np.bitwise_xor(table[: 1 << k], rows[k], out=table[1 << k : 2 << k])
-    weights = np.bitwise_count(table).sum(axis=1, dtype=np.uint32)
-    d_m = int(weights[1:].min())
+    b = min(K, max(0, (_SWEEP_BYTES // (8 * words)).bit_length() - 1))
+    # row l of low is the codeword of message l < 2**b
+    low = np.zeros((1 << b, words), dtype=np.uint64)
+    for k in range(b):
+        np.bitwise_xor(low[: 1 << k], rows[k], out=low[1 << k : 2 << k])
+    block, counts = np.empty_like(low), np.empty(low.shape, dtype=np.uint8)
+    weights = np.empty(1 << b, dtype=np.uint32)
+    high = np.zeros(words, dtype=np.uint64)
+    d_m, hits = N + 1, []
+    for step in range(1 << (K - b)):
+        if step:
+            # Gray code step: h flips the bit of step's lowest set bit
+            high ^= rows[b + (step & -step).bit_length() - 1]
+        np.bitwise_xor(low, high, out=block)
+        np.add.reduce(np.bitwise_count(block, out=counts), axis=1, dtype=np.uint32, out=weights)
+        if not step:
+            weights[0] = N + 1  # message 0
+        least = int(weights.min())
+        if least <= d_m:
+            if least < d_m:
+                d_m, hits = least, []
+            h = step ^ step >> 1
+            hits.append(np.flatnonzero(weights == least) | h << b)
     # message m puts bit k of m at information position A[k]
-    hits = np.flatnonzero(weights == d_m)
-    vectors = np.zeros((len(hits), N), dtype=np.uint8)
-    vectors[:, spec.info_mask] = (hits[:, None] >> np.arange(K)) & 1
-    return MhwResult(d_m, N, _pack(vectors), "EXHAUSTIVE", 0)
+    hits = np.concatenate(hits)
+    u = np.zeros((len(hits), words), dtype=np.uint64)
+    for k, a in enumerate(spec.A):
+        u[:, (a - 1) // 64] |= (hits >> k & 1).astype(np.uint64) << np.uint64((a - 1) % 64)
+    return MhwResult(d_m, N, u, "EXHAUSTIVE", 0)
 
 
 # ---- constrained list searches ----
@@ -525,6 +558,13 @@ _FIELDS = ("N", "K", "A", "d_m", "method", "count", "maxListUsed")
 _BATCH_ROWS = 128
 
 
+def _field_lines(spec, d_m, method, count, max_list_used):
+    """The header's field lines, without newlines, as the writer writes them
+    and the reader requires them."""
+    values = (spec.N, spec.K, " ".join(map(str, spec.A)), d_m, method, count, max_list_used)
+    return [f"{key}={value}" for key, value in zip(_FIELDS, values, strict=True)]
+
+
 def _records(spec, words):
     """The file's line for each packed row of words, in order: its message
     bits in A order and its u, hex-packed with position 1 in the lowest bit,
@@ -550,9 +590,7 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     if result.N != spec.N or (np.bitwise_or.reduce(result.words, axis=0) & frozen).any():
         raise ValueError(f"the result's N={result.N} vectors are not information vectors of spec")
     lines = [_ENUM_MAGIC] + [line if line[:1] == "#" else f"# {line}" for line in header_lines]
-    values = (spec.N, spec.K, " ".join(map(str, spec.A)), result.d_m, result.method)
-    values += (result.count, result.max_list_used)
-    lines += [f"{key}={value}" for key, value in zip(_FIELDS, values, strict=True)]
+    lines += _field_lines(spec, result.d_m, result.method, result.count, result.max_list_used)
     if result.warning:
         lines.append(f"# warning: {result.warning}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -575,29 +613,34 @@ def read_enumeration(path):
 def _read_enumeration(fh):
     if fh.readline() != _ENUM_MAGIC + "\n":
         raise EnumFormatError(f"line 1 is not '{_ENUM_MAGIC}'")
-    fields, warning, lineno = {}, None, 1
+    fields, texts, warning, lineno = {}, [], None, 1
     while (line := fh.readline()) and not line.startswith("msg="):
         lineno += 1
         text = line.rstrip("\n")
         if text.startswith("# warning: ") and "maxListUsed" in fields:
             warning = text[len("# warning: ") :]
-        if not text or text.startswith("#"):
+        if text.startswith("#"):
             continue
         key, sep, value = text.partition("=")
-        if not sep or key in fields:
-            raise EnumFormatError(f"line {lineno}: not a new key=value field: {text!r}")
+        if not sep or key not in _FIELDS or key in fields:
+            raise EnumFormatError(f"line {lineno}: not a new header field: {text!r}")
         fields[key] = value
+        texts.append((lineno, text))
     for need in _FIELDS:
         if need not in fields:
             raise EnumFormatError(f"missing field {need!r} before the first record")
-    N, K, d_m, count, max_list = (int(fields[k]) for k in _FIELDS if k not in ("A", "method"))
+    # K is checked against A by its field line
+    N, _, d_m, count, max_list = (int(fields[k]) for k in _FIELDS if k not in ("A", "method"))
     spec = CodeSpec(N, tuple(int(tok) for tok in fields["A"].split()))
-    if spec.K != K:
-        raise EnumFormatError(f"K={K} but A lists {spec.K} positions")
     if d_m != min_distance(spec)[0]:
         raise EnumFormatError(f"d_m={d_m} but the code has d_m={min_distance(spec)[0]}")
     if max_list < 0:
         raise EnumFormatError(f"maxListUsed={max_list} is negative")
+    # every field is there once, so each line meets the writer's line for it
+    want = _field_lines(spec, d_m, fields["method"], count, max_list)
+    for (k, text), need in zip(texts, want, strict=True):
+        if text != need:
+            raise EnumFormatError(f"line {k}: {text!r} is not the writer's field line {need!r}")
     record = re.compile(f"msg=[0-9a-f]+ u=([0-9a-f]+) w={d_m}\n")
     frozen, width = _pack(~spec.info_mask[None])[0], -(-N // 64)
     records, data = itertools.chain([line] if line else [], fh), bytearray()

@@ -76,7 +76,9 @@ class _TreeState:
     """Stage buffers of one SC path: alpha[s] is the LLR node of stage s on
     the current root-to-leaf path, beta_left[s] the partial sums of a left
     sibling waiting for its right half.  Leaf phi (0-based) recomputes only
-    the stages below the lowest set bit of phi.
+    the stages below the lowest set bit of phi.  A node of one entry (stage
+    0) is computed as a scalar, in f and g and in commit's first level;
+    half of all f and g updates are of such nodes.
 
     With record_nodes, every LLR vector is captured where it is written and
     every partial-sum vector where it is completed, keyed by (stage, node),
@@ -100,17 +102,32 @@ class _TreeState:
         else:
             s = (phi & -phi).bit_length() - 1
             parent, left = alpha[s + 1], self.beta_left[s]
-            alpha[s] = [b - a if u else b + a for a, b, u in zip(parent, parent[1 << s :], left)]
+            if s:
+                alpha[s] = [
+                    b - a if u else b + a for a, b, u in zip(parent, parent[1 << s :], left)
+                ]
+            else:
+                a, b = parent
+                alpha[0] = [b - a if left[0] else b + a]
             if record is not None:
                 record[(s, (phi >> s) + 1)] = tuple(alpha[s])
+        # f's magnitude is min(|a|, |b|) written out, twice as fast as the
+        # call; like min it takes |a| on a tie, which fixes the type of a
+        # tie between an int and a float
         while s > 0:
             parent = alpha[s]
             s -= 1
-            alpha[s] = [
-                -m if (a < 0) != (b < 0) else m
-                for a, b in zip(parent, parent[1 << s :])
-                for m in [min(abs(a), abs(b))]
-            ]
+            if s:
+                alpha[s] = [
+                    (abs(b) if abs(b) < abs(a) else abs(a))
+                    if (a < 0) == (b < 0)
+                    else -(abs(b) if abs(b) < abs(a) else abs(a))
+                    for a, b in zip(parent, parent[1 << s :])
+                ]
+            else:
+                a, b = parent
+                m = abs(b) if abs(b) < abs(a) else abs(a)
+                alpha[0] = [m if (a < 0) == (b < 0) else -m]
             if record is not None:
                 record[(s, (phi >> s) + 1)] = tuple(alpha[s])
         return alpha[0][0]
@@ -119,9 +136,15 @@ class _TreeState:
         record = self.node_betas
         if record is not None:
             record[(0, phi + 1)] = (bit,)
-        cur = [bit]
-        s = 0
-        node = phi
+        if not phi & 1:
+            # a left leaf waits for its sibling
+            self.beta_left[0] = [bit]
+            return
+        # a right leaf completes its parent's partial sums, as scalars
+        cur = [self.beta_left[0][0] ^ bit, bit]
+        s, node = 1, phi >> 1
+        if record is not None:
+            record[(1, node + 1)] = tuple(cur)
         while node & 1:
             # the left sibling's partial sums xor this node's, then this node's
             cur = [l ^ r for l, r in zip(self.beta_left[s], cur)] + cur
@@ -166,7 +189,7 @@ def _sc(input_llrs, spec, decide, record_nodes):
 def sc_decode(input_llrs, spec, record_nodes: bool = False) -> ScOutcome:
     """Plain SC: follow hard decisions everywhere."""
     return _sc(
-        input_llrs, spec, lambda pos, llr: 1 if spec.is_info(pos) and llr < 0 else 0, record_nodes
+        input_llrs, spec, lambda pos, llr: 1 if llr < 0 and spec.is_info(pos) else 0, record_nodes
     )
 
 

@@ -68,6 +68,32 @@ def test_exhaustive_matches_scalar_reference():
         assert vector_set(out.vectors) == vec_ref
 
 
+def test_blocked_exhaustive_sweep_matches_scalar_reference(monkeypatch):
+    # a budget of 512 bytes holds 2**6 codewords at N <= 64, 2**5 at 128 and
+    # 2**4 at 256, so K = 3..12 spans from one block to 256 of them
+    monkeypatch.setattr(mhw, "_SWEEP_BYTES", 512)
+    rng = random.Random(47)
+    for N in (4, 8, 16, 32, 64, 128, 256):
+        for K in sorted({min(N, K) for K in (3, 7, 12)}):
+            spec = CodeSpec(N, tuple(rng.sample(range(1, N + 1), K)))
+            d_ref, vec_ref = brute_force_minimum_weight(spec)
+            out = exhaustive_mhw(spec)
+            assert out.d_m == d_ref
+            assert vector_set(out.vectors) == vec_ref
+
+
+def test_exhaustive_sweep_memory_does_not_grow_with_the_message_space():
+    spec = construct_pw(1024, 22)
+    tracemalloc.start()
+    try:
+        out = exhaustive_mhw(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.d_m, out.count) == (128, 8)
+    assert peak < 4 << 20
+
+
 def test_exhaustive_cap_refuses_large_codes(monkeypatch):
     monkeypatch.setattr(mhw, "EXHAUSTIVE_CAP", 10)
     with pytest.raises(ExhaustiveCapError):
@@ -682,6 +708,12 @@ NEVER_WRITTEN = {
     "N not a power of two": lambda text: text.replace("N=8\n", "N=6\n"),
     "A past N": lambda text: text.replace("A=4 6 7 8\n", "A=9 6 7 8\n"),
     "A with a repeat": lambda text: text.replace("A=4 6 7 8\n", "A=4 4 7 8\n"),
+    "N with a leading zero": lambda text: text.replace("N=8\n", "N=08\n"),
+    "d_m with a plus sign": lambda text: text.replace("d_m=4\n", "d_m=+4\n"),
+    "A with a double space": lambda text: text.replace("A=4 6 7 8\n", "A=4  6 7 8\n"),
+    "an unknown field": lambda text: text.replace("N=8\n", "N=8\nfoo=bar\n"),
+    "fields out of order": lambda text: text.replace("N=8\nK=4\n", "K=4\nN=8\n"),
+    "a blank line before the records": lambda text: text.replace("\nmsg=", "\n\nmsg=", 1),
     "hex with a leading zero": lambda text: text.replace(" u=", " u=0", 1),
     "no final newline": lambda text: text[:-1],
     "a comment after a record": lambda text: text + "# note\n",
@@ -736,6 +768,13 @@ def from_first_record(text):
     return text[start + 1 :] if start >= 0 else ""
 
 
+def header_fields(text):
+    """The lines before the first record that are not comments."""
+    start = text.find("\nmsg=")
+    head = text[: start + 1] if start >= 0 else text
+    return [line for line in head.splitlines(keepends=True) if not line.startswith("#")]
+
+
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(st.data())
 def test_enumeration_reader_refuses_or_round_trips_an_edited_file(valid_enumeration_files, data):
@@ -756,7 +795,9 @@ def test_enumeration_reader_refuses_or_round_trips_an_edited_file(valid_enumerat
     except EnumFormatError:
         return
     write_enumeration(root / "again.txt", spec, result)
-    assert from_first_record((root / "again.txt").read_text()) == from_first_record(text)
+    again = (root / "again.txt").read_text()
+    assert from_first_record(again) == from_first_record(text)
+    assert header_fields(again) == header_fields(text)
 
 
 def test_reading_an_enumeration_file_never_holds_the_dense_rows(tmp_path):

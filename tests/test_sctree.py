@@ -1,12 +1,13 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import RawSpec, brute_force_minimum_weight, first_one
 from polarmhw.bitops import encode, generator_row, positions_of
 from polarmhw.construction import CodeSpec
-from polarmhw.sctree import sc_decode, sc_replay, sc_retrace
+from polarmhw.sctree import ScOutcome, sc_decode, sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
 
@@ -183,3 +184,84 @@ def test_scalar_engine_golden_corpus():
             ):
                 digest.update(repr(out).encode())
     assert digest.hexdigest() == GOLDEN_SC
+
+
+# ---- a recursive reference for ties and signed zeros ----
+
+
+def recursive_sc(llrs, spec, decide, record_nodes):
+    """SC by recursion over the code tree, min-sum f written from its
+    definition: the ScOutcome the engine must give, types and node order
+    included (LLRs where a node is entered, partial sums where it is done)."""
+    node_llrs, node_betas, leaves = {}, {}, []
+
+    def f(a, b):
+        x, y = abs(a), abs(b)
+        m = y if y < x else x  # min(x, y) takes x on a tie
+        return -m if (a < 0) != (b < 0) else m
+
+    def walk(alpha, stage, index):
+        node_llrs[stage, index] = tuple(alpha)
+        if stage == 0:
+            leaves.append((alpha[0], decide(index, alpha[0])))
+            beta = [leaves[-1][1]]
+        else:
+            h = len(alpha) // 2
+            a, b = alpha[:h], alpha[h:]
+            left = walk([f(x, y) for x, y in zip(a, b)], stage - 1, 2 * index - 1)
+            right = [y - x if u else y + x for x, y, u in zip(a, b, left)]
+            right = walk(right, stage - 1, 2 * index)
+            beta = [l ^ r for l, r in zip(left, right)] + right
+        node_betas[stage, index] = tuple(beta)
+        return beta
+
+    walk(list(llrs), spec.N.bit_length() - 1, 1)
+    pm, rds = 0, []
+    for pos, (llr, bit) in enumerate(leaves, start=1):
+        if (llr > 0 and bit == 1) or (llr < 0 and bit == 0):
+            pm, rds = pm + abs(llr), rds + [pos]
+    return ScOutcome(
+        decisions=tuple(bit for _, bit in leaves),
+        llrs=tuple(llr for llr, _ in leaves),
+        pm=pm,
+        rds=tuple(rds),
+        zero_positions=tuple(p for p, (llr, _) in enumerate(leaves, start=1) if llr == 0),
+        node_llrs=node_llrs if record_nodes else None,
+        node_betas=node_betas if record_nodes else None,
+    )
+
+
+# ties of an int and a float of opposite signs, and zeros of both signs; every
+# sum of these is exact, so a path metric does not depend on summation order
+TIE_VALUES = (2, -2.0, -2, 2.0, 0, 0.0, -0.0, 1, -1.5, 3.5)
+
+
+def tie_corpus():
+    rng = random.Random(26)
+    yield SPEC8, [2, -2.0, 0.0, -0.0, -2, 2.0, -0.0, 0]
+    yield CodeSpec(8, tuple(range(1, 9))), [-0.0, 0.0, 2.0, -2, -2.0, 2, 0, -0.0]
+    for N in (2, 4, 8, 16, 32):
+        for _ in range(20):
+            spec = CodeSpec(N, tuple(rng.sample(range(1, N + 1), rng.randint(1, N))))
+            yield spec, [rng.choice(TIE_VALUES) for _ in range(N)]
+
+
+def test_scalar_engine_matches_a_recursive_reference_on_ties_and_signed_zeros():
+    rng = random.Random(27)
+    for spec, llrs in tie_corpus():
+        rds = frozenset(rng.sample(spec.A, rng.randint(0, min(spec.K, 3))))
+        u = [rng.randint(0, 1) if spec.is_info(p) else 0 for p in range(1, spec.N + 1)]
+        for record in (False, True):
+            want = recursive_sc(llrs, spec, lambda p, x: int(spec.is_info(p) and x < 0), record)
+            assert repr(sc_decode(llrs, spec, record_nodes=record)) == repr(want)
+
+            def flipped(p, x):
+                return (int(x < 0) ^ (p in rds)) if spec.is_info(p) else 0
+
+            want = recursive_sc(llrs, spec, flipped, record)
+            pm = sum(abs(want.llrs[p - 1]) for p in rds)
+            want = replace(want, pm=pm, rds=tuple(sorted(rds)))
+            assert repr(sc_retrace(llrs, spec, rds, record_nodes=record)) == repr(want)
+
+            want = recursive_sc(llrs, spec, lambda p, x: u[p - 1], record)
+            assert repr(sc_replay(llrs, spec, u, record_nodes=record)) == repr(want)
