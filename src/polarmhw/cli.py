@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bitops import _check_length, generator_row, positions_of
+from .bitops import _check_length, _unpack, generator_row, positions_of
 from .bound import (
     bound_count,
     decompose,
@@ -315,13 +315,14 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     d_m = report.d_m
     triggers = list(report.a_m)[:max_triggers]
     ones = [1] * N
-    # one walk: over every trigger when the exact count is wanted; a member
-    # belongs to the trigger at its first one, and is sampled in sorted order
+    # a member's trigger is its first one, the lowest set bit of its first nonzero word
     exact_wanted = report.total <= exact_limit
-    rows = zero_split_triggers(spec, report.a_m if exact_wanted else triggers).vectors
-    first = rows.argmax(axis=1) + 1
-    members = {i: rows[first == i][:max_members].tolist() for i in triggers}
-    exact = len(rows) if exact_wanted else None
+    words = zero_split_triggers(spec, report.a_m if exact_wanted else triggers).words
+    column = (words != 0).argmax(axis=1)
+    low = words[np.arange(len(words)), column]
+    first = 64 * column + np.bitwise_count(low ^ (low - 1))
+    members = {i: _unpack(words[first == i][:max_members], N).tolist() for i in triggers}
+    exact = len(words) if exact_wanted else None
     retraced = {i: sc_retrace(ones, spec, {i}) for i in triggers}
     # one SC replay of every sampled member, then of every retraced path, all
     # in one list-engine run (L = 1, every decision pinned): per path its

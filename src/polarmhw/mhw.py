@@ -13,11 +13,11 @@
 * enumerate_zero_split: the words of weight d_m whose u has its first 1 at
   trigger i lie in RM(n - popcount(i - 1), n), and so in the lower-
   triangular affine orbit of row i (Bardet, Dragoi, Otmani & Tillich, ISIT
-  2016; Rowshan, Dau & Viterbo, IEEE Trans. IT 2023).  A trigger whose
-  orbit holds at most 8 times its bound term takes the orbit's rows in A:
-  packed, they take no more than the walk's dense rows of that term, and a
-  trigger whose every upper row is in A always qualifies.  The others take
-  one zero_split_triggers walk (verify's, over every trigger): one lockstep
+  2016; Rowshan, Dau & Viterbo, IEEE Trans. IT 2023).  zero_split_triggers,
+  its one producer, routes any set of triggers.  A trigger whose orbit
+  holds at most 8 times its bound term takes the orbit's rows in A (packed,
+  they take no more than the walk's dense rows of that term; a trigger whose
+  every upper row is in A always qualifies).  The others take one lockstep
   walk on the list decoder's stage engine, that follows hard decisions,
   forks at exactly-zero information LLRs, and abandons a branch when a frozen
   position sees a negative LLR; one batched polar transform then keeps the
@@ -479,15 +479,6 @@ def zero_split_subset(spec, i: int):
     return _unpack(_sorted_words(_pack(decisions), spec.N), spec.N), branch_positions[0], kills[0]
 
 
-def zero_split_triggers(spec, triggers) -> MhwResult:
-    """The minimum-weight vectors whose first one sits at one of `triggers`
-    (minimum-weight rows of spec), by one lockstep walk over those triggers
-    and one batched weight filter of its leaves."""
-    d_m, _ = min_distance(spec)
-    words = _min_weight(_zero_split_walk(spec, triggers)[0], d_m)
-    return MhwResult(d_m, spec.N, words, "ZERO_SPLIT", 0)
-
-
 _ORBIT_SLACK = 3  # orbits of at most 2**_ORBIT_SLACK bound terms are built
 
 
@@ -510,24 +501,32 @@ def _orbit_block(i, N):
     return _transform(words, N)
 
 
-def enumerate_zero_split(spec, threads: int = 1) -> MhwResult:
-    """All minimum-weight vectors: the rows in A of the orbit of each trigger
-    i with E_i = sum over the zero bits t of i - 1 of (1 + popcount((i - 1)
-    mod 2**t)) at most overlap_i + _ORBIT_SLACK, and the weight-d_m leaves of
-    one walk over the other triggers.  `threads` is accepted for the common
-    enumerator interface; the result never depended on it."""
+def zero_split_triggers(spec, triggers) -> MhwResult:
+    """The minimum-weight vectors whose first one sits at one of `triggers`:
+    the rows in A of the 2**E_i-row orbit of each trigger i with E_i at most
+    overlap_i + _ORBIT_SLACK, and the weight-d_m leaves of one walk over the
+    others.  A trigger that is not a minimum-weight row raises ValueError."""
     report = bound_count(spec)
+    overlaps = dict(zip(report.a_m, report.overlaps))
     orbit, walk = [], []
-    for i, overlap in zip(report.a_m, report.overlaps):
+    for i in triggers:
+        if i not in overlaps:
+            raise ValueError(f"trigger {i} is not a minimum-weight row of the code")
         r = i - 1
         bits = sum(1 + (r % (1 << t)).bit_count() for t in range(spec.n) if not r >> t & 1)
-        (orbit if bits - overlap <= _ORBIT_SLACK else walk).append(i)
+        (orbit if bits - overlaps[i] <= _ORBIT_SLACK else walk).append(i)
     frozen = _pack(~spec.info_mask[None])[0]
     blocks = (_orbit_block(i, spec.N) for i in orbit)
     words = [block[~(block & frozen).any(axis=1)] for block in blocks]
-    if walk:
+    if walk or not orbit:  # the walk over no trigger gives the empty set
         words.append(_min_weight(_zero_split_walk(spec, walk)[0], report.d_m))
     return MhwResult(report.d_m, spec.N, np.concatenate(words), "ZERO_SPLIT", 0)
+
+
+def enumerate_zero_split(spec, threads: int = 1) -> MhwResult:
+    """zero_split_triggers over every trigger.  `threads` is accepted for the
+    common enumerator interface; the result never depended on it."""
+    return zero_split_triggers(spec, min_distance(spec)[1])
 
 
 # ---- global list search ----

@@ -17,7 +17,7 @@ from conftest import (
     vector_set,
 )
 
-from polarmhw import bitops, listdec, mhw
+from polarmhw import bitops, cli, listdec, mhw
 from polarmhw.bitops import encode, generator_row, min_distance
 from polarmhw.bound import bound_count, per_subset_bound, zero_capacity_set
 from polarmhw.construction import RATE0, CodeSpec, construct_ga, construct_pw
@@ -283,6 +283,19 @@ def test_zero_split_subset_examples():
     assert branches == {8}
 
 
+def test_zero_split_triggers_refuses_what_is_not_a_minimum_weight_row():
+    # a frozen position, an information row of weight 8 > d_m = 4, a
+    # position past N, each alone and after a good trigger
+    for bad in (2, 8, 9):
+        for triggers in ([bad], [4, bad]):
+            with pytest.raises(ValueError, match=rf"trigger {bad} is not"):
+                mhw.zero_split_triggers(SPEC8, triggers)
+    assert mhw.zero_split_triggers(SPEC8, [7]).vectors.tolist() == [
+        [0, 0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 0, 1, 1],
+    ]
+
+
 def test_zero_split_enumeration_matches_oracle():
     out = enumerate_zero_split(SPEC8)
     assert (out.d_m, out.count) == (4, 14)
@@ -385,22 +398,32 @@ def routed_corpus():
 
 
 def test_routed_enumeration_equals_the_walk_and_the_oracle(monkeypatch):
-    # the default routing; orbits for every trigger with E_i <= 16 (every
-    # trigger up to N = 128), where N <= 256 keeps each orbit within 2**18
-    # rows; no orbits
+    # no orbits (the reference: one walk over every trigger); the default
+    # routing; orbits for every trigger with E_i <= 16 (every trigger up to
+    # N = 128), where N <= 256 keeps each orbit within 2**18 rows
     specs = routed_corpus()
     assert len(specs) > 60 and max(spec.N for spec in specs) == 512
     for spec in specs:
+        monkeypatch.setattr(mhw, "_ORBIT_SLACK", -np.inf)
         walked = mhw.zero_split_triggers(spec, min_distance(spec)[1])
         if spec.K <= mhw.EXHAUSTIVE_CAP:
             assert np.array_equal(walked.vectors, exhaustive_mhw(spec).vectors)
-        for slack in (3, 16, -np.inf):
+        for slack in (3, 16):
             if slack < 16 or spec.N <= 256:
                 monkeypatch.setattr(mhw, "_ORBIT_SLACK", slack)
                 assert enumerate_zero_split(spec) == walked
 
 
+def walked_reference(monkeypatch, spec):
+    """The code's minimum-weight vectors from one walk over every trigger."""
+    with monkeypatch.context() as m:
+        m.setattr(mhw, "_ORBIT_SLACK", -np.inf)
+        return mhw.zero_split_triggers(spec, min_distance(spec)[1])
+
+
 def test_routing_walks_exactly_the_triggers_past_the_slack(monkeypatch):
+    # for the enumerator and for verify, which takes every trigger under
+    # --exact-limit and the first --max-triggers otherwise
     walked, walk = [], mhw._zero_split_walk
 
     def recorded(spec, triggers):
@@ -412,20 +435,27 @@ def test_routing_walks_exactly_the_triggers_past_the_slack(monkeypatch):
         spec = perturbed_pw(1024, 192, seed)
         report = bound_count(spec)
         want = [i for i, o in zip(report.a_m, report.overlaps) if orbit_bits(i, spec.N) - o > 3]
-        ref = mhw.zero_split_triggers(spec, report.a_m)
+        ref = walked_reference(monkeypatch, spec)
         walked.clear()
         assert enumerate_zero_split(spec) == ref
         assert walked == [want]
         assert want and len(want) < len(report.a_m)
+        for exact_limit, sampled in ((report.total, report.a_m), (0, report.a_m[:8])):
+            walked.clear()
+            checks = cli._run_verify(spec, False, 8, 48, exact_limit)
+            assert all(status != "FAIL" for _, status, _ in checks)
+            past = [i for i in want if i in sampled]
+            assert walked == ([past] if past else [])
 
     def refused(spec, triggers):
         raise AssertionError("walked")
 
     spec = construct_pw(1024, 192)
-    ref = mhw.zero_split_triggers(spec, min_distance(spec)[1])
+    ref = walked_reference(monkeypatch, spec)
     monkeypatch.setattr(mhw, "_zero_split_walk", refused)
     assert enumerate_zero_split(spec) == ref
     assert ref.count == bound_count(spec).total
+    assert all(status != "FAIL" for _, status, _ in cli._run_verify(spec, False, 8, 48, 10**6))
 
 
 # ---- global list search ----
@@ -585,6 +615,18 @@ def test_count_only_enumeration_never_holds_the_dense_rows():
         tracemalloc.stop()
     assert count == 54464
     assert peak < count * spec.N
+
+
+def test_verify_never_holds_the_dense_rows():
+    spec = construct_pw(1024, 512)
+    tracemalloc.start()
+    try:
+        checks = cli._run_verify(spec, False, 8, 48, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ("bound-tightness", "PASS", "tight at 54464") in checks
+    assert peak < 54464 * spec.N
 
 
 # ---- enumeration files ----
