@@ -27,7 +27,7 @@ import numpy as np
 
 from polarmhw.bitops import encode_rows, min_distance
 from polarmhw.bound import bound_count
-from polarmhw.construction import design_sigma
+from polarmhw.construction import _commented, design_sigma
 from polarmhw.listdec import scl_decode_batch
 from polarmhw.mhw import enumerate_zero_split
 
@@ -107,7 +107,7 @@ def fer_estimate(spec, ebn0_db: float, source: str = "EXACT", a_dm: int | None =
 def _chunk_llrs(spec, sigma, seed, chunk, frames, random_messages):
     """The (frames, N) messages and channel LLRs of one chunk, from its own
     counter-based stream."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, chunk]))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
     N = spec.N
     u = c = np.zeros((frames, N), dtype=np.uint8)
     if random_messages:
@@ -153,8 +153,8 @@ def simulate_fer(
 def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
               random_messages=False):
     """simulate_fer across a grid: the FerPoint of each Eb/N0, point idx on
-    the streams of seed seed + 7919 * idx.  Every point is checked before any
-    noise is drawn.
+    the streams of seed seed + 7919 * idx, a 64-bit Philox key word.  Every
+    point is checked before any noise is drawn.
 
     Wave r takes chunks r * threads ... r * threads + threads - 1 of every
     point still running; its chunks, in grid and then chunk order, are
@@ -174,6 +174,8 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
     if error_limit is not None and error_limit < 1:
         raise ValueError("error_limit must be >= 1 or None")
     grid = list(ebn0_grid)
+    if seed + 7919 * (len(grid) - 1) >= 1 << 64:
+        raise ValueError(f"seed {seed} too large: seed + 7919 * {len(grid) - 1} passes 2**64 - 1")
     sigmas = []
     for db in grid:
         sigma = design_sigma(db, spec.R)
@@ -183,27 +185,28 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
         if 4.0 * spec.N * spec.N / (sigma * sigma) == math.inf:
             raise ValueError(f"Eb/N0 {db:g} dB out of range: the decoder's LLR sums overflow")
         sigmas.append(sigma)
-    sizes = [min(_CHUNK_FRAMES, trials - done) for done in range(0, trials, _CHUNK_FRAMES)]
+    chunks = -(-trials // _CHUNK_FRAMES)
     errors, frames = [0] * len(grid), [0] * len(grid)
     running = list(range(len(grid)))
     run = partial(_batch_errors, spec, L, random_messages)
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        for first in range(0, len(sizes), threads):
-            wave = range(first, min(first + threads, len(sizes)))
+        for first in range(0, chunks, threads):
+            wave = range(first, min(first + threads, chunks))
+            sizes = [min(_CHUNK_FRAMES, trials - chunk * _CHUNK_FRAMES) for chunk in wave]
             batches, room = [], 0
             for idx in running:
-                for chunk in wave:
-                    if sizes[chunk] > room:
+                for chunk, size in zip(wave, sizes):
+                    if size > room:
                         batches.append([])
                         room = _CHUNK_FRAMES
-                    batches[-1].append((sigmas[idx], seed + 7919 * idx, chunk, sizes[chunk]))
-                    room -= sizes[chunk]
+                    batches[-1].append((sigmas[idx], seed + 7919 * idx, chunk, size))
+                    room -= size
             found = [n for counts in (pool.map if pool else map)(run, batches) for n in counts]
             still = []
             for k, idx in enumerate(running):
-                for chunk, n_err in zip(wave, found[k * len(wave) :]):
+                for size, n_err in zip(sizes, found[k * len(wave) :]):
                     errors[idx] += n_err
-                    frames[idx] += sizes[chunk]
+                    frames[idx] += size
                     if error_limit is not None and errors[idx] >= error_limit:
                         break
                 else:
@@ -218,17 +221,15 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
 
 
 def render_fer_csv(spec, points, header_lines=()) -> str:
-    """CSV text: optional comment lines, a header row, then one row per
+    """CSV text: _commented header lines, a header row, then one row per
     measured point with both closed-form estimates appended; the exact count
-    and the bound behind them are derived once, at the first point."""
-    rows = [line if line.startswith("#") else f"# {line}" for line in header_lines]
-    rows.append("ebn0_db,trials,errors,fer,ci_lo,ci_hi,estimate_exact,estimate_bound")
-    exact_count = None
-    bound_total = None
+    and the bound behind them are derived once, when there are points."""
+    header = "ebn0_db,trials,errors,fer,ci_lo,ci_hi,estimate_exact,estimate_bound"
+    rows = _commented(header_lines, header)
+    if points:
+        exact_count = enumerate_zero_split(spec).count
+        bound_total = bound_count(spec, materialize_sets=False).total
     for pt in points:
-        if exact_count is None:
-            exact_count = enumerate_zero_split(spec).count
-            bound_total = bound_count(spec, materialize_sets=False).total
         est_exact = fer_estimate(spec, pt.ebn0_db, "EXACT", a_dm=exact_count).value
         est_bound = fer_estimate(spec, pt.ebn0_db, "BOUND", a_dm=bound_total).value
         rows.append(

@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -86,10 +87,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _echo_lines(argv) -> list[str]:
-    return [
-        f"# polarmhw {__version__}",
-        "# command: polarmhw " + " ".join(argv),
-    ]
+    # a non-printable argument (a line break, say) echoes as its one-line repr
+    command = " ".join(a if a.isprintable() else repr(a) for a in argv)
+    return [f"# polarmhw {__version__}", f"# command: polarmhw {command}"]
 
 
 def _spec_line(spec) -> str:
@@ -166,11 +166,6 @@ def _resolve_threads(args) -> int:
     return value
 
 
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 # ---- spec sources ----
 
 
@@ -235,18 +230,12 @@ def cmd_construct(args, argv) -> int:
 def cmd_bound(args, argv) -> int:
     spec = _resolve_spec(args)
     report = bound_count(spec, materialize_sets=False)
+    table = [_BOUND_HEADER, *(f"{t.i},{t.overlap},{t.term}" for t in report.triggers)]
     _print_head(argv, spec)
-    print(f"d_m={report.d_m} triggers={len(report.triggers)}")
-    rows = [f"{t.i},{t.overlap},{t.term}" for t in report.triggers]
-    print(_BOUND_HEADER)
-    for row in rows:
-        print(row)
+    print(f"d_m={report.d_m} triggers={len(report.triggers)}", *table, sep="\n")
     print(f"total={report.total}")
     if args.csv:
-        _write_text(
-            args.csv,
-            "\n".join([*_echo_lines(argv), _BOUND_HEADER, *rows]) + "\n",
-        )
+        Path(args.csv).write_text("\n".join([*_echo_lines(argv), *table]) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -259,8 +248,8 @@ def cmd_enumerate(args, argv) -> int:
     method = args.method or "zero-split"
     if args.check and args.method:
         raise UsageError("--check runs every method; drop --method")
-    if args.list_size is not None and not args.check and method != "scl-global":
-        raise UsageError("--list-size applies to --method scl-global or --check")
+    if args.list_size is not None and method != "scl-global":
+        raise UsageError("--list-size applies to --method scl-global only")
     if args.list_size is not None and args.list_size < 1:
         raise UsageError("--list-size must be >= 1")
     _print_head(argv, spec)
@@ -272,10 +261,8 @@ def cmd_enumerate(args, argv) -> int:
             return enumerate_subset_scl(spec, threads=threads)
         if name == "zero-split":
             return enumerate_zero_split(spec)
-        # a list of the bound + 1 misses nothing; --check's --list-size only widens it
-        L = args.list_size
-        if args.check or not L:
-            L = max(L or 0, bound_count(spec, materialize_sets=False).total + 1)
+        # a list of the bound + 1 misses nothing
+        L = args.list_size or bound_count(spec, materialize_sets=False).total + 1
         return scl_global_search(spec, L)
 
     names = [method]
@@ -489,7 +476,7 @@ def cmd_simulate(args, argv) -> int:
     )
     print(text, end="")
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -511,19 +498,12 @@ def cmd_sweep(args, argv) -> int:
     for K in Ks:
         spec = codes(K)
         report = bound_count(spec, materialize_sets=False)
-        exact = (
-            enumerate_zero_split(spec).count
-            if report.total <= args.exact_limit
-            else None
-        )
-        rows.append(
-            f"{K / N:.6g},{K},{report.d_m},{report.total},"
-            f"{'' if exact is None else exact}"
-        )
+        exact = enumerate_zero_split(spec).count if report.total <= args.exact_limit else ""
+        rows.append(f"{K / N:.6g},{K},{report.d_m},{report.total},{exact}")
     text = "\n".join([*_echo_lines(argv), _SWEEP_HEADER, *rows]) + "\n"
     print(text, end="")
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -605,8 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-size",
         type=int,
         default=None,
-        help="list width for scl-global (default: counting bound + 1); with --check, "
-        "the least width of its global search",
+        help="list width for scl-global (default: counting bound + 1)",
     )
     p.add_argument(
         "--check",

@@ -26,8 +26,8 @@ point), so information sets are nested in K.
 
 from __future__ import annotations
 
+import itertools
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -325,49 +325,57 @@ class SpecFormatError(ValueError):
 _MAGIC = "polarmhw-spec 1"
 
 
+def _spec_lines(spec) -> list[str]:
+    """The field lines, without newlines, that save_spec writes for spec."""
+    A = " ".join(map(str, spec.A))
+    return [f"N = {spec.N}", f"construction = {spec.construction}", f"A = {A}"]
+
+
+def _commented(header_lines, *lines) -> list[str]:
+    """header_lines as comments, then lines, each checked to be one printable
+    line: a writer's text after its magic line."""
+    lines = [*(line if line[:1] == "#" else f"# {line}" for line in header_lines), *lines]
+    if bad := [line for line in lines if not line.isprintable()]:
+        raise ValueError(f"{bad[0]!r} is not one printable line")
+    return lines
+
+
 def save_spec(spec: CodeSpec, path, header_lines=()) -> None:
-    lines = [_MAGIC]
-    for extra in header_lines:
-        lines.append(extra if extra.startswith("#") else f"# {extra}")
-    lines += [
-        f"N = {spec.N}",
-        f"construction = {spec.construction}",
-        "A = " + " ".join(str(a) for a in spec.A),
-        "",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    """Write the magic line, then _commented with _spec_lines.  A header line
+    or a label that is not printable (a line break is not) raises ValueError
+    before the file is opened."""
+    lines = [_MAGIC, *_commented(header_lines, *_spec_lines(spec))]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def load_spec(path) -> CodeSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != _MAGIC:
-        raise SpecFormatError(f"{path}: line 1: expected header '{_MAGIC}'")
-    fields: dict[str, str] = {}
-    for lineno, line in enumerate(raw[1:], start=2):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        m = re.fullmatch(r"(\w+)\s*=\s*(.*)", text)
-        if not m:
-            raise SpecFormatError(f"{path}: line {lineno}: expected 'key = value', got {text!r}")
-        key = m.group(1)
-        if key in fields:
-            raise SpecFormatError(f"{path}: line {lineno}: duplicate field {key!r}")
-        fields[key] = m.group(2).strip()
-    for required in ("N", "A"):
-        if required not in fields:
-            raise SpecFormatError(f"{path}: missing required field {required!r}")
+    """Read a spec file by re-writing it.  The contract: the magic line, then
+    comment lines, then the N, construction and A lines, each exactly as
+    _spec_lines writes them for the spec they hold; every line is printable
+    UTF-8 ended by '\\n', and nothing follows the last.  Every error is a
+    SpecFormatError naming the path and the line."""
+    # a byte that is not UTF-8 reads as a surrogate, which is not printable
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        lines = fh.readlines()
+    if lines[:1] != [_MAGIC + "\n"]:
+        raise SpecFormatError(f"{path}: line 1: expected {_MAGIC!r}")
     try:
-        N = int(fields["N"])
-    except ValueError:
-        raise SpecFormatError(f"{path}: field N: {fields['N']!r} is not an integer") from None
-    try:
-        A = tuple(int(tok) for tok in re.split(r"[,\s]+", fields["A"]) if tok)
-    except ValueError:
-        raise SpecFormatError(f"{path}: field A: expected integers, got {fields['A']!r}") from None
-    try:
-        return CodeSpec(N, A, fields.get("construction", "EXPLICIT"))
-    except ValueError as exc:
-        raise SpecFormatError(f"{path}: {exc}") from None
+        head = next((j for j in range(1, len(lines)) if lines[j][:1] != "#"), len(lines))
+        fields = []
+        for k, prefix in enumerate(("N = ", "construction = ", "A = "), head):
+            if k >= len(lines) or not lines[k].startswith(prefix):
+                raise ValueError(f"expected a line starting {prefix!r}")
+            fields.append(lines[k][len(prefix) :].removesuffix("\n"))
+            if k == head:
+                _check_length(N := int(fields[0]))
+        spec = CodeSpec(N, [int(a) for a in fields[2].split()], fields[1])
+        want = lines[:head] + [line + "\n" for line in _spec_lines(spec)]
+        for k, (line, need) in enumerate(itertools.zip_longest(lines, want, fillvalue="")):
+            if not line[:-1].isprintable():
+                raise ValueError(f"{line!r} is not one printable line")
+            if line != need:
+                raise ValueError(f"read {line!r} where the writer writes {need!r}")
+    except ValueError as exc:  # ours, int()'s or CodeSpec's
+        raise SpecFormatError(f"{path}: line {k + 1}: {exc}") from None
+    return spec

@@ -59,7 +59,7 @@ import numpy as np
 from polarmhw.bitops import _pack, _transform, _unpack, _weights
 from polarmhw.bitops import encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count, per_subset_bound
-from polarmhw.construction import RATE0, RATE1, REP, CodeSpec, _node_steps
+from polarmhw.construction import RATE0, RATE1, REP, CodeSpec, _commented, _node_steps
 from polarmhw.listdec import _Stages, _search
 
 __all__ = [
@@ -584,11 +584,12 @@ def write_enumeration(path, spec, result: MhwResult, header_lines=()) -> None:
     """Stable text dump: header fields then _records' line for each vector,
     in the result's order.  header_lines are embedded as comments right after
     the magic line.  A result of another length, or that sets a frozen
-    position of spec, raises ValueError before the file is opened."""
+    position of spec, or a header line that is not printable (a line break
+    is not) raises ValueError before the file is opened."""
     frozen = _pack(~spec.info_mask[None])[0]
     if result.N != spec.N or (np.bitwise_or.reduce(result.words, axis=0) & frozen).any():
         raise ValueError(f"the result's N={result.N} vectors are not information vectors of spec")
-    lines = [_ENUM_MAGIC] + [line if line[:1] == "#" else f"# {line}" for line in header_lines]
+    lines = [_ENUM_MAGIC, *_commented(header_lines)]
     lines += _field_lines(spec, result.d_m, result.method, result.count, result.max_list_used)
     if result.warning:
         lines.append(f"# warning: {result.warning}")

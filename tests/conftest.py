@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import strategies as st
+
 from polarmhw.bitops import encode
 
 
@@ -88,3 +90,33 @@ def leaf_schedule(spec):
     ref = CodeSpec(spec.N, spec.A)
     ref.__dict__["_sc_steps"] = tuple((phi, 0) for phi in range(spec.N))
     return ref
+
+
+def edit_items(data, items, new):
+    """items after one replace, delete, insert, duplicate or swap; an
+    inserted or replacing item is drawn from new."""
+    items = list(items)
+    i, j = (data.draw(st.integers(0, len(items) - 1)) for _ in range(2))
+    kind = data.draw(st.sampled_from(("replace", "delete", "insert", "duplicate", "swap")))
+    if kind == "replace":
+        items[i] = data.draw(new)
+    elif kind == "delete":
+        del items[i]
+    elif kind in ("insert", "duplicate"):
+        items.insert(i, data.draw(new) if kind == "insert" else items[i])
+    else:
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def edit_text(data, text, chars):
+    """text after one or two edits of single characters (an inserted or
+    replacing one drawn from chars) or whole lines; a line put in is a copy
+    of one of the text's, so that no edit can ask for a huge N."""
+    for _ in range(data.draw(st.integers(1, 2))):
+        if data.draw(st.booleans()):
+            text = "".join(edit_items(data, text, chars))
+        else:
+            lines = text.splitlines(keepends=True)
+            text = "".join(edit_items(data, lines, st.sampled_from(lines)))
+    return text

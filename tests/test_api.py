@@ -1,7 +1,7 @@
 """The package's public surface: every exported name resolves, the SC
 engine's per-node helpers stay private to sctree, and every bit packing in
 the package is bitops' little-endian row format, and one formatter writes
-every enumeration file record."""
+every enumeration file record and every spec file's field lines."""
 
 import ast
 import importlib
@@ -56,19 +56,31 @@ def test_every_bit_packing_call_is_little_endian():
     assert [call for call in calls if not call[2]] == []
 
 
-def test_one_formatter_writes_enumeration_records():
-    # the reader checks each record against mhw._records' line for its u; a
-    # second formatter (an f-string with a value right after "msg=") could
-    # drift from it
+def formatters(prefixes):
+    """(file, innermost enclosing function) of each f-string in the package
+    that puts a value right after a text ending in one of prefixes."""
     found = []
     for path in sorted(Path(polarmhw.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         funcs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.Lambda))]
         for node in ast.walk(tree):
             parts = node.values if isinstance(node, ast.JoinedStr) else []
-            texts = [isinstance(a, ast.Constant) and a.value.endswith("msg=") for a in parts]
+            texts = [isinstance(a, ast.Constant) and a.value.endswith(prefixes) for a in parts]
             if any(t and isinstance(b, ast.FormattedValue) for t, b in zip(texts, parts[1:])):
                 owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                 owner = max(owners, key=lambda f: f.lineno, default=None)
                 found.append((path.name, getattr(owner, "name", None)))
-    assert found == [("mhw.py", "_records")]
+    return found
+
+
+def test_one_formatter_writes_enumeration_records():
+    # the reader checks each record against mhw._records' line for its u; a
+    # second formatter (an f-string with a value right after "msg=") could
+    # drift from it
+    assert formatters(("msg=",)) == [("mhw.py", "_records")]
+
+
+def test_one_formatter_writes_spec_fields():
+    # the same for the spec reader, which checks each field line against
+    # construction._spec_lines' line for the spec it holds
+    assert formatters(("N = ", "construction = ", "A = ")) == [("construction.py", "_spec_lines")] * 3

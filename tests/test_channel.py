@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,33 @@ def test_simulation_refuses_bad_counts_before_drawing_noise(monkeypatch, kwargs,
         simulate_fer(construct_pw(8, 4), 1.0, **args)
     with pytest.raises(ValueError, match=f"^{message}$"):
         sweep_fer(construct_pw(8, 4), [1.0, 2.0], **args)
+
+
+def test_simulation_refuses_seeds_past_64_bits_before_drawing_noise(monkeypatch):
+    # point idx draws from seed + 7919 * idx, one 64-bit word of the Philox key
+    top = (1 << 64) - 1
+    with monkeypatch.context() as m:
+        m.setattr(channel, "_chunk_llrs", lambda *args: pytest.fail("noise drawn"))
+        for seed, grid in ((top + 1, [2.0]), (top, [2.0, 3.0]), (top - 7918, [2.0, 3.0])):
+            with pytest.raises(ValueError, match=f"^seed {seed} too large: "):
+                sweep_fer(SPEC8, grid, L=2, trials=8, seed=seed)
+    # the largest seeds that fit draw without a warning (pytest turns one into an error)
+    for seed, grid in ((top, [2.0]), (top - 7919, [2.0, 3.0])):
+        assert [p.trials for p in sweep_fer(SPEC8, grid, L=2, trials=8, seed=seed)] == [8] * len(grid)
+
+
+def test_sweep_plans_its_chunks_in_memory_independent_of_trials(monkeypatch):
+    # every frame an error, so one chunk stops each point; a plan that lists
+    # every chunk would hold about 8 MB at 10**9 trials
+    monkeypatch.setattr(channel, "_batch_errors", lambda *args: [c[3] for c in args[-1]])
+    tracemalloc.start()
+    try:
+        points = sweep_fer(SPEC8, [1.0, 2.0], L=1, trials=10**9, error_limit=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(p.trials, p.frame_errors, p.stopped_early) for p in points] == [(1024, 1024, True)] * 2
+    assert peak < 1 << 20
 
 
 def test_early_stop_counts_whole_chunks(monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 from csvio import read_bound_csv, read_fer_csv, read_sweep_csv
 
 from polarmhw import (
+    CodeSpec,
     bound_count,
     cli,
     construct_ga,
@@ -141,17 +142,34 @@ def test_argparse_errors_are_one_error_line(capsys):
 
 def test_list_size_below_one_is_exit_2(capsys):
     for L in ("0", "-3"):
-        for mode in (["--method", "scl-global"], ["--check"]):
-            code, out, err = run(capsys, ["enumerate", *SPEC8_ARGS, *mode, "--list-size", L])
-            assert code == 2
-            assert out == ""
-            assert err == "error: --list-size must be >= 1\n"
+        code, out, err = run(
+            capsys, ["enumerate", *SPEC8_ARGS, "--method", "scl-global", "--list-size", L]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --list-size must be >= 1\n"
 
 
 def test_list_size_without_global_method_is_exit_2(capsys):
-    code, _, err = run(capsys, ["enumerate", *SPEC8_ARGS, "--list-size", "4"])
-    assert code == 2
-    assert "--list-size" in err
+    # --check's global search already runs at the bound + 1, which misses nothing
+    for mode in ([], ["--check"], ["--method", "subset-scl"]):
+        code, out, err = run(capsys, ["enumerate", *SPEC8_ARGS, *mode, "--list-size", "5"])
+        assert (code, out) == (2, "")
+        assert err == "error: --list-size applies to --method scl-global only\n"
+
+
+def test_simulate_seed_past_64_bits_is_exit_2(capsys):
+    # point idx draws from seed + 7919 * idx, one 64-bit word of the Philox key
+    top = (1 << 64) - 1
+    base = ["simulate", *SPEC8_ARGS, "--trials", "8"]
+    for seed, grid in ((top + 1, "2"), (top, "2,3"), (top - 7918, "2,3")):
+        code, out, err = run(capsys, [*base, "--ebn0", grid, "--seed", str(seed)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: seed {seed} too large: ") and err.count("\n") == 1
+    for seed, grid in ((top, "2"), (top - 7919, "2,3")):
+        code, out, err = run(capsys, [*base, "--ebn0", grid, "--seed", str(seed)])
+        assert (code, err) == (0, "")
+        assert len(data_lines(out)) == 1 + len(grid.split(","))
 
 
 def test_out_of_memory_is_exit_3(capsys, monkeypatch):
@@ -448,6 +466,30 @@ def test_enumeration_file_round_trips(capsys, tmp_path):
     assert loaded_spec.N == 8 and loaded_spec.A == (4, 6, 7, 8)
     assert result.count == 14 and result.d_m == 4
     assert "# command: polarmhw enumerate" in out_path.read_text()
+
+
+def test_every_file_the_cli_writes_reads_back_whatever_its_argv(capsys, tmp_path, monkeypatch):
+    # an argument holding a line break is echoed as its repr, on one line
+    monkeypatch.chdir(tmp_path)
+    A = ["--N", "8", "--A", "4,6\n7,8"]
+    commands = {
+        "c.spec": ["construct", *A, "--out", "c.spec"],
+        "e.txt": ["enumerate", *A, "--out", "e.txt"],
+        "b.csv": ["bound", *A, "--csv", "b.csv"],
+        "s.csv": ["sweep", "--N", "8", "--K-grid", "2\r4", "--out", "s.csv"],
+        "f.csv": ["simulate", *A, "--ebn0", "2", "--trials", "8", "--out", "f.csv"],
+    }
+    for name, argv in commands.items():
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        echo = "# command: polarmhw " + " ".join(a if a.isprintable() else repr(a) for a in argv)
+        assert echo in out.splitlines()
+        assert echo in Path(name).read_text().split("\n")
+    assert load_spec("c.spec") == CodeSpec(8, (4, 6, 7, 8))
+    assert read_enumeration("e.txt")[1].count == 14
+    assert [row["term"] for row in read_bound_csv("b.csv")] == [8, 4, 2]
+    assert [row["K"] for row in read_sweep_csv("s.csv")] == [2, 4]
+    assert [row["trials"] for row in read_fer_csv("f.csv")] == [8]
 
 
 def test_bound_csv_round_trips(capsys, tmp_path):

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from conftest import edit_text
+
 from polarmhw.bitops import min_distance
 from polarmhw.bound import bound_count
 from polarmhw.construction import (
@@ -392,14 +394,12 @@ def test_construction_golden(N):
 def test_spec_roundtrip(tmp_path):
     path = tmp_path / "code.spec"
     for spec in (CodeSpec(8, (4, 6, 7, 8), "PW"), construct_ga(64, 32, 2.0)):
-        save_spec(spec, path)
-        assert load_spec(path) == spec
+        for header in ((), ("polarmhw 0.1.0", "# command: polarmhw construct")):
+            save_spec(spec, path, header)
+            assert load_spec(path) == spec
 
 
-def test_spec_load_normalizes_unsorted(tmp_path):
-    path = tmp_path / "code.spec"
-    path.write_text("polarmhw-spec 1\nN = 8\nA = 7 4 8 6\n")
-    assert load_spec(path).A == (4, 6, 7, 8)
+SAVED = "polarmhw-spec 1\nN = 8\nconstruction = PW\nA = 4 6 7 8\n"
 
 
 @pytest.mark.parametrize(
@@ -413,10 +413,89 @@ def test_spec_load_normalizes_unsorted(tmp_path):
         "polarmhw-spec 1\nN = 12\nA = 4\n",
         "polarmhw-spec 1\nN = 8\nA = 4\nN = 8\n",  # duplicate field
         "polarmhw-spec 1\nnonsense line\nN = 8\nA = 4\n",
+        "polarmhw-spec 1\nN = 8\nA = 7 4 8 6\n",  # unsorted, no construction line
+        # what the writer never writes: each of these once read as some code
+        SAVED.replace("N = 8\n", "N = 8\nK = 3\n"),
+        SAVED.replace("construction = PW", "constuction = GA"),
+        SAVED + "foo = bar\n",
+        SAVED.replace("4 6 7 8", "8 7 6 4"),
+        SAVED.replace("4 6 7 8", "4,6,7,8"),
+        SAVED.replace("N = 8", "N = 08"),
+        SAVED.replace("A = 4", "A = +4"),
+        SAVED.replace("N = 8\n", "N = 8\n\n"),  # a blank line
+        SAVED.replace("\n", "\r\n"),
+        SAVED.replace("construction = PW\n", ""),
+        SAVED[:-1],  # no final newline
+        SAVED + "# note",  # trailing text
+        SAVED + "# note\n",  # a comment after the fields
+        SAVED.replace("polarmhw-spec 1\n", "polarmhw-spec 1\n# a\rb\n"),
     ],
 )
 def test_spec_load_rejects_malformed(tmp_path, body):
     path = tmp_path / "bad.spec"
-    path.write_text(body)
-    with pytest.raises(SpecFormatError):
+    path.write_bytes(body.encode())
+    with pytest.raises(SpecFormatError, match=f"^{re.escape(str(path))}: line [1-9]: "):
         load_spec(path)
+
+
+def test_spec_load_names_the_line(tmp_path):
+    path = tmp_path / "bad.spec"
+    for body, line, why in (
+        (SAVED.replace("4 6 7 8", "8 7 6 4"), 4, "where the writer writes 'A = 4 6 7 8\\n'"),
+        (SAVED.replace("constr", "constuction = GA\nconstr"), 3, "a line starting 'construction = '"),
+        (SAVED.replace("N = 8", "N = 12"), 2, "N=12 is not a power of two"),
+        (SAVED.encode().replace(b"1\n", b"1\n# \xff\n", 1), 2, "is not one printable line"),
+    ):
+        path.write_bytes(body if isinstance(body, bytes) else body.encode())
+        with pytest.raises(SpecFormatError, match=f"^{re.escape(str(path))}: line {line}: .*{re.escape(why)}"):
+            load_spec(path)
+
+
+@pytest.mark.parametrize(
+    "spec,header",
+    [
+        (CodeSpec(8, (4, 6, 7, 8), "P\nW"), ()),
+        (CodeSpec(8, (4, 6, 7, 8), "P\u2028W"), ()),
+        (CodeSpec(8, (4, 6, 7, 8), "PW"), ("command: polarmhw construct --A 4,6\n7,8",)),
+        (CodeSpec(8, (4, 6, 7, 8), "PW"), ("# a\rb",)),
+    ],
+)
+def test_spec_save_refuses_a_line_break_before_opening(tmp_path, spec, header):
+    path = tmp_path / "code.spec"
+    with pytest.raises(ValueError, match="is not one printable line"):
+        save_spec(spec, path, header)
+    assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def saved_spec_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("spec")
+    texts = []
+    for spec, header in (
+        (CodeSpec(8, (4, 6, 7, 8), "PW"), ()),
+        (construct_ga(16, 8, 2.0), ("polarmhw 0.1.0", "# command: polarmhw construct")),
+    ):
+        save_spec(spec, root / "valid.spec", header)
+        texts.append((root / "valid.spec").read_text())
+    return root, texts
+
+
+EDIT_CHARS = st.sampled_from("0123456789 =,+-#\n\rNAc") | st.characters(codec="utf-8")
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(st.data())
+def test_spec_reader_refuses_or_round_trips_an_edited_file(saved_spec_files, data):
+    # the reader refuses the edited file, or returns a spec that save_spec,
+    # given the file's comments, writes back as the same bytes
+    root, texts = saved_spec_files
+    text = edit_text(data, data.draw(st.sampled_from(texts)), EDIT_CHARS)
+    path = root / "edited.spec"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        spec = load_spec(path)
+    except SpecFormatError:
+        return
+    comments = [line for line in text.split("\n")[1:] if line.startswith("#")]
+    save_spec(spec, root / "again.spec", comments)
+    assert (root / "again.spec").read_bytes() == path.read_bytes()

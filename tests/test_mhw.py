@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_minimum_weight,
+    edit_text,
     first_one,
     group_by_trigger,
     random_specs,
@@ -666,6 +667,14 @@ def test_writer_refuses_a_result_of_another_code(tmp_path):
     assert not path.exists()
 
 
+def test_writer_refuses_a_header_line_break_before_opening(tmp_path):
+    path = tmp_path / "mhw.txt"
+    for header in (["command: polarmhw enumerate --A 4,6\n7,8"], ["# a\rb"], ["a\u2028b"]):
+        with pytest.raises(ValueError, match="is not one printable line"):
+            write_enumeration(path, SPEC8, enumerate_zero_split(SPEC8), header_lines=header)
+    assert not path.exists()
+
+
 def test_enumeration_file_is_byte_stable(tmp_path):
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     write_enumeration(p1, SPEC8, enumerate_zero_split(SPEC8))
@@ -788,23 +797,6 @@ def valid_enumeration_files(tmp_path_factory):
 EDIT_CHARS = st.sampled_from("0123456789abcdef =-#\n\r") | st.characters(codec="utf-8")
 
 
-def edit_items(data, items, new):
-    """items after one replace, delete, insert, duplicate or swap; an
-    inserted or replacing item is drawn from new."""
-    items = list(items)
-    i, j = (data.draw(st.integers(0, len(items) - 1)) for _ in range(2))
-    kind = data.draw(st.sampled_from(("replace", "delete", "insert", "duplicate", "swap")))
-    if kind == "replace":
-        items[i] = data.draw(new)
-    elif kind == "delete":
-        del items[i]
-    elif kind in ("insert", "duplicate"):
-        items.insert(i, data.draw(new) if kind == "insert" else items[i])
-    else:
-        items[i], items[j] = items[j], items[i]
-    return items
-
-
 def from_first_record(text):
     start = text.find("\nmsg=")
     return text[start + 1 :] if start >= 0 else ""
@@ -820,16 +812,8 @@ def header_fields(text):
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(st.data())
 def test_enumeration_reader_refuses_or_round_trips_an_edited_file(valid_enumeration_files, data):
-    # one or two edits of single characters or whole lines; a line put in is
-    # a copy of one of the file's, so that no edit can ask for a huge N
     root, texts = valid_enumeration_files
-    text = data.draw(st.sampled_from(texts))
-    for _ in range(data.draw(st.integers(1, 2))):
-        if data.draw(st.booleans()):
-            text = "".join(edit_items(data, text, EDIT_CHARS))
-        else:
-            lines = text.splitlines(keepends=True)
-            text = "".join(edit_items(data, lines, st.sampled_from(lines)))
+    text = edit_text(data, data.draw(st.sampled_from(texts)), EDIT_CHARS)
     path = root / "edited.txt"
     path.write_bytes(text.encode("utf-8"))
     try:
