@@ -14,7 +14,6 @@ from polarmhw.bound import (
     TriggerTerm,
     bound_count,
     decompose,
-    per_subset_bound,
     subtree_input_llr,
     zero_capacity_set,
 )

@@ -56,6 +56,14 @@ def _check_length(N: int) -> int:
     return n
 
 
+def _check_bits(u, what: str) -> list[int]:
+    """u's entries as ints; each must equal 0 or 1, as 1.0, True and np.uint8(1) do."""
+    u = list(u)
+    if not all(b in (0, 1) for b in u):
+        raise ValueError(f"{what} must be a 0/1 vector")
+    return [int(b) for b in u]
+
+
 def generator_row(i: int, N: int) -> list[int]:
     """Row i of G_N: column c is 1 iff (c-1) is bitwise covered by (i-1)."""
     _check_length(N)
@@ -70,10 +78,8 @@ def encode(u) -> list[int]:
 
     The transform is an involution: encode(encode(u)) == u.
     """
-    c = [int(b) for b in u]
+    c = _check_bits(u, "u")
     _check_length(len(c))
-    if any(b not in (0, 1) for b in c):
-        raise ValueError("u must be a 0/1 vector")
     return encode_rows(np.array([c], dtype=np.uint8))[0].tolist()
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "decompose",
     "zero_capacity_set",
     "bound_count",
-    "per_subset_bound",
     "subtree_input_llr",
 ]
 
@@ -85,30 +84,18 @@ class BoundReport:
 # ---- tail decomposition and zero-capacity sets ----
 
 
-def _tail(i: int, n: int):
-    """(start, lam) of each part of the tail of i, in ascending order: walking
-    the digits of i - 1 from the least significant, a zero digit at stage lam
-    adds a part of 2**lam positions right after the previous one."""
-    r = i - 1
-    start = i + 1
-    for lam in range(n):
-        if not (r >> lam) & 1:
-            yield start, lam
-            start += 1 << lam
-
-
 def decompose(i: int, n: int) -> tuple[Part, ...]:
     """Split [i+1, 2**n] into complete subtrees, one per zero digit of i - 1,
-    tiling the tail in ascending order.  i = 2**n has no zero digit below n,
-    hence an empty tail and no parts.
+    in ascending order: with r = i - 1, the part at a zero digit t of r
+    starts at the 0-based position (r >> t << t) | 1 << t, the closed form
+    _zero_capacity uses.  i = 2**n has no zero digit below n, hence an
+    empty tail and no parts.
     """
     if n < 1 or not 1 <= i <= (1 << n):
         raise ValueError(f"index i={i} must lie in [1, 2^{n}]")
-    parts = []
-    for start, lam in _tail(i, n):
-        end = start + (1 << lam) - 1
-        parts.append(Part(len(parts) + 1, start, end, lam, end >> lam))
-    return tuple(parts)
+    r = i - 1
+    bases = [(t, r >> t << t | 1 << t) for t in range(n) if not r >> t & 1]
+    return tuple(Part(k, b + 1, b + (1 << t), t, (b >> t) + 1) for k, (t, b) in enumerate(bases, 1))
 
 
 _DIGITS = 1 << np.arange(63, dtype=np.int64)
@@ -190,15 +177,6 @@ def bound_count(spec, materialize_sets: bool = False) -> BoundReport:
     return BoundReport(spec.N, d_m, a_m, tuple(counts.tolist()), members, total)
 
 
-def per_subset_bound(i: int, spec) -> int:
-    """Bound term 2**|zero_capacity_set(i) & A| for one minimum-weight row."""
-    d_m, a_m = min_distance(spec)
-    if i not in a_m:
-        raise ValueError(f"position {i} is not a minimum-weight information row")
-    counts, _ = _zero_capacity([i], spec.n, spec.info_mask)
-    return 1 << int(counts[0])
-
-
 # ---- subtree root LLRs in closed form ----
 
 
@@ -224,8 +202,5 @@ def subtree_input_llr(i: int, k: int, prefix_decisions, n: int) -> list:
             f"prefix covers {len(prefix_decisions)} positions; part {k} of i={i} "
             f"needs decisions through position {sib_start + size}"
         )
-    seg = list(prefix_decisions[sib_start : sib_start + size])
-    if any(b not in (0, 1) for b in seg):
-        raise ValueError("prefix decisions must be a 0/1 vector")
     x = 1 << ((i - 1) >> (part.lam + 1)).bit_count()
-    return [2 * x * (1 - c) for c in encode(seg)]
+    return [2 * x * (1 - c) for c in encode(prefix_decisions[sib_start : sib_start + size])]

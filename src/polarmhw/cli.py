@@ -28,7 +28,6 @@ from .bitops import _check_length, _unpack, generator_row, positions_of
 from .bound import (
     bound_count,
     decompose,
-    per_subset_bound,
     subtree_input_llr,
     zero_capacity_set,
 )
@@ -328,8 +327,8 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     scope = f"{len(triggers)} triggers, {len(replays)} members"
 
     def tiles(i):
-        # the tail's parts tile [i+1, N] contiguously with power-of-two sizes
-        # and sit at even subtree indices
+        # the parts, placed by decompose's closed-form starts, tile [i+1, N] as
+        # a running sum of power-of-two sizes and sit at even subtree indices
         parts = decompose(i, n)
         ends = [i] + [p.end for p in parts]
         return ends[-1] == N and all(
@@ -384,9 +383,9 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
         )
 
     # the counting bound dominates the exact counts, per trigger and in total
-    sound = all(
-        np.count_nonzero(first == i) <= per_subset_bound(i, spec) for i in triggers
-    ) and (exact is None or exact <= report.total)
+    terms = zip(triggers, report.overlaps)
+    per_trigger = all(np.count_nonzero(first == i) <= 1 << overlap for i, overlap in terms)
+    sound = per_trigger and (exact is None or exact <= report.total)
     checks = [
         ("partition-parts", all(map(tiles, triggers)), scope),
         ("one-extra-bit-set", all(map(one_extra_bit, triggers)), scope),

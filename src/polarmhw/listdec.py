@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polarmhw.sctree import _check_llrs
+from polarmhw.sctree import _check_forced, _check_llrs
 
 __all__ = ["DecodePath", "SearchDiagnostics", "scl_decode", "scl_decode_batch"]
 
@@ -428,14 +428,7 @@ def scl_decode(input_llrs, spec, L: int, forced_prefix=(), with_diagnostics=Fals
     """
     N = spec.N
     _check_llrs(input_llrs, N)
-    prefix = [int(b) for b in forced_prefix]
-    if len(prefix) > N:
-        raise ValueError(f"forced prefix longer than N={N}")
-    for pos, bit in enumerate(prefix, start=1):
-        if bit not in (0, 1):
-            raise ValueError("forced prefix must be a 0/1 vector")
-        if bit and not spec.is_info(pos):
-            raise ValueError(f"forced prefix sets 1 at frozen position {pos}")
+    prefix = _check_forced(forced_prefix, spec, "forced prefix")
 
     decisions, pm, llr, diagnostics = _search(input_llrs, spec, L, [prefix], leaves=True)[0]
     charged = np.where(decisions == 1, llr > 0, llr < 0)

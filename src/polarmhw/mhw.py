@@ -36,13 +36,13 @@ weight filter of the last three (_min_weight) give them, MhwResult keeps them
 sorted, and _records, the one formatter of an enumeration file's records,
 prints them.  Rows are unpacked only where they are read.
 
-read_enumeration's contract: the magic line, then comments and the header's
-field lines before the first record, each exactly as _field_lines writes it
-for the values it holds, in its order, and no blank line; d_m is the code's
-minimum distance; every line from the first record on is exactly the record
-the writer writes for its u, newline and lowercase hex without leading zeros
-included, in sorted order.  Every error is an EnumFormatError naming the
-path.
+read_enumeration's contract: the magic line, then printable comments and the
+header's field lines before the first record, each field line exactly as
+_field_lines writes it for the values it holds, in its order, and no blank
+line; d_m is the code's minimum distance; every line from the first record on
+is exactly the record the writer writes for its u, newline and lowercase hex
+without leading zeros included, in sorted order.  Every error is an
+EnumFormatError naming the path.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import numpy as np
 
 from polarmhw.bitops import _pack, _transform, _unpack, _weights
 from polarmhw.bitops import encode_rows, generator_row, min_distance
-from polarmhw.bound import bound_count, per_subset_bound
+from polarmhw.bound import bound_count
 from polarmhw.construction import RATE0, RATE1, REP, CodeSpec, _commented, _node_steps
 from polarmhw.listdec import _Stages, _search
 
@@ -259,7 +259,7 @@ def _subset_searches(spec, pairs, widths, d_m, threads=1):
     _RUN_BYTES.  Per pair: (the packed words of its vectors of weight d_m,
     note).  A discarded candidate that still carried the bare trigger metric
     may have been on a valid trajectory; the pairs that discarded one rerun
-    together, each at its full width per_subset_bound(i), and a note says
+    together, each at its trigger's full bound term, and a note says
     what the schedule truly lost.  That metric is d_m: before trigger i the
     SC path is all-zero, so reversing i costs the leaf LLR
     2**popcount(i - 1) = d_m."""
@@ -284,7 +284,8 @@ def _subset_searches(spec, pairs, widths, d_m, threads=1):
         for k, (_, diag) in enumerate(found)
         if diag.min_discarded_pm is not None and diag.min_discarded_pm <= d_m
     ]
-    full = [per_subset_bound(pairs[k][0], spec) for k in lossy]
+    terms = {t.i: t.term for t in bound_count(spec).triggers} if lossy else {}
+    full = [terms[pairs[k][0]] for k in lossy]
     out = [(rows, None) for rows, _ in found]
     refound = search([(pairs[k], w) for k, w in zip(lossy, full)])
     for k, width, (rows, _) in zip(lossy, full, refound):
@@ -617,6 +618,8 @@ def _read_enumeration(fh):
     while (line := fh.readline()) and not line.startswith("msg="):
         lineno += 1
         text = line.rstrip("\n")
+        if not text.isprintable():
+            raise EnumFormatError(f"line {lineno}: {text!r} is not one printable line")
         if text.startswith("# warning: ") and "maxListUsed" in fields:
             warning = text[len("# warning: ") :]
         if text.startswith("#"):

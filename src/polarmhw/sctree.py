@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from polarmhw.bitops import encode, positions_of
+from polarmhw.bitops import _check_bits, encode, positions_of
 
 __all__ = ["ScOutcome", "sc_decode", "sc_retrace", "sc_replay"]
 
@@ -70,6 +70,16 @@ def _check_llrs(input_llrs, N):
         raise ValueError(f"expected {N} input LLRs, got {len(input_llrs)}")
     if not all(isinstance(x, int) or math.isfinite(x) for x in input_llrs):
         raise ValueError("input LLRs hold NaN or infinite entries")
+
+
+def _check_forced(bits, spec, what):
+    """Decisions pinned from position 1 on: at most N 0/1 ints, none a 1 at a frozen position."""
+    bits = _check_bits(bits, what)
+    if len(bits) > spec.N:
+        raise ValueError(f"{what} longer than N={spec.N}")
+    if frozen := [pos for pos, bit in enumerate(bits, start=1) if bit and not spec.is_info(pos)]:
+        raise ValueError(f"{what}: 1 at frozen position {frozen[0]}")
+    return bits
 
 
 class _TreeState:
@@ -219,10 +229,5 @@ def sc_replay(input_llrs, spec, decisions, record_nodes: bool = False) -> ScOutc
     """
     if len(decisions) != spec.N:
         raise ValueError(f"expected {spec.N} decisions, got {len(decisions)}")
-    forced = [int(b) for b in decisions]
-    for pos, bit in enumerate(forced, start=1):
-        if bit not in (0, 1):
-            raise ValueError("decisions must be a 0/1 vector")
-        if bit and not spec.is_info(pos):
-            raise ValueError(f"decision 1 at frozen position {pos}")
+    forced = _check_forced(decisions, spec, "decisions")
     return _sc(input_llrs, spec, lambda pos, llr: forced[pos - 1], record_nodes)

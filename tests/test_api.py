@@ -1,7 +1,8 @@
 """The package's public surface: every exported name resolves, the SC
 engine's per-node helpers stay private to sctree, and every bit packing in
 the package is bitops' little-endian row format, and one formatter writes
-every enumeration file record and every spec file's field lines."""
+every enumeration file record and every spec file's field lines, and one
+function raises each of the 0/1 input errors."""
 
 import ast
 import importlib
@@ -84,3 +85,27 @@ def test_one_formatter_writes_spec_fields():
     # the same for the spec reader, which checks each field line against
     # construction._spec_lines' line for the spec it holds
     assert formatters(("N = ", "construction = ", "A = ")) == [("construction.py", "_spec_lines")] * 3
+
+
+def raisers(text):
+    """(file, innermost enclosing function) of each raise statement in the
+    package whose source holds text."""
+    found = []
+    for path in sorted(Path(polarmhw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and text in ast.unparse(node):
+                owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.name, max(owners, key=lambda f: f.lineno).name))
+    return found
+
+
+def test_one_function_owns_each_zero_one_rule():
+    # encode, sc_replay, scl_decode and subtree_input_llr each read a 0/1
+    # vector through these two checks; a second copy could truncate again
+    assert raisers("must be a 0/1 vector") == [("bitops.py", "_check_bits")]
+    assert raisers("at frozen position") == [("sctree.py", "_check_forced")]
+    # a bound term is bound_count(spec).triggers[k].term, not a second kernel run
+    assert not hasattr(polarmhw, "per_subset_bound")
+    assert not hasattr(importlib.import_module("polarmhw.bound"), "per_subset_bound")

@@ -13,7 +13,12 @@ from polarmhw.bitops import (
     min_distance,
     positions_of,
 )
+from polarmhw.bound import subtree_input_llr
 from polarmhw.construction import CodeSpec
+from polarmhw.listdec import scl_decode
+from polarmhw.sctree import sc_replay
+
+SPEC8 = CodeSpec(8, (4, 6, 7, 8))
 
 
 # ---- oracle: explicit Kronecker power, independent of the covered-bit rule ----
@@ -130,6 +135,31 @@ def test_encode_errors():
         encode([0, 1, 1])  # length not a power of two
     with pytest.raises(ValueError):
         encode_rows(np.zeros((1, 6), dtype=np.uint8))  # packs into one word
+
+
+def unit(v):
+    """SPEC8's information vector with one 1, at position 4, written as v."""
+    return [0, 0, 0, v, 0, 0, 0, 0]
+
+
+# each public function that reads a 0/1 vector, called on unit(v)
+ZERO_ONE_READERS = {
+    "encode": lambda v: encode(unit(v)),
+    "sc_replay": lambda v: sc_replay([1] * 8, SPEC8, unit(v)),
+    "scl_decode": lambda v: scl_decode([1] * 8, SPEC8, 2, forced_prefix=unit(v)[:4]),
+    # part 1 of the tail of 4 reads the decisions at positions 1..4
+    "subtree_input_llr": lambda v: subtree_input_llr(4, 1, unit(v)[:4], 3),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ZERO_ONE_READERS))
+def test_zero_one_inputs_are_checked_not_truncated(reader):
+    call = ZERO_ONE_READERS[reader]
+    for bad in (0.5, 1.7, 2, -1):
+        with pytest.raises(ValueError, match="must be a 0/1 vector"):
+            call(bad)
+    for one in (1.0, True, np.uint8(1)):
+        assert call(one) == call(1)
 
 
 def test_min_distance_examples():

@@ -16,7 +16,6 @@ from polarmhw.bitops import min_distance
 from polarmhw.bound import (
     bound_count,
     decompose,
-    per_subset_bound,
     subtree_input_llr,
     zero_capacity_set,
 )
@@ -225,21 +224,6 @@ def test_bound_time_with_many_triggers():
             bound_count(spec)
             times.append(time.perf_counter() - start)
         assert min(times) <= budget, (K, times)
-
-
-def test_per_subset_bound_examples():
-    assert per_subset_bound(4, SPEC8) == 8
-    assert per_subset_bound(6, SPEC8) == 4
-    assert per_subset_bound(7, SPEC8) == 2
-    with pytest.raises(ValueError):
-        per_subset_bound(8, SPEC8)
-    with pytest.raises(ValueError):
-        per_subset_bound(5, SPEC8)
-    spec = construct_ga(4096, 1024, 2.0)
-    report = bound_count(spec)
-    assert len(report.triggers) > 1
-    for t in report.triggers:
-        assert per_subset_bound(t.i, spec) == t.term
 
 
 # ---- zero LLR locations along minimum-weight trajectories ----

@@ -140,6 +140,43 @@ def test_argparse_errors_are_one_error_line(capsys):
         assert (code, err) == (0, "") and out, argv
 
 
+SIM8_ARGS = ["simulate", *SPEC8_ARGS, "--trials", "8"]
+
+# (argv, the one error line) of the usage errors no other test reaches
+USAGE_ERRORS = [
+    (["bound", "--N", "8", "--A", ""], "--A needs at least one position"),
+    (
+        ["bound", "--N", "8", "--A", "4,x"],
+        "bad --A value: invalid literal for int() with base 10: 'x'",
+    ),
+    ([*SIM8_ARGS, "--ebn0", "1:2"], "--ebn0 range must be start:stop:step"),
+    ([*SIM8_ARGS, "--ebn0", "2:1:0.5"], "--ebn0 range must ascend with positive step"),
+    (["enumerate", *SPEC8_ARGS, "--threads", "0"], "thread count must be >= 1"),
+    (["bound"], "give --spec PATH, or --N with --K or --A"),
+    (["bound", "--N", "8", "--K", "4", "--A", "4,6,7,8"], "--A conflicts with --K/--construction"),
+    (
+        ["bound", *SPEC8_ARGS, "--design-ebn0", "1"],
+        "--design-ebn0 applies only to --construction ga",
+    ),
+    (["bound", "--N", "8"], "need --K (with optional --construction) or --A"),
+    (
+        ["enumerate", *SPEC8_ARGS, "--check", "--method", "zero-split"],
+        "--check runs every method; drop --method",
+    ),
+    (
+        ["verify", *SPEC8_ARGS, "--max-triggers", "0"],
+        "--max-triggers and --max-members must be >= 1",
+    ),
+    ([*SIM8_ARGS, "--ebn0", "2", "--list-size", "0"], "--list-size must be >= 1"),
+    ([*SIM8_ARGS, "--ebn0", "2", "--seed", "-1"], "--seed must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=[m for _, m in USAGE_ERRORS])
+def test_usage_errors_are_exit_2_and_one_error_line(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_list_size_below_one_is_exit_2(capsys):
     for L in ("0", "-3"):
         code, out, err = run(
@@ -363,6 +400,14 @@ def _shifted_nodes(decompose):
     return corrupted
 
 
+def _zero_overlaps(bound_count):
+    def corrupted(spec, **kwargs):
+        report = bound_count(spec, **kwargs)
+        return replace(report, overlaps=(0,) * len(report.overlaps))
+
+    return corrupted
+
+
 def _pm_plus_one(sc_retrace):
     def corrupted(llrs, spec, rds):
         out = sc_retrace(llrs, spec, rds)
@@ -390,7 +435,7 @@ VERIFY_BREAKS = [
     ),
     ("equal-pm-within-subset", "sc_retrace", _pm_plus_one),
     ("subtree-root-llr", "subtree_input_llr", lambda f: lambda *a: [x + 1 for x in f(*a)]),
-    ("bound-soundness", "per_subset_bound", lambda f: lambda i, spec: 0),
+    ("bound-soundness", "bound_count", _zero_overlaps),
 ]
 
 

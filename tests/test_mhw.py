@@ -20,7 +20,7 @@ from conftest import (
 
 from polarmhw import bitops, cli, listdec, mhw
 from polarmhw.bitops import encode, generator_row, min_distance
-from polarmhw.bound import bound_count, per_subset_bound, zero_capacity_set
+from polarmhw.bound import bound_count, zero_capacity_set
 from polarmhw.construction import RATE0, CodeSpec, construct_ga, construct_pw
 from polarmhw.mhw import (
     EnumFormatError,
@@ -297,6 +297,14 @@ def test_zero_split_triggers_refuses_what_is_not_a_minimum_weight_row():
     ]
 
 
+def test_zero_split_triggers_of_no_trigger_is_empty():
+    # the walk over no trigger gives the empty set, at the code's d_m
+    for spec in (SPEC8, construct_pw(128, 64), construct_ga(256, 100, 1.0)):
+        out = mhw.zero_split_triggers(spec, ())
+        assert (out.method, out.d_m, out.count) == ("ZERO_SPLIT", min_distance(spec)[0], 0)
+        assert out.words.shape == (0, -(-spec.N // 64))
+
+
 def test_zero_split_enumeration_matches_oracle():
     out = enumerate_zero_split(SPEC8)
     assert (out.d_m, out.count) == (4, 14)
@@ -310,11 +318,12 @@ def test_zero_split_leaves_always_reach_minimum_weight():
     # slack of the counting bound is entirely in the killed branches
     for spec in random_specs(20, (8, 16, 32), seed=34, max_K=8):
         d_m, a_m = min_distance(spec)
+        terms = {t.i: t.term for t in bound_count(spec).triggers}
         for i in a_m:
             leaves, branches, kills = zero_split_subset(spec, i)
             for u in leaves:
                 assert weight(u) == d_m
-            assert len(leaves) <= per_subset_bound(i, spec)
+            assert len(leaves) <= terms[i]
             # the walk is a binary tree with at most one fork per branch
             # position; kills prune subtrees early, so terminals can only
             # fall short of the full 2**branches
@@ -523,8 +532,9 @@ def test_enumerated_vectors_partition_by_trigger_and_split():
         groups = group_by_trigger(out.vectors)
         d_m, a_m = min_distance(spec)
         assert set(groups) <= set(a_m)
+        terms = {t.i: t.term for t in bound_count(spec).triggers}
         for i, members in groups.items():
-            assert len(members) <= per_subset_bound(i, spec)
+            assert len(members) <= terms[i]
             allowed = zero_capacity_set(i, spec.N) & info
             for u in members:
                 later = [p for p in range(i + 1, spec.N + 1) if u[p - 1]]
@@ -770,6 +780,7 @@ NEVER_WRITTEN = {
     "a comment after a record": lambda text: text + "# note\n",
     "a field after a record": lambda text: text + "extra=1\n",
     "records out of order": swap_last_records,
+    "a comment with a carriage return": lambda text: text.replace("\n", "\n# a\rb\n", 1),
 }
 
 
