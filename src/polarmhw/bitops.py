@@ -111,6 +111,14 @@ def _pack(rows) -> np.ndarray:
     return packed.view("<u8")
 
 
+def _first_ones(words) -> np.ndarray:
+    """The 1-based position of the first 1 of each nonzero packed row: the
+    lowest set bit of its first nonzero word."""
+    column = (words != 0).argmax(axis=1)
+    low = words[np.arange(len(words)), column]
+    return 64 * column + np.bitwise_count(low ^ (low - 1))
+
+
 def _unpack(words: np.ndarray, N: int) -> np.ndarray:
     """C-contiguous packed rows of length N as a new read-only uint8 array."""
     rows = np.unpackbits(words.view(np.uint8), axis=1, count=N, bitorder="little")

@@ -28,8 +28,8 @@ import numpy as np
 from polarmhw.bitops import encode_rows, min_distance
 from polarmhw.bound import bound_count
 from polarmhw.construction import _commented, design_sigma
-from polarmhw.listdec import scl_decode_batch
-from polarmhw.mhw import enumerate_zero_split
+from polarmhw.listdec import _check_list_size, scl_decode_batch
+from polarmhw.mhw import _check_threads, enumerate_zero_split
 
 __all__ = [
     "FerPoint",
@@ -81,24 +81,25 @@ def wilson_interval(errors: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def fer_estimate(spec, ebn0_db: float, source: str = "EXACT", a_dm: int | None = None) -> FerEstimate:
+def _pairwise(spec, ebn0_db):
+    """Q(sqrt(d_m) / sigma): the error probability of one minimum-weight
+    codeword against the transmitted one."""
+    return q_function(math.sqrt(min_distance(spec)[0]) / design_sigma(ebn0_db, spec.R))
+
+
+def fer_estimate(spec, ebn0_db: float, source: str = "EXACT") -> FerEstimate:
     """Minimum-weight term of the union bound at the given operating point.
 
     source EXACT counts codewords with the zero-split enumerator; BOUND uses
     the zero-capacity counting bound (never smaller, so never optimistic).
-    An explicit a_dm skips the counting work entirely.
     """
     if source not in ("EXACT", "BOUND"):
         raise ValueError(f"source must be EXACT or BOUND, got {source!r}")
-    d_m = min_distance(spec)[0]
-    if a_dm is None:
-        if source == "EXACT":
-            a_dm = enumerate_zero_split(spec).count
-        else:
-            a_dm = bound_count(spec, materialize_sets=False).total
-    sigma = design_sigma(ebn0_db, spec.R)
-    value = a_dm * q_function(math.sqrt(d_m) / sigma)
-    return FerEstimate(d_m, a_dm, value, source)
+    if source == "EXACT":
+        a_dm = enumerate_zero_split(spec).count
+    else:
+        a_dm = bound_count(spec, materialize_sets=False).total
+    return FerEstimate(min_distance(spec)[0], a_dm, a_dm * _pairwise(spec, ebn0_db), source)
 
 
 # ---- Monte-Carlo simulation ----
@@ -167,10 +168,8 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if L < 1:
-        raise ValueError(f"list size L={L} must be >= 1")
+    _check_threads(threads)
+    _check_list_size(L)
     if error_limit is not None and error_limit < 1:
         raise ValueError("error_limit must be >= 1 or None")
     grid = list(ebn0_grid)
@@ -230,8 +229,8 @@ def render_fer_csv(spec, points, header_lines=()) -> str:
         exact_count = enumerate_zero_split(spec).count
         bound_total = bound_count(spec, materialize_sets=False).total
     for pt in points:
-        est_exact = fer_estimate(spec, pt.ebn0_db, "EXACT", a_dm=exact_count).value
-        est_bound = fer_estimate(spec, pt.ebn0_db, "BOUND", a_dm=bound_total).value
+        pair = _pairwise(spec, pt.ebn0_db)
+        est_exact, est_bound = exact_count * pair, bound_total * pair
         rows.append(
             f"{pt.ebn0_db:g},{pt.trials},{pt.frame_errors},{pt.fer:.6e},"
             f"{pt.ci_lo:.6e},{pt.ci_hi:.6e},{est_exact:.6e},{est_bound:.6e}"

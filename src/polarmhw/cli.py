@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bitops import _check_length, _unpack, generator_row, positions_of
+from .bitops import _check_length, _first_ones, _unpack, generator_row, positions_of
 from .bound import (
     bound_count,
     decompose,
@@ -55,9 +55,17 @@ EXIT_PROPERTY = 4
 
 _DEFAULT_DESIGN_EBN0 = 2.0
 
-# --method's choices, and the order in which --check runs them (the
-# exhaustive oracle only up to its cap)
-_METHODS = ("exhaustive", "subset-scl", "zero-split", "scl-global")
+# --method's choices, in the order in which --check runs them (the
+# exhaustive oracle only up to its cap), each with its call on (spec,
+# threads, --list-size); a scl-global list of the bound + 1 misses nothing
+_METHODS = {
+    "exhaustive": lambda spec, threads, L: exhaustive_mhw(spec),
+    "subset-scl": lambda spec, threads, L: enumerate_subset_scl(spec, threads=threads),
+    "zero-split": lambda spec, threads, L: enumerate_zero_split(spec),
+    "scl-global": lambda spec, threads, L: scl_global_search(
+        spec, L or bound_count(spec, materialize_sets=False).total + 1
+    ),
+}
 
 _BOUND_HEADER = "trigger,overlap,term"
 _SWEEP_HEADER = "R,K,d_m,bound,exact"
@@ -126,8 +134,10 @@ def _parse_grid(text: str, cast, flag: str, bounds=(-math.inf, math.inf)) -> lis
             if step <= 0 or stop < start:
                 raise UsageError(f"{flag} range must ascend with positive step")
             stop = start if start < lo else min(stop, hi + step)
-            count = int(round((stop - start) / step))
-            values = [start + k * step for k in range(count + 1)]
+            steps = (stop - start) / step
+            if steps == math.inf:
+                raise UsageError(f"{flag} range overflows: (stop - start) / step is not finite")
+            values = [start + k * step for k in range(int(round(steps)) + 1)]
             values = [v for v in values if v <= stop + 1e-9]
         else:
             values = [cast(t) for t in text.replace(",", " ").split()]
@@ -171,15 +181,14 @@ def _resolve_threads(args) -> int:
 def _build_spec(N, K, A_text, construction, design_ebn0):
     if N is None:
         raise UsageError("give --spec PATH, or --N with --K or --A")
-    if A_text is not None:
-        if K is not None or construction is not None:
-            raise UsageError("--A conflicts with --K/--construction")
-        if design_ebn0 is not None:
-            raise UsageError("--design-ebn0 applies only to --construction ga")
-        return CodeSpec(N, _parse_positions(A_text))
-    if K is None:
+    if A_text is not None and (K is not None or construction is not None):
+        raise UsageError("--A conflicts with --K/--construction")
+    if A_text is None and K is None:
         raise UsageError("need --K (with optional --construction) or --A")
+    # --A, like pw, takes no --design-ebn0: _design_point refuses one
     design = _design_point(construction, design_ebn0)
+    if A_text is not None:
+        return CodeSpec(N, _parse_positions(A_text))
     return construct_pw(N, K) if design is None else construct_ga(N, K, design)
 
 
@@ -252,22 +261,10 @@ def cmd_enumerate(args, argv) -> int:
     if args.list_size is not None and args.list_size < 1:
         raise UsageError("--list-size must be >= 1")
     _print_head(argv, spec)
-
-    def run(name):
-        if name == "exhaustive":
-            return exhaustive_mhw(spec)
-        if name == "subset-scl":
-            return enumerate_subset_scl(spec, threads=threads)
-        if name == "zero-split":
-            return enumerate_zero_split(spec)
-        # a list of the bound + 1 misses nothing
-        L = args.list_size or bound_count(spec, materialize_sets=False).total + 1
-        return scl_global_search(spec, L)
-
     names = [method]
     if args.check:
         names = [m for m in _METHODS if m != "exhaustive" or spec.K <= EXHAUSTIVE_CAP]
-    results = {name: run(name) for name in names}
+    results = {name: _METHODS[name](spec, threads, args.list_size) for name in names}
     # --out under --check writes the zero-split result
     result = results[method]
     if args.check:
@@ -301,12 +298,9 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     d_m = report.d_m
     triggers = list(report.a_m)[:max_triggers]
     ones = [1] * N
-    # a member's trigger is its first one, the lowest set bit of its first nonzero word
     exact_wanted = report.total <= exact_limit
     words = zero_split_triggers(spec, report.a_m if exact_wanted else triggers).words
-    column = (words != 0).argmax(axis=1)
-    low = words[np.arange(len(words)), column]
-    first = 64 * column + np.bitwise_count(low ^ (low - 1))
+    first = _first_ones(words)  # a member's trigger is its first one
     members = {i: _unpack(words[first == i][:max_members], N).tolist() for i in triggers}
     exact = len(words) if exact_wanted else None
     retraced = {i: sc_retrace(ones, spec, {i}) for i in triggers}

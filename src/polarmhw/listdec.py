@@ -231,6 +231,15 @@ def _rank(key, integer):
     return np.argsort(key, axis=-1, kind="stable")
 
 
+def _check_list_size(L):
+    """Refuse a list size L, or one per row, that is not an integer >= 1 (numpy ints pass)."""
+    for width in np.ravel(L).tolist():
+        if not isinstance(width, int):
+            raise ValueError(f"list size L={width!r} must be an integer")
+        if width < 1:
+            raise ValueError(f"list size L={width} must be >= 1")
+
+
 def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
     """List-decode the rows of a (B, N) LLR array, or the B rows of prefix
     from one shared (1, N) LLR row, the first ends[b] decisions of row b
@@ -251,9 +260,8 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
     discarded and the metric of the cheapest one (where that count is
     nonzero), each a (B,) array or one value for every row.
     """
+    _check_list_size(L)
     L = np.asarray(L)
-    if L.min() < 1:
-        raise ValueError(f"list size L={L.min()} must be >= 1")
     B, N = llrs.shape
     if prefix is None:
         prefix, ends = np.zeros((B, 0), dtype=np.uint8), np.zeros(B, dtype=np.intp)
@@ -429,6 +437,7 @@ def scl_decode(input_llrs, spec, L: int, forced_prefix=(), with_diagnostics=Fals
     N = spec.N
     _check_llrs(input_llrs, N)
     prefix = _check_forced(forced_prefix, spec, "forced prefix")
+    _check_list_size(L)
 
     decisions, pm, llr, diagnostics = _search(input_llrs, spec, L, [prefix], leaves=True)[0]
     charged = np.where(decisions == 1, llr > 0, llr < 0)

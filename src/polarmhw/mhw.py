@@ -60,7 +60,7 @@ from polarmhw.bitops import _pack, _transform, _unpack, _weights
 from polarmhw.bitops import encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count
 from polarmhw.construction import RATE0, RATE1, REP, CodeSpec, _commented, _node_steps
-from polarmhw.listdec import _Stages, _search
+from polarmhw.listdec import _check_list_size, _Stages, _search
 
 __all__ = [
     "MhwResult",
@@ -110,6 +110,7 @@ class MhwResult:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        _check_max_list_used(self.max_list_used)
         object.__setattr__(self, "words", _sorted_words(self.words, self.N))
 
     @property
@@ -125,6 +126,20 @@ class MhwResult:
             return NotImplemented
         same = [(r.N, r.d_m, r.method, r.max_list_used, r.warning) for r in (self, other)]
         return same[0] == same[1] and np.array_equal(self.words, other.words)
+
+
+def _check_max_list_used(value):
+    """Refuse a max_list_used that is not a nonnegative integer."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"maxListUsed={value!r} must be a nonnegative integer")
+
+
+def _check_threads(threads):
+    """Refuse a thread count that is not an integer >= 1 (numpy ints pass)."""
+    if not isinstance(threads, (int, np.integer)):
+        raise ValueError(f"threads={threads!r} must be an integer")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
 
 
 # each byte bit-reversed: a packed row's bytes mapped through it sort as its vector
@@ -307,6 +322,7 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
     its own lanes, or in contiguous shares of one call each: one per worker
     of `threads`, or more where one call would exceed _RUN_BYTES.  A vector
     found under two triggers breaks the partition law and aborts."""
+    _check_threads(threads)
     report = bound_count(spec, materialize_sets=True)
     d_m, a_m = report.d_m, report.a_m
     pairs, widths = _subset_pairs(report)
@@ -506,13 +522,17 @@ def zero_split_triggers(spec, triggers) -> MhwResult:
     """The minimum-weight vectors whose first one sits at one of `triggers`:
     the rows in A of the 2**E_i-row orbit of each trigger i with E_i at most
     overlap_i + _ORBIT_SLACK, and the weight-d_m leaves of one walk over the
-    others.  A trigger that is not a minimum-weight row raises ValueError."""
+    others.  A trigger that is not a minimum-weight row, or is listed twice,
+    raises ValueError."""
     report = bound_count(spec)
     overlaps = dict(zip(report.a_m, report.overlaps))
-    orbit, walk = [], []
+    orbit, walk, seen = [], [], set()
     for i in triggers:
         if i not in overlaps:
             raise ValueError(f"trigger {i} is not a minimum-weight row of the code")
+        if i in seen:
+            raise ValueError(f"trigger {i} is listed twice")
+        seen.add(i)
         r = i - 1
         bits = sum(1 + (r % (1 << t)).bit_count() for t in range(spec.n) if not r >> t & 1)
         (orbit if bits - overlaps[i] <= _ORBIT_SLACK else walk).append(i)
@@ -526,7 +546,8 @@ def zero_split_triggers(spec, triggers) -> MhwResult:
 
 def enumerate_zero_split(spec, threads: int = 1) -> MhwResult:
     """zero_split_triggers over every trigger.  `threads` is accepted for the
-    common enumerator interface; the result never depended on it."""
+    common enumerator interface, and checked; the result never depends on it."""
+    _check_threads(threads)
     return zero_split_triggers(spec, min_distance(spec)[1])
 
 
@@ -534,6 +555,7 @@ def enumerate_zero_split(spec, threads: int = 1) -> MhwResult:
 
 
 def scl_global_search(spec, L: int) -> MhwResult:
+    _check_list_size(L)
     d_m, _ = min_distance(spec)
     warning = None
     needed = bound_count(spec, materialize_sets=False).total + 1
@@ -637,8 +659,7 @@ def _read_enumeration(fh):
     spec = CodeSpec(N, tuple(int(tok) for tok in fields["A"].split()))
     if d_m != min_distance(spec)[0]:
         raise EnumFormatError(f"d_m={d_m} but the code has d_m={min_distance(spec)[0]}")
-    if max_list < 0:
-        raise EnumFormatError(f"maxListUsed={max_list} is negative")
+    _check_max_list_used(max_list)
     # every field is there once, so each line meets the writer's line for it
     want = _field_lines(spec, d_m, fields["method"], count, max_list)
     for (k, text), need in zip(texts, want, strict=True):

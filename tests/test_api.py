@@ -1,11 +1,13 @@
 """The package's public surface: every exported name resolves, the SC
 engine's per-node helpers stay private to sctree, and every bit packing in
 the package is bitops' little-endian row format, and one formatter writes
-every enumeration file record and every spec file's field lines, and one
-function raises each of the 0/1 input errors."""
+every enumeration file record and every spec file's field lines, one
+function raises each of the 0/1 input errors and each value rule, and the
+CLI leaves the packed word layout to bitops."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,20 @@ def test_one_function_owns_each_zero_one_rule():
     # a bound term is bound_count(spec).triggers[k].term, not a second kernel run
     assert not hasattr(polarmhw, "per_subset_bound")
     assert not hasattr(importlib.import_module("polarmhw.bound"), "per_subset_bound")
+
+
+def test_one_function_owns_each_value_rule():
+    # every entry that takes a list size, a thread count or a result's
+    # maxListUsed checks it through its one owner, before any work
+    assert set(raisers("list size L=")) == {("listdec.py", "_check_list_size")}
+    assert set(raisers("threads")) == {("mhw.py", "_check_threads")}
+    assert set(raisers("maxListUsed=")) == {("mhw.py", "_check_max_list_used")}
+    assert raisers("--design-ebn0 applies only") == [("cli.py", "_design_point")]
+    # the estimate's count comes from its source, never from the caller
+    fer_estimate = importlib.import_module("polarmhw.channel").fer_estimate
+    assert list(inspect.signature(fer_estimate).parameters) == ["spec", "ebn0_db", "source"]
+
+
+def test_cli_leaves_the_word_layout_to_bitops():
+    text = (Path(polarmhw.__file__).parent / "cli.py").read_text()
+    assert [token for token in ("// 64", "% 64", "bitwise_count") if token in text] == []

@@ -81,6 +81,8 @@ def test_fer_estimate_example_at_unit_sigma():
     assert est.a_dm == 14
     assert est.value == pytest.approx(14 * q_reference(2.0), rel=1e-9)
     assert est.value == pytest.approx(0.3185, abs=5e-4)
+    with pytest.raises(ValueError, match="source must be EXACT or BOUND, got 'GUESS'"):
+        fer_estimate(SPEC8, 0.0, "GUESS")
 
 
 def test_fer_estimate_vanishes_at_high_snr():
@@ -95,13 +97,6 @@ def test_fer_estimate_bound_source_never_below_exact():
         assert bound.value >= exact.value
         assert exact.a_dm == exhaustive_mhw(spec).count
         assert exact.value <= exact.a_dm / 2
-
-
-def test_fer_estimate_accepts_explicit_count():
-    est = fer_estimate(SPEC8, 0.0, "BOUND", a_dm=99)
-    assert est.a_dm == 99
-    with pytest.raises(ValueError):
-        fer_estimate(SPEC8, 0.0, "GUESS")
 
 
 # ---- simulation ----
@@ -187,14 +182,18 @@ def test_simulation_refuses_overflowing_llrs_before_drawing_noise(monkeypatch):
     [
         ({"threads": -1}, "threads must be >= 1"),
         ({"threads": 0}, "threads must be >= 1"),
+        ({"threads": 1.5}, "threads=1.5 must be an integer"),
         ({"trials": 0}, "trials must be >= 1"),
         ({"seed": -1}, "seed must be nonnegative"),
         ({"L": 0}, "list size L=0 must be >= 1"),
+        ({"L": 2.5}, "list size L=2.5 must be an integer"),
+        ({"L": 3.9}, "list size L=3.9 must be an integer"),
         ({"error_limit": 0}, "error_limit must be >= 1 or None"),
         ({"error_limit": -1}, "error_limit must be >= 1 or None"),
     ],
     ids=[
-        "threads=-1", "threads=0", "trials=0", "seed=-1", "L=0", "error_limit=0", "error_limit=-1"
+        "threads=-1", "threads=0", "threads=1.5", "trials=0", "seed=-1", "L=0", "L=2.5", "L=3.9",
+        "error_limit=0", "error_limit=-1",
     ],
 )
 def test_simulation_refuses_bad_counts_before_drawing_noise(monkeypatch, kwargs, message):
@@ -207,6 +206,13 @@ def test_simulation_refuses_bad_counts_before_drawing_noise(monkeypatch, kwargs,
         simulate_fer(construct_pw(8, 4), 1.0, **args)
     with pytest.raises(ValueError, match=f"^{message}$"):
         sweep_fer(construct_pw(8, 4), [1.0, 2.0], **args)
+
+
+def test_simulation_takes_numpy_integer_counts():
+    spec = construct_pw(32, 16)
+    want = simulate_fer(spec, 2.0, L=2, trials=600, seed=3, threads=2)
+    for L, threads in ((np.int64(2), np.int32(2)), (np.uint8(2), np.int64(2))):
+        assert simulate_fer(spec, 2.0, L=L, trials=600, seed=3, threads=threads) == want
 
 
 def test_simulation_refuses_seeds_past_64_bits_before_drawing_noise(monkeypatch):

@@ -1,14 +1,20 @@
 """Command-line behavior: exit codes, echoes, round-trips, determinism."""
 
+import argparse
 import hashlib
+import io
+import math
 import random
 import re
 import shlex
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csvio import read_bound_csv, read_fer_csv, read_sweep_csv
 
@@ -21,6 +27,7 @@ from polarmhw import (
     enumerate_zero_split,
     load_spec,
     read_enumeration,
+    save_spec,
 )
 from polarmhw.cli import main
 
@@ -151,6 +158,10 @@ USAGE_ERRORS = [
     ),
     ([*SIM8_ARGS, "--ebn0", "1:2"], "--ebn0 range must be start:stop:step"),
     ([*SIM8_ARGS, "--ebn0", "2:1:0.5"], "--ebn0 range must ascend with positive step"),
+    (
+        [*SIM8_ARGS, "--ebn0", "-1e308:1e308:1e308"],
+        "--ebn0 range overflows: (stop - start) / step is not finite",
+    ),
     (["enumerate", *SPEC8_ARGS, "--threads", "0"], "thread count must be >= 1"),
     (["bound"], "give --spec PATH, or --N with --K or --A"),
     (["bound", "--N", "8", "--K", "4", "--A", "4,6,7,8"], "--A conflicts with --K/--construction"),
@@ -708,3 +719,173 @@ def test_check_mismatch_is_exit_4(capsys, monkeypatch):
         "method=SCL_GLOBAL d_m=4 count=14",
         "mismatch between enumeration methods",
     ]
+
+
+# ---- no traceback, whatever the argv ----
+
+JUNK = st.sampled_from(["", "x", "1.5", "0x10", " ", "1,,2", "--"]) | st.text(max_size=4)
+NON_FINITE = (
+    st.sampled_from(["1e400", "-1e400", "NaN", "-inf", "1e308", "-1e308"]) | st.floats().map(repr)
+)
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def joined(values, min_size=0):
+    lists = st.lists(values, min_size=min_size, max_size=4)
+    return st.tuples(lists, st.sampled_from([",", " ", ", "])).map(lambda p: p[1].join(p[0]))
+
+
+def ranges(starts, steps):
+    """start:stop:step texts of at most 9 values."""
+    three = st.tuples(starts, st.integers(0, 8), steps)
+    return three.map(lambda t: f"{t[0]!r}:{t[0] + t[1] * t[2]!r}:{t[2]!r}")
+
+
+def wide_ranges(ends, steps):
+    """start:stop:step texts whose span or count may overflow a float, or
+    that descend, but never of more than 9 finite steps."""
+    three = st.tuples(ends, ends, steps).filter(lambda t: not 9 < (t[1] - t[0]) / t[2] < math.inf)
+    return three.map(lambda t: ":".join(map(repr, t)))
+
+
+def argv_values(root):
+    """Per value-taking flag of any command: (a strategy for valid values, one
+    for malformed, non-finite or out-of-range ones), as text.  code_flags
+    draws a mostly valid code; these serve the flags drawn beside it."""
+    paths = st.just(str(root / "out.txt")), st.just(str(root / "no" / "such" / "out.txt"))
+    specs = [str(root / name) for name in ("spec.txt", "garbage.txt", "missing.txt")]
+    ebn0 = st.floats(-2, 6).map(repr)
+    return {
+        "--N": (st.sampled_from(["4", "8", "16", "32", "64"]), ints(-2, 64) | JUNK),
+        "--K": (ints(1, 64), ints(-2, 70) | JUNK),
+        "--A": (joined(ints(1, 64), 1), joined(ints(-1, 70)) | JUNK),
+        "--construction": (st.sampled_from(["pw", "ga"]), st.just("rm")),
+        "--design-ebn0": (st.floats(-5, 10).map(repr), NON_FINITE | JUNK),
+        "--spec": (st.just(specs[0]), st.sampled_from(specs[1:])),
+        "--out": paths,
+        "--csv": paths,
+        "--threads": (ints(1, 4), st.just("0")),
+        "--method": (st.sampled_from(list(cli._METHODS)), st.just("fastest")),
+        "--list-size": (ints(1, 64), ints(-1, 0) | JUNK),
+        "--max-triggers": (ints(1, 10), ints(-1, 0)),
+        "--max-members": (ints(1, 10), ints(-1, 0)),
+        "--exact-limit": (ints(-1, 10**5), JUNK),
+        "--ebn0": (
+            ebn0 | joined(ebn0, 1) | ranges(st.floats(-2, 6), st.floats(0.25, 2)),
+            st.sampled_from(["-1e308:1e308:1e308", "0:1e308:1e-300", "1e308:1.7e308:5e307"])
+            | wide_ranges(st.sampled_from([-1e308, 1e308, 0.0]), st.sampled_from([1e308, 1e-300]))
+            | joined(NON_FINITE, 1)
+            | st.sampled_from(["1:2", "2:1:1", "1:2:0", "a:b:c", "1:2:3:4", ""]),
+        ),
+        "--trials": (ints(1, 64), ints(-1, 0) | JUNK),
+        "--seed": (
+            ints(0, 2**64 - 1) | ints(2**64 - 8000, 2**64 - 1),
+            ints(-2, -1) | ints(2**64, 2**64 + 2),
+        ),
+        "--error-limit": (ints(-1, 100), JUNK),
+        "--K-grid": (
+            joined(ints(1, 64), 1) | ranges(st.integers(1, 64), st.integers(1, 40)),
+            joined(ints(-2, 70)) | ranges(st.integers(-2, 70), st.integers(-1, 40))
+            | wide_ranges(
+                st.sampled_from([-(10**30), -1, 0, 5, 70, 10**30]), st.sampled_from([1, 3, 10**30])
+            )
+            | JUNK,
+        ),
+    }
+
+
+def command_flags():
+    """Each command's flags but --help: (those that take a value, switches)."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        takes = [a.option_strings[0] for a in actions if a.nargs != 0]
+        flags[name] = takes, [a.option_strings[0] for a in actions if a.nargs == 0]
+    return flags
+
+
+def rarely(draw, one_in=8):
+    """True one time in one_in (st.integers favours its bounds)."""
+    return draw(st.sampled_from([True] + [False] * (one_in - 1)))
+
+
+@st.composite
+def code_flags(draw, takes, spec):
+    """--spec, or --N with --K (and perhaps --construction ga and its
+    --design-ebn0) or --A, mostly valid."""
+    sources = ["--spec", "--K", "--K", "--A"] if "--spec" in takes else ["--K", "--A"]
+    source = draw(st.sampled_from(sources))
+    if source == "--spec":
+        return ["--spec", spec]
+    N = draw(st.sampled_from([4, 8, 16, 32, 64]))
+    if source == "--K":
+        ga = ["--construction", "ga", "--design-ebn0", draw(st.floats(-5, 10).map(repr))]
+        K = draw(ints(-2, 70) | JUNK if rarely(draw) else ints(1, N))
+        return ["--N", str(N), "--K", K] + (ga if draw(st.booleans()) else [])
+    K = draw(st.integers(1, min(N, 24)))
+    A = ",".join(map(str, draw(st.permutations(range(1, N + 1)))[:K]))
+    return ["--N", str(N), "--A", draw(joined(ints(-1, 70)) | JUNK) if rarely(draw) else A]
+
+
+@st.composite
+def argvs(draw, root):
+    """A command and some of its flags, about one value in eight invalid,
+    sometimes an unknown flag; most commands get a code and their required
+    flags."""
+    values, flags = argv_values(root), command_flags()
+    command = draw(st.sampled_from(sorted(flags)))
+    takes, switches = flags[command]
+    argv = [command]
+    if "--K" in takes and not rarely(draw):
+        argv += draw(code_flags(takes, str(root / "spec.txt")))
+    required = {"construct": ["--out"], "simulate": ["--ebn0", "--trials"]}.get(command, [])
+    if command == "sweep" and not rarely(draw):
+        required = ["--N"] + (["--construction"] if draw(st.booleans()) else [])
+    pool = takes + switches
+    if len(argv) > 1 and not rarely(draw):  # a code is given: mostly no second one
+        code = ("--N", "--K", "--A", "--spec", "--construction", "--design-ebn0")
+        pool = [flag for flag in pool if flag not in code]
+    chosen = draw(st.lists(st.sampled_from(pool), unique=True, max_size=5))
+    for flag in required + [f for f in chosen if f not in required and f not in argv]:
+        if flag in switches:
+            argv.append(flag)
+        else:
+            good, bad = values[flag]
+            # a command's required flags carry its main input: bad more often
+            argv += [flag, draw(bad if rarely(draw, 4 if flag in required else 8) else good)]
+    if rarely(draw) and rarely(draw):
+        argv.insert(draw(st.integers(1, len(argv))), "--bogus")
+    return argv
+
+
+def test_main_returns_an_exit_code_and_one_error_line_for_any_argv(tmp_path, monkeypatch):
+    # every command and flag, with values valid, malformed, non-finite or out
+    # of range: main never raises, exits 0, 2, 3 or 4, and writes to stderr
+    # exactly one error: or refused: line when, and only when, it exits 2 or 3
+    monkeypatch.delenv("POLARMHW_THREADS", raising=False)
+    save_spec(construct_pw(16, 8), tmp_path / "spec.txt")
+    (tmp_path / "garbage.txt").write_text("not a spec\n")
+    flags = command_flags()
+    assert sorted(flags) == ["bound", "construct", "enumerate", "simulate", "sweep", "verify"]
+    assert {flag for takes, _ in flags.values() for flag in takes} == set(argv_values(tmp_path))
+
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(argvs(tmp_path))
+    def clean(argv):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4)
+        if code in (2, 3):
+            assert err.startswith(("error: ", "refused: ")) and err.count("\n") == 1
+            assert err.endswith("\n")
+        else:
+            assert err == ""
+
+    clean()

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -451,9 +452,20 @@ def test_forced_prefix_must_fit_and_be_binary():
 
 def test_list_size_and_input_length_are_validated():
     with pytest.raises(ValueError):
-        scl_decode([1] * 8, SPEC8, L=0)
-    with pytest.raises(ValueError):
         scl_decode([1] * 4, SPEC8, L=2)
+    # a bad list size is one ValueError, never truncated to an integer, and
+    # Python and numpy integers of any size decode alike
+    llrs = np.random.default_rng(2).normal(size=(4, 8))
+    for L, why in ((2.5, "2.5 must be an integer"), (3.9, "3.9 must be an integer"),
+                   (None, "None must be an integer"), (0, "0 must be >= 1")):
+        with pytest.raises(ValueError, match=f"^list size L={re.escape(why)}$"):
+            scl_decode([1] * 8, SPEC8, L)
+        with pytest.raises(ValueError, match=f"^list size L={re.escape(why)}$"):
+            scl_decode_batch(llrs, SPEC8, L)
+    for L in (np.int64(3), np.uint8(3), np.int16(3)):
+        assert scl_decode([1] * 8, SPEC8, L) == scl_decode([1] * 8, SPEC8, 3)
+        assert np.array_equal(scl_decode_batch(llrs, SPEC8, L), scl_decode_batch(llrs, SPEC8, 3))
+    assert scl_decode([1] * 8, SPEC8, 2**70) == scl_decode([1] * 8, SPEC8, 16)
 
 
 def test_scalar_decoder_rejects_non_finite_llrs():

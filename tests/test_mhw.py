@@ -297,6 +297,18 @@ def test_zero_split_triggers_refuses_what_is_not_a_minimum_weight_row():
     ]
 
 
+def test_zero_split_triggers_refuses_a_repeated_trigger(monkeypatch):
+    # refused up front, by name, before any orbit is built or walk run
+    def built(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(mhw, "_orbit_block", built)
+    monkeypatch.setattr(mhw, "_zero_split_walk", built)
+    for triggers, twice in (([4, 4], 4), ([4, 6, 7, 6], 6), ([7, 7], 7)):
+        with pytest.raises(ValueError, match=f"^trigger {twice} is listed twice$"):
+            mhw.zero_split_triggers(SPEC8, triggers)
+
+
 def test_zero_split_triggers_of_no_trigger_is_empty():
     # the walk over no trigger gives the empty set, at the code's d_m
     for spec in (SPEC8, construct_pw(128, 64), construct_ga(256, 100, 1.0)):
@@ -489,6 +501,19 @@ def test_global_search_examples():
     assert tiny.vectors.tolist() == [[0, 0, 0, 0, 0, 0, 0, 1]]
 
 
+def test_global_search_list_size_is_an_integer_checked_first(monkeypatch):
+    # a fractional L is refused before the bound is built: it must never
+    # reach a result's max_list_used, which the reader would refuse
+    want = scl_global_search(SPEC8, 16)
+    assert scl_global_search(SPEC8, np.int64(16)) == scl_global_search(SPEC8, np.uint8(16)) == want
+    monkeypatch.setattr(mhw, "bound_count", lambda *a, **k: pytest.fail("bound built"))
+    for L in (2.5, 3.9):
+        with pytest.raises(ValueError, match=f"^list size L={L} must be an integer$"):
+            scl_global_search(SPEC8, L)
+    with pytest.raises(ValueError, match="^list size L=0 must be >= 1$"):
+        scl_global_search(SPEC8, 0)
+
+
 def test_subset_scl_list_is_under_half_the_global_list():
     # the paper's claim: the subset searches need less than half the list
     # size of one global search wider than the counting bound
@@ -523,6 +548,51 @@ def test_four_methods_agree():
         assert vector_set(split.vectors) == vector_set(oracle.vectors)
         assert vector_set(wide.vectors) == vector_set(oracle.vectors)
         assert wide.warning is None
+
+
+@st.composite
+def random_codes(draw):
+    """A random information set of K <= 22 positions at N = 8 ... 64."""
+    N = draw(st.sampled_from((8, 16, 32, 64)))
+    K = draw(st.integers(1, min(N, mhw.EXHAUSTIVE_CAP)))
+    return CodeSpec(N, tuple(draw(st.permutations(range(1, N + 1)))[:K]))
+
+
+def test_four_enumerators_agree_on_random_sets(monkeypatch):
+    # the same d_m and words from all four methods, no warning, and a count
+    # within the bound; across the sample zero-split takes triggers both
+    # from orbits and from the walk
+    routes, orbit_block, walk = set(), mhw._orbit_block, mhw._zero_split_walk
+
+    def orbit(i, N):
+        routes.add("orbit")
+        return orbit_block(i, N)
+
+    def walked(spec, triggers):
+        if len(triggers):
+            routes.add("walk")
+        return walk(spec, triggers)
+
+    monkeypatch.setattr(mhw, "_orbit_block", orbit)
+    monkeypatch.setattr(mhw, "_zero_split_walk", walked)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(random_codes())
+    def agree(spec):
+        bound = bound_count(spec).total
+        oracle, *others = (
+            exhaustive_mhw(spec),
+            enumerate_subset_scl(spec),
+            enumerate_zero_split(spec),
+            scl_global_search(spec, bound + 1),
+        )
+        assert oracle.count <= bound
+        for out in others:
+            assert (out.d_m, out.warning) == (oracle.d_m, None)
+            assert np.array_equal(out.words, oracle.words)
+
+    agree()
+    assert routes == {"orbit", "walk"}
 
 
 def test_enumerated_vectors_partition_by_trigger_and_split():
@@ -560,6 +630,28 @@ def test_thread_count_does_not_change_results():
     c = enumerate_zero_split(spec, threads=1)
     d = enumerate_zero_split(spec, threads=4)
     assert c == d
+
+
+def test_thread_count_is_an_integer_checked_first(monkeypatch):
+    spec = construct_pw(32, 12)
+    for run in (enumerate_subset_scl, enumerate_zero_split):
+        assert run(spec, threads=np.int64(2)) == run(spec, threads=2)
+    # refused before the bound of either enumerator is built
+    monkeypatch.setattr(mhw, "bound_count", lambda *a, **k: pytest.fail("bound built"))
+    for threads, why in ((0, "threads must be >= 1"), (-1, "threads must be >= 1"),
+                         (1.5, "threads=1.5 must be an integer")):
+        for run in (enumerate_subset_scl, enumerate_zero_split):
+            with pytest.raises(ValueError, match=f"^{why}$"):
+                run(spec, threads=threads)
+
+
+def test_max_list_used_is_a_nonnegative_integer():
+    words = enumerate_zero_split(SPEC8).words
+    for bad in (2.5, -1, "4", None):
+        with pytest.raises(ValueError, match=r"^maxListUsed=.* must be a nonnegative integer$"):
+            MhwResult(4, 8, words, "SCL_GLOBAL", bad)
+    for good in (0, 16, np.int64(16), 2**70):
+        assert MhwResult(4, 8, words, "SCL_GLOBAL", good).max_list_used == good
 
 
 def test_result_vectors_are_a_sorted_read_only_array():
