@@ -238,9 +238,10 @@ def cmd_construct(args, argv) -> int:
 def cmd_bound(args, argv) -> int:
     spec = _resolve_spec(args)
     report = bound_count(spec, materialize_sets=False)
-    table = [_BOUND_HEADER, *(f"{t.i},{t.overlap},{t.term}" for t in report.triggers)]
+    terms = zip(report.a_m, report.overlaps)
+    table = [_BOUND_HEADER, *(f"{i},{overlap},{1 << overlap}" for i, overlap in terms)]
     _print_head(argv, spec)
-    print(f"d_m={report.d_m} triggers={len(report.triggers)}", *table, sep="\n")
+    print(f"d_m={report.d_m} triggers={len(report.a_m)}", *table, sep="\n")
     print(f"total={report.total}")
     if args.csv:
         Path(args.csv).write_text("\n".join([*_echo_lines(argv), *table]) + "\n", encoding="utf-8")
@@ -484,8 +485,9 @@ def cmd_sweep(args, argv) -> int:
     if args.K_grid is not None:
         Ks = _parse_grid(args.K_grid, int, "--K-grid", (1, N))
     else:
-        Ks = list(range(1, N))
-    # one reliability order serves every K
+        Ks = range(1, N)
+    # one reliability order serves every K; building it first refuses an N
+    # too large to hold before any K is visited
     codes = _codes(N, _design_point(args.construction, args.design_ebn0))
     rows = []
     for K in Ks:

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -206,33 +207,66 @@ def _rank(scores: np.ndarray) -> ReliabilityOrder:
 # ---- polarization weight ----
 
 
+def _scores(N: int) -> np.ndarray:
+    """An uninitialized float64 array of N entries: the one full-length
+    allocation of an order, made before any of its stages.  An N past what
+    numpy can address raises MemoryError, the error of an N past the host's
+    memory, so the CLI refuses both alike."""
+    try:
+        return np.empty(N)
+    except ValueError as exc:  # "array is too big", "Maximum allowed dimension exceeded"
+        raise MemoryError(f"cannot allocate {N} channel scores: {exc}") from None
+
+
 def polarization_weight_order(N: int) -> ReliabilityOrder:
     n = _check_length(N)
     # channels 2**j + 1 .. 2**(j+1) repeat the scores before them plus beta**j;
     # each score sums its powers in ascending digit order
-    scores = np.zeros(1)
+    scores = _scores(N)
+    scores[0] = 0.0
     for j in range(n):
-        scores = np.concatenate([scores, scores + PW_BETA ** j])
+        scores[1 << j : 2 << j] = scores[: 1 << j] + PW_BETA ** j
     return _rank(scores)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _ranks(N: int, design_ebn0_db) -> np.ndarray:
+    """The read-only rank of each 0-based position in the PW order of length
+    N (design_ebn0_db None) or the GA order designed at design_ebn0_db:
+    position p is among the K most reliable iff rank[p] < K.
+
+    Built once per (N, design point) per process.  The cache keeps the 32
+    most recently used, 4 bytes a channel each: at most 8 MiB while every
+    N is at most 2**16, and 32 entries hold every N from 2 to 2**16 for PW
+    and one GA design point.  -0.0 and 0.0 share an entry, as they share the
+    order; keys are typed, so a float32 design point, whose noise std is
+    computed in float32, gets its own.  A failing key raises each time,
+    since the cache keeps only results."""
+    if design_ebn0_db is None:
+        order = polarization_weight_order(N)
+    else:
+        order = gaussian_approx_order(N, design_sigma(design_ebn0_db, 0.5))
+    rank = np.empty(N, dtype=np.int32 if N <= 1 << 31 else np.int64)
+    rank[order.ranking - 1] = np.arange(N)
+    rank.flags.writeable = False
+    return rank
 
 
 def _codes(N: int, design_ebn0_db=None):
     """K -> the code of length N that construct_pw (design_ebn0_db None) or
-    construct_ga builds, all K read off one reliability order."""
-    if design_ebn0_db is None:
-        order, label = polarization_weight_order(N), "PW"
-    else:
-        order = gaussian_approx_order(N, design_sigma(design_ebn0_db, 0.5))
-        label = f"GA({design_ebn0_db:g}dB)"
-    rows = order.ranking - 1
+    construct_ga builds, all K read off one reliability order.  The order is
+    built once per (N, design point) per process and shared by every later
+    call, construct_pw, construct_ga and the CLI's sweep alike: _ranks keeps
+    the 32 most recently used, 4 bytes a channel each.  The label is made
+    here, outside the cache, so construct_ga(N, K, -0.0) stays GA(-0dB)."""
+    rank = _ranks(N, design_ebn0_db)
+    label = "PW" if design_ebn0_db is None else f"GA({design_ebn0_db:g}dB)"
 
     def code(K: int) -> CodeSpec:
-        # the first K rows of a permutation of [0, N): distinct and in range
-        if not 1 <= K <= N:
+        # the ranks are a permutation of [0, N): exactly K of them are below K
+        if not 1 <= operator.index(K) <= N:
             raise ValueError(f"K={K} out of range [1, {N}]")
-        mask = np.zeros(N, dtype=bool)
-        mask[rows[:K]] = True
-        return CodeSpec._from_mask(N, mask, label)
+        return CodeSpec._from_mask(N, rank < K, label)
 
     return code
 
@@ -285,15 +319,16 @@ def gaussian_approx_order(N: int, sigma: float) -> ReliabilityOrder:
     n = _check_length(N)
     if not sigma > 0:
         raise ValueError(f"noise std sigma={sigma} must be positive")
-    # Shared-prefix recursion: one array per stage instead of one walk per
-    # channel.  Child order (check, double) makes the final index i-1 read its
-    # digits MSB-first, which is exactly the natural channel order.
-    means = np.array([2.0 / (sigma * sigma)])
-    for _ in range(n):
-        nxt = np.empty(2 * means.size)
-        nxt[0::2] = _check_combine(means)
-        nxt[1::2] = 2.0 * means
-        means = nxt
+    # Shared-prefix recursion: one stage at a time, all in one array.  Child
+    # order (check, double) makes the final index i-1 read its digits
+    # MSB-first, which is exactly the natural channel order.
+    means = _scores(N)
+    means[0] = 2.0 / (sigma * sigma)
+    for j in range(n):
+        stage = means[: 1 << j]
+        check, double = _check_combine(stage), 2.0 * stage
+        means[0 : 2 << j : 2] = check
+        means[1 : 2 << j : 2] = double
     return _rank(means)
 
 

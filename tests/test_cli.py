@@ -7,6 +7,7 @@ import math
 import random
 import re
 import shlex
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -316,6 +317,33 @@ def test_non_finite_or_overflowing_ebn0_is_exit_2(capsys):
             code, out, err = run(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {message}\n"), text
         assert caught == [], text
+
+
+@pytest.mark.parametrize("log_n", [60, 100])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--K", "3"],
+        ["bound", "--K", "3", "--construction", "ga"],
+        ["construct", "--K", "3", "--out", "code.spec"],
+        ["sweep"],
+    ],
+)
+def test_huge_N_is_refused_before_it_allocates(capsys, tmp_path, monkeypatch, log_n, argv):
+    # both lengths are past the address space, so the order's one
+    # full-length buffer is refused whatever the host allows
+    monkeypatch.chdir(tmp_path)
+    argv = [argv[0], "--N", str(1 << log_n), *argv[1:]]
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert peak < 1 << 20
+    assert not (tmp_path / "code.spec").exists()
 
 
 def test_empty_K_grid_is_given_not_absent(capsys):
