@@ -63,7 +63,8 @@ class BoundReport:
     overlap (how many of its zero-capacity positions are information
     positions), each row's marked positions when they were asked for, and
     total, the exact sum of 2**overlap.  The TriggerTerm tuple is built the
-    first time something reads triggers."""
+    first time something reads triggers; _terms gives its (i, overlap, term)
+    rows without it."""
 
     N: int
     d_m: int
@@ -72,13 +73,13 @@ class BoundReport:
     members: tuple[tuple[int, ...], ...] | None
     total: int
 
+    def _terms(self):
+        return ((i, overlap, 1 << overlap) for i, overlap in zip(self.a_m, self.overlaps))
+
     @cached_property
     def triggers(self) -> tuple[TriggerTerm, ...]:
         members = (None,) * len(self.a_m) if self.members is None else self.members
-        return tuple(
-            TriggerTerm(i, overlap, 1 << overlap, m)
-            for i, overlap, m in zip(self.a_m, self.overlaps, members)
-        )
+        return tuple(TriggerTerm(*row, m) for row, m in zip(self._terms(), members))
 
 
 # ---- tail decomposition and zero-capacity sets ----

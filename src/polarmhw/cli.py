@@ -238,8 +238,7 @@ def cmd_construct(args, argv) -> int:
 def cmd_bound(args, argv) -> int:
     spec = _resolve_spec(args)
     report = bound_count(spec, materialize_sets=False)
-    terms = zip(report.a_m, report.overlaps)
-    table = [_BOUND_HEADER, *(f"{i},{overlap},{1 << overlap}" for i, overlap in terms)]
+    table = [_BOUND_HEADER, *(f"{i},{overlap},{term}" for i, overlap, term in report._terms())]
     _print_head(argv, spec)
     print(f"d_m={report.d_m} triggers={len(report.a_m)}", *table, sep="\n")
     print(f"total={report.total}")

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +51,16 @@ PW_BETA = 2.0 ** 0.25
 
 # boundary value of ln phi at m = 10, where the two fit segments meet
 _LN_PHI_SPLIT = -0.4527 * 10.0 ** 0.86 + 0.0218
+
+
+def _zeros(N: int, dtype=float) -> np.ndarray:
+    """np.zeros(N, dtype), the one full-length allocation of a spec's mask or
+    a code's scores.  An N numpy cannot address is a MemoryError, as one the
+    host cannot hold is, so the CLI refuses both alike."""
+    try:
+        return np.zeros(N, dtype)
+    except ValueError as exc:  # "array is too big", "Maximum allowed dimension exceeded"
+        raise MemoryError(f"cannot allocate {N} entries: {exc}") from None
 
 
 # ---- code specification ----
@@ -82,7 +91,7 @@ class CodeSpec:
         # checked before the write: a row of 0 would wrap to the last position
         if not inside:
             raise ValueError(f"information set not within [1, {N}]")
-        mask = np.zeros(N, dtype=bool)
+        mask = _zeros(N, bool)
         mask[rows - 1] = True
         if np.count_nonzero(mask) != len(A):
             raise ValueError("information set has duplicate positions")
@@ -207,72 +216,72 @@ def _rank(scores: np.ndarray) -> ReliabilityOrder:
 # ---- polarization weight ----
 
 
-def _scores(N: int) -> np.ndarray:
-    """An uninitialized float64 array of N entries: the one full-length
-    allocation of an order, made before any of its stages.  An N past what
-    numpy can address raises MemoryError, the error of an N past the host's
-    memory, so the CLI refuses both alike."""
-    try:
-        return np.empty(N)
-    except ValueError as exc:  # "array is too big", "Maximum allowed dimension exceeded"
-        raise MemoryError(f"cannot allocate {N} channel scores: {exc}") from None
-
-
 def polarization_weight_order(N: int) -> ReliabilityOrder:
+    return _rank(_pw_scores(N))
+
+
+def _pw_scores(N: int) -> np.ndarray:
     n = _check_length(N)
     # channels 2**j + 1 .. 2**(j+1) repeat the scores before them plus beta**j;
     # each score sums its powers in ascending digit order
-    scores = _scores(N)
-    scores[0] = 0.0
+    scores = _zeros(N)
     for j in range(n):
         scores[1 << j : 2 << j] = scores[: 1 << j] + PW_BETA ** j
-    return _rank(scores)
+    return scores
 
 
-@lru_cache(maxsize=32, typed=True)
-def _ranks(N: int, design_ebn0_db) -> np.ndarray:
-    """The read-only rank of each 0-based position in the PW order of length
-    N (design_ebn0_db None) or the GA order designed at design_ebn0_db:
-    position p is among the K most reliable iff rank[p] < K.
+def _top(scores: np.ndarray, K: int) -> np.ndarray:
+    """The mask of the first K positions of _rank(scores), found by selection
+    instead of a full sort: every key below the K-th smallest, then as many
+    of its ties as fit, lowest index first."""
+    key = -scores
+    key[np.isnan(key)] = np.inf  # a NaN score sorts last; no score is -inf
+    kth = np.partition(key, K - 1)[K - 1]
+    mask = key < kth
+    mask[np.flatnonzero(key == kth)[: K - np.count_nonzero(mask)]] = True
+    return mask
 
-    Built once per (N, design point) per process.  The cache keeps the 32
-    most recently used, 4 bytes a channel each: at most 8 MiB while every
-    N is at most 2**16, and 32 entries hold every N from 2 to 2**16 for PW
-    and one GA design point.  -0.0 and 0.0 share an entry, as they share the
-    order; keys are typed, so a float32 design point, whose noise std is
-    computed in float32, gets its own.  A failing key raises each time,
-    since the cache keeps only results."""
-    if design_ebn0_db is None:
-        order = polarization_weight_order(N)
-    else:
-        order = gaussian_approx_order(N, design_sigma(design_ebn0_db, 0.5))
-    rank = np.empty(N, dtype=np.int32 if N <= 1 << 31 else np.int64)
-    rank[order.ranking - 1] = np.arange(N)
-    rank.flags.writeable = False
-    return rank
+
+def _label(design_ebn0_db) -> str:
+    return "PW" if design_ebn0_db is None else f"GA({design_ebn0_db:g}dB)"
+
+
+def _check_K(K: int, N: int) -> None:
+    if not 1 <= K <= N:
+        raise ValueError(f"K={K} out of range [1, {N}]")
 
 
 def _codes(N: int, design_ebn0_db=None):
     """K -> the code of length N that construct_pw (design_ebn0_db None) or
-    construct_ga builds, all K read off one reliability order.  The order is
-    built once per (N, design point) per process and shared by every later
-    call, construct_pw, construct_ga and the CLI's sweep alike: _ranks keeps
-    the 32 most recently used, 4 bytes a channel each.  The label is made
-    here, outside the cache, so construct_ga(N, K, -0.0) stays GA(-0dB)."""
-    rank = _ranks(N, design_ebn0_db)
-    label = "PW" if design_ebn0_db is None else f"GA({design_ebn0_db:g}dB)"
+    construct_ga builds, all K read off one reliability order."""
+    if design_ebn0_db is None:
+        order = polarization_weight_order(N)
+    else:
+        order = gaussian_approx_order(N, design_sigma(design_ebn0_db, 0.5))
+    rows, label = order.ranking - 1, _label(design_ebn0_db)
 
     def code(K: int) -> CodeSpec:
-        # the ranks are a permutation of [0, N): exactly K of them are below K
-        if not 1 <= operator.index(K) <= N:
-            raise ValueError(f"K={K} out of range [1, {N}]")
-        return CodeSpec._from_mask(N, rank < K, label)
+        # the first K rows of a permutation of [0, N): distinct and in range
+        _check_K(K, N)
+        mask = np.zeros(N, dtype=bool)
+        mask[rows[:K]] = True
+        return CodeSpec._from_mask(N, mask, label)
 
     return code
 
 
+def _code(N: int, K: int, design_ebn0_db) -> CodeSpec:
+    """_codes(N, design_ebn0_db)(K), without sorting the N scores."""
+    if design_ebn0_db is None:
+        scores = _pw_scores(N)
+    else:
+        scores = _ga_means(N, design_sigma(design_ebn0_db, 0.5))
+    _check_K(K, N)
+    return CodeSpec._from_mask(N, _top(scores, K), _label(design_ebn0_db))
+
+
 def construct_pw(N: int, K: int) -> CodeSpec:
-    return _codes(N)(K)
+    return _code(N, K, None)
 
 
 # ---- gaussian approximation ----
@@ -316,20 +325,24 @@ def _check_combine(m: np.ndarray) -> np.ndarray:
 
 
 def gaussian_approx_order(N: int, sigma: float) -> ReliabilityOrder:
+    return _rank(_ga_means(N, sigma))
+
+
+def _ga_means(N: int, sigma: float) -> np.ndarray:
     n = _check_length(N)
     if not sigma > 0:
         raise ValueError(f"noise std sigma={sigma} must be positive")
     # Shared-prefix recursion: one stage at a time, all in one array.  Child
     # order (check, double) makes the final index i-1 read its digits
     # MSB-first, which is exactly the natural channel order.
-    means = _scores(N)
+    means = _zeros(N)
     means[0] = 2.0 / (sigma * sigma)
     for j in range(n):
         stage = means[: 1 << j]
         check, double = _check_combine(stage), 2.0 * stage
         means[0 : 2 << j : 2] = check
         means[1 : 2 << j : 2] = double
-    return _rank(means)
+    return means
 
 
 def design_sigma(ebn0_db: float, rate: float) -> float:
@@ -347,7 +360,7 @@ def design_sigma(ebn0_db: float, rate: float) -> float:
 def construct_ga(N: int, K: int, design_ebn0_db: float) -> CodeSpec:
     """The K most reliable channels by Gaussian approximation, designed at
     design_ebn0_db for rate 1/2 whatever K is."""
-    return _codes(N, design_ebn0_db)(K)
+    return _code(N, K, design_ebn0_db)
 
 
 # ---- spec files ----

@@ -346,6 +346,15 @@ def test_huge_N_is_refused_before_it_allocates(capsys, tmp_path, monkeypatch, lo
     assert not (tmp_path / "code.spec").exists()
 
 
+def test_huge_N_with_an_explicit_A_is_refused(capsys):
+    # numpy fails to allocate the mask at 2**60 and cannot address it at
+    # 2**100; both are one refused line
+    for log_n in (60, 100):
+        code, out, err = run(capsys, ["bound", "--N", str(1 << log_n), "--A", "1,2"])
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: ") and err.count("\n") == 1
+
+
 def test_empty_K_grid_is_given_not_absent(capsys):
     for grid in ("", " ", ","):
         code, out, err = run(capsys, ["sweep", "--N", "8", "--K-grid", grid])

@@ -22,7 +22,7 @@ from polarmhw.construction import (
     SpecFormatError,
     _codes,
     _node_steps,
-    _ranks,
+    _top,
     construct_ga,
     construct_pw,
     design_sigma,
@@ -193,7 +193,7 @@ def test_bound_leaves_A_unbuilt():
     assert "A" in vars(spec)
 
 
-# ---- the per-process order cache ----
+# ---- one code by selection ----
 
 
 def _fresh_mask(ranking, K):
@@ -202,70 +202,45 @@ def _fresh_mask(ranking, K):
     return mask
 
 
-def test_cached_orders_give_the_masks_of_fresh_ones():
-    # the cache changes no mask, whether this call builds the order (cold)
-    # or takes it from the cache (warm); the ranks are the inverse of the
-    # fresh ranking, so every K's mask agrees even where only some are built
+def test_selected_codes_are_the_first_K_of_the_order():
+    # construct_pw and construct_ga select their K positions without sorting;
+    # every K agrees with the first K entries of the sorted order
     for N, label, ebn0, ranking in _ranked_codes():
-        Ks = range(1, N + 1) if N <= 1 << 12 else sorted({*range(1, N + 1, 997), N - 1, N})
-        for warm in (False, True):
-            if not warm:
-                _ranks.cache_clear()
-            hits = _ranks.cache_info().hits
-            codes = _codes(N, ebn0)
-            assert _ranks.cache_info().hits == hits + warm
-            assert np.array_equal(_ranks(N, ebn0), np.argsort(ranking - 1))
-            for K in Ks:
-                got = codes(K)
-                assert got.construction == label
-                assert np.array_equal(got.info_mask, _fresh_mask(ranking, K)), (N, label, K, warm)
+        Ks = range(1, N + 1) if N <= 1 << 10 else sorted({*range(1, N + 1, 4093), N - 1, N})
+        for K in Ks:
+            got = construct_pw(N, K) if ebn0 is None else construct_ga(N, K, ebn0)
+            assert got.construction == label and not got.info_mask.flags.writeable
+            assert np.array_equal(got.info_mask, _fresh_mask(ranking, K)), (N, label, K)
 
 
-def test_cached_ranks_are_read_only_and_shared():
-    rank = _ranks(64, 2.0)
-    assert _ranks(64, 2.0) is rank
-    with pytest.raises(ValueError):
-        rank[0] = rank[1]
-    # the public orders stay uncached: each call hands back fresh arrays
-    assert polarization_weight_order(64).ranking is not polarization_weight_order(64).ranking
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ebn0", [-3000.0, 3060.0, 3079.0])
+def test_selection_breaks_ties_like_the_sort(ebn0):
+    # far-out design points give runs of equal, infinite and NaN means; the
+    # sort puts ties in index order and NaN last, and so must the selection
+    N = 1024
+    order = gaussian_approx_order(N, design_sigma(ebn0, 0.5))
+    assert len(np.unique(order.scores)) < N
+    for K in range(1, N + 1):
+        assert np.array_equal(_top(order.scores, K), _fresh_mask(order.ranking, K)), K
 
 
-@pytest.mark.parametrize("first", [-0.0, 0.0])
-def test_signed_zero_design_points_keep_their_labels(first):
-    # -0.0 == 0.0 shares one cache entry, but not the label
-    _ranks.cache_clear()
-    labels = {-1.0: "GA(-0dB)", 1.0: "GA(0dB)"}
-    specs = [construct_ga(64, 32, db) for db in (first, -first)]
-    for db, spec in zip((first, -first), specs):
-        assert spec.construction == labels[math.copysign(1.0, db)]
-    assert np.array_equal(specs[0].info_mask, specs[1].info_mask)
-
-
-def test_a_failing_order_raises_the_same_error_every_time():
-    for args, text in (
-        ((6, None), "code length N=6 is not a power of two >= 2"),
-        ((16, 1e308), "Eb/N0 1e+308 dB out of range"),
-    ):
-        for _ in range(2):
-            with pytest.raises(ValueError, match=re.escape(text)):
-                _codes(*args)
-
-
-def test_the_order_cache_is_bounded():
-    _ranks.cache_clear()
-    keys = [(1 << n, db) for n in range(1, 5) for db in (None, *range(-4, 5))]
-    assert len(set(keys)) == 40
-    for N, db in keys:
-        _codes(N, db)
-    assert _ranks.cache_info().maxsize == 32
-    assert _ranks.cache_info().currsize <= 32
+def test_signed_zero_design_points_keep_their_labels():
+    minus, plus = construct_ga(64, 32, -0.0), construct_ga(64, 32, 0.0)
+    assert (minus.construction, plus.construction) == ("GA(-0dB)", "GA(0dB)")
+    assert np.array_equal(minus.info_mask, plus.info_mask)
 
 
 @pytest.mark.parametrize("N", [1 << 60, 1 << 100])
-def test_an_order_too_large_to_address_is_a_memory_error(N):
+def test_a_length_too_large_to_address_is_a_memory_error(N):
     # refused at the one full-length allocation, before any stage runs
-    for build in (polarization_weight_order, lambda N: gaussian_approx_order(N, 0.8)):
-        with pytest.raises(MemoryError, match=f"cannot allocate {N} channel scores"):
+    builds = (
+        polarization_weight_order,
+        lambda N: gaussian_approx_order(N, 0.8),
+        lambda N: CodeSpec(N, (1, 2)),
+    )
+    for build in builds:
+        with pytest.raises(MemoryError):
             build(N)
 
 
