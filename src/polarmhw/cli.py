@@ -204,17 +204,7 @@ def _design_point(construction, design_ebn0):
 
 def _resolve_spec(args):
     if args.spec is not None:
-        extras = [
-            name
-            for name, value in (
-                ("--N", args.N),
-                ("--K", args.K),
-                ("--A", args.A),
-                ("--construction", args.construction),
-                ("--design-ebn0", args.design_ebn0),
-            )
-            if value is not None
-        ]
+        extras = [o for flags in _CODE.values() for o, *_ in flags if _value(args, o) is not None]
         if extras:
             raise UsageError(f"--spec conflicts with {', '.join(extras)}")
         return load_spec(args.spec)
@@ -239,11 +229,11 @@ def cmd_bound(args, argv) -> int:
     spec = _resolve_spec(args)
     report = bound_count(spec, materialize_sets=False)
     table = [_BOUND_HEADER, *(f"{i},{overlap},{term}" for i, overlap, term in report._terms())]
+    if args.csv:
+        Path(args.csv).write_text("\n".join([*_echo_lines(argv), *table]) + "\n", encoding="utf-8")
     _print_head(argv, spec)
     print(f"d_m={report.d_m} triggers={len(report.a_m)}", *table, sep="\n")
     print(f"total={report.total}")
-    if args.csv:
-        Path(args.csv).write_text("\n".join([*_echo_lines(argv), *table]) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -258,8 +248,6 @@ def cmd_enumerate(args, argv) -> int:
         raise UsageError("--check runs every method; drop --method")
     if args.list_size is not None and method != "scl-global":
         raise UsageError("--list-size applies to --method scl-global only")
-    if args.list_size is not None and args.list_size < 1:
-        raise UsageError("--list-size must be >= 1")
     _print_head(argv, spec)
     names = [method]
     if args.check:
@@ -420,8 +408,6 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
 
 def cmd_verify(args, argv) -> int:
     spec = _resolve_spec(args)
-    if args.max_triggers < 1 or args.max_members < 1:
-        raise UsageError("--max-triggers and --max-members must be >= 1")
     _print_head(argv, spec)
     checks = _run_verify(
         spec,
@@ -446,14 +432,8 @@ def cmd_verify(args, argv) -> int:
 def cmd_simulate(args, argv) -> int:
     spec = _resolve_spec(args)
     threads = _resolve_threads(args)
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if args.list_size < 1:
-        raise UsageError("--list-size must be >= 1")
-    if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
     grid = _parse_grid(args.ebn0, _finite_float, "--ebn0")
-    limit = None if args.error_limit <= 0 else args.error_limit
+    limit = max(args.error_limit, 0) or None  # 0 or less: no limit
     points = sweep_fer(
         spec,
         grid,
@@ -467,9 +447,9 @@ def cmd_simulate(args, argv) -> int:
     text = render_fer_csv(
         spec, points, header_lines=_echo_lines(argv) + [_spec_line(spec)]
     )
-    print(text, end="")
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
+    print(text, end="")
     return EXIT_OK
 
 
@@ -495,13 +475,101 @@ def cmd_sweep(args, argv) -> int:
         exact = enumerate_zero_split(spec).count if report.total <= args.exact_limit else ""
         rows.append(f"{K / N:.6g},{K},{report.d_m},{report.total},{exact}")
     text = "\n".join([*_echo_lines(argv), _SWEEP_HEADER, *rows]) + "\n"
-    print(text, end="")
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
+    print(text, end="")
     return EXIT_OK
 
 
-# ---- parser ----
+# ---- command table ----
+
+
+def _flag(option, help, least=(None, None), **kwargs):
+    """A flag's table entry: (option, add_argument keywords, least value or
+    None, the error line for a value below it)."""
+    return option, dict(help=help, **kwargs), *least
+
+
+def _value(args, option):
+    """The parsed value of a flag, under argparse's default dest."""
+    return getattr(args, option[2:].replace("-", "_"))
+
+
+# least values that two flags share, each with its one error line
+_ONE_LIST = 1, "--list-size must be >= 1"
+_ONE_SAMPLE = 1, "--max-triggers and --max-members must be >= 1"
+_DESIGN_HELP = f"design point for --construction ga (default {_DEFAULT_DESIGN_EBN0:g})"
+# the code flags under their help group titles: sweep takes the code
+# definition alone, and --spec conflicts with every code flag
+_DEFINITION = {"code definition": [
+    _flag("--N", "code length (power of two)", type=int),
+    _flag("--construction", "reliability rule (default pw)", choices=("pw", "ga")),
+    _flag("--design-ebn0", _DESIGN_HELP, type=float, metavar="DB"),
+]}
+_CODE = {**_DEFINITION, "information set": [
+    _flag("--K", "number of information positions", type=int),
+    _flag("--A", "explicit information set, comma or space separated, 1-based",
+          metavar="POSITIONS"),
+]}
+_SPEC = _flag("--spec", "load a saved code-spec file", metavar="PATH")
+_THREADS = _flag("--threads", "worker threads (default: POLARMHW_THREADS or 1)", type=int)
+_CSV_OUT = _flag("--out", "write the CSV here as well", metavar="PATH")
+
+# per command: its function, its help, its code flags and its other flags,
+# each in the order --help lists them
+_COMMANDS = {
+    "construct": (cmd_construct, "build a code spec and save it", _CODE, [
+        _flag("--out", "spec file to write", required=True, metavar="PATH"),
+    ]),
+    "bound": (cmd_bound, "count minimum-weight codewords from above without enumerating", _CODE, [
+        _SPEC,
+        _flag("--csv", "also write per-trigger CSV", metavar="PATH"),
+    ]),
+    "enumerate": (cmd_enumerate, "list the minimum-weight codewords", _CODE, [
+        _SPEC,
+        _THREADS,
+        _flag("--method", "enumeration strategy (default zero-split)", choices=_METHODS),
+        _flag("--list-size", "list width for scl-global (default: counting bound + 1)",
+              least=_ONE_LIST, type=int),
+        _flag("--check", "run every available method and require identical vector sets",
+              action="store_true"),
+        _flag("--out", "write the enumeration file", metavar="PATH"),
+    ]),
+    "verify": (cmd_verify, "run the property-check suite", _CODE, [
+        _SPEC,
+        _flag("--negative-control",
+              "corrupt the predicted zero set; the replay check must then fail",
+              action="store_true"),
+        _flag("--max-triggers", "triggers sampled", least=_ONE_SAMPLE, type=int, default=8),
+        _flag("--max-members", "members sampled per trigger", least=_ONE_SAMPLE, type=int,
+              default=48),
+        _flag("--exact-limit", "skip full enumeration when the bound exceeds this", type=int,
+              default=100000),
+    ]),
+    "simulate": (cmd_simulate, "Monte-Carlo frame error rate over an Eb/N0 grid", _CODE, [
+        _SPEC,
+        _THREADS,
+        _flag("--ebn0", "dB values: comma separated, or start:stop:step", required=True,
+              metavar="GRID"),
+        _flag("--list-size", "decoder list width", least=_ONE_LIST, type=int, default=8),
+        _flag("--trials", "frames per grid point", least=(1, "--trials must be >= 1"), type=int,
+              required=True),
+        _flag("--seed", "base random seed", least=(0, "--seed must be nonnegative"), type=int,
+              default=0),
+        _flag("--error-limit", "stop a point after this many frame errors (0 disables)",
+              type=int, default=100),
+        _flag("--random-messages", "draw random messages instead of the all-zero codeword",
+              action="store_true"),
+        _CSV_OUT,
+    ]),
+    "sweep": (cmd_sweep, "bound (and exact count when cheap) across a rate grid", _DEFINITION, [
+        _flag("--K-grid", "K values: comma separated or start:stop:step (default 1..N-1)",
+              metavar="GRID"),
+        _flag("--exact-limit", "enumerate exactly when the bound is at most this", type=int,
+              default=1000),
+        _CSV_OUT,
+    ]),
+}
 
 
 @functools.cache
@@ -510,159 +578,33 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="polarmhw",
         description="Minimum-weight codeword analysis for polar codes.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"polarmhw {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"polarmhw {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    code = argparse.ArgumentParser(add_help=False)
-    g = code.add_argument_group("code definition")
-    g.add_argument("--N", type=int, help="code length (power of two)")
-    g.add_argument(
-        "--construction",
-        choices=("pw", "ga"),
-        help="reliability rule (default pw)",
-    )
-    g.add_argument(
-        "--design-ebn0",
-        type=float,
-        default=None,
-        metavar="DB",
-        help=f"design point for --construction ga (default {_DEFAULT_DESIGN_EBN0:g})",
-    )
-
-    build = argparse.ArgumentParser(add_help=False, parents=[code])
-    g = build.add_argument_group("information set")
-    g.add_argument("--K", type=int, help="number of information positions")
-    g.add_argument(
-        "--A",
-        metavar="POSITIONS",
-        help="explicit information set, comma or space separated, 1-based",
-    )
-
-    source = argparse.ArgumentParser(add_help=False, parents=[build])
-    source.add_argument("--spec", metavar="PATH", help="load a saved code-spec file")
-
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: POLARMHW_THREADS or 1)",
-    )
-
-    p = sub.add_parser(
-        "construct", parents=[build], help="build a code spec and save it"
-    )
-    p.add_argument("--out", required=True, metavar="PATH", help="spec file to write")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser(
-        "bound",
-        parents=[source],
-        help="count minimum-weight codewords from above without enumerating",
-    )
-    p.add_argument("--csv", metavar="PATH", help="also write per-trigger CSV")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser(
-        "enumerate",
-        parents=[source, threads],
-        help="list the minimum-weight codewords",
-    )
-    p.add_argument(
-        "--method",
-        choices=_METHODS,
-        help="enumeration strategy (default zero-split)",
-    )
-    p.add_argument(
-        "--list-size",
-        type=int,
-        default=None,
-        help="list width for scl-global (default: counting bound + 1)",
-    )
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="run every available method and require identical vector sets",
-    )
-    p.add_argument("--out", metavar="PATH", help="write the enumeration file")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser(
-        "verify", parents=[source], help="run the property-check suite"
-    )
-    p.add_argument(
-        "--negative-control",
-        action="store_true",
-        help="corrupt the predicted zero set; the replay check must then fail",
-    )
-    p.add_argument("--max-triggers", type=int, default=8, help="triggers sampled")
-    p.add_argument(
-        "--max-members", type=int, default=48, help="members sampled per trigger"
-    )
-    p.add_argument(
-        "--exact-limit",
-        type=int,
-        default=100000,
-        help="skip full enumeration when the bound exceeds this",
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "simulate",
-        parents=[source, threads],
-        help="Monte-Carlo frame error rate over an Eb/N0 grid",
-    )
-    p.add_argument(
-        "--ebn0",
-        required=True,
-        metavar="GRID",
-        help="dB values: comma separated, or start:stop:step",
-    )
-    p.add_argument("--list-size", type=int, default=8, help="decoder list width")
-    p.add_argument("--trials", type=int, required=True, help="frames per grid point")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
-    p.add_argument(
-        "--error-limit",
-        type=int,
-        default=100,
-        help="stop a point after this many frame errors (0 disables)",
-    )
-    p.add_argument(
-        "--random-messages",
-        action="store_true",
-        help="draw random messages instead of the all-zero codeword",
-    )
-    p.add_argument("--out", metavar="PATH", help="write the CSV here as well")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser(
-        "sweep",
-        parents=[code],
-        help="bound (and exact count when cheap) across a rate grid",
-    )
-    p.add_argument(
-        "--K-grid",
-        metavar="GRID",
-        help="K values: comma separated or start:stop:step (default 1..N-1)",
-    )
-    p.add_argument(
-        "--exact-limit",
-        type=int,
-        default=1000,
-        help="enumerate exactly when the bound is at most this",
-    )
-    p.add_argument("--out", metavar="PATH", help="write the CSV here as well")
-    p.set_defaults(func=cmd_sweep)
-
+    for name, (func, help, code, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help)
+        command.set_defaults(func=func)
+        for title, entries in [*code.items(), (None, flags)]:
+            group = command.add_argument_group(title) if title else command
+            for option, kwargs, _, _ in entries:
+                group.add_argument(option, **kwargs)
     return parser
+
+
+def _check_least(args) -> None:
+    """Refuse a flag value below the least value its table entry gives."""
+    _, _, code, flags = _COMMANDS[args.command]
+    for entries in [*code.values(), flags]:
+        for option, _, least, message in entries:
+            value = _value(args, option)
+            if least is not None and value is not None and value < least:
+                raise UsageError(message)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
+        _check_least(args)
         return args.func(args, argv)
     except SystemExit:  # --help and --version print and exit 0
         return EXIT_OK

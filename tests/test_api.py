@@ -2,8 +2,9 @@
 engine's per-node helpers stay private to sctree, and every bit packing in
 the package is bitops' little-endian row format, and one formatter writes
 every enumeration file record and every spec file's field lines, one
-function raises each of the 0/1 input errors and each value rule, and the
-CLI leaves the packed word layout to bitops."""
+function raises each of the 0/1 input errors and each value rule, the CLI's
+command table owns each flag's least value, and the CLI leaves the packed
+word layout to bitops."""
 
 import ast
 import importlib
@@ -123,6 +124,42 @@ def test_one_function_owns_each_value_rule():
     # the estimate's count comes from its source, never from the caller
     fer_estimate = importlib.import_module("polarmhw.channel").fer_estimate
     assert list(inspect.signature(fer_estimate).parameters) == ["spec", "ebn0_db", "source"]
+
+
+# the error line for a value below each flag's least value
+LEAST_MESSAGES = (
+    "--list-size must be >= 1",
+    "--trials must be >= 1",
+    "--seed must be nonnegative",
+    "--max-triggers and --max-members must be >= 1",
+)
+
+
+def test_one_table_entry_owns_each_lower_bound():
+    # the CLI's command table states each least value and its error line once,
+    # and no command checks a flag value against a constant by hand
+    tree = ast.parse((Path(polarmhw.__file__).parent / "cli.py").read_text())
+    literals = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    assert {m: literals.count(m) for m in LEAST_MESSAGES} == dict.fromkeys(LEAST_MESSAGES, 1)
+    assert raisers("thread count must be >= 1") == [("cli.py", "_resolve_threads")]
+
+    def flag(node):
+        return isinstance(node, ast.Attribute) and ast.unparse(node.value) == "args"
+
+    def constant(node):
+        return isinstance(node, ast.Constant) and node.value is not None
+
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name[:4] == "cmd_"]
+    assert len(commands) == 6
+    compared = [
+        (command.name, ast.unparse(node))
+        for command in commands
+        for node in ast.walk(command)
+        if isinstance(node, ast.Compare)
+        and any(map(flag, [node.left, *node.comparators]))
+        and any(map(constant, [node.left, *node.comparators]))
+    ]
+    assert compared == []
 
 
 def test_cli_leaves_the_word_layout_to_bitops():

@@ -181,12 +181,194 @@ USAGE_ERRORS = [
     ),
     ([*SIM8_ARGS, "--ebn0", "2", "--list-size", "0"], "--list-size must be >= 1"),
     ([*SIM8_ARGS, "--ebn0", "2", "--seed", "-1"], "--seed must be nonnegative"),
+    (["simulate", *SPEC8_ARGS, "--ebn0", "2", "--trials", "0"], "--trials must be >= 1"),
+    (
+        ["verify", *SPEC8_ARGS, "--max-members", "0"],
+        "--max-triggers and --max-members must be >= 1",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=[m for _, m in USAGE_ERRORS])
+def usage_ids(rows):
+    """Each row's message; a message seen before also names its row's last flag."""
+    seen = set()
+    ids = []
+    for argv, message in rows:
+        ids.append(f"{message} ({' '.join(argv[-2:])})" if message in seen else message)
+        seen.add(message)
+    return ids
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=usage_ids(USAGE_ERRORS))
 def test_usage_errors_are_exit_2_and_one_error_line(capsys, argv, message):
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--N", "8", "--K", "4", "--out"],
+        ["bound", *SPEC8_ARGS, "--csv"],
+        ["sweep", "--N", "8", "--K-grid", "2,4", "--out"],
+        ["simulate", *SPEC8_ARGS, "--ebn0", "2", "--trials", "8", "--out"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_file_is_exit_2_before_any_output(capsys, tmp_path, argv):
+    # the file is written before stdout, so a failed write leaves stdout empty
+    code, out, err = run(capsys, [*argv, str(tmp_path / "no" / "such" / "file")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---- parser surface ----
+
+# (option strings, dest, type, default, required, choices, metavar, help,
+# help group) of an action
+HELP_ACTION = (
+    "-h/--help", "help", None, "==SUPPRESS==", False, None, None,
+    "show this help message and exit", "options",
+)
+DEFINITION_ACTIONS = [
+    ("--N", "N", "int", None, False, None, None, "code length (power of two)", "code definition"),
+    (
+        "--construction", "construction", None, None, False, ["pw", "ga"], None,
+        "reliability rule (default pw)", "code definition",
+    ),
+    (
+        "--design-ebn0", "design_ebn0", "float", None, False, None, "DB",
+        "design point for --construction ga (default 2)", "code definition",
+    ),
+]
+CODE_ACTIONS = [
+    HELP_ACTION,
+    *DEFINITION_ACTIONS,
+    ("--K", "K", "int", None, False, None, None, "number of information positions", "information set"),
+    (
+        "--A", "A", None, None, False, None, "POSITIONS",
+        "explicit information set, comma or space separated, 1-based", "information set",
+    ),
+]
+SPEC_ACTION = ("--spec", "spec", None, None, False, None, "PATH", "load a saved code-spec file", "options")
+THREADS_ACTION = (
+    "--threads", "threads", "int", None, False, None, None,
+    "worker threads (default: POLARMHW_THREADS or 1)", "options",
+)
+CSV_OUT_ACTION = ("--out", "out", None, None, False, None, "PATH", "write the CSV here as well", "options")
+
+# each command's help and actions, in order
+PARSER_SURFACE = {
+    "construct": [
+        "build a code spec and save it",
+        *CODE_ACTIONS,
+        ("--out", "out", None, None, True, None, "PATH", "spec file to write", "options"),
+    ],
+    "bound": [
+        "count minimum-weight codewords from above without enumerating",
+        *CODE_ACTIONS,
+        SPEC_ACTION,
+        ("--csv", "csv", None, None, False, None, "PATH", "also write per-trigger CSV", "options"),
+    ],
+    "enumerate": [
+        "list the minimum-weight codewords",
+        *CODE_ACTIONS,
+        SPEC_ACTION,
+        THREADS_ACTION,
+        (
+            "--method", "method", None, None, False,
+            ["exhaustive", "subset-scl", "zero-split", "scl-global"], None,
+            "enumeration strategy (default zero-split)", "options",
+        ),
+        (
+            "--list-size", "list_size", "int", None, False, None, None,
+            "list width for scl-global (default: counting bound + 1)", "options",
+        ),
+        (
+            "--check", "check", None, False, False, None, None,
+            "run every available method and require identical vector sets", "options",
+        ),
+        ("--out", "out", None, None, False, None, "PATH", "write the enumeration file", "options"),
+    ],
+    "verify": [
+        "run the property-check suite",
+        *CODE_ACTIONS,
+        SPEC_ACTION,
+        (
+            "--negative-control", "negative_control", None, False, False, None, None,
+            "corrupt the predicted zero set; the replay check must then fail", "options",
+        ),
+        ("--max-triggers", "max_triggers", "int", 8, False, None, None, "triggers sampled", "options"),
+        (
+            "--max-members", "max_members", "int", 48, False, None, None,
+            "members sampled per trigger", "options",
+        ),
+        (
+            "--exact-limit", "exact_limit", "int", 100000, False, None, None,
+            "skip full enumeration when the bound exceeds this", "options",
+        ),
+    ],
+    "simulate": [
+        "Monte-Carlo frame error rate over an Eb/N0 grid",
+        *CODE_ACTIONS,
+        SPEC_ACTION,
+        THREADS_ACTION,
+        (
+            "--ebn0", "ebn0", None, None, True, None, "GRID",
+            "dB values: comma separated, or start:stop:step", "options",
+        ),
+        ("--list-size", "list_size", "int", 8, False, None, None, "decoder list width", "options"),
+        ("--trials", "trials", "int", None, True, None, None, "frames per grid point", "options"),
+        ("--seed", "seed", "int", 0, False, None, None, "base random seed", "options"),
+        (
+            "--error-limit", "error_limit", "int", 100, False, None, None,
+            "stop a point after this many frame errors (0 disables)", "options",
+        ),
+        (
+            "--random-messages", "random_messages", None, False, False, None, None,
+            "draw random messages instead of the all-zero codeword", "options",
+        ),
+        CSV_OUT_ACTION,
+    ],
+    "sweep": [
+        "bound (and exact count when cheap) across a rate grid",
+        HELP_ACTION,
+        *DEFINITION_ACTIONS,
+        (
+            "--K-grid", "K_grid", None, None, False, None, "GRID",
+            "K values: comma separated or start:stop:step (default 1..N-1)", "options",
+        ),
+        (
+            "--exact-limit", "exact_limit", "int", 1000, False, None, None,
+            "enumerate exactly when the bound is at most this", "options",
+        ),
+        CSV_OUT_ACTION,
+    ],
+}
+
+
+def parser_surface():
+    """Per command: its help, then per action the fields of PARSER_SURFACE."""
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    surface = {}
+    for name, parser in sub.choices.items():
+        groups = {a: g.title for g in parser._action_groups for a in g._group_actions}
+        surface[name] = [helps[name]] + [
+            (
+                "/".join(a.option_strings), a.dest, getattr(a.type, "__name__", a.type),
+                a.default, a.required, a.choices and list(a.choices), a.metavar, a.help,
+                groups[a],
+            )
+            for a in parser._actions
+        ]
+    return surface
+
+
+def test_parser_surface_is_pinned():
+    # every flag's name, type, default, choices, metavar, help and help group,
+    # read off the parser itself: unlike a --help digest, this does not
+    # depend on the Python version or the terminal width
+    assert parser_surface() == PARSER_SURFACE
 
 
 def test_list_size_below_one_is_exit_2(capsys):
