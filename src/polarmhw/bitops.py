@@ -56,6 +56,13 @@ def _check_length(N: int) -> int:
     return n
 
 
+def _check_index(i, N: int) -> None:
+    """Refuse a 1-based index that is not an integer in [1, N] (numpy ints
+    pass): a fractional i is refused, not truncated."""
+    if not isinstance(i, (int, np.integer)) or not 1 <= i <= N:
+        raise ValueError(f"index i={i!r} must be an integer in [1, {N}]")
+
+
 def _check_bits(u, what: str) -> list[int]:
     """u's entries as ints; each must equal 0 or 1, as 1.0, True and np.uint8(1) do."""
     u = list(u)
@@ -67,8 +74,7 @@ def _check_bits(u, what: str) -> list[int]:
 def generator_row(i: int, N: int) -> list[int]:
     """Row i of G_N: column c is 1 iff (c-1) is bitwise covered by (i-1)."""
     _check_length(N)
-    if not 1 <= i <= N:
-        raise ValueError(f"row index i={i} out of range [1, {N}]")
+    _check_index(i, N)
     mask = i - 1
     return [1 if (c & ~mask) == 0 else 0 for c in range(N)]
 

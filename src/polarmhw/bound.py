@@ -10,12 +10,14 @@ upper bound
 
     count <= sum over minimum-weight rows i of 2**|zero_capacity_set(i) & A|
 
-computed here without touching full generator rows.  One kernel
+computed here without touching full generator rows.  One generator
 enumerates the zero-capacity positions of all trigger rows of a code at
 once, in numpy blocks grouped by how many such positions a tail part holds,
 so the bound costs the total size of those sets, at most
 (trigger rows) * log N * d_m positions, plus about log2(d_m) + 1 groups of
-numpy calls per code.
+numpy calls per code.  The bound reads the blocks through the code's
+information mask; _prefix_bounds reads them through the ranks of one
+reliability order, for every code that is a prefix of it at once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from polarmhw.bitops import _check_length, encode, min_distance
+from polarmhw.bitops import _check_index, _check_length, encode, min_distance
 
 __all__ = [
     "Part",
@@ -89,36 +91,41 @@ def decompose(i: int, n: int) -> tuple[Part, ...]:
     """Split [i+1, 2**n] into complete subtrees, one per zero digit of i - 1,
     in ascending order: with r = i - 1, the part at a zero digit t of r
     starts at the 0-based position (r >> t << t) | 1 << t, the closed form
-    _zero_capacity uses.  i = 2**n has no zero digit below n, hence an
-    empty tail and no parts.
+    _zero_capacity_blocks uses.  i = 2**n has no zero digit below n, hence
+    an empty tail and no parts.
     """
-    if n < 1 or not 1 <= i <= (1 << n):
-        raise ValueError(f"index i={i} must lie in [1, 2^{n}]")
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
+    _check_index(i, 1 << n)
     r = i - 1
     bases = [(t, r >> t << t | 1 << t) for t in range(n) if not r >> t & 1]
     return tuple(Part(k, b + 1, b + (1 << t), t, (b >> t) + 1) for k, (t, b) in enumerate(bases, 1))
 
 
 _DIGITS = 1 << np.arange(63, dtype=np.int64)
+# positions in one block of _zero_capacity_blocks (more only when one part
+# is larger), and the (trigger, index) cells and positions _prefix_bounds
+# holds at a time
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _zero_capacity(a, n: int, info_mask: np.ndarray, keep: bool = False):
-    """The zero-capacity positions of every row i of the sequence a at once:
-    per row, how many of them info_mask marks, and on request those marked
-    positions, 0-based and ordered by (row, position).
+def _zero_capacity_blocks(r, n: int):
+    """The zero-capacity positions of every 0-based row of the int64 array r,
+    as (pair rows, block) chunks of at most _BLOCK_ENTRIES positions: row k
+    of block holds the 0-based positions of one tail part of row
+    r[pair_rows[k]].
 
-    With r = i - 1, the part of the tail at a zero digit t of r starts at
+    With r the row, the part of the tail at a zero digit t of r starts at
     base = (r >> t << t) | 1 << t, and its zero-capacity positions are base
     plus each submask of r mod 2**t (equivalently: the e > i whose e - 1 has
     exactly one digit that r lacks).  The (row, t) pairs are grouped by
     q = popcount(r mod 2**t), so each group's (pairs, 2**q) block of
     positions takes q doublings, one per digit of r below t, lowest first.
     The work is the total size of the sets plus one group of numpy calls per
-    value of q.
+    value of q and chunk.
     """
-    # array methods, not np.nonzero/np.argsort/np.cumsum: their dispatch is
-    # a large share of the fixed cost of a code with few triggers
-    r = np.asarray(a, dtype=np.int64) - 1
+    # array methods, not np.nonzero/np.argsort: their dispatch is a large
+    # share of the fixed cost of a code with few triggers
     rows, t = (~r[:, None] & _DIGITS[:n]).nonzero()
     r_t, bit = r[rows], _DIGITS[t]
     low = r_t & (bit - 1)
@@ -126,39 +133,85 @@ def _zero_capacity(a, n: int, info_mask: np.ndarray, keep: bool = False):
     # pairs in ascending q, rows still ascending within each group
     order = q.argsort(kind="stable")
     rows, low, base = rows[order], low[order], ((r_t - low) | bit)[order]
-    hits = np.empty(len(rows), dtype=np.int64)
-    kept_rows, kept = [rows[:0]], [r[:0]]  # empty seeds: a row may have no pair
     end = 0
     for size, pairs in enumerate(np.bincount(q).tolist()):
-        if not pairs:
-            continue
         start, end = end, end + pairs
-        block, m = base[start:end, None], low[start:end]
-        for _ in range(size):
-            b = m & -m
-            m = m ^ b
-            block = np.concatenate([block, block | b[:, None]], axis=1)
-        marked = info_mask[block]
-        hits[start:end] = marked.sum(axis=1)
-        if keep:
-            kept_rows.append(np.repeat(rows[start:end], hits[start:end]))
-            kept.append(block[marked])
-    counts = np.zeros(len(r), dtype=np.int64)
-    np.add.at(counts, rows, hits)
-    if not keep:
-        return counts, None
-    kept_rows, kept = np.concatenate(kept_rows), np.concatenate(kept)
-    return counts, kept[np.lexsort((kept, kept_rows))]
+        step = max(1, _BLOCK_ENTRIES >> size)
+        for lo in range(start, end, step):
+            hi = min(lo + step, end)
+            block, m = np.empty((1 << size, hi - lo), dtype=np.int64), low[lo:hi]
+            block[0] = base[lo:hi]
+            for k in range(size):
+                b = m & -m
+                m = m ^ b
+                np.bitwise_or(block[: 1 << k], b, out=block[1 << k : 2 << k])
+            yield rows[lo:hi], block.T
+
+
+def _prefix_bounds(ranking: np.ndarray, Ks) -> tuple[list[int], list[int]]:
+    """d_m and bound total of every code made of the first K rows of one
+    order, for each K of Ks (in any order, repeats allowed), off one pass over
+    the order: ranking holds the 0-based rows, most reliable first.
+
+    d_m is 2 to the prefix minimum of popcount over the order, so it changes
+    at most n + 1 times.  Within one d_m (an epoch of the sorted distinct
+    Ks), the triggers are the rows of that popcount ranked below the epoch's
+    last K, and their zero-capacity blocks are enumerated once.  Each
+    position is labelled with the first grid index whose K exceeds its rank,
+    so a trigger's overlap at each index of the epoch is a cumulative count
+    of its labels over a chunk of (trigger, index) cells.  Totals are int64
+    while no epoch total can pass 2**62, Python ints past that.
+    """
+    ranking = np.asarray(ranking, dtype=np.int64)
+    N, n = len(ranking), len(ranking).bit_length() - 1
+    grid = np.unique(np.asarray(Ks, dtype=np.int64))
+    label = np.empty(N, dtype=np.int32)
+    label[ranking] = grid.searchsorted(np.arange(N), side="right")
+    weight = np.minimum.accumulate(np.bitwise_count(ranking))[grid - 1].astype(np.int64)
+    popcount = np.bitwise_count(np.arange(N))
+    small, big = np.zeros(len(grid), dtype=np.int64), [0] * len(grid)
+    epochs = np.flatnonzero(np.diff(weight, prepend=-1, append=-1)).tolist()
+    for j0, j1 in zip(epochs, epochs[1:]):
+        span = j1 - j0
+        triggers = np.flatnonzero((popcount == weight[j0]) & (label < j1))
+        joins = label[triggers] - j0
+        # each position's first index in the epoch: 0 if the epoch's first
+        # code holds it, span if its last does not
+        at = np.clip(label, j0, j1)
+        at -= j0
+        headroom = 62 - len(triggers).bit_length()
+        # chunks of about _BLOCK_ENTRIES (trigger, index) cells, their
+        # positions' labels counted in batches of about as many
+        step = max(1, _BLOCK_ENTRIES // (span + 1))
+        for lo in range(0, len(triggers), step):
+            r = triggers[lo : lo + step]
+            counts, keys, held = np.zeros(len(r) * (span + 1), dtype=np.int64), [r[:0]], 0
+            for rows, block in _zero_capacity_blocks(r, n):
+                keys.append(np.ravel(rows[:, None] * (span + 1) + at[block], order="K"))
+                held += block.size
+                if held >= _BLOCK_ENTRIES:
+                    counts += np.bincount(np.concatenate(keys), minlength=len(counts))
+                    keys, held = [r[:0]], 0
+            counts += np.bincount(np.concatenate(keys), minlength=len(counts))
+            overlap = counts.reshape(len(r), span + 1)[:, :span].cumsum(axis=1)
+            present = np.arange(span) >= joins[lo : lo + step, None]
+            fits = overlap <= headroom
+            terms = np.left_shift(1, overlap, where=present & fits, out=np.zeros_like(overlap))
+            small[j0:j1] += terms.sum(axis=0)
+            for row, j in zip(*np.nonzero(present & ~fits)):
+                big[j0 + j] += 1 << int(overlap[row, j])
+    totals = [s + b for s, b in zip(small.tolist(), big)]
+    index = grid.searchsorted(np.asarray(Ks, dtype=np.int64)).tolist()
+    return [1 << int(weight[k]) for k in index], [totals[k] for k in index]
 
 
 def zero_capacity_set(i: int, N: int) -> frozenset[int]:
     """Positions after i whose decoding LLR is pinned to zero once a
     trajectory puts its first 1 at i (noiseless all-ones input)."""
     n = _check_length(N)
-    if not 1 <= i <= N:
-        raise ValueError(f"index i={i} out of range [1, {N}]")
-    _, zc = _zero_capacity([i], n, np.ones(N, dtype=bool), keep=True)
-    return frozenset((zc + 1).tolist())
+    _check_index(i, N)
+    blocks = _zero_capacity_blocks(np.array([i - 1], dtype=np.int64), n)
+    return frozenset(e + 1 for _, block in blocks for e in block.ravel().tolist())
 
 
 def bound_count(spec, materialize_sets: bool = False) -> BoundReport:
@@ -169,10 +222,23 @@ def bound_count(spec, materialize_sets: bool = False) -> BoundReport:
     carries those position sets when materialize_sets is true.
     """
     d_m, a_m = min_distance(spec)
-    counts, hits = _zero_capacity(a_m, spec.n, spec.info_mask, materialize_sets)
+    r = np.asarray(a_m, dtype=np.int64) - 1
+    pair_rows, hits, kept = [r[:0]], [r[:0]], [r[:0]]  # a row may have no pair
+    for rows, block in _zero_capacity_blocks(r, spec.n):
+        marked = spec.info_mask[block]
+        pair_rows.append(rows)
+        hits.append(marked.sum(axis=1))
+        if materialize_sets:
+            kept.append(block[marked])
+    pair_rows, hits = np.concatenate(pair_rows), np.concatenate(hits)
+    counts = np.zeros(len(r), dtype=np.int64)
+    np.add.at(counts, pair_rows, hits)
     members = None
     if materialize_sets:
-        members = tuple(tuple(h.tolist()) for h in np.split(hits + 1, counts.cumsum()[:-1]))
+        # marked positions ordered by (row, position)
+        kept = np.concatenate(kept)
+        kept = kept[np.lexsort((kept, np.repeat(pair_rows, hits)))] + 1
+        members = tuple(tuple(h.tolist()) for h in np.split(kept, counts.cumsum()[:-1]))
     # rows sharing an overlap share a term: one shift per distinct overlap
     total = sum(rows << overlap for overlap, rows in enumerate(np.bincount(counts).tolist()))
     return BoundReport(spec.N, d_m, a_m, tuple(counts.tolist()), members, total)

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .bitops import _check_length, _first_ones, _unpack, generator_row, positions_of
 from .bound import (
+    _prefix_bounds,
     bound_count,
     decompose,
     subtree_input_llr,
@@ -466,14 +467,13 @@ def cmd_sweep(args, argv) -> int:
     else:
         Ks = range(1, N)
     # one reliability order serves every K; building it first refuses an N
-    # too large to hold before any K is visited
+    # too large to hold before any K is visited.  Every bound comes off one
+    # pass over it; a code is built only for an exact count
     codes = _codes(N, _design_point(args.construction, args.design_ebn0))
     rows = []
-    for K in Ks:
-        spec = codes(K)
-        report = bound_count(spec, materialize_sets=False)
-        exact = enumerate_zero_split(spec).count if report.total <= args.exact_limit else ""
-        rows.append(f"{K / N:.6g},{K},{report.d_m},{report.total},{exact}")
+    for K, d_m, total in zip(Ks, *_prefix_bounds(codes.rows, Ks)):
+        exact = enumerate_zero_split(codes(K)).count if total <= args.exact_limit else ""
+        rows.append(f"{K / N:.6g},{K},{d_m},{total},{exact}")
     text = "\n".join([*_echo_lines(argv), _SWEEP_HEADER, *rows]) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

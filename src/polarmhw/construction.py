@@ -253,7 +253,8 @@ def _check_K(K: int, N: int) -> None:
 
 def _codes(N: int, design_ebn0_db=None):
     """K -> the code of length N that construct_pw (design_ebn0_db None) or
-    construct_ga builds, all K read off one reliability order."""
+    construct_ga builds, all K read off one reliability order; its `rows`
+    attribute holds that order's 0-based rows, most reliable first."""
     if design_ebn0_db is None:
         order = polarization_weight_order(N)
     else:
@@ -267,6 +268,7 @@ def _codes(N: int, design_ebn0_db=None):
         mask[rows[:K]] = True
         return CodeSpec._from_mask(N, mask, label)
 
+    code.rows = rows
     return code
 
 

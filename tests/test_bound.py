@@ -1,9 +1,13 @@
 import hashlib
 import random
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_minimum_weight,
@@ -12,14 +16,15 @@ from conftest import (
     random_specs,
 )
 
-from polarmhw.bitops import min_distance
+from polarmhw.bitops import generator_row, min_distance
 from polarmhw.bound import (
+    _prefix_bounds,
     bound_count,
     decompose,
     subtree_input_llr,
     zero_capacity_set,
 )
-from polarmhw.construction import CodeSpec, construct_ga, construct_pw
+from polarmhw.construction import CodeSpec, _codes, construct_ga, construct_pw
 from polarmhw.sctree import sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
@@ -53,6 +58,24 @@ def test_decompose_validates_range():
     with pytest.raises(ValueError):
         decompose(0, 3)
     with pytest.raises(ValueError):
+        decompose(9, 3)
+
+
+def test_fractional_index_is_refused_not_truncated():
+    # np.asarray(2.5, int64) is 2 and 2.0 >> t is a TypeError; one check
+    # refuses both, as a fractional list size is refused
+    for call in (
+        lambda: zero_capacity_set(2.5, 8),
+        lambda: zero_capacity_set(2.0, 8),
+        lambda: decompose(2.0, 3),
+        lambda: decompose(2.5, 3),
+        lambda: generator_row(2.5, 8),
+    ):
+        with pytest.raises(ValueError, match=re.escape("must be an integer in [1, 8]")):
+            call()
+    assert zero_capacity_set(np.int64(2), 8) == zero_capacity_set(2, 8) == {3, 4, 5, 6}
+    assert decompose(np.int32(2), 3) == decompose(2, 3)
+    with pytest.raises(ValueError, match=re.escape("index i=9 must be an integer in [1, 8]")):
         decompose(9, 3)
 
 
@@ -224,6 +247,97 @@ def test_bound_time_with_many_triggers():
             bound_count(spec)
             times.append(time.perf_counter() - start)
         assert min(times) <= budget, (K, times)
+
+
+def test_bound_count_memory_with_many_triggers():
+    # the zero-capacity blocks come in chunks of bounded size; built whole,
+    # one per q-group, they peaked at 6.31 MiB under tracemalloc
+    spec = construct_ga(1 << 16, 9216, 2.0)
+    bound_count(spec)
+    tracemalloc.start()
+    try:
+        bound_count(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.3 * 2**20, peak
+
+
+# ---- every K of one order in one pass ----
+
+
+def _order_rows(N, ebn0):
+    return _codes(N, ebn0).rows
+
+
+def _per_code_bounds(N, ebn0, Ks):
+    codes = _codes(N, ebn0)
+    return [(r.d_m, r.total) for r in (bound_count(codes(K)) for K in Ks)]
+
+
+CONSTRUCTIONS = {"pw": None, "ga0": 0.0, "ga2": 2.0}
+
+
+@pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
+def test_prefix_bounds_equal_bound_count_at_every_K(construction):
+    ebn0 = CONSTRUCTIONS[construction]
+    for N in (1 << n for n in range(1, 11)):
+        Ks = range(1, N + 1)
+        assert list(zip(*_prefix_bounds(_order_rows(N, ebn0), Ks))) == _per_code_bounds(N, ebn0, Ks)
+
+
+@pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
+def test_prefix_bounds_equal_bound_count_at_paper_scale(construction):
+    # every 7th K at N = 4,096 and the design workload's grid at N = 65,536
+    ebn0 = CONSTRUCTIONS[construction]
+    for N, Ks in ((4096, range(1, 4097, 7)), (65536, range(1024, 64513, 1024))):
+        got = list(zip(*_prefix_bounds(_order_rows(N, ebn0), Ks)))
+        assert got == _per_code_bounds(N, ebn0, Ks)
+
+
+@st.composite
+def orders_and_grids(draw):
+    N = 1 << draw(st.integers(1, 8))
+    rows = draw(st.permutations(range(N)))
+    Ks = draw(st.lists(st.integers(1, N), min_size=1, max_size=12))
+    return np.array(rows), Ks + draw(st.sampled_from([[], [N], Ks[:1]]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(orders_and_grids())
+def test_prefix_bounds_equal_bound_count_on_any_order(order_grid):
+    # any permutation, an unsorted grid, repeated K and K = N
+    rows, Ks = order_grid
+    N = len(rows)
+    want = [bound_count(CodeSpec(N, tuple(sorted(rows[:K] + 1)))) for K in Ks]
+    d_m, totals = _prefix_bounds(rows, Ks)
+    assert (d_m, totals) == ([r.d_m for r in want], [r.total for r in want])
+    assert all(type(t) is int for t in d_m + totals)
+
+
+def test_prefix_bounds_memory_on_the_design_grid():
+    # chunks of bounded size, never a (trigger, K) table of the whole epoch
+    rows = _order_rows(1 << 16, 2.0)
+    Ks = range(1024, 64513, 1024)
+    tracemalloc.start()
+    try:
+        _prefix_bounds(rows, Ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
+
+
+def test_prefix_bounds_keep_totals_past_int64_exact():
+    # the Reed-Muller order (weight first) at N = 65,536: with every row of
+    # weight >= 2**8 in the code, 12,870 triggers hold overlaps up to 72 and
+    # the total passes 2**73
+    N = 1 << 16
+    rows = np.array(sorted(range(N), key=lambda r: (-r.bit_count(), r)))
+    Ks = [39203, 39202, 20000, 39204, N]
+    want = [bound_count(CodeSpec(N, tuple(sorted((rows[:K] + 1).tolist())))) for K in Ks]
+    assert max(want[0].overlaps) == 72 and want[0].total.bit_length() == 74
+    assert _prefix_bounds(rows, Ks) == ([r.d_m for r in want], [r.total for r in want])
 
 
 # ---- zero LLR locations along minimum-weight trajectories ----

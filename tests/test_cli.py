@@ -817,6 +817,28 @@ def test_sweep_rows_match_each_constructed_code(capsys, tmp_path):
             assert (row["d_m"], row["bound"], row["exact"]) == (report.d_m, report.total, exact)
 
 
+# sha256 of the whole stdout, recorded while every row still came from its
+# own code's bound_count; N = 1,024 takes the default --exact-limit
+GOLDEN_SWEEPS = {
+    ("1024", "pw"): "9ce116bace16531db92383ef142ca4c62044bf19c45480ec07cdad5a6d7accfa",
+    ("1024", "ga", "0"): "df292f135260fa711b1985ef9c58d6399f7943d78fa2be067a8c89201a5ae4a7",
+    ("1024", "ga", "2"): "5e897cce484ed133936c79a4c1eba293d5bc8c6f9cd9696da88e35e698f2bd80",
+    ("4096", "pw"): "ba7e891a6c479844936e9931e318fcad0439a5d1925af3d013c92d760ef632dd",
+    ("4096", "ga", "0"): "3bbf67b6b36b7047090fe42ca3e0ea70f4f8a6a7ce097ba55355921c2a454a17",
+    ("4096", "ga", "2"): "b369440e0a2e248c9a04cea525837bc45bc579af10c652efa4e6c9222ac28b9a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SWEEPS), ids="-".join)
+def test_sweep_stdout_golden_sha256(capsys, case):
+    N, construction, *design = case
+    argv = ["sweep", "--N", N, *(["--exact-limit", "0"] if N == "4096" else [])]
+    argv += ["--construction", construction, *(["--design-ebn0", *design] if design else [])]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEPS[case]
+
+
 def test_simulate_csv_round_trips(capsys, tmp_path):
     csv_path = tmp_path / "fer.csv"
     code, out, _ = run(
