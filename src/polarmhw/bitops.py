@@ -56,6 +56,14 @@ def _check_length(N: int) -> int:
     return n
 
 
+def _check_integers(**values):
+    """Refuse a value that is not an integer (numpy ints pass): a fractional
+    count, seed or thread count is refused, not truncated."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name}={value!r} must be an integer")
+
+
 def _check_index(i, N: int) -> None:
     """Refuse a 1-based index that is not an integer in [1, N] (numpy ints
     pass): a fractional i is refused, not truncated."""

@@ -25,11 +25,11 @@ from functools import partial
 
 import numpy as np
 
-from polarmhw.bitops import encode_rows, min_distance
+from polarmhw.bitops import _check_integers, encode_rows, min_distance
 from polarmhw.bound import bound_count
 from polarmhw.construction import _commented, design_sigma
 from polarmhw.listdec import _check_list_size, scl_decode_batch
-from polarmhw.mhw import _check_threads, enumerate_zero_split
+from polarmhw.mhw import _check_threads, _exact_count
 
 __all__ = [
     "FerPoint",
@@ -72,8 +72,9 @@ def q_function(x: float) -> float:
 def wilson_interval(errors: int, trials: int):
     """95% Wilson score interval for a binomial proportion; brackets errors/trials."""
     z = 1.959963984540054  # two-sided 95% normal quantile
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_integers(errors=errors, trials=trials)
+    if not 0 <= errors <= trials >= 1:
+        raise ValueError(f"errors={errors}, trials={trials}: need 0 <= errors <= trials >= 1")
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -96,7 +97,7 @@ def fer_estimate(spec, ebn0_db: float, source: str = "EXACT") -> FerEstimate:
     if source not in ("EXACT", "BOUND"):
         raise ValueError(f"source must be EXACT or BOUND, got {source!r}")
     if source == "EXACT":
-        a_dm = enumerate_zero_split(spec).count
+        a_dm = _exact_count(spec)
     else:
         a_dm = bound_count(spec, materialize_sets=False).total
     return FerEstimate(min_distance(spec)[0], a_dm, a_dm * _pairwise(spec, ebn0_db), source)
@@ -164,6 +165,7 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
     at the first where its errors reach error_limit, so neither the thread
     count nor the other points move its result.
     """
+    _check_integers(trials=trials, seed=seed, error_limit=error_limit or 1)  # None passes
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
@@ -226,7 +228,7 @@ def render_fer_csv(spec, points, header_lines=()) -> str:
     header = "ebn0_db,trials,errors,fer,ci_lo,ci_hi,estimate_exact,estimate_bound"
     rows = _commented(header_lines, header)
     if points:
-        exact_count = enumerate_zero_split(spec).count
+        exact_count = _exact_count(spec)
         bound_total = bound_count(spec, materialize_sets=False).total
     for pt in points:
         pair = _pairwise(spec, pt.ebn0_db)

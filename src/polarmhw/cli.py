@@ -34,10 +34,11 @@ from .bound import (
 )
 from .channel import render_fer_csv, sweep_fer
 from .construction import CodeSpec, _codes, construct_ga, construct_pw, load_spec, save_spec
-from .listdec import _search
+from .listdec import _charged, _search
 from .mhw import (
     EXHAUSTIVE_CAP,
     ExhaustiveCapError,
+    _exact_count,
     enumerate_subset_scl,
     enumerate_zero_split,
     exhaustive_mhw,
@@ -302,7 +303,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     for (i, _), (u, pm, llr, _) in zip(
         paths, _search(ones, spec, 1, [u for _, u in paths], leaves=True)
     ):
-        charged = np.where(u[0] == 1, llr[0] > 0, llr[0] < 0)
+        charged = _charged(u[0], llr[0])
         rds, zeros = (tuple((np.flatnonzero(x) + 1).tolist()) for x in (charged, llr[0] == 0))
         replays.append((i, pm[0], rds, zeros))
     replays, retrace_replays = replays[: -len(triggers)], replays[-len(triggers) :]
@@ -472,7 +473,7 @@ def cmd_sweep(args, argv) -> int:
     codes = _codes(N, _design_point(args.construction, args.design_ebn0))
     rows = []
     for K, d_m, total in zip(Ks, *_prefix_bounds(codes.rows, Ks)):
-        exact = enumerate_zero_split(codes(K)).count if total <= args.exact_limit else ""
+        exact = _exact_count(codes(K)) if total <= args.exact_limit else ""
         rows.append(f"{K / N:.6g},{K},{d_m},{total},{exact}")
     text = "\n".join([*_echo_lines(argv), _SWEEP_HEADER, *rows]) + "\n"
     if args.out:

@@ -43,6 +43,7 @@ __all__ = [
     "gaussian_approx_order",
     "construct_pw",
     "construct_ga",
+    "design_sigma",
     "load_spec",
     "save_spec",
 ]

@@ -240,6 +240,12 @@ def _check_list_size(L):
             raise ValueError(f"list size L={width} must be >= 1")
 
 
+def _charged(bits, llrs):
+    """Where a bit goes against the sign of a nonzero leaf LLR, costing |LLR|
+    and joining the reverse decision set (sctree._sc's rule, on arrays)."""
+    return np.where(bits == 1, llrs > 0, llrs < 0)
+
+
 def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
     """List-decode the rows of a (B, N) LLR array, or the B rows of prefix
     from one shared (1, N) LLR row, the first ends[b] decisions of row b
@@ -314,7 +320,7 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
             # a pinned bit, or a frozen 0 (prefixes are 0 past their ends)
             if phi < P:
                 value = prefix[owner, phi]
-                charged = np.where(value == 1, leaf > 0, leaf < 0)
+                charged = _charged(value, leaf)
             else:
                 value, charged = 0, leaf < 0
             pm = pm + np.where(charged, mag, 0)
@@ -440,7 +446,7 @@ def scl_decode(input_llrs, spec, L: int, forced_prefix=(), with_diagnostics=Fals
     _check_list_size(L)
 
     decisions, pm, llr, diagnostics = _search(input_llrs, spec, L, [prefix], leaves=True)[0]
-    charged = np.where(decisions == 1, llr > 0, llr < 0)
+    charged = _charged(decisions, llr)
     # the lanes are in decision order, so a stable sort by pm ranks by
     # (pm, decisions)
     positions = np.arange(1, N + 1)

@@ -56,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from polarmhw.bitops import _pack, _transform, _unpack, _weights
+from polarmhw.bitops import _check_integers, _pack, _transform, _unpack, _weights
 from polarmhw.bitops import encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count
 from polarmhw.construction import RATE0, RATE1, REP, CodeSpec, _commented, _node_steps
@@ -136,8 +136,7 @@ def _check_max_list_used(value):
 
 def _check_threads(threads):
     """Refuse a thread count that is not an integer >= 1 (numpy ints pass)."""
-    if not isinstance(threads, (int, np.integer)):
-        raise ValueError(f"threads={threads!r} must be an integer")
+    _check_integers(threads=threads)
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
@@ -549,6 +548,12 @@ def enumerate_zero_split(spec, threads: int = 1) -> MhwResult:
     common enumerator interface, and checked; the result never depends on it."""
     _check_threads(threads)
     return zero_split_triggers(spec, min_distance(spec)[1])
+
+
+def _exact_count(spec) -> int:
+    """The exact number of minimum-weight codewords of spec: the one count
+    that the FER estimates and sweep's exact column read."""
+    return enumerate_zero_split(spec).count
 
 
 # ---- global list search ----

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from polarmhw.bitops import _check_bits, encode, positions_of
+from polarmhw.bitops import _check_bits, _check_index, encode, positions_of
 
 __all__ = ["ScOutcome", "sc_decode", "sc_retrace", "sc_replay"]
 
@@ -210,8 +210,8 @@ def sc_retrace(input_llrs, spec, rds, record_nodes: bool = False) -> ScOutcome:
     usual cost of a path that reverses exactly those decisions.
     """
     rds = frozenset(rds)
-    if any(not 1 <= p <= spec.N for p in rds):
-        raise ValueError(f"rds positions must lie in [1, {spec.N}]")
+    for p in rds:
+        _check_index(p, spec.N)
 
     def decide(pos, llr):
         return (1 if llr < 0 else 0) ^ (pos in rds) if spec.is_info(pos) else 0

@@ -1,10 +1,11 @@
-"""The package's public surface: every exported name resolves, the SC
-engine's per-node helpers stay private to sctree, and every bit packing in
-the package is bitops' little-endian row format, and one formatter writes
-every enumeration file record and every spec file's field lines, one
-function raises each of the 0/1 input errors and each value rule, the CLI's
-command table owns each flag's least value, and the CLI leaves the packed
-word layout to bitops."""
+"""The package's public surface: its names are exactly the library modules'
+__all__, every exported name resolves, the SC engine's per-node helpers stay
+private to sctree, and every bit packing in the package is bitops'
+little-endian row format, and one formatter writes every enumeration file
+record and every spec file's field lines, one function raises each of the
+0/1 input errors and each value rule, one function owns the reverse-decision
+rule and one the exact count, the CLI's command table owns each flag's least
+value, and the CLI leaves the packed word layout to bitops."""
 
 import ast
 import importlib
@@ -24,6 +25,18 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"polarmhw.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_package_names_are_the_library_modules_all():
+    # the package re-exports each library module's __all__, no more and no
+    # less, so every name a profiler wraps is a package name and back
+    public = {
+        name
+        for name, value in vars(polarmhw).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    library = [m for m in MODULES if m != "cli"]
+    assert public == {n for m in library for n in importlib.import_module(f"polarmhw.{m}").__all__}
 
 
 def test_acceptance_imports_resolve_on_the_package():
@@ -160,6 +173,53 @@ def test_one_table_entry_owns_each_lower_bound():
         and any(map(constant, [node.left, *node.comparators]))
     ]
     assert compared == []
+
+
+def package_nodes(match):
+    """The file of each syntax-tree node in the package for which match holds."""
+    return [
+        path.name
+        for path in sorted(Path(polarmhw.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if match(node)
+    ]
+
+
+def compared(node, op, value):
+    """The left side of node, if node is `<left> <op> <value>`, else None."""
+    if isinstance(node, ast.Compare) and [type(o) for o in node.ops] == [op]:
+        if ast.unparse(node.comparators[0]) == value:
+            return ast.unparse(node.left)
+    return None
+
+
+def test_one_function_owns_the_reverse_decision_rule():
+    # a bit against the sign of a nonzero leaf LLR, on arrays, is written once
+    def rule(node):
+        # np.where(<bits> == 1, <llr> > 0, <llr> < 0)
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.where"):
+            return False
+        if len(node.args) != 3 or compared(node.args[0], ast.Eq, "1") is None:
+            return False
+        llr = compared(node.args[1], ast.Gt, "0")
+        return llr is not None and llr == compared(node.args[2], ast.Lt, "0")
+
+    assert package_nodes(rule) == ["listdec.py"]
+
+
+def test_one_function_owns_the_exact_count():
+    # fer_estimate, render_fer_csv and sweep read the exact count through
+    # mhw._exact_count, never off a zero-split enumeration of their own
+    def read(node):
+        # enumerate_zero_split(...).count
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "count"
+            and isinstance(node.value, ast.Call)
+            and ast.unparse(node.value.func).split(".")[-1] == "enumerate_zero_split"
+        )
+
+    assert package_nodes(read) == ["mhw.py"]
 
 
 def test_cli_leaves_the_word_layout_to_bitops():

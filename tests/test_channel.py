@@ -64,6 +64,21 @@ def test_wilson_interval_brackets_the_rate():
         wilson_interval(0, 0)
 
 
+def test_wilson_interval_refuses_counts_outside_its_domain():
+    # errors past trials or below 0 once died in math.sqrt, and fractional
+    # counts gave an interval
+    for errors, trials, message in (
+        (11, 10, "errors=11, trials=10: need 0 <= errors <= trials >= 1"),
+        (-1, 10, "errors=-1, trials=10: need 0 <= errors <= trials >= 1"),
+        (0, 0, "errors=0, trials=0: need 0 <= errors <= trials >= 1"),
+        (2.5, 10, "errors=2.5 must be an integer"),
+        (0, 2.5, "trials=2.5 must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wilson_interval(errors, trials)
+    assert wilson_interval(np.int64(7), np.uint16(100)) == wilson_interval(7, 100)
+
+
 def test_wilson_interval_tightens_with_trials():
     lo1, hi1 = wilson_interval(10, 100)
     lo2, hi2 = wilson_interval(100, 1000)
@@ -190,10 +205,14 @@ def test_simulation_refuses_overflowing_llrs_before_drawing_noise(monkeypatch):
         ({"L": 3.9}, "list size L=3.9 must be an integer"),
         ({"error_limit": 0}, "error_limit must be >= 1 or None"),
         ({"error_limit": -1}, "error_limit must be >= 1 or None"),
+        # once run as range(10.5), or truncated: seed=1.5 drew seed 1's noise
+        ({"trials": 10.5}, "trials=10.5 must be an integer"),
+        ({"seed": 1.5}, "seed=1.5 must be an integer"),
+        ({"error_limit": 2.5}, "error_limit=2.5 must be an integer"),
     ],
     ids=[
         "threads=-1", "threads=0", "threads=1.5", "trials=0", "seed=-1", "L=0", "L=2.5", "L=3.9",
-        "error_limit=0", "error_limit=-1",
+        "error_limit=0", "error_limit=-1", "trials=10.5", "seed=1.5", "error_limit=2.5",
     ],
 )
 def test_simulation_refuses_bad_counts_before_drawing_noise(monkeypatch, kwargs, message):

@@ -4,9 +4,12 @@ import argparse
 import hashlib
 import io
 import math
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -73,6 +76,23 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
     assert out.strip() == "polarmhw 0.1.0"
+
+
+def test_python_dash_m_runs_main(capsys):
+    # python -m polarmhw runs __main__.py, which exits with main's code
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def module_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "polarmhw", *argv], capture_output=True, text=True, env=env
+        )
+
+    done = module_run("--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "polarmhw 0.1.0\n", "")
+    done = module_run("bound", *SPEC8_ARGS)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run(capsys, ["bound", *SPEC8_ARGS])[1]
 
 
 def test_repeated_commands_in_one_process_print_the_same_bytes(capsys):

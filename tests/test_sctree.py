@@ -81,6 +81,12 @@ def test_retrace_rejects_out_of_range():
         sc_retrace([1] * 8, SPEC8, {9})
 
 
+def test_retrace_refuses_a_fractional_row():
+    # a fractional row once died in a tuple index
+    with pytest.raises(ValueError, match=r"^index i=2\.5 must be an integer in \[1, 8\]$"):
+        sc_retrace([1] * 8, SPEC8, {2.5})
+
+
 def test_replay_validates_decisions():
     with pytest.raises(ValueError):
         sc_replay([1] * 8, SPEC8, [0, 0, 1, 0, 0, 0, 0, 0])  # frozen violation
