@@ -166,6 +166,7 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
     count nor the other points move its result.
     """
     _check_integers(trials=trials, seed=seed, error_limit=error_limit or 1)  # None passes
+    seed = int(seed)  # a numpy seed would do the key arithmetic in its own width
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:

@@ -34,7 +34,7 @@ from .bound import (
 )
 from .channel import render_fer_csv, sweep_fer
 from .construction import CodeSpec, _codes, construct_ga, construct_pw, load_spec, save_spec
-from .listdec import _charged, _search
+from .listdec import _charged, _replay
 from .mhw import (
     EXHAUSTIVE_CAP,
     ExhaustiveCapError,
@@ -46,7 +46,7 @@ from .mhw import (
     write_enumeration,
     zero_split_triggers,
 )
-from .sctree import sc_decode, sc_replay, sc_retrace
+from .sctree import sc_decode, sc_retrace
 
 __all__ = ["main", "UsageError"]
 
@@ -291,24 +291,19 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     exact_wanted = report.total <= exact_limit
     words = zero_split_triggers(spec, report.a_m if exact_wanted else triggers).words
     first = _first_ones(words)  # a member's trigger is its first one
-    members = {i: _unpack(words[first == i][:max_members], N).tolist() for i in triggers}
+    members = [_unpack(words[first == i][:max_members], N) for i in triggers]
     exact = len(words) if exact_wanted else None
     retraced = {i: sc_retrace(ones, spec, {i}) for i in triggers}
-    # one SC replay of every sampled member, then of every retraced path, all
-    # in one list-engine run (L = 1, every decision pinned): per path its
-    # trigger, path metric, reverse-decision set and zero-LLR positions
-    paths = [(i, u) for i in triggers for u in members[i]]
-    paths += [(i, retraced[i].decisions) for i in triggers]
-    replays = []
-    for (i, _), (u, pm, llr, _) in zip(
-        paths, _search(ones, spec, 1, [u for _, u in paths], leaves=True)
-    ):
-        charged = _charged(u[0], llr[0])
-        rds, zeros = (tuple((np.flatnonzero(x) + 1).tolist()) for x in (charged, llr[0] == 0))
-        replays.append((i, pm[0], rds, zeros))
-    replays, retrace_replays = replays[: -len(triggers)], replays[-len(triggers) :]
-    probes = [(i, u) for i in triggers[:2] for u in members[i][:4]]
-    scope = f"{len(triggers)} triggers, {len(replays)} members"
+    stops = np.cumsum([len(m) for m in members]).tolist()
+    rows = {i: range(stop - len(m), stop) for i, m, stop in zip(triggers, members, stops)}
+    retrace_rows = range(stops[-1], stops[-1] + len(triggers))
+    # the subtree-root probes: the first four members of the first two triggers
+    probes = [(i, row) for i in triggers[:2] for row in rows[i][:4]]
+    u = np.concatenate(members + [np.array([retraced[i].decisions for i in triggers], np.uint8)])
+    nodes = [(row, p.lam, p.node) for i, row in probes for p in decompose(i, n)]
+    pm, llr, got = _replay(ones, spec, u, nodes)
+    zeros = llr == 0
+    scope = f"{len(triggers)} triggers, {stops[-1]} members"
 
     def tiles(i):
         # the parts, placed by decompose's closed-form starts, tile [i+1, N] as
@@ -339,7 +334,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
         if negative_control:
             pool = [p for p in range(1, N + 1) if p not in set(want)]
             want = sorted(want[:-1] + pool[:1])
-        return all(zeros == tuple(want) for t, _, _, zeros in replays if t == i)
+        return (zeros[rows[i]] == np.isin(np.arange(1, N + 1), want)).all()
 
     def residual_zeros(i):
         # erasing the channel exactly on a generator row's support reproduces
@@ -351,18 +346,16 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
             for scale in (1, 3.5)
         )
 
-    def retrace_fixed(i, pm, rds, _):
+    def retrace_fixed(i, row):
         # a lone disagreement at the trigger is stable under replay: same
         # single flip position, same penalty, positive cost
-        return rds == retraced[i].rds == (i,) and pm == retraced[i].pm > 0
+        rds = tuple((np.flatnonzero(_charged(u[row], llr[row])) + 1).tolist())
+        return rds == retraced[i].rds == (i,) and pm[row] == retraced[i].pm > 0
 
-    def root_llrs(i, u):
-        # subtree root LLRs along a member replay match the closed form; a
-        # part whose node the replay never recorded is a mismatch
-        got = sc_replay(ones, spec, u, record_nodes=True).node_llrs
+    def root_llrs(i, row):
+        # subtree root LLRs along a member replay match the closed form
         return all(
-            (p.lam, p.node) in got
-            and list(got[p.lam, p.node]) == subtree_input_llr(i, p.k, u, n)
+            got[row, p.lam, p.node].tolist() == subtree_input_llr(i, p.k, u[row], n)
             for p in decompose(i, n)
         )
 
@@ -379,7 +372,7 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
             scope + (" [negative control]" if negative_control else ""),
         ),
         ("residual-zero-locations", all(map(residual_zeros, triggers)), scope),
-        ("retrace-rds-fixed", all(retrace_fixed(*r) for r in retrace_replays), scope),
+        ("retrace-rds-fixed", all(map(retrace_fixed, triggers, retrace_rows)), scope),
         # the retraced path's codeword already sits at the minimum weight
         (
             "retrace-weight",
@@ -387,8 +380,12 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
             f"d_m={d_m}",
         ),
         # every member of a trigger costs exactly the trigger penalty
-        ("equal-pm-within-subset", all(pm == retraced[i].pm for i, pm, _, _ in replays), scope),
-        ("subtree-root-llr", all(root_llrs(i, u) for i, u in probes), f"{len(probes)} replays"),
+        (
+            "equal-pm-within-subset",
+            all((pm[rows[i]] == retraced[i].pm).all() for i in triggers),
+            scope,
+        ),
+        ("subtree-root-llr", all(root_llrs(*probe) for probe in probes), f"{len(probes)} replays"),
         (
             "bound-soundness",
             sound,

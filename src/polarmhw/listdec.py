@@ -19,16 +19,24 @@ stage s and no lower, its partial sums are all 0, and under
 min-sum its frozen 0 bits cost sum_j |alpha_j| [alpha_j < 0] in all, so some
 leaf LLR in it is negative iff some alpha_j is (the SSC rate-0 node rule:
 Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011; Hashemi, Condo &
-Gross, IEEE TSP 2017).  scl_decode and verify's replays record every leaf's
-LLR, and a float sum over a node would round differently from the per-leaf
-one, so those runs and scl_decode_batch keep the leaf schedule.  mhw's
-zero-split walk, which keeps no metric, runs rate-0, rate-1 and repetition
-nodes on the same stages, in the schedule the same builder gives for all
-three kinds from the walk's first trigger.
+Gross, IEEE TSP 2017).  scl_decode records every leaf's LLR, and a float
+sum over a node would round differently from the per-leaf one, so its runs
+and scl_decode_batch keep the leaf schedule.  mhw's zero-split walk, which
+keeps no metric, runs rate-0, rate-1 and repetition nodes on the same
+stages, in the schedule the same builder gives for all three kinds from the
+walk's first trigger.
+
+A path pinned at every position needs no list and no leaf order: each
+node's partial sums are its leaves' decisions times G (Arikan, IEEE T-IT
+2009), so _replay runs such paths stage by stage, n passes of the engine's
+own f and g over every node of a stage and every path at once, and charges
+the leaves in leaf order as the engine does.  It serves verify's member and
+retrace replays and its subtree-root probes, which read node LLRs off the
+same passes.
 
 Each decode may pin its own decision prefix and take its own list width.
-Decodes of one prefix length and one width run in a (B, width) lane layout,
-as SC replays do (L = 1, the whole path pinned).  Decodes that differ in
+Decodes of one prefix length and one width run in a (B, width) lane layout.
+Decodes that differ in
 either run ragged, from one shared LLR row: each decode's lanes sit
 contiguously on one lane axis, and at a split leaf its candidates rank
 among themselves only, so it keeps min(L_b, 2 * its lanes) of them and no
@@ -65,6 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from polarmhw.bitops import encode_rows
 from polarmhw.sctree import _check_forced, _check_llrs
 
 __all__ = ["DecodePath", "SearchDiagnostics", "scl_decode", "scl_decode_batch"]
@@ -83,6 +92,31 @@ class SearchDiagnostics:
 
     discarded: int = 0
     min_discarded_pm: object = None
+
+
+def _f(a, b, out=None):
+    """The check-node update sign(a) sign(b) min(|a|, |b|) of two node
+    halves, into out if given (which a and b broadcast to)."""
+    if a.dtype.kind == "f":
+        # copysign(min(|a|, |b|), a b) equals sign(a) sign(b) min(|a|, |b|)
+        # but for the sign of a zero, which nothing reads; a b may overflow to
+        # an infinity of the right sign
+        m, tmp = np.abs(a, out=out), np.abs(b)
+        np.minimum(m, tmp, out=m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(a, b, out=tmp)
+        return np.copysign(m, tmp, out=m)
+    return np.multiply(np.sign(a) * np.sign(b), np.minimum(np.abs(a), np.abs(b)), out=out)
+
+
+def _g(a, b, beta, out=None):
+    """The variable-node update b + (1 - 2 beta) a of two node halves after
+    the left half's uint8 partial sums beta, into out if given: multiplying
+    by +-1 is exact and b - a is b + (-a), so every dtype gets the bits
+    b -+ a gives."""
+    out = np.multiply(1 - 2 * beta.view(np.int8), a, out=out)
+    out += b
+    return out
 
 
 class _Stages:
@@ -133,28 +167,12 @@ class _Stages:
             # before they are read: free them before the new stages exist
             alpha[: t + 2] = [None] * (t + 2)
             half = 1 << t
-            a, b = parent[..., :half], parent[..., half:]
-            # g = b + (1 - 2 beta) a: multiplying by +-1 is exact and b - a is
-            # b + (-a), so every dtype gets the bits b -+ a gives
-            g = (1 - 2 * self._rows(self.beta_left[t], self.bmap[t]).view(np.int8)) * a
-            g += b
-            alpha[t], amap[t] = g, None
+            beta = self._rows(self.beta_left[t], self.bmap[t])
+            alpha[t], amap[t] = _g(parent[..., :half], parent[..., half:], beta), None
         while t > s:
             parent = alpha[t]
             half = 1 << (t - 1)
-            a, b = parent[..., :half], parent[..., half:]
-            if parent.dtype.kind == "f":
-                # copysign(min(|a|, |b|), a b) equals sign(a) sign(b) min(|a|,
-                # |b|) but for the sign of a zero, which nothing reads; a b may
-                # overflow to an infinity of the right sign
-                m, tmp = np.abs(a), np.abs(b)
-                np.minimum(m, tmp, out=m)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.multiply(a, b, out=tmp)
-                alpha[t - 1] = np.copysign(m, tmp, out=m)
-            else:
-                alpha[t - 1] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-            amap[t - 1] = None
+            alpha[t - 1], amap[t - 1] = _f(parent[..., :half], parent[..., half:]), None
             t -= 1
         return alpha[s]
 
@@ -397,6 +415,68 @@ def _python_pm(pm):
     """An engine metric as the scalar arithmetic types it: a path never
     charged holds int 0."""
     return (pm.item() if isinstance(pm, np.generic) else pm) or 0
+
+
+# The bytes of scratch one run may hold: the decisions of the searches of one
+# mhw engine run in all (or one search's), whose stage buffers and trace are
+# (lanes, at most N) arrays, and one chunk of rows of a fully pinned replay.
+_RUN_BYTES = 1 << 24
+
+
+def _replay(input_llrs, spec, u, nodes=()):
+    """SC replays of one LLR vector along the (B, N) uint8 fully pinned paths
+    u, stage by stage: every node's partial sums are its leaves' decisions
+    times G, so stage s of every row follows from stage s + 1 in one _f and
+    one _g pass over all nodes, the leaf engine's arithmetic on whole stages.
+    Rows run in chunks of at most _RUN_BYTES of scratch.
+
+    Returns (pm, llr, got): the (B,) path metrics, typed as the leaf
+    engine's, the (B, N) leaf LLRs, and the LLR vector of each (row, stage,
+    node) of nodes, node 1-based as sctree keys them.
+    """
+    N, n = spec.N, spec.n
+    llrs = _exact_input(input_llrs, N)
+    B, integer = len(u), llrs.dtype.kind == "i"
+    llr = np.empty((B, N), dtype=llrs.dtype)
+    pm = np.empty(B, dtype=np.int64 if integer else llrs.dtype)
+    wanted, got = {}, {}
+    for row, s, node in nodes:
+        wanted.setdefault(s, []).append((row, node))
+
+    def keep(s, stage, lo):
+        # the wanted nodes of stage s in the rows from lo on
+        for row, node in wanted.get(s, ()):
+            if 0 <= row - lo < len(stage):
+                got[row, s, node] = stage[row - lo, (node - 1) << s : node << s].copy()
+
+    # per row: two stage buffers, the partial sums and the f, g and metric
+    # temporaries
+    step = max(1, _RUN_BYTES // (N * (4 * llrs.itemsize + 6)))
+    for lo in range(0, B, step):
+        hi = min(B, lo + step)
+        rows = hi - lo
+        # the codeword is the root's partial sums; the transform's butterfly
+        # levels commute and each is its own inverse, so undoing level s
+        # leaves those of every node of 2**s leaves
+        beta = encode_rows(u[lo:hi])
+        stages = np.empty((2, rows, N), dtype=llrs.dtype)
+        parent = llrs
+        keep(n, np.broadcast_to(llrs, (rows, N)), lo)
+        for s in reversed(range(n)):
+            level = beta.reshape(rows, -1, 2, 1 << s)
+            level[:, :, 0] ^= level[:, :, 1]
+            child = stages[s % 2] if s else llr[lo:hi]
+            halves = parent.reshape(len(parent), -1, 2, 1 << s)
+            kids = child.reshape(rows, -1, 2, 1 << s)
+            _f(halves[:, :, 0], halves[:, :, 1], out=kids[:, :, 0])
+            _g(halves[:, :, 0], halves[:, :, 1], level[:, :, 0], out=kids[:, :, 1])
+            keep(s, child, lo)
+            parent = child
+        costs = np.where(_charged(u[lo:hi], parent), np.abs(parent), 0)
+        # an integer metric is exact in any order; a float or object one is
+        # summed leaf by leaf, as the leaf engine charges it
+        pm[lo:hi] = costs.sum(axis=1, dtype=np.int64) if integer else costs.cumsum(axis=1)[:, -1]
+    return pm, llr, got
 
 
 def _search(input_llrs, spec, L, prefixes=((),), leaves=False):

@@ -60,7 +60,7 @@ from polarmhw.bitops import _check_integers, _pack, _transform, _unpack, _weight
 from polarmhw.bitops import encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count
 from polarmhw.construction import RATE0, RATE1, REP, CodeSpec, _commented, _node_steps
-from polarmhw.listdec import _check_list_size, _Stages, _search
+from polarmhw.listdec import _RUN_BYTES, _check_list_size, _Stages, _search
 
 __all__ = [
     "MhwResult",
@@ -231,12 +231,6 @@ def exhaustive_mhw(spec) -> MhwResult:
 
 
 # ---- constrained list searches ----
-
-
-# The searches of one engine run hold at most this many bytes of decisions
-# in all (or one search's): a bound on the run's stage buffers and trace,
-# whose every array is (lanes, at most N).
-_RUN_BYTES = 1 << 24
 
 
 def _subset_pairs(report):

@@ -247,6 +247,17 @@ def test_simulation_refuses_seeds_past_64_bits_before_drawing_noise(monkeypatch)
         assert [p.trials for p in sweep_fer(SPEC8, grid, L=2, trials=8, seed=seed)] == [8] * len(grid)
 
 
+def test_sweep_does_its_seed_arithmetic_on_python_ints(monkeypatch):
+    # a numpy seed once did seed + 7919 * idx in its own width: uint8 raised
+    # OverflowError, and the largest uint64 wrapped past the too-large check
+    spec = construct_pw(8, 4)
+    want = sweep_fer(spec, [1.0, 2.0], 2, 8, seed=3)
+    assert sweep_fer(spec, [1.0, 2.0], 2, 8, seed=np.uint8(3)) == want
+    monkeypatch.setattr(channel, "_chunk_llrs", lambda *args: pytest.fail("noise drawn"))
+    with pytest.raises(ValueError, match=f"^seed {2**64 - 1} too large: "):
+        sweep_fer(spec, [1.0, 2.0], 2, 8, seed=np.uint64(2**64 - 1))
+
+
 def test_sweep_plans_its_chunks_in_memory_independent_of_trials(monkeypatch):
     # every frame an error, so one chunk stops each point; a plan that lists
     # every chunk would hold about 8 MB at 10**9 trials

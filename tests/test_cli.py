@@ -32,6 +32,7 @@ from polarmhw import (
     load_spec,
     read_enumeration,
     save_spec,
+    sctree,
 )
 from polarmhw.cli import main
 
@@ -616,6 +617,19 @@ def test_verify_passes_on_example_code(capsys):
     assert code == 0
     assert "verify: 10 checks, 10 PASS, 0 FAIL, 0 INFO" in out
     assert "check zero-location-replay     PASS" in out
+
+
+def test_verify_replays_in_one_stage_pass(capsys, monkeypatch):
+    # the members, the retraced paths and the subtree-root probes are one
+    # stage-by-stage replay; the scalar tree's sc_replay is not called
+    calls = []
+    replay = cli._replay
+    monkeypatch.setattr(cli, "_replay", lambda *a: calls.append(a) or replay(*a))
+    monkeypatch.setattr(sctree, "sc_replay", lambda *a, **k: pytest.fail("sc_replay called"))
+    code, out, _ = run(capsys, ["verify", "--N", "64", "--K", "32"])
+    assert code == 0
+    assert "check subtree-root-llr         PASS" in out
+    assert len(calls) == 1 and not hasattr(cli, "sc_replay")
 
 
 def test_negative_control_fails_replay_check(capsys):

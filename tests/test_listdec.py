@@ -11,7 +11,17 @@ from conftest import RawSpec, brute_force_minimum_weight, first_one, leaf_schedu
 
 from polarmhw.bitops import encode, generator_row, min_distance
 from polarmhw.construction import CodeSpec, construct_ga, construct_pw, design_sigma
-from polarmhw.listdec import SearchDiagnostics, _search, _Stages, scl_decode, scl_decode_batch
+from polarmhw.listdec import (
+    _RUN_BYTES,
+    SearchDiagnostics,
+    _engine,
+    _exact_input,
+    _replay,
+    _search,
+    _Stages,
+    scl_decode,
+    scl_decode_batch,
+)
 from polarmhw.mhw import enumerate_zero_split
 from polarmhw.sctree import _TreeState, sc_decode, sc_replay, sc_retrace
 
@@ -235,6 +245,69 @@ def test_searches_at_their_own_widths_match_one_at_a_time():
             assert repr(diagnostics) == repr(alone[3])
         kinds.add(llr.dtype.kind)
     assert kinds == {"i", "f", "O"}
+
+
+# ---- fully pinned replays, stage by stage ----
+
+
+def test_stage_replay_matches_the_leaf_engine():
+    # a fully pinned path needs no list: the stage-by-stage replay must equal
+    # the leaf engine run with every decision pinned, in decisions, leaf LLRs
+    # and their dtype, path metrics with their dtype and Python types, and
+    # diagnostics
+    kinds = set()
+    for spec, llrs, _, rng in batched_search_corpus():
+        N = spec.N
+        paths = [[rng.randint(0, 1) * spec.is_info(p) for p in range(1, N + 1)] for _ in range(6)]
+        u = np.array(paths[: rng.randint(1, 6)], dtype=np.uint8)
+        pm, llr, got = _replay(llrs, spec, u)
+        ref_pm, counts, trace, discarded, low = _engine(
+            _exact_input(llrs, N), spec, 1, True, u, np.full(len(u), N), leaves=True
+        )
+        decisions, ref_llr = trace(np.zeros((len(u), 1), dtype=np.intp))
+        assert counts.tolist() == [1] * len(u)
+        assert decisions[:, 0].tolist() == u.tolist()
+        assert pm.dtype == ref_pm.dtype
+        assert [(type(x), x) for x in pm.tolist()] == [(type(x), x) for x in ref_pm[:, 0].tolist()]
+        assert llr.dtype == ref_llr.dtype
+        assert llr.tolist() == ref_llr[:, 0].tolist()
+        assert got == {}
+        assert SearchDiagnostics(discarded, low) == SearchDiagnostics()
+        kinds.add(llr.dtype.kind)
+    assert kinds == {"i", "f", "O"}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [construct_pw(64, 32), construct_ga(128, 64, 2.0), construct_pw(256, 136)],
+    ids=["pw64", "ga128", "pw256"],
+)
+def test_stage_replay_node_llrs_match_the_scalar_tree(spec):
+    # verify's subtree-root probes read node LLRs off the stage pass: every
+    # node of every member's replay must equal sctree's recorded one
+    members = enumerate_zero_split(spec).vectors[:12]
+    rows = range(len(members))
+    refs = [sc_replay([1] * spec.N, spec, list(u), record_nodes=True).node_llrs for u in members]
+    nodes = [(row, *key) for row in rows for key in refs[row]]
+    _, _, got = _replay([1] * spec.N, spec, np.array(members, dtype=np.uint8), nodes)
+    assert got.keys() == set(nodes)
+    for row, stage, node in nodes:
+        assert got[row, stage, node].tolist() == list(refs[row][stage, node])
+
+
+def test_stage_replay_peak_memory():
+    # rows run in chunks: one replay of 520 rows at N = 16,384 holds at most
+    # its scratch budget beside the (B, N) leaf LLRs it returns
+    spec = construct_pw(16384, 8192)
+    rng = np.random.default_rng(89)
+    u = (rng.integers(0, 2, size=(520, spec.N)) * spec.info_mask).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        pm, llr, _ = _replay([1] * spec.N, spec, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _RUN_BYTES + llr.nbytes + pm.nbytes
 
 
 # ---- the shared stage buffers ----
