@@ -48,42 +48,46 @@ def positions_of(symbol: int, x) -> tuple[int, ...]:
 # ---- generator rows and encoding ----
 
 
-def _check_length(N: int) -> int:
-    """Validate a code length and return n = log2(N)."""
+def _check_int(name: str, value, lo=None, hi=None) -> int:
+    """The package's one integer rule: value as a Python int if it is a
+    Python or numpy integer within [lo, hi] (None: unbounded), else one
+    ValueError naming it.  A float is refused even when integer-valued, and
+    so is a bool, so a count, index or seed is never truncated or a flag."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    value = int(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name}={value} must be {bounds}")
+    return value
+
+
+def _check_length(N) -> tuple[int, int]:
+    """Validate a code length: (N, log2(N)) as Python ints."""
+    N = _check_int("N", N)
     n = N.bit_length() - 1
     if N < 2 or (1 << n) != N:
         raise ValueError(f"code length N={N} is not a power of two >= 2")
-    return n
+    return N, n
 
 
-def _check_integers(**values):
-    """Refuse a value that is not an integer (numpy ints pass): a fractional
-    count, seed or thread count is refused, not truncated."""
-    for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name}={value!r} must be an integer")
-
-
-def _check_index(i, N: int) -> None:
-    """Refuse a 1-based index that is not an integer in [1, N] (numpy ints
-    pass): a fractional i is refused, not truncated."""
-    if not isinstance(i, (int, np.integer)) or not 1 <= i <= N:
-        raise ValueError(f"index i={i!r} must be an integer in [1, {N}]")
-
-
-def _check_bits(u, what: str) -> list[int]:
-    """u's entries as ints; each must equal 0 or 1, as 1.0, True and np.uint8(1) do."""
-    u = list(u)
-    if not all(b in (0, 1) for b in u):
+def _check_bits(u, what: str):
+    """u's entries, each equal to 0 or 1 as 1.0, True and np.uint8(1) are: a
+    numpy array as it is, checked in one pass, anything else as a list of ints."""
+    if array := isinstance(u, np.ndarray):
+        ok = ((u == 0) | (u == 1)).all()
+    else:
+        u = list(u)
+        ok = all(b in (0, 1) for b in u)
+    if not ok:
         raise ValueError(f"{what} must be a 0/1 vector")
-    return [int(b) for b in u]
+    return u if array else [int(b) for b in u]
 
 
 def generator_row(i: int, N: int) -> list[int]:
     """Row i of G_N: column c is 1 iff (c-1) is bitwise covered by (i-1)."""
-    _check_length(N)
-    _check_index(i, N)
-    mask = i - 1
+    N, _ = _check_length(N)
+    mask = _check_int("i", i, 1, N) - 1
     return [1 if (c & ~mask) == 0 else 0 for c in range(N)]
 
 
@@ -92,16 +96,13 @@ def encode(u) -> list[int]:
 
     The transform is an involution: encode(encode(u)) == u.
     """
-    c = _check_bits(u, "u")
-    _check_length(len(c))
-    return encode_rows(np.array([c], dtype=np.uint8))[0].tolist()
+    return encode_rows(np.array([_check_bits(u, "u")], dtype=np.uint8))[0].tolist()
 
 
 def encode_rows(u):
     """Polar transform of every row of a (rows, N) 0/1 integer array, run on
-    the rows' packed words (any nonzero entry packs as 1).  Returns a new
-    array of the same shape and dtype."""
-    u = np.asarray(u)
+    the rows' packed words.  Returns a new array of the same shape and dtype."""
+    u = _check_bits(np.asarray(u), "u")
     _check_length(u.shape[1])
     return _unpack(_transform(_pack(u), u.shape[1]), u.shape[1]).astype(u.dtype)
 

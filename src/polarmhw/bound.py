@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from polarmhw.bitops import _check_index, _check_length, encode, min_distance
+from polarmhw.bitops import _check_int, _check_length, encode, min_distance
 
 __all__ = [
     "Part",
@@ -94,10 +94,8 @@ def decompose(i: int, n: int) -> tuple[Part, ...]:
     _zero_capacity_blocks uses.  i = 2**n has no zero digit below n, hence
     an empty tail and no parts.
     """
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
-    _check_index(i, 1 << n)
-    r = i - 1
+    n = _check_int("n", n, 1)
+    r = _check_int("i", i, 1, 1 << n) - 1
     bases = [(t, r >> t << t | 1 << t) for t in range(n) if not r >> t & 1]
     return tuple(Part(k, b + 1, b + (1 << t), t, (b >> t) + 1) for k, (t, b) in enumerate(bases, 1))
 
@@ -208,9 +206,9 @@ def _prefix_bounds(ranking: np.ndarray, Ks) -> tuple[list[int], list[int]]:
 def zero_capacity_set(i: int, N: int) -> frozenset[int]:
     """Positions after i whose decoding LLR is pinned to zero once a
     trajectory puts its first 1 at i (noiseless all-ones input)."""
-    n = _check_length(N)
-    _check_index(i, N)
-    blocks = _zero_capacity_blocks(np.array([i - 1], dtype=np.int64), n)
+    N, n = _check_length(N)
+    r = _check_int("i", i, 1, N) - 1
+    blocks = _zero_capacity_blocks(np.array([r], dtype=np.int64), n)
     return frozenset(e + 1 for _, block in blocks for e in block.ravel().tolist())
 
 
@@ -257,9 +255,7 @@ def subtree_input_llr(i: int, k: int, prefix_decisions, n: int) -> list:
     i - 1 above the part's stage.
     """
     parts = decompose(i, n)
-    if not 1 <= k <= len(parts):
-        raise ValueError(f"part index k={k} out of range [1, {len(parts)}]")
-    part = parts[k - 1]
+    part = parts[_check_int("k", k, 1, len(parts)) - 1]
     if part.lam == 0:
         return [0]
     size = 1 << part.lam
@@ -269,5 +265,5 @@ def subtree_input_llr(i: int, k: int, prefix_decisions, n: int) -> list:
             f"prefix covers {len(prefix_decisions)} positions; part {k} of i={i} "
             f"needs decisions through position {sib_start + size}"
         )
-    x = 1 << ((i - 1) >> (part.lam + 1)).bit_count()
+    x = 1 << ((int(i) - 1) >> (part.lam + 1)).bit_count()
     return [2 * x * (1 - c) for c in encode(prefix_decisions[sib_start : sib_start + size])]

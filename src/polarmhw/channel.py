@@ -25,11 +25,11 @@ from functools import partial
 
 import numpy as np
 
-from polarmhw.bitops import _check_integers, encode_rows, min_distance
+from polarmhw.bitops import _check_int, encode_rows, min_distance
 from polarmhw.bound import bound_count
 from polarmhw.construction import _commented, design_sigma
-from polarmhw.listdec import _check_list_size, scl_decode_batch
-from polarmhw.mhw import _check_threads, _exact_count
+from polarmhw.listdec import scl_decode_batch
+from polarmhw.mhw import _exact_count
 
 __all__ = [
     "FerPoint",
@@ -72,7 +72,7 @@ def q_function(x: float) -> float:
 def wilson_interval(errors: int, trials: int):
     """95% Wilson score interval for a binomial proportion; brackets errors/trials."""
     z = 1.959963984540054  # two-sided 95% normal quantile
-    _check_integers(errors=errors, trials=trials)
+    errors, trials = _check_int("errors", errors), _check_int("trials", trials)
     if not 0 <= errors <= trials >= 1:
         raise ValueError(f"errors={errors}, trials={trials}: need 0 <= errors <= trials >= 1")
     p = errors / trials
@@ -165,16 +165,11 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
     at the first where its errors reach error_limit, so neither the thread
     count nor the other points move its result.
     """
-    _check_integers(trials=trials, seed=seed, error_limit=error_limit or 1)  # None passes
-    seed = int(seed)  # a numpy seed would do the key arithmetic in its own width
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    _check_threads(threads)
-    _check_list_size(L)
-    if error_limit is not None and error_limit < 1:
-        raise ValueError("error_limit must be >= 1 or None")
+    # as Python ints: a numpy seed would do the key arithmetic in its own width
+    trials, seed = _check_int("trials", trials, 1), _check_int("seed", seed, 0)
+    threads, L = _check_int("threads", threads, 1), _check_int("list size L", L, 1)
+    if error_limit is not None:
+        error_limit = _check_int("error_limit", error_limit, 1)
     grid = list(ebn0_grid)
     if seed + 7919 * (len(grid) - 1) >= 1 << 64:
         raise ValueError(f"seed {seed} too large: seed + 7919 * {len(grid) - 1} passes 2**64 - 1")
@@ -217,7 +212,7 @@ def sweep_fer(spec, ebn0_grid, L, trials, seed=0, threads=1, error_limit=100,
             if not running:
                 break
     return [
-        FerPoint(db, n, e, e / n, *wilson_interval(e, n), n < trials)
+        FerPoint(float(db), n, e, e / n, *wilson_interval(e, n), n < trials)
         for db, e, n in zip(grid, errors, frames)
     ]
 

@@ -122,10 +122,15 @@ def _parse_positions(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad --A value: {exc}") from exc
 
 
+# the most values a range that no bound cuts (--ebn0's) may expand to
+_GRID_CAP = 1 << 16
+
+
 def _parse_grid(text: str, cast, flag: str, bounds=(-math.inf, math.inf)) -> list:
     """Comma/space separated values, or an inclusive start:stop:step range,
     each within bounds.  A range is cut after its first value out of bounds
-    before it is expanded, so it yields at most hi - lo + 2 values."""
+    before it is expanded, so it yields at most hi - lo + 2 values; with no
+    upper bound, one of more than _GRID_CAP values is refused (MemoryError)."""
     lo, hi = bounds
     try:
         if ":" in text:
@@ -139,6 +144,8 @@ def _parse_grid(text: str, cast, flag: str, bounds=(-math.inf, math.inf)) -> lis
             steps = (stop - start) / step
             if steps == math.inf:
                 raise UsageError(f"{flag} range overflows: (stop - start) / step is not finite")
+            if hi == math.inf and round(steps) >= _GRID_CAP:
+                raise MemoryError(f"{flag} range has {steps + 1:.6g} values, over {_GRID_CAP}")
             values = [start + k * step for k in range(int(round(steps)) + 1)]
             values = [v for v in values if v <= stop + 1e-9]
         else:

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from polarmhw.bitops import _check_length
+from polarmhw.bitops import _check_int, _check_length
 
 __all__ = [
     "CodeSpec",
@@ -79,11 +79,13 @@ class CodeSpec:
     """
 
     def __init__(self, N: int, A, construction: str = "EXPLICIT"):
-        _check_length(N)
+        N, _ = _check_length(N)
         if not len(A):
             raise ValueError("information set is empty")
-        if not all(isinstance(a, (int, np.integer)) for a in A):
-            raise ValueError("information set positions must be integers")
+        try:
+            A = [_check_int("A", a) for a in A]
+        except ValueError:  # the integer rule, in the spec's own words
+            raise ValueError("information set positions must be integers") from None
         try:
             rows = np.fromiter(A, np.int64, len(A))
             inside = rows.min() >= 1 and rows.max() <= N
@@ -222,7 +224,7 @@ def polarization_weight_order(N: int) -> ReliabilityOrder:
 
 
 def _pw_scores(N: int) -> np.ndarray:
-    n = _check_length(N)
+    N, n = _check_length(N)
     # channels 2**j + 1 .. 2**(j+1) repeat the scores before them plus beta**j;
     # each score sums its powers in ascending digit order
     scores = _zeros(N)
@@ -247,11 +249,6 @@ def _label(design_ebn0_db) -> str:
     return "PW" if design_ebn0_db is None else f"GA({design_ebn0_db:g}dB)"
 
 
-def _check_K(K: int, N: int) -> None:
-    if not 1 <= K <= N:
-        raise ValueError(f"K={K} out of range [1, {N}]")
-
-
 def _codes(N: int, design_ebn0_db=None):
     """K -> the code of length N that construct_pw (design_ebn0_db None) or
     construct_ga builds, all K read off one reliability order; its `rows`
@@ -264,9 +261,8 @@ def _codes(N: int, design_ebn0_db=None):
 
     def code(K: int) -> CodeSpec:
         # the first K rows of a permutation of [0, N): distinct and in range
-        _check_K(K, N)
         mask = np.zeros(N, dtype=bool)
-        mask[rows[:K]] = True
+        mask[rows[: _check_int("K", K, 1, N)]] = True
         return CodeSpec._from_mask(N, mask, label)
 
     code.rows = rows
@@ -279,8 +275,8 @@ def _code(N: int, K: int, design_ebn0_db) -> CodeSpec:
         scores = _pw_scores(N)
     else:
         scores = _ga_means(N, design_sigma(design_ebn0_db, 0.5))
-    _check_K(K, N)
-    return CodeSpec._from_mask(N, _top(scores, K), _label(design_ebn0_db))
+    mask = _top(scores, _check_int("K", K, 1, len(scores)))
+    return CodeSpec._from_mask(len(scores), mask, _label(design_ebn0_db))
 
 
 def construct_pw(N: int, K: int) -> CodeSpec:
@@ -332,7 +328,7 @@ def gaussian_approx_order(N: int, sigma: float) -> ReliabilityOrder:
 
 
 def _ga_means(N: int, sigma: float) -> np.ndarray:
-    n = _check_length(N)
+    N, n = _check_length(N)
     if not sigma > 0:
         raise ValueError(f"noise std sigma={sigma} must be positive")
     # Shared-prefix recursion: one stage at a time, all in one array.  Child

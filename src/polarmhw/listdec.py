@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polarmhw.bitops import encode_rows
+from polarmhw.bitops import _check_int, encode_rows
 from polarmhw.sctree import _check_forced, _check_llrs
 
 __all__ = ["DecodePath", "SearchDiagnostics", "scl_decode", "scl_decode_batch"]
@@ -249,15 +249,6 @@ def _rank(key, integer):
     return np.argsort(key, axis=-1, kind="stable")
 
 
-def _check_list_size(L):
-    """Refuse a list size L, or one per row, that is not an integer >= 1 (numpy ints pass)."""
-    for width in np.ravel(L).tolist():
-        if not isinstance(width, int):
-            raise ValueError(f"list size L={width!r} must be an integer")
-        if width < 1:
-            raise ValueError(f"list size L={width} must be >= 1")
-
-
 def _charged(bits, llrs):
     """Where a bit goes against the sign of a nonzero leaf LLR, costing |LLR|
     and joining the reverse decision set (sctree._sc's rule, on arrays)."""
@@ -284,7 +275,6 @@ def _engine(llrs, spec, L, prefix_order, prefix=None, ends=None, leaves=False):
     discarded and the metric of the cheapest one (where that count is
     nonzero), each a (B,) array or one value for every row.
     """
-    _check_list_size(L)
     L = np.asarray(L)
     B, N = llrs.shape
     if prefix is None:
@@ -523,7 +513,7 @@ def scl_decode(input_llrs, spec, L: int, forced_prefix=(), with_diagnostics=Fals
     N = spec.N
     _check_llrs(input_llrs, N)
     prefix = _check_forced(forced_prefix, spec, "forced prefix")
-    _check_list_size(L)
+    L = _check_int("list size L", L, 1)
 
     decisions, pm, llr, diagnostics = _search(input_llrs, spec, L, [prefix], leaves=True)[0]
     charged = _charged(decisions, llr)
@@ -555,5 +545,5 @@ def scl_decode_batch(llr_matrix, spec, L: int):
         raise ValueError(f"LLR row length {N} does not match N={spec.N}")
     if not np.isfinite(llr_matrix).all():
         raise ValueError("LLR matrix holds NaN or infinite entries")
-    pm, _, trace, _, _ = _engine(llr_matrix, spec, L, False)
+    pm, _, trace, _, _ = _engine(llr_matrix, spec, _check_int("list size L", L, 1), False)
     return trace(np.argmin(pm, axis=1)[:, None])[0][:, 0]

@@ -56,11 +56,11 @@ from functools import cached_property
 
 import numpy as np
 
-from polarmhw.bitops import _check_integers, _pack, _transform, _unpack, _weights
+from polarmhw.bitops import _check_int, _pack, _transform, _unpack, _weights
 from polarmhw.bitops import encode_rows, generator_row, min_distance
 from polarmhw.bound import bound_count
 from polarmhw.construction import RATE0, RATE1, REP, CodeSpec, _commented, _node_steps
-from polarmhw.listdec import _RUN_BYTES, _check_list_size, _Stages, _search
+from polarmhw.listdec import _RUN_BYTES, _Stages, _search
 
 __all__ = [
     "MhwResult",
@@ -96,7 +96,8 @@ class MhwResult:
 
     words is a read-only (count, ceil(N / 64)) array of distinct bitops._pack
     rows in lexicographic order, position 1 first; the constructor sorts them
-    and rejects a repeat, a bit past N or a wrong column count.  vectors, their
+    and rejects a repeat, a bit past N or a wrong column count; d_m and N are
+    integers >= 1 and max_list_used >= 0, kept as Python ints.  vectors, their
     (count, N) uint8 unpack, is built when first read.  == compares all fields.
     """
 
@@ -110,7 +111,8 @@ class MhwResult:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        _check_max_list_used(self.max_list_used)
+        for name, least in (("d_m", 1), ("N", 1), ("max_list_used", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), least))
         object.__setattr__(self, "words", _sorted_words(self.words, self.N))
 
     @property
@@ -126,19 +128,6 @@ class MhwResult:
             return NotImplemented
         same = [(r.N, r.d_m, r.method, r.max_list_used, r.warning) for r in (self, other)]
         return same[0] == same[1] and np.array_equal(self.words, other.words)
-
-
-def _check_max_list_used(value):
-    """Refuse a max_list_used that is not a nonnegative integer."""
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"maxListUsed={value!r} must be a nonnegative integer")
-
-
-def _check_threads(threads):
-    """Refuse a thread count that is not an integer >= 1 (numpy ints pass)."""
-    _check_integers(threads=threads)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
 
 
 # each byte bit-reversed: a packed row's bytes mapped through it sort as its vector
@@ -315,7 +304,7 @@ def enumerate_subset_scl(spec, threads: int = 1) -> MhwResult:
     its own lanes, or in contiguous shares of one call each: one per worker
     of `threads`, or more where one call would exceed _RUN_BYTES.  A vector
     found under two triggers breaks the partition law and aborts."""
-    _check_threads(threads)
+    threads = _check_int("threads", threads, 1)
     report = bound_count(spec, materialize_sets=True)
     d_m, a_m = report.d_m, report.a_m
     pairs, widths = _subset_pairs(report)
@@ -485,7 +474,7 @@ def zero_split_subset(spec, i: int):
     zero information LLR forked the walk, and how many branches died at a
     negative frozen LLR.
     """
-    decisions, branch_positions, kills = _zero_split_walk(spec, (i,))
+    decisions, branch_positions, kills = _zero_split_walk(spec, (_check_int("i", i),))
     return _unpack(_sorted_words(_pack(decisions), spec.N), spec.N), branch_positions[0], kills[0]
 
 
@@ -520,7 +509,7 @@ def zero_split_triggers(spec, triggers) -> MhwResult:
     report = bound_count(spec)
     overlaps = dict(zip(report.a_m, report.overlaps))
     orbit, walk, seen = [], [], set()
-    for i in triggers:
+    for i in (_check_int("trigger", i) for i in triggers):
         if i not in overlaps:
             raise ValueError(f"trigger {i} is not a minimum-weight row of the code")
         if i in seen:
@@ -540,7 +529,7 @@ def zero_split_triggers(spec, triggers) -> MhwResult:
 def enumerate_zero_split(spec, threads: int = 1) -> MhwResult:
     """zero_split_triggers over every trigger.  `threads` is accepted for the
     common enumerator interface, and checked; the result never depends on it."""
-    _check_threads(threads)
+    _check_int("threads", threads, 1)
     return zero_split_triggers(spec, min_distance(spec)[1])
 
 
@@ -554,7 +543,7 @@ def _exact_count(spec) -> int:
 
 
 def scl_global_search(spec, L: int) -> MhwResult:
-    _check_list_size(L)
+    L = _check_int("list size L", L, 1)
     d_m, _ = min_distance(spec)
     warning = None
     needed = bound_count(spec, materialize_sets=False).total + 1
@@ -658,7 +647,6 @@ def _read_enumeration(fh):
     spec = CodeSpec(N, tuple(int(tok) for tok in fields["A"].split()))
     if d_m != min_distance(spec)[0]:
         raise EnumFormatError(f"d_m={d_m} but the code has d_m={min_distance(spec)[0]}")
-    _check_max_list_used(max_list)
     # every field is there once, so each line meets the writer's line for it
     want = _field_lines(spec, d_m, fields["method"], count, max_list)
     for (k, text), need in zip(texts, want, strict=True):

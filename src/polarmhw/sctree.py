@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from polarmhw.bitops import _check_bits, _check_index, encode, positions_of
+from polarmhw.bitops import _check_bits, _check_int, encode, positions_of
 
 __all__ = ["ScOutcome", "sc_decode", "sc_retrace", "sc_replay"]
 
@@ -74,7 +74,7 @@ def _check_llrs(input_llrs, N):
 
 def _check_forced(bits, spec, what):
     """Decisions pinned from position 1 on: at most N 0/1 ints, none a 1 at a frozen position."""
-    bits = _check_bits(bits, what)
+    bits = _check_bits(list(bits), what)  # a list: an array's bits come back as ints
     if len(bits) > spec.N:
         raise ValueError(f"{what} longer than N={spec.N}")
     if frozen := [pos for pos, bit in enumerate(bits, start=1) if bit and not spec.is_info(pos)]:
@@ -209,9 +209,7 @@ def sc_retrace(input_llrs, spec, rds, record_nodes: bool = False) -> ScOutcome:
     The reported path metric is the sum of |LLR| over the given rds, the
     usual cost of a path that reverses exactly those decisions.
     """
-    rds = frozenset(rds)
-    for p in rds:
-        _check_index(p, spec.N)
+    rds = frozenset(_check_int("rds", p, 1, spec.N) for p in rds)
 
     def decide(pos, llr):
         return (1 if llr < 0 else 0) ^ (pos in rds) if spec.is_info(pos) else 0

@@ -3,9 +3,11 @@ __all__, every exported name resolves, the SC engine's per-node helpers stay
 private to sctree, and every bit packing in the package is bitops'
 little-endian row format, and one formatter writes every enumeration file
 record and every spec file's field lines, one function raises each of the
-0/1 input errors and each value rule, one function owns the reverse-decision
-rule and one the exact count, the CLI's command table owns each flag's least
-value, and the CLI leaves the packed word layout to bitops."""
+0/1 input errors, the integer rule and each other value rule, every public
+function has a row in the value-rule table, one function owns the
+reverse-decision rule and one the exact count, the CLI's command table owns
+each flag's least value, and the CLI leaves the packed word layout to
+bitops."""
 
 import ast
 import importlib
@@ -37,6 +39,17 @@ def test_package_names_are_the_library_modules_all():
     }
     library = [m for m in MODULES if m != "cli"]
     assert public == {n for m in library for n in importlib.import_module(f"polarmhw.{m}").__all__}
+
+
+def test_every_public_function_has_a_value_rule_row():
+    # the value-rule property varies each integer and float parameter that
+    # its table names, so a public function without a row escapes it
+    from test_value_rules import VALUE_RULES
+
+    library = [importlib.import_module(f"polarmhw.{m}") for m in MODULES if m != "cli"]
+    functions = {n for mod in library for n in mod.__all__ if inspect.isfunction(getattr(mod, n))}
+    assert functions - set(VALUE_RULES) == set()
+    assert set(VALUE_RULES) - functions == {"CodeSpec", "MhwResult"}
 
 
 def test_acceptance_imports_resolve_on_the_package():
@@ -127,12 +140,23 @@ def test_one_function_owns_each_zero_one_rule():
     assert not hasattr(importlib.import_module("polarmhw.bound"), "per_subset_bound")
 
 
+# the integer checks that bitops._check_int replaced
+FOLDED_CHECKS = (
+    "_check_integers", "_check_index", "_check_K", "_check_threads", "_check_max_list_used",
+    "_check_list_size",
+)
+
+
 def test_one_function_owns_each_value_rule():
-    # every entry that takes a list size, a thread count or a result's
-    # maxListUsed checks it through its one owner, before any work
-    assert set(raisers("list size L=")) == {("listdec.py", "_check_list_size")}
-    assert set(raisers("threads")) == {("mhw.py", "_check_threads")}
-    assert set(raisers("maxListUsed=")) == {("mhw.py", "_check_max_list_used")}
+    # every integer argument (a length, index, count, seed, list size, thread
+    # count, maxListUsed or position) is read through bitops._check_int, the
+    # one place that decides what an integer is and refuses the rest
+    assert raisers("must be an integer") == [("bitops.py", "_check_int")]
+    assert raisers("must be {bounds}") == [("bitops.py", "_check_int")]
+    assert package_nodes(lambda node: ast.unparse(node) == "np.integer") == ["bitops.py"]
+    left = [(m, name) for m in MODULES for name in FOLDED_CHECKS
+            if hasattr(importlib.import_module(f"polarmhw.{m}"), name)]
+    assert left == []
     assert raisers("--design-ebn0 applies only") == [("cli.py", "_design_point")]
     # the estimate's count comes from its source, never from the caller
     fer_estimate = importlib.import_module("polarmhw.channel").fer_estimate

@@ -135,6 +135,12 @@ def test_encode_errors():
         encode([0, 1, 1])  # length not a power of two
     with pytest.raises(ValueError):
         encode_rows(np.zeros((1, 6), dtype=np.uint8))  # packs into one word
+    # encode_rows once packed a 2 as 1, where encode refused the same row
+    for u in ([[2, 2, 2, 2]], [[0, 1, 0, 0], [0, 0, -1, 0]], [[0.5, 1, 0, 1]]):
+        with pytest.raises(ValueError, match="^u must be a 0/1 vector$"):
+            encode_rows(np.array(u))
+        with pytest.raises(ValueError, match="^u must be a 0/1 vector$"):
+            encode(u[-1])
 
 
 def unit(v):

@@ -64,18 +64,18 @@ def test_decompose_validates_range():
 def test_fractional_index_is_refused_not_truncated():
     # np.asarray(2.5, int64) is 2 and 2.0 >> t is a TypeError; one check
     # refuses both, as a fractional list size is refused
-    for call in (
-        lambda: zero_capacity_set(2.5, 8),
-        lambda: zero_capacity_set(2.0, 8),
-        lambda: decompose(2.0, 3),
-        lambda: decompose(2.5, 3),
-        lambda: generator_row(2.5, 8),
+    for i, call in (
+        (2.5, lambda: zero_capacity_set(2.5, 8)),
+        (2.0, lambda: zero_capacity_set(2.0, 8)),
+        (2.0, lambda: decompose(2.0, 3)),
+        (2.5, lambda: decompose(2.5, 3)),
+        (2.5, lambda: generator_row(2.5, 8)),
     ):
-        with pytest.raises(ValueError, match=re.escape("must be an integer in [1, 8]")):
+        with pytest.raises(ValueError, match=re.escape(f"i={i} must be an integer")):
             call()
     assert zero_capacity_set(np.int64(2), 8) == zero_capacity_set(2, 8) == {3, 4, 5, 6}
     assert decompose(np.int32(2), 3) == decompose(2, 3)
-    with pytest.raises(ValueError, match=re.escape("index i=9 must be an integer in [1, 8]")):
+    with pytest.raises(ValueError, match=re.escape("i=9 must be in [1, 8]")):
         decompose(9, 3)
 
 

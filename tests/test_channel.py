@@ -195,16 +195,16 @@ def test_simulation_refuses_overflowing_llrs_before_drawing_noise(monkeypatch):
 @pytest.mark.parametrize(
     "kwargs,message",
     [
-        ({"threads": -1}, "threads must be >= 1"),
-        ({"threads": 0}, "threads must be >= 1"),
+        ({"threads": -1}, "threads=-1 must be >= 1"),
+        ({"threads": 0}, "threads=0 must be >= 1"),
         ({"threads": 1.5}, "threads=1.5 must be an integer"),
-        ({"trials": 0}, "trials must be >= 1"),
-        ({"seed": -1}, "seed must be nonnegative"),
+        ({"trials": 0}, "trials=0 must be >= 1"),
+        ({"seed": -1}, "seed=-1 must be >= 0"),
         ({"L": 0}, "list size L=0 must be >= 1"),
         ({"L": 2.5}, "list size L=2.5 must be an integer"),
         ({"L": 3.9}, "list size L=3.9 must be an integer"),
-        ({"error_limit": 0}, "error_limit must be >= 1 or None"),
-        ({"error_limit": -1}, "error_limit must be >= 1 or None"),
+        ({"error_limit": 0}, "error_limit=0 must be >= 1"),
+        ({"error_limit": -1}, "error_limit=-1 must be >= 1"),
         # once run as range(10.5), or truncated: seed=1.5 drew seed 1's noise
         ({"trials": 10.5}, "trials=10.5 must be an integer"),
         ({"seed": 1.5}, "seed=1.5 must be an integer"),

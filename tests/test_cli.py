@@ -576,6 +576,23 @@ def test_K_grid_range_is_checked_before_it_is_expanded(capsys):
     assert [row.split(",")[1] for row in data_lines(out)[1:]] == ["1", "8", "15"]
 
 
+def test_ebn0_range_past_the_cap_is_refused_before_it_is_expanded(capsys):
+    # no bound cuts an --ebn0 range, so its length is counted from
+    # (stop - start) / step first: 0:1e300:1 once expanded without end
+    for grid, count in (("0:1e300:1", "1e+300"), ("0:1e8:1", "1e+08"), ("0:65536:1", "65537")):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, [*SIM8_ARGS, "--ebn0", grid])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, ""), grid
+        assert err == f"refused: --ebn0 range has {count} values, over 65536\n"
+        assert peak < 1 << 20
+    # the cap itself is expanded
+    assert len(cli._parse_grid("0:65535:1", cli._finite_float, "--ebn0")) == 1 << 16
+
+
 def test_negative_values_in_any_number_form_are_flag_values(capsys):
     # argparse alone reads only -2 and -0.5 as values; -1e3, -inf and a
     # range starting below zero went to its option matcher

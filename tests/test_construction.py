@@ -176,9 +176,9 @@ def test_mask_built_specs_equal_public_ones():
             probes = {0, 1, N, N + 1, int(ranking[K - 1]), int(ranking[K % N])}
             assert [got.is_info(p) for p in probes] == [want.is_info(p) for p in probes]
             assert got.A == want.A and all(type(a) is int for a in got.A)
-        with pytest.raises(ValueError, match=re.escape(f"K=0 out of range [1, {N}]")):
+        with pytest.raises(ValueError, match=re.escape(f"K=0 must be in [1, {N}]")):
             codes(0)
-        with pytest.raises(ValueError, match=re.escape(f"K={N + 1} out of range [1, {N}]")):
+        with pytest.raises(ValueError, match=re.escape(f"K={N + 1} must be in [1, {N}]")):
             codes(N + 1)
 
 

@@ -638,7 +638,7 @@ def test_thread_count_is_an_integer_checked_first(monkeypatch):
         assert run(spec, threads=np.int64(2)) == run(spec, threads=2)
     # refused before the bound of either enumerator is built
     monkeypatch.setattr(mhw, "bound_count", lambda *a, **k: pytest.fail("bound built"))
-    for threads, why in ((0, "threads must be >= 1"), (-1, "threads must be >= 1"),
+    for threads, why in ((0, "threads=0 must be >= 1"), (-1, "threads=-1 must be >= 1"),
                          (1.5, "threads=1.5 must be an integer")):
         for run in (enumerate_subset_scl, enumerate_zero_split):
             with pytest.raises(ValueError, match=f"^{why}$"):
@@ -647,8 +647,9 @@ def test_thread_count_is_an_integer_checked_first(monkeypatch):
 
 def test_max_list_used_is_a_nonnegative_integer():
     words = enumerate_zero_split(SPEC8).words
-    for bad in (2.5, -1, "4", None):
-        with pytest.raises(ValueError, match=r"^maxListUsed=.* must be a nonnegative integer$"):
+    for bad, why in ((2.5, "2.5 must be an integer"), (-1, "-1 must be >= 0"),
+                     ("4", "'4' must be an integer"), (None, "None must be an integer")):
+        with pytest.raises(ValueError, match=f"^max_list_used={why}$"):
             MhwResult(4, 8, words, "SCL_GLOBAL", bad)
     for good in (0, 16, np.int64(16), 2**70):
         assert MhwResult(4, 8, words, "SCL_GLOBAL", good).max_list_used == good

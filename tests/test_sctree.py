@@ -83,7 +83,7 @@ def test_retrace_rejects_out_of_range():
 
 def test_retrace_refuses_a_fractional_row():
     # a fractional row once died in a tuple index
-    with pytest.raises(ValueError, match=r"^index i=2\.5 must be an integer in \[1, 8\]$"):
+    with pytest.raises(ValueError, match=r"^rds=2\.5 must be an integer$"):
         sc_retrace([1] * 8, SPEC8, {2.5})
 
 
