@@ -100,9 +100,12 @@ def encode(u) -> list[int]:
 
 
 def encode_rows(u):
-    """Polar transform of every row of a (rows, N) 0/1 integer array, run on
-    the rows' packed words.  Returns a new array of the same shape and dtype."""
+    """Polar transform of every row of a (rows, N) 0/1 integer or bool array,
+    run on the rows' packed words.  Returns a new array of the same shape and
+    dtype."""
     u = _check_bits(np.asarray(u), "u")
+    if u.ndim != 2 or u.dtype.kind not in "biu":
+        raise ValueError(f"u must be a 2-D integer or bool array, not {u.ndim}-D {u.dtype}")
     _check_length(u.shape[1])
     return _unpack(_transform(_pack(u), u.shape[1]), u.shape[1]).astype(u.dtype)
 

@@ -2,8 +2,9 @@
 
 Subcommands: construct (build and save a code spec), bound (minimum-weight
 codeword counting bound), enumerate (list the minimum-weight codewords),
-verify (run the property checks on a given code), simulate (AWGN frame error
-rates), sweep (bound across a rate grid).
+verify (run the property checks on a given code, every SC path read off one
+listdec._replay call, none off sctree's scalar tree), simulate (AWGN frame
+error rates), sweep (bound across a rate grid).
 
 Every command prints a version line and a full parameter echo, and produces
 byte-identical output for identical inputs.  Exit codes: 0 success, 2 input
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bitops import _check_length, _first_ones, _unpack, generator_row, positions_of
+from .bitops import _check_length, _first_ones, _unpack, encode_rows
 from .bound import (
     _prefix_bounds,
     bound_count,
@@ -46,7 +47,6 @@ from .mhw import (
     write_enumeration,
     zero_split_triggers,
 )
-from .sctree import sc_decode, sc_retrace
 
 __all__ = ["main", "UsageError"]
 
@@ -294,23 +294,27 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
     report = bound_count(spec, materialize_sets=False)
     d_m = report.d_m
     triggers = list(report.a_m)[:max_triggers]
-    ones = [1] * N
     exact_wanted = report.total <= exact_limit
     words = zero_split_triggers(spec, report.a_m if exact_wanted else triggers).words
     first = _first_ones(words)  # a member's trigger is its first one
     members = [_unpack(words[first == i][:max_members], N) for i in triggers]
     exact = len(words) if exact_wanted else None
-    retraced = {i: sc_retrace(ones, spec, {i}) for i in triggers}
+    # after the members, per trigger i the bare row e_i (SC's retrace of all
+    # ones flipped at i), then the all-zero rows (SC's decodes of 1 - g_i)
+    bare = (np.arange(1, N + 1) == np.array(triggers)[:, None]).astype(np.uint8)
+    g = encode_rows(bare)
     stops = np.cumsum([len(m) for m in members]).tolist()
     rows = {i: range(stop - len(m), stop) for i, m, stop in zip(triggers, members, stops)}
-    retrace_rows = range(stops[-1], stops[-1] + len(triggers))
+    end, T = stops[-1], len(triggers)
+    retrace_rows, residual_rows = range(end, end + T), range(end + T, end + 2 * T)
     # the subtree-root probes: the first four members of the first two triggers
     probes = [(i, row) for i in triggers[:2] for row in rows[i][:4]]
-    u = np.concatenate(members + [np.array([retraced[i].decisions for i in triggers], np.uint8)])
+    u = np.concatenate(members + [bare, np.zeros_like(bare)])
     nodes = [(row, p.lam, p.node) for i, row in probes for p in decompose(i, n)]
-    pm, llr, got = _replay(ones, spec, u, nodes)
+    which = [0] * (end + T) + list(range(1, T + 1))
+    pm, llr, got = _replay([[1] * N, *(1 - g).tolist()], spec, u, nodes, which)
     zeros = llr == 0
-    scope = f"{len(triggers)} triggers, {stops[-1]} members"
+    scope = f"{T} triggers, {end} members"
 
     def tiles(i):
         # the parts, placed by decompose's closed-form starts, tile [i+1, N] as
@@ -343,22 +347,6 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
             want = sorted(want[:-1] + pool[:1])
         return (zeros[rows[i]] == np.isin(np.arange(1, N + 1), want)).all()
 
-    def residual_zeros(i):
-        # erasing the channel exactly on a generator row's support reproduces
-        # that support as the decoder's zero-LLR positions
-        row = generator_row(i, N)
-        support = positions_of(1, row)
-        return all(
-            sc_decode([scale * (1 - bit) for bit in row], spec).zero_positions == support
-            for scale in (1, 3.5)
-        )
-
-    def retrace_fixed(i, row):
-        # a lone disagreement at the trigger is stable under replay: same
-        # single flip position, same penalty, positive cost
-        rds = tuple((np.flatnonzero(_charged(u[row], llr[row])) + 1).tolist())
-        return rds == retraced[i].rds == (i,) and pm[row] == retraced[i].pm > 0
-
     def root_llrs(i, row):
         # subtree root LLRs along a member replay match the closed form
         return all(
@@ -366,6 +354,13 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
             for p in decompose(i, n)
         )
 
+    # erasing the channel exactly on a generator row's support reproduces
+    # that support as the zero LLRs of SC, which charges nothing there
+    residual = (pm[residual_rows] == 0).all() and (zeros[residual_rows] == g).all()
+    # a lone disagreement at the trigger is stable under replay: e_i goes
+    # against its leaf's sign at i alone, at the trigger's row weight
+    retrace = (_charged(bare, llr[retrace_rows]) == bare).all() and (pm[retrace_rows] == d_m).all()
+    equal_pm = all((pm[rows[i]] == pm[row]).all() for i, row in zip(triggers, retrace_rows))
     # the counting bound dominates the exact counts, per trigger and in total
     terms = zip(triggers, report.overlaps)
     per_trigger = all(np.count_nonzero(first == i) <= 1 << overlap for i, overlap in terms)
@@ -378,20 +373,12 @@ def _run_verify(spec, negative_control, max_triggers, max_members, exact_limit):
             all(map(predicted, triggers)),
             scope + (" [negative control]" if negative_control else ""),
         ),
-        ("residual-zero-locations", all(map(residual_zeros, triggers)), scope),
-        ("retrace-rds-fixed", all(map(retrace_fixed, triggers, retrace_rows)), scope),
+        ("residual-zero-locations", residual, scope),
+        ("retrace-rds-fixed", retrace, scope),
         # the retraced path's codeword already sits at the minimum weight
-        (
-            "retrace-weight",
-            all(sum(retraced[i].codeword()) == d_m for i in triggers),
-            f"d_m={d_m}",
-        ),
+        ("retrace-weight", (g.sum(axis=1) == d_m).all(), f"d_m={d_m}"),
         # every member of a trigger costs exactly the trigger penalty
-        (
-            "equal-pm-within-subset",
-            all((pm[rows[i]] == retraced[i].pm).all() for i in triggers),
-            scope,
-        ),
+        ("equal-pm-within-subset", equal_pm, scope),
         ("subtree-root-llr", all(root_llrs(*probe) for probe in probes), f"{len(probes)} replays"),
         (
             "bound-soundness",

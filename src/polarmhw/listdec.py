@@ -29,10 +29,14 @@ walk's first trigger.
 A path pinned at every position needs no list and no leaf order: each
 node's partial sums are its leaves' decisions times G (Arikan, IEEE T-IT
 2009), so _replay runs such paths stage by stage, n passes of the engine's
-own f and g over every node of a stage and every path at once, and charges
-the leaves in leaf order as the engine does.  It serves verify's member and
-retrace replays and its subtree-root probes, which read node LLRs off the
-same passes.
+own f and g over every node of a stage and every path at once, each on one
+of a few input vectors, and charges the leaves in leaf order as the engine
+does.  It replays every SC path verify reads: members and bare rows e_i on
+all ones, all-zero rows on 1 - g_i, and the subtree-root probes.  Two
+min-sum facts make those SC's own paths:
+- on a nonnegative input no f or g output is negative, so SC decides all 0;
+- on all ones, every message whose first 1 is at i has weight >= w(g_i), so
+  along e_i no leaf after i is negative.
 
 Each decode may pin its own decision prefix and take its own list width.
 Decodes of one prefix length and one width run in a (B, width) lane layout.
@@ -413,19 +417,22 @@ def _python_pm(pm):
 _RUN_BYTES = 1 << 24
 
 
-def _replay(input_llrs, spec, u, nodes=()):
-    """SC replays of one LLR vector along the (B, N) uint8 fully pinned paths
-    u, stage by stage: every node's partial sums are its leaves' decisions
-    times G, so stage s of every row follows from stage s + 1 in one _f and
-    one _g pass over all nodes, the leaf engine's arithmetic on whole stages.
-    Rows run in chunks of at most _RUN_BYTES of scratch.
+def _replay(input_llrs, spec, u, nodes=(), which=None):
+    """SC replays of one LLR vector, or of input_llrs[which[b]] in row b, in
+    the dtype numpy promotes their _exact_input types to, along the (B, N)
+    uint8 fully pinned paths u, stage by stage: every node's partial sums are
+    its leaves' decisions times G, so stage s of every row follows from stage
+    s + 1 in one _f and one _g pass over all nodes, the leaf engine's
+    arithmetic on whole stages.  Rows run in chunks of at most _RUN_BYTES of
+    scratch.
 
     Returns (pm, llr, got): the (B,) path metrics, typed as the leaf
     engine's, the (B, N) leaf LLRs, and the LLR vector of each (row, stage,
     node) of nodes, node 1-based as sctree keys them.
     """
     N, n = spec.N, spec.n
-    llrs = _exact_input(input_llrs, N)
+    vectors = [input_llrs] if which is None else input_llrs
+    llrs = np.concatenate([_exact_input(x, N) for x in vectors])
     B, integer = len(u), llrs.dtype.kind == "i"
     llr = np.empty((B, N), dtype=llrs.dtype)
     pm = np.empty(B, dtype=np.int64 if integer else llrs.dtype)
@@ -439,9 +446,9 @@ def _replay(input_llrs, spec, u, nodes=()):
             if 0 <= row - lo < len(stage):
                 got[row, s, node] = stage[row - lo, (node - 1) << s : node << s].copy()
 
-    # per row: two stage buffers, the partial sums and the f, g and metric
-    # temporaries
-    step = max(1, _RUN_BYTES // (N * (4 * llrs.itemsize + 6)))
+    # per row: its input (gathered from several), two stage buffers, the
+    # partial sums and the f, g and metric temporaries
+    step = max(1, _RUN_BYTES // (N * (5 * llrs.itemsize + 6)))
     for lo in range(0, B, step):
         hi = min(B, lo + step)
         rows = hi - lo
@@ -450,8 +457,8 @@ def _replay(input_llrs, spec, u, nodes=()):
         # leaves those of every node of 2**s leaves
         beta = encode_rows(u[lo:hi])
         stages = np.empty((2, rows, N), dtype=llrs.dtype)
-        parent = llrs
-        keep(n, np.broadcast_to(llrs, (rows, N)), lo)
+        parent = llrs if which is None else llrs[which[lo:hi]]
+        keep(n, np.broadcast_to(parent, (rows, N)), lo)
         for s in reversed(range(n)):
             level = beta.reshape(rows, -1, 2, 1 << s)
             level[:, :, 0] ^= level[:, :, 1]

@@ -23,7 +23,8 @@ One tree state (per-stage LLR buffers and pending left partial sums) runs
 the schedule leaf by leaf; SC decoding, retrace and replay differ only in the
 decision they commit at each leaf.  The numpy stage engine of listdec, which
 its list decoder and mhw's zero-split walk share, runs the same f and g
-arithmetic on every lane at once; the tests check it against this one.
+arithmetic on every lane at once; the tests check it against this one, the
+public scalar decoder and their reference, which the CLI never calls.
 This engine records the decoding LLR of every leaf and, on request, the LLR
 and partial-sum vectors of every node, keyed by (stage, node index): stage
 lambda means node size 2**lambda, node index is 1-based left to right, so

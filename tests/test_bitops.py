@@ -141,6 +141,17 @@ def test_encode_errors():
             encode_rows(np.array(u))
         with pytest.raises(ValueError, match="^u must be a 0/1 vector$"):
             encode(u[-1])
+    # 0/1 entries in an array packbits cannot take, or not of rows, are
+    # refused before packing (they raised TypeError, IndexError or a
+    # broadcast error from inside the transform)
+    for u, what in (
+        (np.array([[0.0, 1.0, 0.0, 1.0]]), "2-D float64"),
+        (np.array([0, 1, 0, 1]), "1-D int64"),
+        (np.zeros((2, 1, 4), dtype=np.uint8), "3-D uint8"),
+    ):
+        with pytest.raises(ValueError, match=f"^u must be a 2-D integer or bool array, not {what}$"):
+            encode_rows(u)
+    assert encode_rows(np.array([[True, False]])).tolist() == [[True, False]]
 
 
 def unit(v):

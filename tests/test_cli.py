@@ -649,6 +649,26 @@ def test_verify_replays_in_one_stage_pass(capsys, monkeypatch):
     assert len(calls) == 1 and not hasattr(cli, "sc_replay")
 
 
+def test_verify_never_reaches_the_scalar_tree(capsys, monkeypatch):
+    # verify reads every SC path, its retraces and residual decodes too, off
+    # its one stage replay: with the scalar tree's pass made to raise, these
+    # codes print the lines and exit codes they printed when verify ran the
+    # tree (digest recorded then)
+    monkeypatch.setattr(sctree, "_sc", lambda *a: pytest.fail("sctree._sc called"))
+    assert not [v for v in vars(cli).values() if getattr(v, "__module__", "") == sctree.__name__]
+    h = hashlib.sha256()
+    for argv, want in (
+        (SPEC8_ARGS, 0),
+        (["--N", "64", "--K", "32", "--negative-control"], 4),
+        (["--N", "128", "--K", "64", "--construction", "ga", "--exact-limit", "0"], 0),
+        (["--N", "16", "--A", "2,3,10,13,16"], 0),
+    ):
+        code, out, err = run(capsys, ["verify", *argv])
+        assert (code, err) == (want, ""), argv
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest()[:16] == "6291bd26d6f712cf"
+
+
 def test_negative_control_fails_replay_check(capsys):
     code, out, _ = run(capsys, ["verify", *SPEC8_ARGS, "--negative-control"])
     assert code == 4
@@ -689,10 +709,11 @@ def _zero_overlaps(bound_count):
     return corrupted
 
 
-def _pm_plus_one(sc_retrace):
-    def corrupted(llrs, spec, rds):
-        out = sc_retrace(llrs, spec, rds)
-        return replace(out, pm=out.pm + 1)
+def _first_pm_plus_one(replay):
+    def corrupted(*args):
+        pm, llr, got = replay(*args)
+        pm[0] += 1  # the first member of the first trigger
+        return pm, llr, got
 
     return corrupted
 
@@ -703,18 +724,17 @@ VERIFY_BREAKS = [
     ("partition-parts", "decompose", _shifted_nodes),
     ("one-extra-bit-set", "zero_capacity_set", _without_smallest),
     ("zero-location-replay", None, None),
+    # a replay that reads every row under the first input vector, all ones
     (
         "residual-zero-locations",
-        "sc_decode",
-        lambda f: lambda llrs, spec: replace(f(llrs, spec), zero_positions=()),
+        "_replay",
+        lambda f: lambda inputs, spec, u, nodes, which: f(inputs, spec, u, nodes, [0] * len(u)),
     ),
-    ("retrace-rds-fixed", "sc_retrace", lambda f: lambda llrs, spec, rds: f(llrs, spec, ())),
-    (
-        "retrace-weight",
-        "sc_retrace",
-        lambda f: lambda llrs, spec, rds: f(llrs, spec, {*rds, spec.N}),
-    ),
-    ("equal-pm-within-subset", "sc_retrace", _pm_plus_one),
+    # a charge rule that charges nothing, so no path goes against a leaf
+    ("retrace-rds-fixed", "_charged", lambda f: lambda bits, llrs: f(bits, llrs) & False),
+    # row N of G_N is all ones: each codeword with row N added
+    ("retrace-weight", "encode_rows", lambda f: lambda u: 1 - f(u)),
+    ("equal-pm-within-subset", "_replay", _first_pm_plus_one),
     ("subtree-root-llr", "subtree_input_llr", lambda f: lambda *a: [x + 1 for x in f(*a)]),
     ("bound-soundness", "bound_count", _zero_overlaps),
 ]

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import RawSpec, brute_force_minimum_weight, first_one, leaf_schedule, random_specs
 
+from polarmhw import listdec
 from polarmhw.bitops import encode, generator_row, min_distance
 from polarmhw.construction import CodeSpec, construct_ga, construct_pw, design_sigma
 from polarmhw.listdec import (
@@ -293,6 +294,37 @@ def test_stage_replay_node_llrs_match_the_scalar_tree(spec):
     assert got.keys() == set(nodes)
     for row, stage, node in nodes:
         assert got[row, stage, node].tolist() == list(refs[row][stage, node])
+
+
+@pytest.mark.parametrize("kind", ["int", "int-and-float"])
+def test_stage_replay_of_several_inputs_matches_one_at_a_time(monkeypatch, kind):
+    # verify replays its members and bare rows under the all-ones input and
+    # its all-zero rows under 1 - g_i, all in one call: each row must equal a
+    # one-vector replay of its own input, in metric, leaf LLRs and node LLRs,
+    # with rows that span several chunks
+    spec = construct_pw(64, 32)
+    N, n = spec.N, spec.n
+    rows = [generator_row(i, N) for i in (8, 22, 64)]
+    if kind == "int":
+        inputs = [[1] * N, *([1 - b for b in row] for row in rows), [(p % 7) - 3 for p in range(N)]]
+    else:
+        inputs = [[1] * N, [3.5 * (1 - b) for b in rows[0]]]
+    rng = np.random.default_rng(90)
+    u = (rng.integers(0, 2, size=(14, N)) * spec.info_mask).astype(np.uint8)
+    u[-4:] = 0
+    which = rng.integers(0, len(inputs), size=len(u)).tolist()
+    nodes = [(b, s, k) for b in range(len(u)) for s in range(n + 1) for k in range(1, (N >> s) + 1)]
+    # chunks of six rows for int16 LLRs and of two for float64
+    monkeypatch.setattr(listdec, "_RUN_BYTES", 100 * N)
+    pm, llr, got = _replay(inputs, spec, u, nodes, which)
+    assert pm.dtype == (np.int64 if kind == "int" else np.float64)
+    for b, x in enumerate(which):
+        own = [(0, s, k) for _, s, k in nodes[b * (2 * N - 1) : (b + 1) * (2 * N - 1)]]
+        pm_b, llr_b, got_b = _replay(inputs[x], spec, u[b : b + 1], own)
+        assert pm[b] == pm_b[0] and llr[b].tolist() == llr_b[0].tolist()
+        for (_, s, k), vector in got_b.items():
+            assert got[b, s, k].tolist() == vector.tolist()
+    assert len(got) == len(nodes)
 
 
 def test_stage_replay_peak_memory():

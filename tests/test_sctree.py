@@ -3,10 +3,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import RawSpec, brute_force_minimum_weight, first_one
 from polarmhw.bitops import encode, generator_row, positions_of
-from polarmhw.construction import CodeSpec
+from polarmhw.construction import CodeSpec, construct_ga, construct_pw
 from polarmhw.sctree import ScOutcome, sc_decode, sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
@@ -271,3 +273,46 @@ def test_scalar_engine_matches_a_recursive_reference_on_ties_and_signed_zeros():
 
             want = recursive_sc(llrs, spec, lambda p, x: u[p - 1], record)
             assert repr(sc_replay(llrs, spec, u, record_nodes=record)) == repr(want)
+
+
+# ---- two min-sum facts that let verify read SC's paths off one replay ----
+
+
+def assert_bare_row_and_residual_facts(spec):
+    """On the all-ones input, SC's retrace flipped at an information
+    position i decides the bare row e_i: no later leaf LLR is negative, since
+    every message whose first 1 is at i has weight at least w(g_i), so the
+    path's one charge is its leaf LLR at i, 2**popcount(i - 1).  On a
+    nonnegative input no f or g output is negative, so SC decides 0
+    everywhere, and on s (1 - g_i) the zero LLRs sit on the support of g_i."""
+    N = spec.N
+    for i in spec.A:
+        out = sc_retrace([1] * N, spec, {i})
+        assert out.decisions == tuple(int(p == i) for p in range(1, N + 1))
+        assert min(out.llrs) >= 0
+        assert out.pm == 2 ** (i - 1).bit_count() and out.rds == (i,)
+    for i in range(1, N + 1):
+        row = generator_row(i, N)
+        for s in (1, 3.5):
+            out = sc_decode([s * (1 - bit) for bit in row], spec)
+            assert out.decisions == (0,) * N and out.rds == ()
+            assert out.zero_positions == positions_of(1, row)
+
+
+@st.composite
+def small_codes(draw):
+    N = 1 << draw(st.integers(1, 6))
+    return CodeSpec(N, draw(st.lists(st.integers(1, N), min_size=1, max_size=N, unique=True)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(small_codes())
+def test_bare_row_retrace_and_residual_decode_on_any_small_code(spec):
+    assert_bare_row_and_residual_facts(spec)
+
+
+@pytest.mark.parametrize(
+    "spec", [construct_pw(256, 128), construct_ga(256, 128, 2.0)], ids=["pw256", "ga256"]
+)
+def test_bare_row_retrace_and_residual_decode_at_256(spec):
+    assert_bare_row_and_residual_facts(spec)
