@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -238,7 +239,6 @@ def _top(scores: np.ndarray, K: int) -> np.ndarray:
     instead of a full sort: every key below the K-th smallest, then as many
     of its ties as fit, lowest index first."""
     key = -scores
-    key[np.isnan(key)] = np.inf  # a NaN score sorts last; no score is -inf
     kth = np.partition(key, K - 1)[K - 1]
     mask = key < kth
     mask[np.flatnonzero(key == kth)[: K - np.count_nonzero(mask)]] = True
@@ -331,16 +331,23 @@ def _ga_means(N: int, sigma: float) -> np.ndarray:
     N, n = _check_length(N)
     if not sigma > 0:
         raise ValueError(f"noise std sigma={sigma} must be positive")
+    with np.errstate(over="ignore", divide="ignore"):
+        first = np.float64(2.0) / (np.float64(sigma) * sigma)
+    # a stage at most doubles a mean, so the largest is 2^n times the first
+    if not first <= sys.float_info.max / 2.0**n:
+        raise ValueError(f"noise std sigma={sigma} is too small: the GA mean 2N/sigma^2 overflows")
     # Shared-prefix recursion: one stage at a time, all in one array.  Child
     # order (check, double) makes the final index i-1 read its digits
     # MSB-first, which is exactly the natural channel order.
     means = _zeros(N)
-    means[0] = 2.0 / (sigma * sigma)
-    for j in range(n):
-        stage = means[: 1 << j]
-        check, double = _check_combine(stage), 2.0 * stage
-        means[0 : 2 << j : 2] = check
-        means[1 : 2 << j : 2] = double
+    means[0] = first
+    # 7 m and m^2 overflow for a huge mean m; 10 / (7 m) and 10 / (7 m^2) are 0 anyway
+    with np.errstate(over="ignore"):
+        for j in range(n):
+            stage = means[: 1 << j]
+            check, double = _check_combine(stage), 2.0 * stage
+            means[0 : 2 << j : 2] = check
+            means[1 : 2 << j : 2] = double
     return means
 
 

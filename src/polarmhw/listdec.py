@@ -125,12 +125,12 @@ def _g(a, b, beta, out=None):
 
 class _Stages:
     """The SC stage buffers of B decodes of `width` lanes each, run leaf by
-    leaf like sctree._TreeState (node(phi), then commit) for every lane at once,
-    or a node of 2**s leaves in one step (node(phi, s), then commit(phi,
-    bits, s, beta) with the node's bits and partial sums, or commit(phi,
-    None, s) for a node decided all 0); select() between the two replaces
-    the lanes by copies of given parents.  Every decode starts with `width`
-    lanes, all reading the (B, 1, N) channel LLRs.
+    leaf (node(phi), then commit) for every lane at once, or a node of 2**s
+    leaves in one step (node(phi, s), then commit(phi, bits, s, beta) with
+    the node's bits and partial sums, or commit(phi, None, s) for a node
+    decided all 0); select() between the two replaces the lanes by copies of
+    given parents.  Every decode starts with `width` lanes, all reading the
+    (B, 1, N) channel LLRs.
 
     Lane j of decode b reads row map[b * w + j] of alpha[s] (map amap[s]) or
     beta_left[s] (bmap[s]) viewed as (B * w, size), w being the lane count
@@ -541,8 +541,8 @@ def scl_decode(input_llrs, spec, L: int, forced_prefix=(), with_diagnostics=Fals
 def scl_decode_batch(llr_matrix, spec, L: int):
     """Best-path decisions for a batch of REAL-mode decodes.
 
-    llr_matrix: finite float array (B, N).  Returns a uint8 array (B, N)
-    holding the lowest-metric path of each decode.
+    llr_matrix: finite float array (B, N), B >= 0.  Returns a uint8 array
+    (B, N) holding the lowest-metric path of each decode.
     """
     llr_matrix = np.asarray(llr_matrix, dtype=np.float64)
     if llr_matrix.ndim != 2:
@@ -552,5 +552,8 @@ def scl_decode_batch(llr_matrix, spec, L: int):
         raise ValueError(f"LLR row length {N} does not match N={spec.N}")
     if not np.isfinite(llr_matrix).all():
         raise ValueError("LLR matrix holds NaN or infinite entries")
-    pm, _, trace, _, _ = _engine(llr_matrix, spec, _check_int("list size L", L, 1), False)
+    L = _check_int("list size L", L, 1)
+    if not len(llr_matrix):
+        return np.zeros((0, N), dtype=np.uint8)
+    pm, _, trace, _, _ = _engine(llr_matrix, spec, L, False)
     return trace(np.argmin(pm, axis=1)[:, None])[0][:, 0]

@@ -19,16 +19,18 @@ a 1.  A hard decision is 0 at a frozen position or a nonnegative LLR, so an
 exactly zero LLR at an information position resolves to 0: plain SC stays
 deterministic and the enumeration layer splits such positions explicitly.
 
-One tree state (per-stage LLR buffers and pending left partial sums) runs
-the schedule leaf by leaf; SC decoding, retrace and replay differ only in the
-decision they commit at each leaf.  The numpy stage engine of listdec, which
-its list decoder and mhw's zero-split walk share, runs the same f and g
-arithmetic on every lane at once; the tests check it against this one, the
-public scalar decoder and their reference, which the CLI never calls.
-This engine records the decoding LLR of every leaf and, on request, the LLR
-and partial-sum vectors of every node, keyed by (stage, node index): stage
-lambda means node size 2**lambda, node index is 1-based left to right, so
-the root is (n, 1) and leaf p is (0, p).
+The decoder is SC's definition on G_N = [[G, 0], [G, G]] (Arikan, IEEE
+T-IT 2009), a recursion on the code tree: a node passes f of its LLR halves
+to its left child, g of them after the left child's partial sums to its
+right child, and returns left xor right, then right, as its partial sums.
+SC decoding, retrace and replay differ only in the decision at each leaf.
+listdec's numpy stage engine runs the same f and g on every lane at once;
+the tests check it against this recursion, the public scalar decoder and
+their reference, which the CLI never calls.  The decoder records every
+leaf's decoding LLR and, on request, every node's LLR and partial-sum
+vectors, keyed by (stage, node index) in the order the recursion enters and
+leaves the nodes: stage lambda means node size 2**lambda, node index is
+1-based left to right, so the root is (n, 1) and leaf p is (0, p).
 """
 
 from __future__ import annotations
@@ -83,88 +85,12 @@ def _check_forced(bits, spec, what):
     return bits
 
 
-class _TreeState:
-    """Stage buffers of one SC path: alpha[s] is the LLR node of stage s on
-    the current root-to-leaf path, beta_left[s] the partial sums of a left
-    sibling waiting for its right half.  Leaf phi (0-based) recomputes only
-    the stages below the lowest set bit of phi.  A node of one entry (stage
-    0) is computed as a scalar, in f and g and in commit's first level;
-    half of all f and g updates are of such nodes.
-
-    With record_nodes, every LLR vector is captured where it is written and
-    every partial-sum vector where it is completed, keyed by (stage, node),
-    in the order a recursive walk of the tree visits them.
-    """
-
-    __slots__ = ("n", "alpha", "beta_left", "node_llrs", "node_betas")
-
-    def __init__(self, input_llrs, n, record_nodes=False):
-        self.n = n
-        self.alpha = [None] * (n + 1)
-        self.alpha[n] = list(input_llrs)
-        self.beta_left = [None] * n
-        self.node_llrs = {(n, 1): tuple(self.alpha[n])} if record_nodes else None
-        self.node_betas = {} if record_nodes else None
-
-    def leaf_llr(self, phi):
-        alpha, record = self.alpha, self.node_llrs
-        if phi == 0:
-            s = self.n
-        else:
-            s = (phi & -phi).bit_length() - 1
-            parent, left = alpha[s + 1], self.beta_left[s]
-            if s:
-                alpha[s] = [
-                    b - a if u else b + a for a, b, u in zip(parent, parent[1 << s :], left)
-                ]
-            else:
-                a, b = parent
-                alpha[0] = [b - a if left[0] else b + a]
-            if record is not None:
-                record[(s, (phi >> s) + 1)] = tuple(alpha[s])
-        # f's magnitude is min(|a|, |b|) written out, twice as fast as the
-        # call; like min it takes |a| on a tie, which fixes the type of a
-        # tie between an int and a float
-        while s > 0:
-            parent = alpha[s]
-            s -= 1
-            if s:
-                alpha[s] = [
-                    (abs(b) if abs(b) < abs(a) else abs(a))
-                    if (a < 0) == (b < 0)
-                    else -(abs(b) if abs(b) < abs(a) else abs(a))
-                    for a, b in zip(parent, parent[1 << s :])
-                ]
-            else:
-                a, b = parent
-                m = abs(b) if abs(b) < abs(a) else abs(a)
-                alpha[0] = [m if (a < 0) == (b < 0) else -m]
-            if record is not None:
-                record[(s, (phi >> s) + 1)] = tuple(alpha[s])
-        return alpha[0][0]
-
-    def commit(self, phi, bit):
-        record = self.node_betas
-        if record is not None:
-            record[(0, phi + 1)] = (bit,)
-        if not phi & 1:
-            # a left leaf waits for its sibling
-            self.beta_left[0] = [bit]
-            return
-        # a right leaf completes its parent's partial sums, as scalars
-        cur = [self.beta_left[0][0] ^ bit, bit]
-        s, node = 1, phi >> 1
-        if record is not None:
-            record[(1, node + 1)] = tuple(cur)
-        while node & 1:
-            # the left sibling's partial sums xor this node's, then this node's
-            cur = [l ^ r for l, r in zip(self.beta_left[s], cur)] + cur
-            node >>= 1
-            s += 1
-            if record is not None:
-                record[(s, node + 1)] = tuple(cur)
-        if s < self.n:
-            self.beta_left[s] = cur
+def _f(a, b):
+    """The min-sum f of two LLRs.  Its magnitude is min(|a|, |b|) written
+    out, faster than calling min; like min it takes |a| on a tie, which
+    fixes the type of a tie between an int and a float."""
+    m = abs(b) if abs(b) < abs(a) else abs(a)
+    return m if (a < 0) == (b < 0) else -m
 
 
 def _sc(input_llrs, spec, decide, record_nodes):
@@ -174,26 +100,45 @@ def _sc(input_llrs, spec, decide, record_nodes):
     LLR never penalizes."""
     N = spec.N
     _check_llrs(input_llrs, N)
-    tree = _TreeState(input_llrs, N.bit_length() - 1, record_nodes)
-    decisions, llrs, rds = [], [], []
-    pm = 0
-    for phi in range(N):
-        llr = tree.leaf_llr(phi)
-        bit = decide(phi + 1, llr)
+    decisions, llrs = [], []
+    node_llrs, node_betas = ({}, {}) if record_nodes else (None, None)
+
+    def node(alpha, s, k):
+        """Decode node (s, k) from its input LLRs; return its partial sums."""
+        if node_llrs is not None:
+            node_llrs[(s, k)] = tuple(alpha)
+        if s == 0:
+            llrs.append(alpha[0])
+            decisions.append(decide(k, alpha[0]))
+            beta = decisions[-1:]
+        elif s == 1:  # two leaves in scalars, half of all f and g updates
+            a, b = alpha
+            (x,) = node([_f(a, b)], 0, 2 * k - 1)
+            (y,) = node([b - a if x else b + a], 0, 2 * k)
+            beta = [x ^ y, y]
+        else:
+            a, b = alpha[: 1 << (s - 1)], alpha[1 << (s - 1) :]
+            left = node(list(map(_f, a, b)), s - 1, 2 * k - 1)
+            right = node([y - x if u else y + x for x, y, u in zip(a, b, left)], s - 1, 2 * k)
+            beta = [l ^ r for l, r in zip(left, right)] + right
+        if node_betas is not None:
+            node_betas[(s, k)] = tuple(beta)
+        return beta
+
+    node(list(input_llrs), N.bit_length() - 1, 1)
+    pm, rds = 0, []
+    for pos, (llr, bit) in enumerate(zip(llrs, decisions), start=1):
         if (llr > 0 and bit == 1) or (llr < 0 and bit == 0):
             pm = pm + abs(llr)
-            rds.append(phi + 1)
-        tree.commit(phi, bit)
-        decisions.append(bit)
-        llrs.append(llr)
+            rds.append(pos)
     return ScOutcome(
         decisions=tuple(decisions),
         llrs=tuple(llrs),
         pm=pm,
         rds=tuple(rds),
         zero_positions=positions_of(0, llrs),
-        node_llrs=tree.node_llrs,
-        node_betas=tree.node_betas,
+        node_llrs=node_llrs,
+        node_betas=node_betas,
     )
 
 

@@ -501,6 +501,18 @@ def test_out_of_range_design_ebn0_is_exit_2(capsys, tmp_path):
             assert err == f"error: Eb/N0 {float(value):g} dB out of range: {why}\n"
 
 
+def test_extreme_ga_design_points_run_clean_or_exit_2(capsys):
+    # 1600 to 3050 dB build finite GA means without a warning; at 3080 dB the
+    # noise std is finite but the largest mean 2N/sigma^2 is not
+    source = ["bound", "--N", "64", "--K", "32", "--construction", "ga"]
+    for value in ("1600", "2000", "3050"):
+        code, out, err = run(capsys, [*source, "--design-ebn0", value])
+        assert (code, err) == (0, "") and f"construction=GA({value}dB)" in out
+    code, out, err = run(capsys, [*source, "--design-ebn0", "3080"])
+    assert (code, out) == (2, "")
+    assert err == "error: noise std sigma=1e-154 is too small: the GA mean 2N/sigma^2 overflows\n"
+
+
 def test_non_finite_or_overflowing_ebn0_is_exit_2(capsys):
     # a non-finite value is a bad flag value; a finite point whose LLRs would
     # overflow the decoder is refused before any noise is drawn, so no numpy

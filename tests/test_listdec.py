@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import random
 import re
@@ -24,7 +23,7 @@ from polarmhw.listdec import (
     scl_decode_batch,
 )
 from polarmhw.mhw import enumerate_zero_split
-from polarmhw.sctree import _TreeState, sc_decode, sc_replay, sc_retrace
+from polarmhw.sctree import sc_decode, sc_replay, sc_retrace
 
 SPEC8 = CodeSpec(8, (4, 6, 7, 8))
 
@@ -355,45 +354,66 @@ def random_llrs(rng, dtype, B, N):
     return np.array(values, dtype=object).reshape(B, N)
 
 
+def assert_lane_matches_replay(row, decisions, seen):
+    """A lane's node inputs, the ((stage, node), LLRs) pairs in seen, against
+    the scalar recursion replayed on its LLR row along its decisions, padded
+    with 0s; every position is informative, so any bits are allowed."""
+    N = len(row)
+    u = decisions + [0] * (N - len(decisions))
+    replay = sc_replay(row, CodeSpec(N, tuple(range(1, N + 1))), u, record_nodes=True)
+    assert [tuple(values) for _, values in seen] == [replay.node_llrs[key] for key, _ in seen]
+
+
+def select_lanes(rows, paths, lane):
+    """Each row's (decisions, node inputs) paths copied to the (B, m) parent
+    lanes `lane`, after checking the paths that no new lane copies."""
+    lane = lane.tolist()
+    for row, lanes, js in zip(rows, paths, lane):
+        for j in sorted(set(range(len(lanes))) - set(js)):
+            assert_lane_matches_replay(row, *lanes[j])
+    return [[(list(lanes[j][0]), list(lanes[j][1])) for j in js] for lanes, js in zip(paths, lane)]
+
+
 @pytest.mark.parametrize("dtype", [np.int16, np.float64, object], ids=lambda d: np.dtype(d).name)
 def test_stage_buffers_match_the_scalar_tree_under_random_lane_maps(dtype):
     # the list engine and the zero-split walk both run on _Stages: every
-    # lane's leaves, decisions and recorded leaf LLRs must equal the scalar
-    # tree's along that lane's path, whatever the lane maps do (repeat lanes,
-    # drop lanes, shrink to one lane as a kill does, grow from the shared
-    # one-row buffers)
+    # lane's leaf LLRs must equal the scalar recursion's along that lane's
+    # decisions, and trace must read back its decisions and leaves, whatever
+    # the lane maps do (repeat lanes, drop lanes, shrink to one lane as a
+    # kill does, grow from the shared one-row buffers); each lane is checked
+    # once, when a select drops it or at the end
     rng = np.random.default_rng(88)
     for _ in range(60):
         N, B = int(rng.choice((2, 4, 8, 16, 32, 64))), int(rng.integers(1, 4))
         llrs = random_llrs(rng, dtype, B, N)
+        rows = llrs.tolist()
         stages = _Stages(llrs)
-        trees = [[_TreeState(row.tolist(), N.bit_length() - 1)] for row in llrs]
-        paths = [[([], [])] for _ in range(B)]  # per lane, (decisions, leaves)
+        paths = [[([], [])] for _ in range(B)]  # per lane, (decisions, leaf LLRs read)
         recorded = []
         for phi in range(N):
-            width = len(trees[0])
+            width = len(paths[0])
             leaf = np.broadcast_to(stages.node(phi)[..., 0], (B, width))
             recorded.append(leaf)
-            assert leaf.tolist() == [[t.leaf_llr(phi) for t in row] for row in trees]
-            for row, values in zip(paths, leaf.tolist()):
-                for (_, leaves), value in zip(row, values):
-                    leaves.append(value)
+            for lanes, values in zip(paths, leaf.tolist()):
+                for (_, seen), value in zip(lanes, values):
+                    seen.append(((0, phi + 1), [value]))
             if rng.random() < 0.4:
                 m = int(rng.choice((1, 1, width, min(2 * width, 16), 8)))
                 lane = rng.integers(0, width, size=(B, m))
                 stages.select(phi, lane)
-                trees = [[copy.deepcopy(row[j]) for j in js] for row, js in zip(trees, lane)]
-                paths = [[copy.deepcopy(row[j]) for j in js] for row, js in zip(paths, lane)]
-            bit = rng.integers(0, 2, size=(B, len(trees[0]))).astype(np.uint8)
+                paths = select_lanes(rows, paths, lane)
+            bit = rng.integers(0, 2, size=(B, len(paths[0]))).astype(np.uint8)
             stages.commit(phi, bit)
-            for row, path, bits in zip(trees, paths, bit.tolist()):
-                for t, (decisions, _), b in zip(row, path, bits):
-                    t.commit(phi, b)
+            for lanes, bits in zip(paths, bit.tolist()):
+                for (decisions, _), b in zip(lanes, bits):
                     decisions.append(b)
-        width = len(trees[0])
+        width = len(paths[0])
         decisions, leaves = stages.trace(np.broadcast_to(np.arange(width), (B, width)), recorded)
-        assert decisions.tolist() == [[d for d, _ in row] for row in paths]
-        assert leaves.tolist() == [[v for _, v in row] for row in paths]
+        assert decisions.tolist() == [[d for d, _ in lanes] for lanes in paths]
+        assert leaves.tolist() == [[[v for _, (v,) in seen] for _, seen in lanes] for lanes in paths]
+        for row, lanes in zip(rows, paths):
+            for path in lanes:
+                assert_lane_matches_replay(row, *path)
 
 
 def random_rate0_spec(rng, N):
@@ -408,7 +428,7 @@ def random_rate0_spec(rng, N):
 
 def test_stage_node_steps_match_the_scalar_tree_under_random_lane_maps():
     # a rate-0 node runs as one _Stages step: its input LLRs must equal the
-    # scalar tree's, run leaf by leaf with 0 decided at every leaf of the
+    # scalar recursion's along the lane's decisions, 0 at every leaf of the
     # node, and a select at the node that changes the lane count must move
     # only the maps of stages >= the node's: those below may still hold maps
     # for the old count, and composing them raises or misreads a row
@@ -418,38 +438,36 @@ def test_stage_node_steps_match_the_scalar_tree_under_random_lane_maps():
         N, B = int(rng.choice((4, 8, 16, 32, 64))), int(rng.integers(1, 4))
         spec = random_rate0_spec(rng, N)
         llrs = random_llrs(rng, np.int16, B, N)
+        rows = llrs.tolist()
         stages = _Stages(llrs)
-        trees = [[_TreeState(row.tolist(), spec.n)] for row in llrs]
-        paths = [[[]] for _ in range(B)]  # per lane, its decisions
+        paths = [[([], [])] for _ in range(B)]  # per lane, (decisions, node inputs read)
         for phi, s in spec._sc_steps:
-            width = len(trees[0])
+            width = len(paths[0])
             got = np.broadcast_to(stages.node(phi, s), (B, width, 1 << s))
-            for row in trees:
-                for t in row:
-                    t.leaf_llr(phi)
-            assert got.tolist() == [[t.alpha[s] for t in row] for row in trees]
+            for lanes, values in zip(paths, got.tolist()):
+                for (_, seen), value in zip(lanes, values):
+                    seen.append(((s, (phi >> s) + 1), value))
             if rng.random() < 0.5:
                 m = int(rng.choice((1, width, min(2 * width, 16), 8)))
                 lane = rng.integers(0, width, size=(B, m))
                 stages.select(phi, lane, s)
-                trees = [[copy.deepcopy(row[j]) for j in js] for row, js in zip(trees, lane)]
-                paths = [[list(row[j]) for j in js] for row, js in zip(paths, lane)]
+                paths = select_lanes(rows, paths, lane)
             if s:
                 nodes += 1
                 stages.commit(phi, None, s)
-                bits = np.zeros((B, len(trees[0]), 1 << s), dtype=np.uint8)
+                bits = np.zeros((B, len(paths[0]), 1 << s), dtype=np.uint8)
             else:
-                bits = rng.integers(0, 2, size=(B, len(trees[0]), 1), dtype=np.uint8)
+                bits = rng.integers(0, 2, size=(B, len(paths[0]), 1), dtype=np.uint8)
                 stages.commit(phi, bits[..., 0])
-            for row, path, lane_bits in zip(trees, paths, bits.tolist()):
-                for t, decisions, values in zip(row, path, lane_bits):
-                    for p, b in enumerate(values, start=phi):
-                        t.leaf_llr(p)
-                        t.commit(p, b)
-                        decisions.append(b)
-        width = len(trees[0])
+            for lanes, lane_bits in zip(paths, bits.tolist()):
+                for (decisions, _), values in zip(lanes, lane_bits):
+                    decisions.extend(values)
+        width = len(paths[0])
         decisions, _ = stages.trace(np.broadcast_to(np.arange(width), (B, width)))
-        assert decisions.tolist() == paths
+        assert decisions.tolist() == [[d for d, _ in lanes] for lanes in paths]
+        for row, lanes in zip(rows, paths):
+            for path in lanes:
+                assert_lane_matches_replay(row, *path)
     assert nodes > 100
 
 
@@ -669,6 +687,15 @@ def test_batch_decoder_validates_arguments():
         scl_decode_batch(np.zeros((3, 4)), SPEC8, L=2)
     with pytest.raises(ValueError):
         scl_decode_batch(np.zeros((3, 8)), SPEC8, L=0)
+
+
+def test_batch_decoder_takes_an_empty_batch():
+    # as encode_rows takes (0, N): no rows decoded, and L still checked
+    for L in (1, 2):
+        out = scl_decode_batch(np.zeros((0, 8)), SPEC8, L)
+        assert out.shape == (0, 8) and out.dtype == np.uint8
+    with pytest.raises(ValueError, match="list size L=0"):
+        scl_decode_batch(np.zeros((0, 8)), SPEC8, 0)
 
 
 def test_batch_decoder_rejects_a_nan_row():

@@ -1,10 +1,10 @@
-"""The zero-split walk's node steps against a leaf-by-leaf reference.
+"""The zero-split walk's node steps against a recursive reference.
 
-The reference walks sctree's scalar tree one leaf at a time, depth first:
-it follows the all-zero path to the trigger, takes bit 1 there, forks at an
-information leaf whose LLR is exactly 0 and drops a branch at a frozen leaf
-whose LLR is negative.  It shares no schedule, node rule or stage buffer
-with mhw's walk.
+The reference is SC's recursion on the code tree, its f and g written out
+here, on the all-ones input: it follows the all-zero path to the trigger,
+takes bit 1 there, forks at an information leaf whose LLR is exactly 0 and
+drops a branch at a frozen leaf whose LLR is negative.  It shares no
+schedule, node rule or stage buffer with mhw's walk.
 """
 
 import random
@@ -28,49 +28,46 @@ from polarmhw.construction import (
     construct_pw,
 )
 from polarmhw.mhw import _rate1_node, _rep_node, _zero_split_walk, zero_split_subset
-from polarmhw.sctree import _TreeState, sc_decode, sc_replay
-
-
-def _clone(tree):
-    # leaf_llr and commit assign new lists to the stage slots and never
-    # change a list in place, so copying the slots copies the state
-    copy = _TreeState.__new__(_TreeState)
-    copy.n, copy.node_llrs, copy.node_betas = tree.n, None, None
-    copy.alpha, copy.beta_left = list(tree.alpha), list(tree.beta_left)
-    return copy
+from polarmhw.sctree import sc_decode, sc_replay
 
 
 def reference_walk(spec, i):
     """(sorted leaves, fork positions, kills) of the zero-split walk from
-    trigger i, leaf by leaf and depth first on the scalar tree."""
-    N = spec.N
-    tree = _TreeState([1] * N, spec.n)
-    for phi in range(i):
-        tree.leaf_llr(phi)
-        tree.commit(phi, int(phi == i - 1))
-    stack = [(i, tree, [0] * (i - 1) + [1])]
-    leaves, forks, kills = [], set(), 0
-    while stack:
-        phi, tree, u = stack.pop()
-        while phi < N:
-            llr = tree.leaf_llr(phi)
-            if not spec.is_info(phi + 1):
-                if llr < 0:
-                    kills += 1
-                    break
-                bit = 0
-            else:
-                if llr == 0:
-                    forks.add(phi + 1)
-                    other = _clone(tree)
-                    other.commit(phi, 1)
-                    stack.append((phi + 1, other, u + [1]))
-                bit = int(llr < 0)
-            tree.commit(phi, bit)
-            u.append(bit)
-            phi += 1
-        else:
-            leaves.append(u)
+    trigger i: SC's recursion on the code tree under the all-ones input,
+    every branch through a node decoded on its own."""
+    forks, kills = set(), 0
+
+    def leaf(p, llr):
+        """The bits a branch may take at leaf p: none where it dies."""
+        nonlocal kills
+        if p <= i:
+            return [int(p == i)]
+        if not spec.is_info(p):
+            if llr < 0:
+                kills += 1
+                return []
+            return [0]
+        if llr == 0:
+            forks.add(p)
+            return [0, 1]
+        return [int(llr < 0)]
+
+    def node(alpha, s, k):
+        """Every branch through node (s, k), as (its bits, its partial sums)."""
+        if s == 0:
+            return [([bit], [bit]) for bit in leaf(k, alpha[0])]
+        h = len(alpha) // 2
+        a, b = alpha[:h], alpha[h:]
+        f = [min(abs(x), abs(y)) * (-1 if (x < 0) != (y < 0) else 1) for x, y in zip(a, b)]
+        branches = []
+        for u_left, beta_left in node(f, s - 1, 2 * k - 1):
+            g = [y - x if bit else y + x for x, y, bit in zip(a, b, beta_left)]
+            for u_right, beta_right in node(g, s - 1, 2 * k):
+                beta = [l ^ r for l, r in zip(beta_left, beta_right)] + beta_right
+                branches.append((u_left + u_right, beta))
+        return branches
+
+    leaves = [u for u, _ in node([1] * spec.N, spec.n, 1)]
     return sorted(leaves), forks, kills
 
 
